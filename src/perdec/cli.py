@@ -115,7 +115,6 @@ class RunContext:
                        "period": self.args.bound_period,
                        "k_max": self.args.kmax,
                        "patience": self.args.patience},
-            "threads": int(os.environ.get("PERDEC_THREADS", "1")),
             "verdicts": self.verdicts,
             "results": self.results,
             "outputs": sorted(self.outputs),

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
+from operator import add, sub
 
 from .errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                      OutOfDomainError, PreconditionError)
@@ -432,7 +433,7 @@ class FiberSum:
 
 
 def _merge_vals(a, b):
-    p = len(a) * len(b) // gcd(len(a), len(b))
+    p = lcm(len(a), len(b))
     return tuple(a[j % len(a)] + b[j % len(b)] for j in range(p))
 
 
@@ -528,6 +529,12 @@ def apply_poly(f: LaurentPoly, c):
     Windows shrink to the erosion of their box by supp(f); periodic
     configurations keep their lattice; fiber sums map to merged translated
     scaled fibers.  The zero polynomial yields the zero fiber sum.
+
+    Both eager kernels work on whole rows (all coordinates fixed but the
+    last).  The window kernel computes one flat index per term; each output
+    row is then a sum of slices of c.values.  The periodic kernel does one
+    HNF reduction per row and term; each source row is a rotation of a row
+    of the residue table.
     """
     if f.dim != c.dim:
         raise DimensionMismatch("polynomial/configuration dimension mismatch")
@@ -541,14 +548,40 @@ def apply_poly(f: LaurentPoly, c):
             raise EmptyRegionError(
                 "window too small: erosion by the polynomial support is empty")
         lo, hi = eroded
-        return WindowConfig.from_function(
-            lo, hi,
-            lambda u: sum(k * c.value_at(vsub(u, e)) for e, k in terms))
+        # an output row lies `off` past lo in c's flat layout; its source
+        # for term e is the n values from c.index(lo - e) + off on
+        starts = [(c.index(vsub(lo, e)), k) for e, k in terms]
+        n = hi[-1] - lo[-1] + 1
+        offsets = [0]
+        for a, b, s in zip(lo[:-1], hi[:-1], c._strides[:-1]):
+            offsets = [o + j * s for o in offsets for j in range(b - a + 1)]
+        values = []
+        for off in offsets:
+            row = [0] * n
+            for start, k in starts:
+                a = start + off
+                row = _add_scaled(row, k, c.values[a:a + n])
+            values += row
+        return WindowConfig(lo, hi, values)
 
     if isinstance(c, PeriodicConfig):
-        return PeriodicConfig.from_function(
-            c.dim, c.basis,
-            lambda r: sum(k * c.value_at(vsub(r, e)) for e, k in terms))
+        # residue (h, t) - e reduces to (h', (t + s) mod d): h' and s do not
+        # depend on t, so the source of row h is row h' rotated by s
+        rows = c.lattice_rows
+        d = c._diag[-1]
+        residues = list(fundamental_residues(rows, c.dim))
+        table = [c.values[r] for r in residues]
+        lines = {residues[i][:-1]: table[i:i + d]
+                 for i in range(0, len(table), d)}
+        out = []
+        for h in lines:
+            row = [0] * d
+            for e, k in terms:
+                src = hnf_reduce(vsub(h + (0,), e), rows)
+                line, s = lines[src[:-1]], src[-1]
+                row = _add_scaled(row, k, line[s:] + line[:s])
+            out += row
+        return PeriodicConfig(c.dim, c.basis, dict(zip(residues, out)))
 
     if isinstance(c, FiberSum):
         pieces = []
@@ -565,6 +598,15 @@ def apply_poly(f: LaurentPoly, c):
             label=f"poly*{c.label}")
 
     raise PreconditionError(f"unsupported configuration type {type(c)!r}")
+
+
+def _add_scaled(row, k, part):
+    """row + k * part, elementwise."""
+    if k == 1:
+        return list(map(add, row, part))
+    if k == -1:
+        return list(map(sub, row, part))
+    return [x + k * v for x, v in zip(row, part)]
 
 
 def is_annihilated(f: LaurentPoly, c) -> Verdict:
@@ -645,11 +687,6 @@ def add_views(views, coeffs=None):
         dim,
         lambda x: sum(k * v.value_at(x) for k, v in zip(coeffs, views)),
         label="sum")
-
-
-def config_equal_on(c1, c2, lo, hi):
-    """Pointwise equality of two views over a box."""
-    return all(c1.value_at(x) == c2.value_at(x) for x in box_points(lo, hi))
 
 
 def is_zero_config(c) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import lcm
 
 from .config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                      WindowConfig, add_views, apply_poly, box_points,
@@ -111,15 +111,12 @@ class TransferSolution:
     band_width: int
     anchor_shift: tuple
 
-    def band_coordinate(self, x):
-        return self.view.fn.a1_of(x)
-
 
 class _TransferEvaluator:
     """Per-line memoized evaluation of the coset recurrence."""
 
     __slots__ = ("w", "alphas", "n", "source_at", "lam", "den",
-                 "cosets", "cache")
+                 "cosets", "cache", "reach")
 
     def __init__(self, w, alphas, n, source_at, lam, den, cosets):
         self.w = w
@@ -130,6 +127,9 @@ class _TransferEvaluator:
         self.den = den
         self.cosets = cosets
         self.cache = {}
+        # (line base, upward?) -> farthest t cached; each sweep fills a
+        # contiguous run of t, so the next one starts past it
+        self.reach = {}
 
     def a1_of(self, x):
         z = self.cosets.representative(x)
@@ -156,13 +156,13 @@ class _TransferEvaluator:
                 return 0
             return cache[vadd(base, vscale(t, w))]
 
+        key = (base, a >= n)
+        last = self.reach.get(key)
         if a >= n:
             alpha0 = self.alphas[0][1]
             tail = self.alphas[1:]
-            for t in range(n, a + 1):
+            for t in range(n if last is None else last + 1, a + 1):
                 p = vadd(base, vscale(t, w))
-                if p in cache:
-                    continue
                 s = self.source_at(p)
                 for off, coef in tail:
                     s -= coef * known(t - off)
@@ -170,14 +170,13 @@ class _TransferEvaluator:
         else:
             alphan = self.alphas[-1][1]
             head = self.alphas[:-1]
-            for t in range(-1, a - 1, -1):
+            for t in range(-1 if last is None else last - 1, a - 1, -1):
                 p = vadd(base, vscale(t, w))
-                if p in cache:
-                    continue
                 s = self.source_at(vadd(p, vscale(n, w)))
                 for off, coef in head:
                     s -= coef * known(t + n - off)
                 cache[p] = _exact_div(s, alphan)
+        self.reach[key] = a
         return cache[x]
 
 
@@ -191,9 +190,7 @@ def _first_coordinate_functional(generators, dim):
     if sol is None:
         # dependent-looking transpose cannot happen for independent generators
         raise PerdecError("no coordinate functional (internal)")
-    den = 1
-    for a in sol:
-        den = den * a.denominator // gcd(den, a.denominator)
+    den = lcm(*(a.denominator for a in sol))
     lam = tuple(int(a * den) for a in sol)
     return lam, den
 
@@ -477,9 +474,7 @@ def _rewrite_span_collision(vecs, j, jp, e, V, bounds):
     if a == 0 or b == 0:
         # a zero weight would put one of the factors inside V
         raise PerdecError("degenerate span dependency (internal)")
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    for x in null[2:]:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in null))
     pprime = int(b * den)
     p = -int(a * den)
     v0 = vsub(vscale(pprime, vjp), vscale(p, vj))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, LatticeError
 
@@ -199,8 +199,10 @@ def hnf_reduce(x, rows):
     """Canonical representative of x modulo the integer span of HNF rows."""
     res = list(x)
     for row in rows:
-        j = next(i for i, v in enumerate(row) if v)
-        q = res[j] // row[j]
+        for j, v in enumerate(row):
+            if v:
+                break
+        q = res[j] // v
         if q:
             res = [a - q * b for a, b in zip(res, row)]
     return tuple(res)
@@ -358,9 +360,7 @@ class SubspaceBasis:
         """The basis rescaled to primitive integer vectors (same span)."""
         out = []
         for row in self.basis:
-            denom = 1
-            for x in row:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
+            denom = lcm(*(x.denominator for x in row))
             vec = tuple(int(x * denom) for x in row)
             out.append(primitive(vec))
         return tuple(out)

@@ -67,9 +67,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self._terms
 
-    def is_monomial(self):
-        return len(self._terms) == 1
-
     def __len__(self):
         return len(self._terms)
 

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .config import (FiberSum, PeriodicConfig, PeriodicFiber, WindowConfig,
-                     box_size)
+                     _minimal_period, box_size)
 from .errors import SchemaError
 from .laurent import LaurentPoly
 from .lattice import SubspaceBasis
@@ -153,20 +153,12 @@ def config_from_obj(obj):
             vals = [_int(v, "fiber value") for v in vals]
             try:
                 fiber = PeriodicFiber(anchor, direction,
-                                      vals[:_minimal(vals)])
+                                      vals[:_minimal_period(vals)])
             except Exception as exc:
                 raise SchemaError(f"invalid fiber: {exc}") from exc
             fibers.append(fiber)
         return FiberSum(dim, fibers)
     raise SchemaError(f"unknown configuration kind {kind!r}")
-
-
-def _minimal(vals):
-    n = len(vals)
-    for p in range(1, n + 1):
-        if n % p == 0 and all(vals[j] == vals[j % p] for j in range(n)):
-            return p
-    return n
 
 
 # ---------------------------------------------------------------------------

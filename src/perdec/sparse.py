@@ -15,7 +15,7 @@ patience and length bounds, and exhaustion is reported as inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                      apply_poly, box_points, is_zero_config, make_fiber,
@@ -25,13 +25,6 @@ from .decompose import (Bounds, _require_annihilation,
 from .errors import (InconclusiveError, PreconditionError, VerificationError)
 from .laurent import LaurentPoly, non_parallel_directions
 from .lattice import (hnf_reduce, is_zero_vector, primitive, vadd, vscale)
-
-
-def _lcm(values):
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +364,9 @@ def sparse_split2(c, phi: LaurentPoly, psi: LaurentPoly,
 
     if isinstance(c, WindowConfig):
         ext1 = fiber_extract(e1, v, bounds.period)
-        p = _lcm([f.period for f in ext1.fibers]) if ext1.fibers else 1
+        p = lcm(*(f.period for f in ext1.fibers))
         ext2 = fiber_extract(e2, u, bounds.period)
-        q = _lcm([f.period for f in ext2.fibers]) if ext2.fibers else 1
+        q = lcm(*(f.period for f in ext2.fibers))
         lo, hi = bounds.check_window(c.dim)
         w1 = stabilized_translate_limit(c, vscale(p, v), (lo, hi),
                                         bounds.k_max, bounds.patience)

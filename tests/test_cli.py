@@ -261,11 +261,3 @@ def test_dim_flag_validates(files):
     out2 = str(tmp / "out_dim2")
     assert main(["--out", out2, "--dim", "3", "poly", "mul",
                  fx["f"], fx["g"]]) == 1
-
-
-def test_manifest_records_thread_cap(files, monkeypatch):
-    tmp, fx = files
-    monkeypatch.setenv("PERDEC_THREADS", "4")
-    out = str(tmp / "out_threads")
-    assert main(["--out", out, "poly", "add", fx["f"], fx["g"]]) == 0
-    assert manifest(out)["threads"] == 4

@@ -8,7 +8,7 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                            make_fiber, period_lattice, rasterize, translate)
 from perdec.errors import (EmptyRegionError, LatticeError, OutOfDomainError)
 from perdec.laurent import LaurentPoly, difference_poly
-from perdec.lattice import in_lattice, lattice_determinant
+from perdec.lattice import in_lattice, lattice_determinant, vsub
 
 from helpers import naive_convolution, random_periodic, random_poly
 
@@ -75,6 +75,92 @@ def test_apply_poly_window_erosion():
     tiny = WindowConfig((0, 0), (0, 0), [7])
     with pytest.raises(EmptyRegionError):
         apply_poly(difference_poly((1, 0)), tiny)
+
+
+# (window lo, window hi, terms): dims 1-3, exponents of both signs,
+# coefficients +-1 and others; the last two windows erode to a single point
+# and to nothing
+WINDOW_CASES = [
+    ((-3,), (12,), {(-2,): 1, (0,): -1, (3,): 5}),
+    ((-4, -3), (9, 11), {(0, 0): -1, (1, -2): 1, (-3, 2): -4, (2, 2): 7}),
+    ((-2, -1, 0), (4, 5, 3), {(0, 0, 0): 2, (-1, 1, 0): -1, (1, 0, -1): 1,
+                              (0, -2, 1): -3}),
+    ((0, 0), (2, 2), {(-1, -1): 1, (1, 1): -1, (0, 1): 3}),
+    ((0,), (3,), {(-2,): 1, (2,): -1}),
+]
+
+# (basis, terms): HNF bases with non-zero off-diagonal entries in dims 1-3,
+# exponents that reach beyond one period
+PERIODIC_CASES = [
+    ([(5,)], {(7,): 1, (-6,): -1, (0,): 3}),
+    ([(3, 1), (0, 4)], {(5, -7): -1, (-4, 9): 2, (0, 1): 1}),
+    ([(2, 1, 3), (0, 3, 2), (0, 0, 4)],
+     {(3, -5, 9): 1, (-2, 4, -7): -1, (0, 0, 1): 6, (1, 1, 1): -2}),
+]
+
+
+def _pointwise(terms, c):
+    """Reference fc, one point at a time: sum(k * c(u - e)).
+
+    Periodic inputs give a residue dict; windows give (lo, hi, values) over
+    the points u with every u - e inside the window.
+    """
+    def at(u):
+        return sum(k * c.value_at(vsub(u, e)) for e, k in terms)
+    if isinstance(c, PeriodicConfig):
+        return {r: at(r) for r in c.residues()}
+    lo = tuple(a + max(e[i] for e, _ in terms) for i, a in enumerate(c.lo))
+    hi = tuple(b + min(e[i] for e, _ in terms) for i, b in enumerate(c.hi))
+    return lo, hi, [at(u) for u in box_points(lo, hi)]
+
+
+@pytest.mark.parametrize("lo,hi,terms", WINDOW_CASES)
+def test_apply_poly_window_matches_pointwise_sum(lo, hi, terms):
+    rng = random.Random(str((lo, hi)))
+    c = WindowConfig.from_function(lo, hi, lambda x: rng.randint(-9, 9))
+    f = LaurentPoly(len(lo), terms)
+    elo, ehi, values = _pointwise(f.terms(), c)
+    if not values:
+        with pytest.raises(EmptyRegionError):
+            apply_poly(f, c)
+        return
+    out = apply_poly(f, c)
+    assert (out.lo, out.hi, out.values) == (elo, ehi, values)
+
+
+@pytest.mark.parametrize("basis,terms", PERIODIC_CASES)
+def test_apply_poly_periodic_matches_pointwise_sum(basis, terms):
+    rng = random.Random(str(basis))
+    dim = len(basis)
+    c = PeriodicConfig.from_function(dim, basis, lambda r: rng.randint(-9, 9))
+    assert dim == 1 or any(row[j] for i, row in enumerate(c.lattice_rows)
+                           for j in range(i + 1, dim))
+    f = LaurentPoly(dim, terms)
+    out = apply_poly(f, c)
+    assert out.lattice_rows == c.lattice_rows
+    assert out.values == _pointwise(f.terms(), c)
+
+
+def test_apply_poly_kernels_match_pointwise_sum_random():
+    rng = random.Random(47)
+    for _ in range(120):
+        dim = rng.randint(1, 3)
+        f = random_poly(rng, dim, max_terms=5, exp_range=rng.choice((1, 6)),
+                        coef_range=rng.choice((1, 9)))
+        if f.is_zero():
+            continue
+        c = random_periodic(rng, dim, 40)
+        assert apply_poly(f, c).values == _pointwise(f.terms(), c)
+        lo = tuple(rng.randint(-4, 4) for _ in range(dim))
+        hi = tuple(a + rng.randint(0, 12) for a in lo)
+        w = WindowConfig.from_function(lo, hi, lambda x: rng.randint(-5, 5))
+        elo, ehi, values = _pointwise(f.terms(), w)
+        if not values:
+            with pytest.raises(EmptyRegionError):
+                apply_poly(f, w)
+            continue
+        out = apply_poly(f, w)
+        assert (out.lo, out.hi, out.values) == (elo, ehi, values)
 
 
 def test_apply_zero_poly_gives_zero():

@@ -20,10 +20,12 @@ from .decompose import (Bounds, decompose_product, k_periodic_decompose,
                         search_difference_annihilator)
 from .errors import InconclusiveError, PerdecError
 from .laurent import line_direction
+from .lattice import SubspaceBasis
 from .serialize import (config_from_obj, config_to_obj, dumps, file_hash,
                         load_json, poly_from_obj, poly_to_obj, tile_from_obj)
-from .sparse import (check_sparseness, fiber_extract, sparse_decompose,
-                     sparse_full, sparse_split2)
+from .sparse import (check_sparseness, fiber_closed_form_constant,
+                     fiber_extract, sparse_decompose, sparse_full,
+                     sparse_split2)
 from .tiling import (cotiler_decompose, independent, select_periodizer,
                      verify_cotiler)
 
@@ -195,13 +197,11 @@ def _cmd_decompose(ctx):
             c, args.k, lambda V: select_periodizer(family, V), bounds)
     elif args.factors:
         phis = ctx.load_poly_list(args.factors)
-        from .lattice import SubspaceBasis
         dec = decompose_product(phis, c, SubspaceBasis.trivial(c.dim), bounds)
     elif args.annihilator:
         f = ctx.load_poly(args.annihilator)
         dp = search_difference_annihilator(c, f, bounds.search)
         ctx.results["certificate"] = [list(v) for v in dp.vectors]
-        from .lattice import SubspaceBasis
         dec = decompose_product(dp.polys(), c, SubspaceBasis.trivial(c.dim),
                                 bounds)
     else:
@@ -215,7 +215,6 @@ def _cmd_decompose(ctx):
     for i, comp in enumerate(dec.components):
         ctx.write_config(f"component_{i:02d}.json",
                          rasterize(comp.view, lo, hi))
-        from .serialize import poly_to_obj
         ctx.results[f"component_{i:02d}_annihilator"] = \
             poly_to_obj(comp.line_poly)
         if comp.gauge is not None:
@@ -276,7 +275,6 @@ def _cmd_sparse(ctx):
 
 def _sparse_report(ctx, source, families, identities):
     """Record certificate, detected periods and the verified-identity log."""
-    from .sparse import fiber_closed_form_constant
     for i, fam in enumerate(families):
         ctx.write_config(f"family_{i:02d}.json", fam)
         ctx.results[f"family_{i:02d}_periods"] = \

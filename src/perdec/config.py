@@ -94,7 +94,7 @@ class Verdict:
 class WindowConfig:
     """Dense integer values over a box; undefined outside it."""
 
-    __slots__ = ("dim", "lo", "hi", "values", "_strides")
+    __slots__ = ("dim", "lo", "hi", "values", "strides")
 
     def __init__(self, lo, hi, values):
         self.lo = tuple(int(x) for x in lo)
@@ -112,7 +112,7 @@ class WindowConfig:
         for a, b in zip(reversed(self.lo), reversed(self.hi)):
             strides.append(acc)
             acc *= b - a + 1
-        self._strides = tuple(reversed(strides))
+        self.strides = tuple(reversed(strides))
 
     @classmethod
     def from_function(cls, lo, hi, fn):
@@ -123,7 +123,7 @@ class WindowConfig:
         return self.lo, self.hi
 
     def index(self, x):
-        return sum(s * (c - a) for s, c, a in zip(self._strides, x, self.lo))
+        return sum(s * (c - a) for s, c, a in zip(self.strides, x, self.lo))
 
     def contains(self, x):
         return box_contains(self.lo, self.hi, x)
@@ -553,7 +553,7 @@ def apply_poly(f: LaurentPoly, c):
         starts = [(c.index(vsub(lo, e)), k) for e, k in terms]
         n = hi[-1] - lo[-1] + 1
         offsets = [0]
-        for a, b, s in zip(lo[:-1], hi[:-1], c._strides[:-1]):
+        for a, b, s in zip(lo[:-1], hi[:-1], c.strides[:-1]):
             offsets = [o + j * s for o in offsets for j in range(b - a + 1)]
         values = []
         for off in offsets:
@@ -616,9 +616,7 @@ def is_annihilated(f: LaurentPoly, c) -> Verdict:
     """
     if f.dim != c.dim:
         raise DimensionMismatch("polynomial/configuration dimension mismatch")
-    if isinstance(c, PeriodicConfig):
-        return Verdict.exactly(apply_poly(f, c).is_zero())
-    if isinstance(c, FiberSum):
+    if isinstance(c, (PeriodicConfig, FiberSum)):
         return Verdict.exactly(apply_poly(f, c).is_zero())
     if isinstance(c, WindowConfig):
         out = apply_poly(f, c)  # raises EmptyRegionError when eroded away

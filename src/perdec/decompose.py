@@ -29,7 +29,8 @@ from math import lcm
 from .config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                      WindowConfig, add_views, apply_poly, box_points,
                      detect_period_multiple, evaluate, is_annihilated,
-                     is_zero_config, periodic_in_subspace, rasterize)
+                     is_zero_config, period_lattice, periodic_in_subspace,
+                     rasterize)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
 from .laurent import (LaurentPoly, difference_poly,
@@ -523,7 +524,6 @@ def annihilator_from_periodizer(g: LaurentPoly, c, V: SubspaceBasis,
         rows = tuple(tuple(int(i == j) for j in range(dim))
                      for i in range(dim))
     elif isinstance(gc, PeriodicConfig):
-        from .config import period_lattice
         rows = period_lattice(gc)
     else:
         raise PreconditionError(

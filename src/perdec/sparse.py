@@ -23,8 +23,9 @@ from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
 from .errors import (InconclusiveError, PreconditionError, VerificationError)
-from .laurent import LaurentPoly, non_parallel_directions
-from .lattice import (hnf_reduce, is_zero_vector, primitive, vadd, vscale)
+from .laurent import LaurentPoly, non_parallel_directions, poly_product
+from .lattice import (fundamental_residues, hnf_diagonal, hnf_reduce,
+                      is_zero_vector, primitive, vscale)
 
 
 # ---------------------------------------------------------------------------
@@ -51,35 +52,6 @@ def fiber_closed_form_constant(c: FiberSum) -> int:
     return 3 * len(c.fibers)
 
 
-def _fiber_cube_points(c: FiberSum, m, t):
-    """Support points of c inside the cube C_m + t (exact, per line)."""
-    pts = set()
-    for f in c.fibers:
-        lo_j, hi_j = None, None
-        empty = False
-        for i in range(c.dim):
-            lo_i, hi_i = t[i] - m, t[i] + m
-            d = f.direction[i]
-            if d == 0:
-                if not lo_i <= f.anchor[i] <= hi_i:
-                    empty = True
-                    break
-                continue
-            a, b = lo_i - f.anchor[i], hi_i - f.anchor[i]
-            if d < 0:
-                a, b, d = -b, -a, -d
-            j0 = -((-a) // d)  # exact ceil(a / d)
-            j1 = b // d        # exact floor(b / d)
-            lo_j = j0 if lo_j is None else max(lo_j, j0)
-            hi_j = j1 if hi_j is None else min(hi_j, j1)
-        if empty or lo_j is None or lo_j > hi_j:
-            continue
-        for j in range(lo_j, hi_j + 1):
-            if f.vals[j % f.period]:
-                pts.add(vadd(f.anchor, vscale(j, f.direction)))
-    return {p for p in pts if c.value_at(p) != 0}
-
-
 def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
     """Certify |supp(c) n (C_m + t)| <= a*m, or report a violating (m, t).
 
@@ -87,80 +59,112 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
     per-line constant; other verdicts are evidence over the checked cube
     sizes.  Periodic inputs are complete per size (translates reduce to the
     fundamental residues); window inputs only place cubes that fit inside
-    the box.  Failure is a result, not an error.
+    the box.  Failure is a result, not an error.  Each cube is counted
+    exactly from a summed-area table of the support (`_cube_counter`) over
+    a box that holds every cube the scan places.
     """
     if a < 1 or m_max < 1:
         raise PreconditionError("sparseness check needs a >= 1 and m_max >= 1")
+    d = c.dim
 
     if isinstance(c, FiberSum):
-        closed = fiber_closed_form_constant(c)
-        reach = max((max(map(abs, f.anchor)) + f.period
-                     for f in c.fibers), default=0)
         # the proof is the closed-form per-line bound; the scan below only
         # records observed counts, so its translate box is capped
-        reach = min(reach, 8)
-        checked = []
-        violation = None
-        for m in range(1, m_max + 1):
-            best = 0
-            r = reach + m
-            for t in box_points((-r,) * c.dim, (r,) * c.dim):
-                n = len(_fiber_cube_points(c, m, t))
-                if n > best:
-                    best = n
-                    if n > a * m and violation is None:
-                        violation = (m, t)
-            checked.append((m, best))
+        reach = min(8, max((max(map(abs, f.anchor)) + f.period
+                            for f in c.fibers), default=0))
+        r = reach + 2 * m_max
+        count = _cube_counter(rasterize(c, (-r,) * d, (r,) * d))
+        checked, violation = _cube_scan(
+            a, m_max, lambda m: count,
+            lambda m: box_points((-reach - m,) * d, (reach + m,) * d),
+            stop=False)
         ok = violation is None
-        exact = ok and a >= closed
-        return SparsenessReport(constant=a, ok=ok, exact=exact,
-                                checked=tuple(checked), violation=violation)
+        return SparsenessReport(
+            constant=a, ok=ok, exact=ok and a >= fiber_closed_form_constant(c),
+            checked=checked, violation=violation)
 
     if isinstance(c, PeriodicConfig):
         if c.is_zero():
             return SparsenessReport(constant=a, ok=True, exact=True,
                                     checked=((1, 0),))
-        checked = []
-        for m in range(1, m_max + 1):
-            best = 0
-            from .lattice import fundamental_residues
-            for t in fundamental_residues(c.lattice_rows, c.dim):
-                n = sum(1 for x in box_points(tuple(v - m for v in t),
-                                              tuple(v + m for v in t))
-                        if c.value_at(x) != 0)
-                if n > best:
-                    best = n
-                if n > a * m:
-                    return SparsenessReport(
-                        constant=a, ok=False, exact=True,
-                        checked=tuple(checked + [(m, n)]), violation=(m, t))
-            checked.append((m, best))
-        return SparsenessReport(constant=a, ok=True, exact=False,
-                                checked=tuple(checked))
+        diag = hnf_diagonal(c.lattice_rows, d)
+        built = {}
+
+        def table(m):  # doubles, so an early violation skips m_max's box
+            r = min(m_max, 1 << (m - 1).bit_length())
+            if r not in built:
+                built[r] = _cube_counter(rasterize(
+                    c, (-r,) * d, tuple(p - 1 + r for p in diag)))
+            return built[r]
+
+        checked, violation = _cube_scan(
+            a, m_max, table,
+            lambda m: fundamental_residues(c.lattice_rows, d), stop=True)
+        return SparsenessReport(constant=a, ok=violation is None,
+                                exact=violation is not None, checked=checked,
+                                violation=violation)
 
     if isinstance(c, WindowConfig):
-        checked = []
-        for m in range(1, m_max + 1):
-            tlo = tuple(v + m for v in c.lo)
-            thi = tuple(v - m for v in c.hi)
-            if any(x > y for x, y in zip(tlo, thi)):
-                break
-            best = 0
-            for t in box_points(tlo, thi):
-                n = sum(1 for x in box_points(tuple(v - m for v in t),
-                                              tuple(v + m for v in t))
-                        if c.value_at(x) != 0)
-                if n > best:
-                    best = n
-                if n > a * m:
-                    return SparsenessReport(
-                        constant=a, ok=False, exact=False,
-                        checked=tuple(checked + [(m, n)]), violation=(m, t))
-            checked.append((m, best))
-        return SparsenessReport(constant=a, ok=True, exact=False,
-                                checked=tuple(checked))
+        # only cubes that fit inside the window are placed
+        fit = min(m_max, *((hi - lo) // 2 for lo, hi in zip(c.lo, c.hi)))
+        count = _cube_counter(c)
+        checked, violation = _cube_scan(
+            a, fit, lambda m: count,
+            lambda m: box_points(tuple(v + m for v in c.lo),
+                                 tuple(v - m for v in c.hi)),
+            stop=True)
+        return SparsenessReport(constant=a, ok=violation is None, exact=False,
+                                checked=checked, violation=violation)
 
     raise PreconditionError("sparseness of an evaluator view is undecidable")
+
+
+def _cube_scan(a, m_max, table, translates, stop):
+    """(checked, violation): per size m <= m_max, the largest count that
+    `table(m)` finds over `translates(m)`, and the first (m, t) over a*m;
+    with `stop` the scan ends there and that count closes `checked`.
+    """
+    checked, violation = [], None
+    for m in range(1, m_max + 1):
+        count = table(m)
+        best = 0
+        for t in translates(m):
+            n = count(m, t)
+            if n > best:
+                best = n
+            if n > a * m and violation is None:
+                violation = (m, t)
+                if stop:
+                    return tuple(checked + [(m, n)]), violation
+        checked.append((m, best))
+    return tuple(checked), violation
+
+
+def _cube_counter(w: WindowConfig):
+    """count(m, t): support points of w in the cube C_m + t inside w's box.
+
+    An inclusive prefix sum of the support indicator, one sweep per axis
+    over the flat layout, answers each count from the cube's 2^d corners,
+    with signs; a lower corner below the box is an empty prefix, skipped.
+    """
+    sums = [1 if v else 0 for v in w.values]
+    for s, lo, hi in zip(w.strides, w.lo, w.hi):
+        block = s * (hi - lo + 1)
+        for base in range(0, len(sums), block):
+            for i in range(base + s, base + block):
+                sums[i] += sums[i - s]
+
+    def count(m, t):
+        corners = [(0, 1)]
+        for s, lo, x in zip(w.strides, w.lo, t):
+            q = x - m - 1 - lo
+            upper = [(i + (x + m - lo) * s, sign) for i, sign in corners]
+            if q >= 0:
+                upper += [(i + q * s, -sign) for i, sign in corners]
+            corners = upper
+        return sum(sign * sums[i] for i, sign in corners)
+
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +403,6 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
     if not phis:
         raise PreconditionError("need at least one line polynomial")
     dirs = non_parallel_directions(phis)
-    from .laurent import poly_product
     _require_annihilation(poly_product(phis), c, bounds,
                           "the product does not annihilate the input")
 

@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and random generators.
 
 The convolution oracle here is deliberately primitive (nested loops over a
-dense array) so it shares no code path with the library's apply_poly.
+dense array) so it shares no code path with the library's apply_poly, and
+the sparseness oracle counts every cube point by point through value_at.
 """
 
 from __future__ import annotations
@@ -10,23 +11,23 @@ import random
 
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
+from perdec.config import box_points
+from perdec.lattice import fundamental_residues, vadd, vscale
+from perdec.sparse import SparsenessReport, fiber_closed_form_constant
 
 
 def naive_convolution(terms, window: WindowConfig):
     """Dense nested-loop convolution; returns (lo, hi, {point: value}).
 
     terms is a list of (exponent, coefficient).  The output box is the set
-    of points u with every u - exponent inside the window, computed by
-    scanning rather than by the library's erosion helper.
+    of points u with every u - exponent inside the window, computed from
+    the extreme exponents rather than by the library's erosion helper; it
+    is empty (some lo > hi) when the window is too small.
     """
     dim = window.dim
     out = {}
-    lo = list(window.lo)
-    hi = list(window.hi)
-    for e, _ in terms:
-        for i in range(dim):
-            lo[i] = max(lo[i], window.lo[i] + e[i])
-            hi[i] = min(hi[i], window.hi[i] + e[i])
+    lo = [window.lo[i] + max(e[i] for e, _ in terms) for i in range(dim)]
+    hi = [window.hi[i] + min(e[i] for e, _ in terms) for i in range(dim)]
     if any(a > b for a, b in zip(lo, hi)):
         return tuple(lo), tuple(hi), out
 
@@ -45,6 +46,105 @@ def naive_convolution(terms, window: WindowConfig):
 
     rec([])
     return tuple(lo), tuple(hi), out
+
+
+def _fiber_cube_points(c: FiberSum, m, t):
+    """Support points of c inside the cube C_m + t (exact, per line)."""
+    pts = set()
+    for f in c.fibers:
+        lo_j, hi_j = None, None
+        empty = False
+        for i in range(c.dim):
+            lo_i, hi_i = t[i] - m, t[i] + m
+            d = f.direction[i]
+            if d == 0:
+                if not lo_i <= f.anchor[i] <= hi_i:
+                    empty = True
+                    break
+                continue
+            a, b = lo_i - f.anchor[i], hi_i - f.anchor[i]
+            if d < 0:
+                a, b, d = -b, -a, -d
+            j0 = -((-a) // d)  # exact ceil(a / d)
+            j1 = b // d        # exact floor(b / d)
+            lo_j = j0 if lo_j is None else max(lo_j, j0)
+            hi_j = j1 if hi_j is None else min(hi_j, j1)
+        if empty or lo_j is None or lo_j > hi_j:
+            continue
+        for j in range(lo_j, hi_j + 1):
+            if f.vals[j % f.period]:
+                pts.add(vadd(f.anchor, vscale(j, f.direction)))
+    return {p for p in pts if c.value_at(p) != 0}
+
+
+def _cube_count(c, m, t):
+    return sum(1 for x in box_points(tuple(v - m for v in t),
+                                     tuple(v + m for v in t))
+               if c.value_at(x) != 0)
+
+
+def reference_sparseness(c, a: int, m_max: int) -> SparsenessReport:
+    """Point-by-point sparseness scan: the oracle for check_sparseness.
+
+    Same translate sets, stop rules and exact labels as the library, but
+    each cube is counted by evaluating c at its points (fiber sums: at the
+    points of the fiber lines that cross it).
+    """
+    if isinstance(c, FiberSum):
+        reach = min(8, max((max(map(abs, f.anchor)) + f.period
+                            for f in c.fibers), default=0))
+        checked = []
+        violation = None
+        for m in range(1, m_max + 1):
+            best = 0
+            r = reach + m
+            for t in box_points((-r,) * c.dim, (r,) * c.dim):
+                n = len(_fiber_cube_points(c, m, t))
+                if n > best:
+                    best = n
+                    if n > a * m and violation is None:
+                        violation = (m, t)
+            checked.append((m, best))
+        ok = violation is None
+        exact = ok and a >= fiber_closed_form_constant(c)
+        return SparsenessReport(constant=a, ok=ok, exact=exact,
+                                checked=tuple(checked), violation=violation)
+
+    if isinstance(c, PeriodicConfig):
+        if c.is_zero():
+            return SparsenessReport(constant=a, ok=True, exact=True,
+                                    checked=((1, 0),))
+        checked = []
+        for m in range(1, m_max + 1):
+            best = 0
+            for t in fundamental_residues(c.lattice_rows, c.dim):
+                n = _cube_count(c, m, t)
+                best = max(best, n)
+                if n > a * m:
+                    return SparsenessReport(
+                        constant=a, ok=False, exact=True,
+                        checked=tuple(checked + [(m, n)]), violation=(m, t))
+            checked.append((m, best))
+        return SparsenessReport(constant=a, ok=True, exact=False,
+                                checked=tuple(checked))
+
+    checked = []
+    for m in range(1, m_max + 1):
+        tlo = tuple(v + m for v in c.lo)
+        thi = tuple(v - m for v in c.hi)
+        if any(x > y for x, y in zip(tlo, thi)):
+            break
+        best = 0
+        for t in box_points(tlo, thi):
+            n = _cube_count(c, m, t)
+            best = max(best, n)
+            if n > a * m:
+                return SparsenessReport(
+                    constant=a, ok=False, exact=False,
+                    checked=tuple(checked + [(m, n)]), violation=(m, t))
+        checked.append((m, best))
+    return SparsenessReport(constant=a, ok=True, exact=False,
+                            checked=tuple(checked))
 
 
 def random_poly(rng: random.Random, dim, max_terms=5, exp_range=4,

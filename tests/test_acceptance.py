@@ -17,6 +17,7 @@ from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
 from perdec.decompose import (Bounds, decompose_product,
                               solve_transfer,
                               verify_transfer)
+from perdec.errors import EmptyRegionError
 from perdec.laurent import difference_poly, poly_product
 from perdec.lattice import (SubspaceBasis, hnf_rows, in_lattice,
                             lattice_determinant, primitive, rank_rational,
@@ -35,9 +36,10 @@ CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
 
 def _report(capfd, num, name, t0, budget):
     elapsed = time.monotonic() - t0
+    verdict = "PASS" if elapsed < budget else "FAIL"
     with capfd.disabled():
         # the line must show in every run mode, not only under -s
-        print(f"[criterion {num}] PASS {name} "
+        print(f"[criterion {num}] {verdict} {name} "
               f"({elapsed:.2f}s, budget {budget}s)", flush=True)
     assert elapsed < budget, f"criterion {num} exceeded {budget}s"
 
@@ -265,7 +267,10 @@ def test_criterion_7_convolution_differential(capfd):
             rasterize(c, (-4, -4), (4, 4))
         lo, hi, expected = naive_convolution(f.terms(), base)
         if any(a > b for a, b in zip(lo, hi)):
+            with pytest.raises(EmptyRegionError):
+                apply_poly(f, base)
             continue
+        assert apply_poly(f, base).box == (lo, hi)
         out = apply_poly(f, c)
         for x in box_points(lo, hi):
             assert evaluate(out, x) == expected[x]

@@ -309,7 +309,10 @@ def test_convolution_matches_naive_oracle_all_representations():
         base = c if isinstance(c, WindowConfig) else rasterize(c, (-5, -5), (5, 5))
         lo, hi, expected = naive_convolution(f.terms(), base)
         if any(a > b for a, b in zip(lo, hi)):
+            with pytest.raises(EmptyRegionError):
+                apply_poly(f, base)
             continue
+        assert apply_poly(f, base).box == (lo, hi)
         out = apply_poly(f, c)
         for x in box_points(lo, hi):
             assert evaluate(out, x) == expected[x]

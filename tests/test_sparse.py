@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from perdec import sparse
 from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
-                           box_points, evaluate, is_annihilated,
+                           box_points, box_size, evaluate, is_annihilated,
                            make_fiber, rasterize, translate)
 from perdec.decompose import Bounds
 from perdec.errors import (InconclusiveError, PreconditionError)
@@ -14,7 +15,8 @@ from perdec.sparse import (check_sparseness, fiber_closed_form_constant,
                            sparse_split2, stabilized_translate_limit,
                            subsequence_limit)
 
-from helpers import DIRECTIONS_2D, random_fiber_family
+from helpers import (DIRECTIONS_2D, random_fiber_family, random_hnf_basis,
+                     reference_sparseness)
 
 BOUNDS = Bounds()
 
@@ -66,6 +68,147 @@ def test_window_sparseness_evidence():
     w = rasterize(HORIZ, (-6, -6), (6, 6))
     rep = check_sparseness(w, 3, 3)
     assert rep.ok and not rep.exact
+
+
+# the summed-area counter against the point-by-point reference scan: whole
+# reports (counts, first violation, stop point and exact label) must agree
+
+def _same_report(c, a, m_max):
+    rep = check_sparseness(c, a, m_max)
+    assert rep == reference_sparseness(c, a, m_max)
+    return rep
+
+
+def _window(lo, hi, rng, density):
+    return WindowConfig.from_function(
+        lo, hi, lambda x: rng.randint(-3, 3) if rng.random() < density else 0)
+
+
+def _grid_window(lo, hi, rng):
+    """Nonzero only where every coordinate is a multiple of 4: sparse."""
+    return WindowConfig.from_function(
+        lo, hi, lambda x: rng.choice((-2, 1, 5)) * all(v % 4 == 0 for v in x))
+
+
+@pytest.mark.parametrize("lo,hi,a,m_max,ok", [
+    ((-5,), (6,), 1, 9, True),          # m_max past half the side
+    ((0,), (0,), 1, 3, True),           # no cube fits
+    ((-3, -4), (3, 4), 2, 6, True),     # past half of both sides
+    ((-3, -4), (3, 4), 1, 2, False),
+    ((0, 0, 0), (4, 5, 6), 4, 3, True),
+    ((0, 0, 0), (4, 5, 6), 1, 3, False),
+])
+def test_window_counter_matches_reference(lo, hi, a, m_max, ok):
+    rng = random.Random(sum(hi) - sum(lo) + a)
+    w = _grid_window(lo, hi, rng) if ok else _window(lo, hi, rng, 0.6)
+    rep = _same_report(w, a, m_max)
+    assert rep.ok == ok and not rep.exact
+
+
+def test_window_violation_on_the_low_edge():
+    # the only dense cube touches the window's low corner, where the
+    # counter's lower corners fall below the box
+    w = WindowConfig.from_function((0, 0), (8, 8),
+                                   lambda x: int(x[0] <= 2 and x[1] <= 2))
+    rep = _same_report(w, 2, 3)
+    assert rep.violation == (1, (1, 1))
+
+
+@pytest.mark.parametrize("rows,hot,a,m_max,ok", [
+    ([(5,)], [(2,)], 1, 7, True),       # box rebuilt at m = 1, 2, 4, 7
+    ([(3,)], [(0,), (1,)], 1, 4, False),
+    ([(3, 1), (0, 4)], [(0, 0)], 3, 4, True),
+    ([(3, 1), (0, 4)], [(0, 0), (1, 2), (2, 3)], 2, 4, False),
+    ([(2, 1, 1), (0, 3, 2), (0, 0, 2)], [(1, 0, 1)], 9, 2, True),
+    ([(2, 1, 1), (0, 3, 2), (0, 0, 2)], [(0, 0, 0), (1, 2, 1)], 5, 3, False),
+])
+def test_periodic_counter_matches_reference_on_sheared_lattices(
+        rows, hot, a, m_max, ok):
+    c = PeriodicConfig.from_function(len(rows), rows,
+                                     lambda r: 7 if r in hot else 0)
+    rep = _same_report(c, a, m_max)
+    assert rep.ok == ok and rep.exact == (not ok)
+
+
+def test_early_periodic_violation_skips_the_box_of_m_max(monkeypatch):
+    # the periodic scan stops at its first violation, so the counter's box
+    # grows with the cube size instead of starting at the size of m_max
+    sizes = []
+
+    def bounded_rasterize(c, lo, hi):
+        sizes.append(box_size(lo, hi))
+        assert sizes[-1] <= 100, "rasterized the box of m_max"
+        return rasterize(c, lo, hi)
+
+    monkeypatch.setattr(sparse, "rasterize", bounded_rasterize)
+    rep = check_sparseness(PeriodicConfig.constant(2, 1), 3, 10 ** 6)
+    assert rep.violation == (1, (0, 0)) and sizes == [9]
+
+
+def test_crossing_fibers_cancel_at_their_common_point():
+    for fibers in ([make_fiber((0, 0), (1, 0), [1]),
+                    make_fiber((0, 0), (0, 1), [-1])],
+                   [make_fiber((0, 0), (1, 1), [2, 0]),
+                    make_fiber((0, 0), (1, -1), [-2, 1, 1])],
+                   [make_fiber((1, 0, 0), (0, 1, 0), [1, 1, 2]),
+                    make_fiber((1, 0, 0), (0, 0, 1), [-1, 3])]):
+        c = FiberSum(len(fibers[0].anchor), fibers)
+        assert evaluate(c, fibers[0].anchor) == 0
+        assert not _same_report(c, 1, 3).ok
+        rep = _same_report(c, fiber_closed_form_constant(c), 3)
+        assert rep.ok and rep.exact
+
+
+def test_fiber_counter_matches_reference_with_violation():
+    c = FiberSum(1, [make_fiber((0,), (1,), [1, 0, 2])])
+    assert not _same_report(c, 1, 6).ok
+    rep = _same_report(c, 3, 6)
+    assert rep.ok and rep.exact
+    dense = FiberSum(2, [make_fiber((0, j), (1, 0), [1]) for j in range(3)])
+    rep = _same_report(dense, 2, 3)
+    assert not rep.ok and rep.violation == (1, (-4, -1))
+    assert len(rep.checked) == 3  # fiber scans keep going past a violation
+
+
+def test_zero_inputs_match_reference():
+    for c in (FiberSum.zero(1), FiberSum.zero(3),
+              PeriodicConfig.from_function(2, [(2, 1), (0, 3)], lambda r: 0),
+              WindowConfig((-2, -2, -2), (2, 2, 2), [0] * 125)):
+        rep = _same_report(c, 1, 3)
+        assert rep.ok and rep.violation is None
+
+
+def test_random_windows_match_reference():
+    rng = random.Random(1984)
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        lo = tuple(rng.randint(-4, 1) for _ in range(dim))
+        hi = tuple(v + rng.randint(0, 8 - 2 * dim) for v in lo)
+        _same_report(_window(lo, hi, rng, rng.random()),
+                     rng.randint(1, 4), rng.randint(1, 5))
+
+
+def test_random_periodic_match_reference():
+    rng = random.Random(1985)
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        rows = random_hnf_basis(rng, dim, 12)
+        density = rng.random() / 2
+        c = PeriodicConfig.from_function(
+            dim, rows,
+            lambda r: rng.randint(1, 3) if rng.random() < density else 0)
+        _same_report(c, rng.randint(1, 3 ** dim), rng.randint(1, 4))
+
+
+def test_random_fiber_sums_match_reference():
+    rng = random.Random(1986)
+    for _ in range(12):
+        dirs = rng.sample(DIRECTIONS_2D, 2)
+        c = add_views([random_fiber_family(rng, 2, d, max_fibers=3,
+                                           max_period=4, anchor_range=4)
+                       for d in dirs], [1, rng.choice((-1, 1))])
+        _same_report(c, rng.randint(1, 3 * len(c.fibers) + 1),
+                     rng.randint(1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,16 @@ def box_size(lo, hi):
     return n
 
 
+def box_strides(lo, hi):
+    """Flat-layout strides of the box [lo, hi] in box_points order."""
+    strides = []
+    acc = 1
+    for a, b in zip(reversed(lo), reversed(hi)):
+        strides.append(acc)
+        acc *= b - a + 1
+    return tuple(reversed(strides))
+
+
 def box_contains(lo, hi, x):
     return all(a <= c <= b for a, b, c in zip(lo, hi, x))
 
@@ -107,12 +117,7 @@ class WindowConfig:
         self.values = [int(v) for v in values]
         if len(self.values) != box_size(self.lo, self.hi):
             raise LatticeError("window value array has the wrong length")
-        strides = []
-        acc = 1
-        for a, b in zip(reversed(self.lo), reversed(self.hi)):
-            strides.append(acc)
-            acc *= b - a + 1
-        self.strides = tuple(reversed(strides))
+        self.strides = box_strides(self.lo, self.hi)
 
     @classmethod
     def from_function(cls, lo, hi, fn):
@@ -180,8 +185,12 @@ class PeriodicConfig:
             raise LatticeError("period basis is singular")
         self._diag = hnf_diagonal(self._hnf, self.dim)
         vals = {tuple(int(c) for c in k): int(v) for k, v in values.items()}
-        expected = set(fundamental_residues(self._hnf, self.dim))
-        if set(vals) != expected:
+        # count first: a huge lattice with few values must not enumerate its
+        # residues; with the count right, every residue present means the
+        # keys are exactly the residues
+        if len(vals) != lattice_determinant(self._hnf, self.dim) or not all(
+                map(vals.__contains__,
+                    fundamental_residues(self._hnf, self.dim))):
             raise LatticeError(
                 "periodic values must be keyed by exactly the canonical residues")
         self.values = vals
@@ -293,6 +302,9 @@ class PeriodicFiber:
         """Integer t with x = anchor + t*direction, or None off the line."""
         if hnf_reduce(x, (self.direction,)) != self.anchor:
             return None
+        return self._parameter_on_line(x)
+
+    def _parameter_on_line(self, x):
         return ((x[self._pivot] - self.anchor[self._pivot])
                 // self.direction[self._pivot])
 
@@ -363,7 +375,7 @@ class FiberSum:
     forms coincides with pointwise equality.
     """
 
-    __slots__ = ("dim", "fibers", "_by_line")
+    __slots__ = ("dim", "fibers", "_by_line", "_directions")
 
     def __init__(self, dim, fibers=()):
         self.dim = int(dim)
@@ -386,6 +398,7 @@ class FiberSum:
         out.sort(key=lambda f: (f.direction, f.anchor))
         self.fibers = tuple(out)
         self._by_line = {f.line_key(): f for f in self.fibers}
+        self._directions = tuple(sorted({f.direction for f in self.fibers}))
 
     @classmethod
     def zero(cls, dim):
@@ -398,9 +411,13 @@ class FiberSum:
         return True
 
     def value_at(self, x):
+        # x lies on at most one line per direction: the one whose canonical
+        # point is x reduced modulo that direction
         total = 0
-        for f in self.fibers:
-            total += f.value_at(x)
+        for d in self._directions:
+            f = self._by_line.get((d, hnf_reduce(x, (d,))))
+            if f is not None:
+                total += f.vals[f._parameter_on_line(x) % f.period]
         return total
 
     def translate(self, t):
@@ -415,9 +432,6 @@ class FiberSum:
                         [make_fiber(f.anchor, f.direction,
                                     [k * v for v in f.vals])
                          for f in self.fibers])
-
-    def directions(self):
-        return sorted({f.direction for f in self.fibers})
 
     def parallel_part(self, direction):
         """The sub-sum of fibers parallel to `direction`."""
@@ -548,21 +562,8 @@ def apply_poly(f: LaurentPoly, c):
             raise EmptyRegionError(
                 "window too small: erosion by the polynomial support is empty")
         lo, hi = eroded
-        # an output row lies `off` past lo in c's flat layout; its source
-        # for term e is the n values from c.index(lo - e) + off on
-        starts = [(c.index(vsub(lo, e)), k) for e, k in terms]
-        n = hi[-1] - lo[-1] + 1
-        offsets = [0]
-        for a, b, s in zip(lo[:-1], hi[:-1], c.strides[:-1]):
-            offsets = [o + j * s for o in offsets for j in range(b - a + 1)]
-        values = []
-        for off in offsets:
-            row = [0] * n
-            for start, k in starts:
-                a = start + off
-                row = _add_scaled(row, k, c.values[a:a + n])
-            values += row
-        return WindowConfig(lo, hi, values)
+        return WindowConfig(lo, hi, _convolve_rows(terms, c.values, c.lo,
+                                                   c.strides, lo, hi))
 
     if isinstance(c, PeriodicConfig):
         # residue (h, t) - e reduces to (h', (t + s) mod d): h' and s do not
@@ -598,6 +599,47 @@ def apply_poly(f: LaurentPoly, c):
             label=f"poly*{c.label}")
 
     raise PreconditionError(f"unsupported configuration type {type(c)!r}")
+
+
+def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
+    """sum_e k * c(u - e) for u in [out_lo, out_hi], in flat layout.
+
+    `values` holds c over a box with corner `lo` and flat `strides`, which
+    must contain every u - e.  Values may be ints or Fractions.
+    """
+    # an output row lies `off` past out_lo in the source layout; its source
+    # for term e is the n values from the index of out_lo - e plus off on
+    starts = [(sum(s * (a - b) for s, a, b in zip(strides, vsub(out_lo, e),
+                                                  lo)), k)
+              for e, k in terms]
+    n = out_hi[-1] - out_lo[-1] + 1
+    offsets = [0]
+    for a, b, s in zip(out_lo[:-1], out_hi[:-1], strides[:-1]):
+        offsets = [o + j * s for o in offsets for j in range(b - a + 1)]
+    out = []
+    for off in offsets:
+        row = [0] * n
+        for start, k in starts:
+            a = start + off
+            row = _add_scaled(row, k, values[a:a + n])
+        out += row
+    return out
+
+
+def convolve_on_box(polys, c, lo, hi):
+    """f*c over the box [lo, hi] for each f in `polys`, from one grid of c.
+
+    c is evaluated once at each point of [lo, hi] grown by every support;
+    each result is a flat list in box_points order.  Values are kept as c
+    returns them, ints or Fractions, so evaluator views need no rasterizing.
+    """
+    exps = [e for f in polys for e in f.support()]
+    glo = tuple(a - max(e[i] for e in exps) for i, a in enumerate(lo))
+    ghi = tuple(b - min(e[i] for e in exps) for i, b in enumerate(hi))
+    grid = [c.value_at(x) for x in box_points(glo, ghi)]
+    strides = box_strides(glo, ghi)
+    return [_convolve_rows(f.terms(), grid, glo, strides, lo, hi)
+            for f in polys]
 
 
 def _add_scaled(row, k, part):

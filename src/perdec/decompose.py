@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add
 
 from .config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                      WindowConfig, add_views, apply_poly, box_points,
-                     detect_period_multiple, evaluate, is_annihilated,
-                     is_zero_config, period_lattice, periodic_in_subspace,
-                     rasterize)
+                     convolve_on_box, detect_period_multiple, is_annihilated,
+                     is_zero_config, period_lattice, periodic_in_subspace)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
 from .laurent import (LaurentPoly, difference_poly,
@@ -51,6 +51,11 @@ class Bounds:
     patience: int = 8       # consecutive identical windows declaring a limit
     check_radius: int = 8   # half-width of evidence windows for evaluators
 
+    def __post_init__(self):
+        if self.check_radius < 1:
+            raise PreconditionError(
+                f"check_radius must be at least 1, got {self.check_radius}")
+
     def check_window(self, dim):
         r = self.check_radius
         return (-r,) * dim, (r,) * dim
@@ -67,11 +72,9 @@ def _require_annihilation(f, c, bounds, message, error=PreconditionError):
         if not verdict.holds:
             raise error(message + " (window evidence)")
         return verdict
-    if bounds.check_radius <= 0:
-        return Verdict(holds=True, exact=False)
     lo, hi = bounds.check_window(c.dim)
-    fc = apply_poly(f, c)
-    if any(fc.value_at(x) != 0 for x in box_points(lo, hi)):
+    fc, = convolve_on_box([f], c, lo, hi)
+    if any(v != 0 for v in fc):
         raise error(message + " (evaluator evidence)")
     return Verdict.on_window(True, lo, hi)
 
@@ -114,23 +117,36 @@ class TransferSolution:
 
 
 class _TransferEvaluator:
-    """Per-line memoized evaluation of the coset recurrence."""
+    """Per-line memoized evaluation of the coset recurrence.
 
-    __slots__ = ("w", "alphas", "n", "source_at", "lam", "den",
-                 "cosets", "cache", "reach")
+    Every point is computed once.  A line is keyed by its point at
+    recurrence coordinate 0 and the sweep direction; its list holds the n
+    band zeros followed by the values swept so far, nearest the band first,
+    so each step reads its predecessors by index and moves one step of w.
+    """
 
-    def __init__(self, w, alphas, n, source_at, lam, den, cosets):
+    __slots__ = ("w", "n", "source_at", "lam", "den", "cosets", "cache",
+                 "lines", "sweeps")
+
+    def __init__(self, w, alphas, n, source_at, shift, lam, den, cosets):
         self.w = w
-        self.alphas = sorted(alphas.items())  # (offset, coefficient)
         self.n = n
         self.source_at = source_at
         self.lam = lam
         self.den = den
         self.cosets = cosets
-        self.cache = {}
-        # (line base, upward?) -> farthest t cached; each sweep fills a
-        # contiguous run of t, so the next one starts past it
-        self.reach = {}
+        self.cache = {}  # point -> value, band points included
+        self.lines = {}  # (line base, upward?) -> values from the band out
+        alphas = sorted(alphas.items())  # (offset, coefficient)
+        # upward, c(t) = (c'(p + shift) - sum a_off c(t - off)) / a_0;
+        # downward, the equation at t + n gives c(t) through a_n.  Both are
+        # (list positions back, coefficient) terms over the line's list.
+        self.sweeps = {
+            True: (w, shift, alphas[0][1],
+                   [(off, coef) for off, coef in alphas[1:]]),
+            False: (vscale(-1, w), vadd(shift, vscale(n, w)), alphas[-1][1],
+                    [(n - off, coef) for off, coef in alphas[:-1]]),
+        }
 
     def a1_of(self, x):
         z = self.cosets.representative(x)
@@ -141,43 +157,36 @@ class _TransferEvaluator:
         return q
 
     def __call__(self, x):
-        a = self.a1_of(x)
-        n = self.n
-        if 0 <= a < n:
-            return 0
         cache = self.cache
         v = cache.get(x)
         if v is not None:
             return v
+        a = self.a1_of(x)
+        n = self.n
+        if 0 <= a < n:
+            cache[x] = 0
+            return 0
         w = self.w
+        up = a >= n
         base = vsub(x, vscale(a, w))
-
-        def known(t):
-            if 0 <= t < n:
-                return 0
-            return cache[vadd(base, vscale(t, w))]
-
-        key = (base, a >= n)
-        last = self.reach.get(key)
-        if a >= n:
-            alpha0 = self.alphas[0][1]
-            tail = self.alphas[1:]
-            for t in range(n if last is None else last + 1, a + 1):
-                p = vadd(base, vscale(t, w))
-                s = self.source_at(p)
-                for off, coef in tail:
-                    s -= coef * known(t - off)
-                cache[p] = _exact_div(s, alpha0)
-        else:
-            alphan = self.alphas[-1][1]
-            head = self.alphas[:-1]
-            for t in range(-1 if last is None else last - 1, a - 1, -1):
-                p = vadd(base, vscale(t, w))
-                s = self.source_at(vadd(p, vscale(n, w)))
-                for off, coef in head:
-                    s -= coef * known(t + n - off)
-                cache[p] = _exact_div(s, alphan)
-        self.reach[key] = a
+        vals = self.lines.get((base, up))
+        if vals is None:
+            vals = self.lines[base, up] = [0] * n
+        step, shift, div, back = self.sweeps[up]
+        i = len(vals)
+        # list position i holds t = i upward and t = n - 1 - i downward
+        p = vadd(base, vscale(i if up else n - 1 - i, w))
+        q = vadd(p, shift)
+        source_at = self.source_at
+        for i in range(i, (a if up else n - 1 - a) + 1):
+            s = source_at(q)
+            for j, coef in back:
+                s -= coef * vals[i - j]
+            v = _exact_div(s, div)
+            vals.append(v)
+            cache[p] = v
+            p = vadd(p, step)
+            q = vadd(q, step)
         return cache[x]
 
 
@@ -238,10 +247,8 @@ def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
     cosets = CosetSystem(dim, generators)
     lam, den = _first_coordinate_functional(generators, dim)
 
-    def source_at(p):
-        return evaluate(cprime, vadd(p, u0))
-
-    ev = _TransferEvaluator(w1, alphas, n, source_at, lam, den, cosets)
+    ev = _TransferEvaluator(w1, alphas, n, cprime.value_at, u0, lam, den,
+                            cosets)
     view = LazyConfig(dim, ev, label="transfer", cache=False)
     return TransferSolution(source=cprime, phi=phi, psi=psi, subspace=V,
                             cosets=cosets, view=view, step=w1,
@@ -250,15 +257,16 @@ def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
 
 def verify_transfer(sol: TransferSolution, lo, hi):
     """Residuals of the defining identities over a box; all must be zero."""
-    phic = apply_poly(sol.phi, sol.view)
-    psic = apply_poly(sol.psi, sol.view)
-    product_ok = all(phic.value_at(x) == evaluate(sol.source, x)
-                     for x in box_points(lo, hi))
-    annihilation_ok = all(psic.value_at(x) == 0 for x in box_points(lo, hi))
+    phic, psic, own = convolve_on_box(
+        [sol.phi, sol.psi, LaurentPoly.constant(sol.phi.dim, 1)], sol.view,
+        lo, hi)
+    points = list(box_points(lo, hi))
+    product_ok = all(v == sol.source.value_at(x) for v, x in zip(phic, points))
+    annihilation_ok = all(v == 0 for v in psic)
     ev = sol.view.fn
-    band_ok = all(sol.view.value_at(x) == 0
-                  for x in box_points(lo, hi)
-                  if 0 <= ev.a1_of(x) < max(sol.band_width, 1))
+    band = max(sol.band_width, 1)
+    band_ok = all(v == 0 for v, x in zip(own, points)
+                  if 0 <= ev.a1_of(x) < band)
     return {"product": product_ok, "annihilation": annihilation_ok,
             "band": band_ok,
             "ok": product_ok and annihilation_ok and band_ok}
@@ -293,18 +301,23 @@ class Decomposition:
 
     def verify_on_window(self, lo, hi):
         """Check sum = source and per-component annihilation over a box."""
+        points = list(box_points(lo, hi))
+        total = [0] * len(points)
         per_comp = []
         for comp in self.components:
-            fc = apply_poly(comp.line_poly, comp.view)
-            if isinstance(fc, WindowConfig):
-                ok = all(v == 0 for v in fc.values)
+            # windows are checked on their own eroded box; every other view
+            # is evaluated once on one grid around [lo, hi]
+            if isinstance(comp.view, WindowConfig):
+                fc = apply_poly(comp.line_poly, comp.view).values
+                own = [comp.view.value_at(x) for x in points]
             else:
-                ok = all(fc.value_at(x) == 0 for x in box_points(lo, hi))
-            per_comp.append(ok)
-        sum_ok = all(
-            sum(comp.view.value_at(x) for comp in self.components)
-            == evaluate(self.source, x)
-            for x in box_points(lo, hi))
+                fc, own = convolve_on_box(
+                    [comp.line_poly, LaurentPoly.constant(comp.view.dim, 1)],
+                    comp.view, lo, hi)
+            per_comp.append(all(v == 0 for v in fc))
+            total = list(map(add, total, own))
+        sum_ok = all(v == self.source.value_at(x)
+                     for v, x in zip(total, points))
         return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,
                 "ok": sum_ok and all(per_comp)}
 

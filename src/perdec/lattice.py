@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import DimensionMismatch, LatticeError
 
@@ -31,11 +32,11 @@ def check_same_dim(*vectors):
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(v):

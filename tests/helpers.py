@@ -1,8 +1,9 @@
 """Shared test utilities: independent oracles and random generators.
 
 The convolution oracle here is deliberately primitive (nested loops over a
-dense array) so it shares no code path with the library's apply_poly, and
-the sparseness oracle counts every cube point by point through value_at.
+dense array) so it shares no code path with the library's apply_poly, the
+sparseness oracle counts every cube point by point through value_at, and
+the decomposition check evaluates every component point by point.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import random
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
 from perdec.config import box_points
-from perdec.lattice import fundamental_residues, vadd, vscale
+from perdec.errors import EmptyRegionError
+from perdec.lattice import fundamental_residues, vadd, vscale, vsub
 from perdec.sparse import SparsenessReport, fiber_closed_form_constant
 
 
@@ -145,6 +147,32 @@ def reference_sparseness(c, a: int, m_max: int) -> SparsenessReport:
         checked.append((m, best))
     return SparsenessReport(constant=a, ok=True, exact=False,
                             checked=tuple(checked))
+
+
+def reference_verify_on_window(dec, lo, hi):
+    """Point-by-point Decomposition.verify_on_window: its oracle.
+
+    A window component is checked on its own eroded box by the nested-loop
+    convolution; every other component at each point of [lo, hi] by the
+    sum of k * view(x - e) over the terms of its line polynomial.  The sum
+    check adds the components' values point by point.
+    """
+    per_comp = []
+    for comp in dec.components:
+        terms = comp.line_poly.terms()
+        if isinstance(comp.view, WindowConfig):
+            olo, ohi, out = naive_convolution(terms, comp.view)
+            if any(a > b for a, b in zip(olo, ohi)):
+                raise EmptyRegionError("window eroded away")
+            ok = all(v == 0 for v in out.values())
+        else:
+            ok = all(sum(k * comp.view.value_at(vsub(x, e)) for e, k in terms)
+                     == 0 for x in box_points(lo, hi))
+        per_comp.append(ok)
+    sum_ok = all(sum(comp.view.value_at(x) for comp in dec.components)
+                 == dec.source.value_at(x) for x in box_points(lo, hi))
+    return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,
+            "ok": sum_ok and all(per_comp)}
 
 
 def random_poly(rng: random.Random, dim, max_terms=5, exp_range=4,

@@ -10,7 +10,8 @@ from perdec.errors import (EmptyRegionError, LatticeError, OutOfDomainError)
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import in_lattice, lattice_determinant, vsub
 
-from helpers import naive_convolution, random_periodic, random_poly
+from helpers import (naive_convolution, random_fiber_family, random_periodic,
+                     random_poly)
 
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
@@ -338,6 +339,23 @@ def test_fiber_merge_preserves_evaluation():
             assert merged.value_at(x) == total
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fibersum_value_at_matches_sum_over_fibers(dim):
+    rng = random.Random(47 + dim)
+    dirs = ([(1, 0), (0, 1), (1, 1), (2, -1)] if dim == 2 else
+            [(1, 0, 0), (0, 1, 1), (1, -1, 2), (1, 1, 1)])
+    parallel = 0
+    for _ in range(10):
+        fams = [random_fiber_family(rng, dim, d, max_fibers=5, max_period=4,
+                                    anchor_range=3)
+                for d in rng.sample(dirs, rng.randint(1, len(dirs)))]
+        c = add_views(fams)
+        parallel += len(c.fibers) - len({f.direction for f in c.fibers})
+        for x in box_points((-5,) * dim, (5,) * dim):
+            assert c.value_at(x) == sum(f.value_at(x) for f in c.fibers)
+    assert parallel >= 10  # many lookups must pick one of several lines
+
+
 def test_fiber_canonicalization():
     # non-primitive direction spreads values onto the primitive line
     f = make_fiber((0, 0), (2, 0), [5])
@@ -358,6 +376,8 @@ def test_periodic_constructor_validation():
         PeriodicConfig(2, [(2, 0), (4, 0)], {})  # singular
     with pytest.raises(LatticeError):
         PeriodicConfig(2, [(2, 0), (0, 1)], {(0, 0): 1})  # missing residue
+    with pytest.raises(LatticeError):
+        PeriodicConfig(2, [(1, 0), (0, 1)], {(0, 0, 0): 1})  # key too long
 
 
 def test_detect_period_multiple():

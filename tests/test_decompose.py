@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from perdec.config import (FiberSum, PeriodicConfig, add_views, box_points,
-                           is_annihilated, make_fiber, period_lattice,
-                           rasterize)
+from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, add_views,
+                           box_contains, box_points, is_annihilated,
+                           make_fiber, period_lattice, rasterize)
 from perdec.decompose import (Bounds, DifferenceProduct,
                               annihilator_from_periodizer, build_periodizer,
                               decompose_product, k_periodic_decompose,
@@ -16,7 +17,8 @@ from perdec.errors import (InconclusiveError, PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly, support_in_subspace
 from perdec.lattice import SubspaceBasis, primitive, rank_rational
 
-from helpers import DIRECTIONS_2D
+from helpers import (DIRECTIONS_2D, random_fiber_family,
+                     reference_verify_on_window)
 
 TRIVIAL2 = SubspaceBasis.trivial(2)
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
@@ -99,6 +101,58 @@ def test_transfer_window_source_limits_queries():
     assert sol.view.value_at((3, 0)) == -3  # reachable from the band
     with pytest.raises(OutOfDomainError):
         sol.view.value_at((40, 0))  # source window too small for this query
+
+
+def _transfer_cases():
+    """(phi, psi, source) triples with integer and Fraction recurrences."""
+    rng = random.Random(29)
+    steps = PeriodicConfig.from_function(2, [(2, 0), (0, 1)],
+                                         lambda r: r[0] + 1)
+    return [
+        (difference_poly((2, 1)), difference_poly((0, 1)),
+         PeriodicConfig.from_function(2, [(0, 1), (3, 0)],
+                                      lambda r: rng.randint(-5, 5))),
+        (difference_poly((1, 1)), difference_poly((2, -2)),
+         PeriodicConfig.from_function(2, [(2, -2), (1, 1)],
+                                      lambda r: rng.randint(-5, 5))),
+        (LaurentPoly(2, {(1, 0): 2, (0, 0): -1}), difference_poly((0, 1)),
+         steps),
+        (LaurentPoly(2, {(0, 0): 2, (1, 0): 1, (2, 0): -3}),
+         difference_poly((0, 1)), steps),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_transfer_values_do_not_depend_on_query_order(case):
+    phi, psi, source = _transfer_cases()[case]
+    points = list(box_points((-6, -6), (6, 6)))
+    # one fresh evaluator per point: no cached line can leak in
+    ref = {x: solve_transfer(phi, psi, source, TRIVIAL2).view.value_at(x)
+           for x in points}
+    if case >= 2:
+        assert any(isinstance(v, Fraction) for v in ref.values())
+    shuffled = points[:]
+    random.Random(case).shuffle(shuffled)
+    far = [(40, 3), (-40, -3), (3, 40), (-3, -40)]
+    for order in (shuffled, points[::-1], far + points):
+        view = solve_transfer(phi, psi, source, TRIVIAL2).view
+        got = {x: view.value_at(x) for x in order}
+        assert {x: got[x] for x in points} == ref
+
+
+@pytest.mark.parametrize("radius", [0, -1, -8])
+def test_bounds_reject_check_radius_below_one(radius):
+    with pytest.raises(PreconditionError):
+        Bounds(check_radius=radius)
+
+
+def test_evaluator_evidence_is_checked_at_radius_one():
+    # a lazy source that psi does not annihilate is caught on the smallest
+    # evidence window the bounds allow
+    bump = LazyConfig(2, lambda x: int(x == (0, 1)))
+    with pytest.raises(PreconditionError, match="evaluator evidence"):
+        solve_transfer(difference_poly((1, 0)), difference_poly((0, 1)),
+                       bump, TRIVIAL2, Bounds(check_radius=1))
 
 
 def test_transfer_band_gauge():
@@ -190,6 +244,140 @@ def test_decompose_product_components_inherit_subspace_periodicity():
         for x in box_points((-5, -5, -2), (5, 5, 1)):
             shifted = (x[0], x[1], x[2] + 1)
             assert comp.view.value_at(x) == comp.view.value_at(shifted)
+
+
+def _k1_checker():
+    return k_periodic_decompose(CHECKER, 1, _tile_oracle())
+
+
+def _k2_checker():
+    return k_periodic_decompose(CHECKER, 2, _tile_oracle())
+
+
+def _k3_parity():
+    c = PeriodicConfig.from_function(
+        3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+        lambda r: (r[0] + r[1] + r[2]) % 2)
+    fams = [LaurentPoly(3, {(0, 0, 0): 1,
+                            tuple(-int(i == j) for j in range(3)): 1})
+            for i in range(3)]
+
+    def oracle(V):
+        return next(f for f in fams
+                    if support_in_subspace(f, V) == {(0, 0, 0)})
+
+    return k_periodic_decompose(c, 3, oracle)
+
+
+def _fiber_input():
+    rng = random.Random(8)
+    parts, phis = [], []
+    for d in ((1, 0), (0, 1), (1, 1)):
+        fam = random_fiber_family(rng, 2, d, max_fibers=3, max_period=3)
+        period = 1
+        for f in fam.fibers:
+            period = period * f.period // gcd(period, f.period)
+        parts.append(fam)
+        phis.append(difference_poly(tuple(period * a for a in d)))
+    return decompose_product(phis, add_views(parts), TRIVIAL2)
+
+
+def _three_factor_input():
+    c = add_views([
+        PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2),
+        PeriodicConfig.from_function(2, [(1, 0), (0, 3)], lambda r: r[1] % 3),
+        PeriodicConfig.from_function(2, [(1, 1), (0, 2)],
+                                     lambda r: (r[0] + r[1]) % 2)])
+    return decompose_product([difference_poly((2, 0)),
+                              difference_poly((0, 3)),
+                              difference_poly((1, 1))], c, TRIVIAL2)
+
+
+def _fraction_input():
+    c = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] + 1)
+    return decompose_product(
+        [difference_poly((0, 1)), LaurentPoly(2, {(1, 0): 2, (0, 0): -1})],
+        c, TRIVIAL2)
+
+
+def _window_input():
+    c = PeriodicConfig.from_function(2, [(2, 0), (0, 3)],
+                                     lambda r: r[0] + 2 * r[1])
+    return decompose_product([difference_poly((2, 0)),
+                              difference_poly((0, 3))],
+                             rasterize(c, (-12, -12), (12, 12)), TRIVIAL2)
+
+
+def _three_dim_input():
+    c = PeriodicConfig.from_function(
+        3, [(2, 0, 0), (0, 3, 0), (0, 0, 1)],
+        lambda r: (r[0] % 2) + 2 * (r[1] % 3))
+    return decompose_product([difference_poly((2, 0, 0)),
+                              difference_poly((0, 3, 0))], c,
+                             SubspaceBasis(3, [(0, 0, 1)]))
+
+
+def _two_factor_input():
+    c = PeriodicConfig.from_function(2, [(6, 0), (0, 6)],
+                                     lambda r: (r[0] % 2) + (r[1] % 3))
+    return decompose_product([difference_poly((2, 0)),
+                              difference_poly((0, 3))], c, TRIVIAL2)
+
+
+VERIFY_CASES = {
+    "two_factors": (_two_factor_input, (-7, -7), (7, 7)),
+    "three_factors": (_three_factor_input, (-6, -5), (6, 7)),
+    "fiber_sum": (_fiber_input, (-6, -6), (6, 6)),
+    "window": (_window_input, (-4, -4), (4, 4)),
+    "k_periodic": (_k2_checker, (-6, -6), (6, 6)),
+    "k_periodic_1": (_k1_checker, (-6, -6), (6, 6)),
+    "k_periodic_3": (_k3_parity, (-3, -3, -3), (3, 3, 3)),
+    "fractions": (_fraction_input, (-4, -4), (4, 4)),
+    "three_dim": (_three_dim_input, (-3, -3, -2), (3, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_on_window_matches_pointwise_reference(name):
+    build, lo, hi = VERIFY_CASES[name]
+    # separate decompositions, so neither check reads the other's caches
+    got = build().verify_on_window(lo, hi)
+    assert got == reference_verify_on_window(build(), lo, hi)
+    assert got["ok"]
+
+
+def test_verify_on_window_keeps_fraction_values():
+    dec = _fraction_input()
+    assert any(isinstance(dec.components[0].view.value_at(x), Fraction)
+               for x in box_points((-4, -4), (4, 4)))
+    with pytest.raises(PreconditionError):
+        rasterize(dec.components[0].view, (-4, -4), (4, 4))
+    assert dec.verify_on_window((-4, -4), (4, 4)) == {
+        "box": ((-4, -4), (4, 4)), "sum": True, "annihilation": [True, True],
+        "ok": True}
+
+
+@pytest.mark.parametrize("name", ["two_factors", "three_factors", "fractions",
+                                  "k_periodic_1"])
+@pytest.mark.parametrize("bump", [(0, 0), (-4, -4), (4, 4), (-5, 2), (-5, -4),
+                                  (-5, -5), (-4, -6), (-4, -7), (-6, -7),
+                                  (4, 5), (7, 0)])
+def test_verify_on_window_perturbed_component_matches_reference(name, bump):
+    # bumps inside the box break the sum; bumps below it can still break a
+    # component's annihilation inside the box
+    build, _, _ = VERIFY_CASES[name]
+    lo, hi = (-4, -4), (4, 4)
+    reports = []
+    for dec in (build(), build()):
+        comp = dec.components[-1]
+        view = comp.view
+        comp.view = LazyConfig(2, lambda x, v=view: v.value_at(x)
+                               + (x == bump))
+        reports.append(dec.verify_on_window(lo, hi) if not reports
+                       else reference_verify_on_window(dec, lo, hi))
+    assert reports[0] == reports[1]
+    if box_contains(lo, hi, bump):
+        assert not reports[0]["sum"]
 
 
 def test_decompose_product_precondition_failure():

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 
 import pytest
 
@@ -70,6 +72,40 @@ def test_periodic_roundtrip_and_rejections():
                          "basis": [[2, 0], [0, 1]],
                          "values": [{"res": [0, 0], "val": 1},
                                     {"res": [2, 0], "val": 2}]})
+
+
+def _periodic_doc(values):
+    return {"kind": "periodic", "dim": 2, "basis": [[4000, 0], [0, 4000]],
+            "values": values}
+
+
+def test_periodic_rejects_huge_lattice_with_few_values_quickly():
+    doc = _periodic_doc([{"res": [0, 0], "val": 1}])
+    assert len(json.dumps(doc, separators=(",", ":"))) <= 90
+    t0 = time.monotonic()
+    with pytest.raises(SchemaError):
+        config_from_obj(doc)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_periodic_rejects_wrong_or_missing_key():
+    good = {"kind": "periodic", "dim": 2, "basis": [[3, 1], [0, 2]],
+            "values": [{"res": [a, b], "val": a + b}
+                       for a in range(3) for b in range(2)]}
+    assert config_from_obj(good).values[(2, 1)] == 3
+    for res in ([3, 0], [0, 2], [-1, 0], [0, -1]):  # outside 0 <= k_i < d_i
+        bad = dict(good)
+        bad["values"] = good["values"][1:] + [{"res": res, "val": 7}]
+        with pytest.raises(SchemaError):
+            config_from_obj(bad)
+    bad = dict(good)
+    bad["values"] = good["values"][:3] + good["values"][4:]  # missing (1, 1)
+    with pytest.raises(SchemaError):
+        config_from_obj(bad)
+    bad = dict(good)
+    bad["values"] = good["values"] + [{"res": [3, 0], "val": 7}]  # extra
+    with pytest.raises(SchemaError):
+        config_from_obj(bad)
 
 
 def test_fibersum_roundtrip_and_rejections():

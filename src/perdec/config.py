@@ -184,7 +184,7 @@ class PeriodicConfig:
         if len(self._hnf) != self.dim:
             raise LatticeError("period basis is singular")
         self._diag = hnf_diagonal(self._hnf, self.dim)
-        vals = {tuple(int(c) for c in k): int(v) for k, v in values.items()}
+        vals = {tuple(map(int, k)): int(v) for k, v in values.items()}
         # count first: a huge lattice with few values must not enumerate its
         # residues; with the count right, every residue present means the
         # keys are exactly the residues
@@ -273,8 +273,8 @@ class PeriodicFiber:
     __slots__ = ("dim", "anchor", "direction", "vals", "_pivot")
 
     def __init__(self, anchor, direction, vals):
-        self.anchor = tuple(int(x) for x in anchor)
-        self.direction = tuple(int(x) for x in direction)
+        self.anchor = tuple(map(int, anchor))
+        self.direction = tuple(map(int, direction))
         self.dim = len(self.anchor)
         if len(self.direction) != self.dim:
             raise DimensionMismatch("fiber anchor/direction dimension mismatch")
@@ -284,8 +284,8 @@ class PeriodicFiber:
             raise LatticeError("fiber direction must be primitive and normalized")
         if hnf_reduce(self.anchor, (self.direction,)) != self.anchor:
             raise LatticeError("fiber anchor is not the canonical line point")
-        self.vals = tuple(int(v) for v in vals)
-        if not self.vals or all(v == 0 for v in self.vals):
+        self.vals = tuple(map(int, vals))
+        if not any(self.vals):
             raise LatticeError("fiber values must not be all zero")
         if _minimal_period(self.vals) != len(self.vals):
             raise LatticeError("fiber values are not reduced to minimal period")
@@ -324,9 +324,10 @@ class PeriodicFiber:
 
 
 def _minimal_period(vals):
+    # p divides n and the table equals itself shifted by p: period p
     n = len(vals)
-    for p in range(1, n + 1):
-        if n % p == 0 and all(vals[j] == vals[j % p] for j in range(n)):
+    for p in range(1, n):
+        if n % p == 0 and vals[p:] == vals[:n - p]:
             return p
     return n
 
@@ -361,42 +362,90 @@ def make_fiber(anchor, direction, vals):
     if q:
         n = len(vals)
         vals = [vals[(j - q) % n] for j in range(n)]
-    if all(v == 0 for v in vals):
+    return _line_fiber(w, canon, vals)
+
+
+def _line_fiber(direction, anchor, vals):
+    """The fiber of a canonical line's value table; None when it is zero."""
+    if not any(vals):
         return None
-    p = _minimal_period(tuple(vals))
-    return PeriodicFiber(canon, w, vals[:p])
+    return PeriodicFiber(anchor, direction, vals[:_minimal_period(vals)])
+
+
+def _fiber_pieces_sum(pieces):
+    """Canonical fibers of the sum of k * f(x - e) over pieces (f, e, k).
+
+    Every f is a canonical PeriodicFiber and e is a shift or None.  Shifting
+    a canonical fiber keeps its direction: the anchor is reduced along the
+    line once and the value table rotated by the line-parameter offset.
+    Pieces on one line are summed on their lcm-period table; only those
+    tables are tested for zero and cut to their minimal period.  A line
+    holding one unshifted, unscaled piece keeps that fiber object.  The
+    result is sorted by line.
+    """
+    tables, kept, merged = {}, {}, set()
+    for f, e, k in pieces:
+        if not k:
+            continue
+        w, anchor, vals = f.direction, f.anchor, f.vals
+        if e is not None:
+            # hnf_reduce(anchor + e, (w,)): one step of w at the pivot
+            piv = f._pivot
+            q = (anchor[piv] + e[piv]) // w[piv]
+            anchor = tuple(a + b - q * c for a, b, c in zip(anchor, e, w))
+            q %= len(vals)
+            if q:
+                vals = vals[-q:] + vals[:-q]
+        if k != 1:
+            vals = tuple(k * v for v in vals)
+        key = (w, anchor)
+        if key in tables:
+            tables[key] = _merge_vals(tables[key], vals)
+            merged.add(key)
+            kept.pop(key, None)
+        else:
+            tables[key] = vals
+            if e is None and k == 1:
+                kept[key] = f
+    out = []
+    for key in sorted(tables):
+        w, anchor = key
+        if key in kept:
+            out.append(kept[key])
+        elif key not in merged:
+            # a rotated, nonzero multiple of a canonical table is canonical
+            out.append(PeriodicFiber(anchor, w, tables[key]))
+        else:
+            fib = _line_fiber(w, anchor, tables[key])
+            if fib is not None:
+                out.append(fib)
+    return out
 
 
 class FiberSum:
     """A finite sum of periodic fibers; the empty sum is the zero function.
 
-    Fibers sharing a line are merged at construction (lcm period, pointwise
-    sums) and identically-zero merges are dropped, so equality of canonical
-    forms coincides with pointwise equality.
+    Fibers are merged on canonical line tables: fibers sharing a line
+    (direction, canonical anchor) are summed on one lcm-period table, a
+    table that sums to zero is dropped and a merged table is cut to its
+    minimal period, so equality of canonical forms coincides with pointwise
+    equality.  A fiber alone on its line is kept as it is.  Translates,
+    multiples, convolutions and combinations of fiber sums shift, scale and
+    merge the canonical fibers in one pass per line (`_fiber_pieces_sum`).
     """
 
     __slots__ = ("dim", "fibers", "_by_line", "_directions")
 
     def __init__(self, dim, fibers=()):
         self.dim = int(dim)
-        merged = {}
+        pieces = []
         for f in fibers:
             if f is None:
                 continue
             if f.dim != self.dim:
                 raise DimensionMismatch("fiber of wrong dimension")
-            key = f.line_key()
-            if key in merged:
-                merged[key] = _merge_vals(merged[key], f.vals)
-            else:
-                merged[key] = f.vals
-        out = []
-        for (direction, anchor), vals in merged.items():
-            fib = make_fiber(anchor, direction, vals)
-            if fib is not None:
-                out.append(fib)
-        out.sort(key=lambda f: (f.direction, f.anchor))
-        self.fibers = tuple(out)
+            pieces.append((f, None, 1))
+        self.fibers = tuple(_fiber_pieces_sum(pieces))
         self._by_line = {f.line_key(): f for f in self.fibers}
         self._directions = tuple(sorted({f.direction for f in self.fibers}))
 
@@ -421,17 +470,12 @@ class FiberSum:
         return total
 
     def translate(self, t):
-        return FiberSum(self.dim,
-                        [make_fiber(vadd(f.anchor, t), f.direction, f.vals)
-                         for f in self.fibers])
+        return FiberSum(self.dim, _fiber_pieces_sum(
+            [(f, t, 1) for f in self.fibers]))
 
     def scaled(self, k):
-        if k == 0:
-            return FiberSum.zero(self.dim)
-        return FiberSum(self.dim,
-                        [make_fiber(f.anchor, f.direction,
-                                    [k * v for v in f.vals])
-                         for f in self.fibers])
+        return FiberSum(self.dim, _fiber_pieces_sum(
+            [(f, None, k) for f in self.fibers]))
 
     def parallel_part(self, direction):
         """The sub-sum of fibers parallel to `direction`."""
@@ -585,12 +629,8 @@ def apply_poly(f: LaurentPoly, c):
         return PeriodicConfig(c.dim, c.basis, dict(zip(residues, out)))
 
     if isinstance(c, FiberSum):
-        pieces = []
-        for e, k in terms:
-            for fib in c.fibers:
-                pieces.append(make_fiber(vadd(fib.anchor, e), fib.direction,
-                                         [k * v for v in fib.vals]))
-        return FiberSum(c.dim, pieces)
+        return FiberSum(c.dim, _fiber_pieces_sum(
+            [(fib, e, k) for e, k in terms for fib in c.fibers]))
 
     if isinstance(c, LazyConfig):
         return LazyConfig(
@@ -691,14 +731,9 @@ def add_views(views, coeffs=None):
             raise DimensionMismatch("views of different dimension")
 
     if all(isinstance(v, FiberSum) for v in views):
-        pieces = []
-        for k, v in zip(coeffs, views):
-            if k == 0:
-                continue
-            for fib in v.fibers:
-                pieces.append(make_fiber(fib.anchor, fib.direction,
-                                         [k * x for x in fib.vals]))
-        return FiberSum(dim, pieces)
+        return FiberSum(dim, _fiber_pieces_sum(
+            [(fib, None, k) for k, v in zip(coeffs, views)
+             for fib in v.fibers]))
 
     if all(isinstance(v, PeriodicConfig) for v in views):
         rows = views[0].lattice_rows

@@ -205,12 +205,12 @@ def fiber_extract(c, v, period_bound: int) -> FiberSum:
             "not sparse, so it is not a finite fiber sum")
 
     if isinstance(c, WindowConfig):
+        pivot = next(i for i, s in enumerate(w) if s)
         lines = {}
-        for x in box_points(c.lo, c.hi):
+        for x, val in zip(box_points(c.lo, c.hi), c.values):
             key = hnf_reduce(x, (w,))
-            pivot = next(i for i, s in enumerate(w) if s)
             t = (x[pivot] - key[pivot]) // w[pivot]
-            lines.setdefault(key, {})[t] = c.value_at(x)
+            lines.setdefault(key, {})[t] = val
         fibers = []
         for key in sorted(lines):
             seq = lines[key]

@@ -3,18 +3,21 @@
 The convolution oracle here is deliberately primitive (nested loops over a
 dense array) so it shares no code path with the library's apply_poly, the
 sparseness oracle counts every cube point by point through value_at, and
-the decomposition check evaluates every component point by point.
+the decomposition check evaluates every component point by point, and the
+fiber-sum references canonicalize every shifted, scaled piece from raw data
+with make_fiber.
 """
 
 from __future__ import annotations
 
 import random
+from math import gcd
 
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
 from perdec.config import box_points
 from perdec.errors import EmptyRegionError
-from perdec.lattice import fundamental_residues, vadd, vscale, vsub
+from perdec.lattice import fundamental_residues, primitive, vadd, vscale, vsub
 from perdec.sparse import SparsenessReport, fiber_closed_form_constant
 
 
@@ -173,6 +176,85 @@ def reference_verify_on_window(dec, lo, hi):
                  == dec.source.value_at(x) for x in box_points(lo, hi))
     return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,
             "ok": sum_ok and all(per_comp)}
+
+
+def reference_fiber_sum(raw):
+    """Fibers of the sum of raw (anchor, direction, vals) pieces, sorted.
+
+    The make_fiber-per-piece path: every piece is canonicalized from raw
+    data, pieces on one line are summed on an lcm-period table, and every
+    line is canonicalized again with make_fiber (None when it vanishes).
+    """
+    lines = {}
+    for anchor, direction, vals in raw:
+        f = make_fiber(anchor, direction, vals)
+        if f is None:
+            continue
+        a = lines.get(f.line_key())
+        if a is None:
+            lines[f.line_key()] = f.vals
+        else:
+            b = f.vals
+            p = len(a) * len(b) // gcd(len(a), len(b))
+            lines[f.line_key()] = tuple(a[j % len(a)] + b[j % len(b)]
+                                        for j in range(p))
+    out = [make_fiber(anchor, direction, vals)
+           for (direction, anchor), vals in lines.items()]
+    return tuple(sorted((f for f in out if f is not None),
+                        key=lambda f: (f.direction, f.anchor)))
+
+
+def reference_apply_poly_fibers(f: LaurentPoly, c: FiberSum):
+    return reference_fiber_sum(
+        [(vadd(fib.anchor, e), fib.direction, [k * v for v in fib.vals])
+         for e, k in f.terms() for fib in c.fibers])
+
+
+def reference_add_views_fibers(views, coeffs):
+    return reference_fiber_sum(
+        [(fib.anchor, fib.direction, [k * v for v in fib.vals])
+         for k, c in zip(coeffs, views) if k for fib in c.fibers])
+
+
+def reference_translate_fibers(c: FiberSum, t):
+    return reference_fiber_sum([(vadd(f.anchor, t), f.direction, f.vals)
+                                for f in c.fibers])
+
+
+def reference_scaled_fibers(c: FiberSum, k):
+    if k == 0:
+        return ()
+    return reference_fiber_sum([(f.anchor, f.direction, [k * v for v in f.vals])
+                                for f in c.fibers])
+
+
+def reference_parallel_part_fibers(c: FiberSum, direction):
+    w = primitive(direction)
+    return reference_fiber_sum([(f.anchor, f.direction, f.vals)
+                                for f in c.fibers if f.direction == w])
+
+
+def assert_canonical_fibers(fibers):
+    """Each fiber keeps the PeriodicFiber invariants, checked from scratch;
+    the lines are distinct and sorted by (direction, anchor)."""
+    for f in fibers:
+        w = f.direction
+        g = 0
+        for a in w:
+            g = gcd(g, abs(a))
+        assert g == 1, f"direction {w} is not primitive"
+        pivot = next(i for i, a in enumerate(w) if a)
+        assert w[pivot] > 0, f"direction {w} is not sign normalized"
+        # canonical anchor: the pivot coordinate lies in [0, w[pivot])
+        assert 0 <= f.anchor[pivot] < w[pivot], f"anchor {f.anchor} of {w}"
+        n = len(f.vals)
+        assert any(f.vals), f"all-zero fiber {f}"
+        for p in range(1, n):
+            if n % p == 0:
+                assert any(f.vals[j] != f.vals[(j + p) % n]
+                           for j in range(n)), f"period of {f} is not minimal"
+    keys = [(f.direction, f.anchor) for f in fibers]
+    assert keys == sorted(set(keys)), "fiber lines repeat or are unsorted"
 
 
 def random_poly(rng: random.Random, dim, max_terms=5, exp_range=4,

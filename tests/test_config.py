@@ -10,8 +10,11 @@ from perdec.errors import (EmptyRegionError, LatticeError, OutOfDomainError)
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import in_lattice, lattice_determinant, vsub
 
-from helpers import (naive_convolution, random_fiber_family, random_periodic,
-                     random_poly)
+from helpers import (assert_canonical_fibers, naive_convolution,
+                     random_fiber_family, random_periodic, random_poly,
+                     reference_add_views_fibers, reference_apply_poly_fibers,
+                     reference_parallel_part_fibers, reference_scaled_fibers,
+                     reference_translate_fibers)
 
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
@@ -354,6 +357,146 @@ def test_fibersum_value_at_matches_sum_over_fibers(dim):
         for x in box_points((-5,) * dim, (5,) * dim):
             assert c.value_at(x) == sum(f.value_at(x) for f in c.fibers)
     assert parallel >= 10  # many lookups must pick one of several lines
+
+
+# Fiber sums for the differential tests of the fiber-sum kernel, as raw
+# (anchor, direction, vals) data.  2-d: the rows y = 0 and y = 1 carry
+# parallel fibers with periods 2, 3 and 5, so shifts by (0, 1) merge them.
+FIBER_SUM_CASES = {
+    "1d": (1, [((0,), (1,), [1, -2, 0]), ((5,), (-1,), [3, 3])]),
+    "2d": (2, [((0, 0), (1, 0), [1, 2]), ((4, 1), (1, 0), [0, 5, -1]),
+               ((0, 2), (1, 0), [1, 1, 1, -3, 2]), ((0, 0), (1, 1), [2]),
+               ((1, 0), (2, -1), [1, 0, 4]), ((-3, 4), (0, 1), [0, 0, 7])]),
+    "3d": (3, [((0, 0, 0), (1, 0, 0), [1, -1]),
+               ((0, 1, 2), (0, 1, 1), [2, 0, 3]),
+               ((3, -2, 1), (1, -1, 2), [1]),
+               ((1, 1, 1), (1, 0, 0), [0, 4, 0]),
+               ((0, 2, 1), (1, 0, 0), [5, 5, 6, 5, 5])]),
+}
+
+# per dim: zero and +-1 coefficients aside, unit steps that merge parallel
+# lines, negative steps and steps of more than one period
+FIBER_POLY_TERMS = {
+    1: [{(0,): 1}, {(1,): 1, (0,): -1}, {(-7,): 3, (13,): -1, (2,): 1}],
+    2: [{(0, 0): 1}, {(0, 1): 1, (0, 0): 1}, {(0, -1): -1, (0, 1): 1},
+        {(-7, 2): 1, (13, -9): -1, (0, 0): 2}, {(1, 1): 4, (-1, 0): -3}],
+    3: [{(0, 0, 0): -1}, {(0, 1, -1): 1, (0, 0, 0): 1},
+        {(-6, 0, 0): 1, (11, -3, 5): -2, (0, -1, -1): 1}],
+}
+
+
+def _fiber_sum_case(name):
+    dim, raw = FIBER_SUM_CASES[name]
+    return FiberSum(dim, [make_fiber(*r) for r in raw])
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_SUM_CASES))
+def test_fiber_kernel_apply_poly_matches_make_fiber_reference(name):
+    c = _fiber_sum_case(name)
+    for terms in FIBER_POLY_TERMS[c.dim]:
+        f = LaurentPoly(c.dim, terms)
+        out = apply_poly(f, c).fibers
+        assert out == reference_apply_poly_fibers(f, c)
+        assert_canonical_fibers(out)
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_SUM_CASES))
+def test_fiber_kernel_translate_matches_make_fiber_reference(name):
+    c = _fiber_sum_case(name)
+    for terms in FIBER_POLY_TERMS[c.dim]:
+        for t in terms:
+            for s in (t, vsub((0,) * c.dim, t)):
+                out = c.translate(s).fibers
+                assert out == reference_translate_fibers(c, s)
+                assert_canonical_fibers(out)
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_SUM_CASES))
+def test_fiber_kernel_scaled_and_parallel_part_match_reference(name):
+    c = _fiber_sum_case(name)
+    for k in (0, 1, -1, 3, -12):
+        out = c.scaled(k).fibers
+        assert out == reference_scaled_fibers(c, k)
+        assert_canonical_fibers(out)
+    _, raw = FIBER_SUM_CASES[name]
+    for direction in {d for _, d, _ in raw} | {(2,) + (0,) * (c.dim - 1)}:
+        out = c.parallel_part(direction).fibers
+        assert out == reference_parallel_part_fibers(c, direction)
+        assert_canonical_fibers(out)
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_SUM_CASES))
+def test_fiber_kernel_add_views_matches_make_fiber_reference(name):
+    c = _fiber_sum_case(name)
+    step = (1,) + (0,) * (c.dim - 1)
+    views = [c, c.translate(step), apply_poly(
+        LaurentPoly(c.dim, FIBER_POLY_TERMS[c.dim][-1]), c)]
+    for coeffs in ([1, -1, 0], [0, 2, 1], [1, 1, -1], [-1, 0, 0], [0, 0, 0],
+                   [3, -2, 5]):
+        out = add_views(views, coeffs).fibers
+        assert out == reference_add_views_fibers(views, coeffs)
+        assert_canonical_fibers(out)
+
+
+def test_fiber_kernel_merges_coprime_periods_and_cancels_on_own_line():
+    rows = FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 0]),
+                        make_fiber((0, 1), (1, 0), [0, 0, 2])])
+    up = LaurentPoly(2, {(0, 1): 1, (0, 0): 1})
+    merged = apply_poly(up, rows)
+    assert merged.fibers == reference_apply_poly_fibers(up, rows)
+    assert [f.period for f in merged.fibers] == [2, 6, 3]
+    assert_canonical_fibers(merged.fibers)
+    # shifts along the fiber's own line by one period cancel exactly, also
+    # by negative shifts and several periods
+    f = FiberSum(2, [make_fiber((2, 3), (1, 2), [4, -1, 7])])
+    for e in ((3, 6), (-3, -6), (9, 18), (-12, -24)):
+        g = LaurentPoly(2, {e: 1, (0, 0): -1})
+        assert apply_poly(g, f).fibers == () == reference_apply_poly_fibers(g, f)
+        assert f.translate(e) == f
+    assert add_views([f, f.translate((-6, -12))], [1, -1]).is_zero()
+
+
+def test_fiber_kernel_matches_make_fiber_reference_random():
+    rng = random.Random(20261018)
+    dirs = {1: [(1,)], 2: [(1, 0), (0, 1), (1, 1), (1, -2)],
+            3: [(1, 0, 0), (0, 1, -1), (1, 2, 1)]}
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        views = [add_views([random_fiber_family(rng, dim, d, max_fibers=4,
+                                                max_period=6, anchor_range=2)
+                            for d in rng.sample(dirs[dim],
+                                                rng.randint(1, len(dirs[dim])))])
+                 for _ in range(2)]
+        c = views[0]
+        f = random_poly(rng, dim, exp_range=9, coef_range=2)
+        coeffs = [rng.randint(-2, 2) for _ in views]
+        t = tuple(rng.randint(-15, 15) for _ in range(dim))
+        k = rng.randint(-3, 3)
+        w = rng.choice(dirs[dim])
+        for out, ref in (
+                (apply_poly(f, c), reference_apply_poly_fibers(f, c)),
+                (add_views(views, coeffs),
+                 reference_add_views_fibers(views, coeffs)),
+                (c.translate(t), reference_translate_fibers(c, t)),
+                (c.scaled(k), reference_scaled_fibers(c, k)),
+                (c.parallel_part(w), reference_parallel_part_fibers(c, w))):
+            assert out.fibers == ref
+            assert_canonical_fibers(out.fibers)
+
+
+def test_fiber_sum_merge_to_zero_and_keeps_unmerged_fibers():
+    a = make_fiber((0, 1), (1, 1), [1, -2])
+    b = make_fiber((2, 3), (1, 1), [-1, 2])  # the same line, negated
+    assert FiberSum(2, [a, b]) == FiberSum.zero(2)
+    assert FiberSum(2, [a, b]).fibers == ()
+    fibers = [make_fiber((0, 0), (1, 0), [1, 2]),
+              make_fiber((0, 1), (1, 0), [3]),
+              make_fiber((0, 0), (1, 1), [0, 5])]
+    s = FiberSum(2, fibers)
+    assert len(s.fibers) == 3
+    assert all(any(f is g for g in fibers) for f in s.fibers)
+    assert all(f is g for f, g in zip(s.parallel_part((1, 0)).fibers,
+                                      fibers[:2]))
 
 
 def test_fiber_canonicalization():

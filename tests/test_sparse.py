@@ -251,6 +251,18 @@ def test_extract_from_window_matches_values():
         assert evaluate(got, x) == evaluate(w, x)
 
 
+@pytest.mark.parametrize("dim,direction,raw", [
+    (2, (0, 1), [((1, 0), [1, 0, 2]), ((-2, 0), [4])]),
+    (2, (1, -2), [((0, 0), [3, -1]), ((1, 0), [0, 2, 2])]),
+    (3, (0, 1, 1), [((1, 0, 0), [1, 2]), ((0, 0, 1), [5]),
+                    ((2, -1, 3), [0, 0, -4])]),
+])
+def test_extract_from_window_recovers_parallel_fibers(dim, direction, raw):
+    fs = FiberSum(dim, [make_fiber(a, direction, v) for a, v in raw])
+    w = rasterize(fs, (-6,) * dim, (6,) * dim)
+    assert fiber_extract(w, direction, 8) == fs
+
+
 def test_extract_window_evidence_is_minimal_consistent():
     fs = FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 2, 3, 4, 5, 6])])
     w = rasterize(fs, (0, 0), (3, 0))  # four samples of a 6-periodic line
@@ -264,7 +276,9 @@ def test_extract_window_evidence_is_minimal_consistent():
 
 def test_extract_window_line_beyond_period_bound():
     w = WindowConfig((0, 0), (8, 0), list(range(1, 10)))  # aperiodic evidence
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError,
+                       match=r"^no period <= 3 fits the in-window evidence "
+                             r"of the line at \(0, 0\)$"):
         fiber_extract(w, (1, 0), 3)
 
 

@@ -8,17 +8,15 @@ search, k-periodic pipelines), sparse fiber decompositions, and
 translational tiling verification.  All arithmetic is exact.
 """
 
-from .config import (ConfigView, FiberSum, LazyConfig, PeriodicConfig,
-                     PeriodicFiber, Verdict, WindowConfig, add_views,
-                     apply_poly, box_points, detect_period_multiple, evaluate,
-                     is_annihilated, make_fiber, period_lattice, rasterize,
-                     translate)
+from .config import (FiberSum, LazyConfig, PeriodicConfig, PeriodicFiber,
+                     Verdict, WindowConfig, add_views, apply_poly, box_points,
+                     detect_period_multiple, evaluate, is_annihilated,
+                     make_fiber, period_lattice, rasterize, translate)
 from .decompose import (Bounds, Component, Decomposition, DifferenceProduct,
                         TransferSolution, annihilator_from_periodizer,
-                        build_periodizer, decompose_product,
-                        k_periodic_decompose, reduce_annihilator,
-                        search_difference_annihilator, solve_transfer,
-                        verify_transfer)
+                        decompose_product, k_periodic_decompose,
+                        reduce_annihilator, search_difference_annihilator,
+                        solve_transfer, verify_transfer)
 from .errors import (DimensionMismatch, EmptyRegionError, InconclusiveError,
                      LatticeError, OutOfDomainError, PerdecError,
                      PreconditionError, SchemaError, VerificationError)

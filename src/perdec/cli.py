@@ -207,7 +207,12 @@ def _cmd_decompose(ctx):
     else:
         raise PerdecError(
             "decompose needs --factors, --annihilator or --k/--periodizers")
+    _write_decomposition(ctx, dec, lo, hi)
+    return ctx.finish(["decompose", args.config])
 
+
+def _write_decomposition(ctx, dec, lo, hi):
+    """Verify on the window, write each component and record its witnesses."""
     report = dec.verify_on_window(lo, hi)
     ctx.verdicts["sum_matches"] = report["sum"]
     for i, ok in enumerate(report["annihilation"]):
@@ -223,7 +228,6 @@ def _cmd_decompose(ctx):
             ctx.results[f"component_{i:02d}_periods"] = \
                 [list(p) for p in comp.periods]
     ctx.results["window"] = {"lo": list(lo), "hi": list(hi)}
-    return ctx.finish(["decompose", args.config])
 
 
 def _cmd_sparse(ctx):
@@ -338,16 +342,7 @@ def _cmd_tiling(ctx):
         tiles = ctx.load_tiles(args.tiles)
         c = ctx.load_config(args.config)
         lo, hi = ctx.window(c.dim)
-        dec = cotiler_decompose(tiles, c, bounds)
-        report = dec.verify_on_window(lo, hi)
-        ctx.verdicts["sum_matches"] = report["sum"]
-        for i, ok in enumerate(report["annihilation"]):
-            ctx.verdicts[f"component_{i:02d}_annihilated"] = ok
-        for i, comp in enumerate(dec.components):
-            ctx.write_config(f"component_{i:02d}.json",
-                             rasterize(comp.view, lo, hi))
-            ctx.results[f"component_{i:02d}_periods"] = \
-                [list(p) for p in comp.periods]
+        _write_decomposition(ctx, cotiler_decompose(tiles, c, bounds), lo, hi)
         return ctx.finish(["tiling", "decompose", args.tiles, args.config])
 
     raise PerdecError(f"unknown tiling subcommand {args.subcommand!r}")

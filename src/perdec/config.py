@@ -102,7 +102,11 @@ class Verdict:
 # window configuration
 
 class WindowConfig:
-    """Dense integer values over a box; undefined outside it."""
+    """Dense integer values over a box; undefined outside it.
+
+    Values must be integral: integral Fractions are stored as ints, any
+    other value raises PreconditionError rather than being truncated.
+    """
 
     __slots__ = ("dim", "lo", "hi", "values", "strides")
 
@@ -114,10 +118,19 @@ class WindowConfig:
             raise DimensionMismatch("window corners of different dimension")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise EmptyRegionError(f"empty window {self.lo}..{self.hi}")
-        self.values = [int(v) for v in values]
+        if not isinstance(values, list):
+            values = list(values)
+        self.values = list(map(int, values))
         if len(self.values) != box_size(self.lo, self.hi):
             raise LatticeError("window value array has the wrong length")
         self.strides = box_strides(self.lo, self.hi)
+        if self.values != values:
+            i, v = next((i, v) for i, (v, n) in
+                        enumerate(zip(values, self.values)) if v != n)
+            x = tuple(a + i // s % (b - a + 1) for a, b, s in
+                      zip(self.lo, self.hi, self.strides))
+            raise PreconditionError(
+                f"non-integer value {v} at {x}: a window holds integers")
 
     @classmethod
     def from_function(cls, lo, hi, fn):
@@ -473,10 +486,6 @@ class FiberSum:
         return FiberSum(self.dim, _fiber_pieces_sum(
             [(f, t, 1) for f in self.fibers]))
 
-    def scaled(self, k):
-        return FiberSum(self.dim, _fiber_pieces_sum(
-            [(f, None, k) for f in self.fibers]))
-
     def parallel_part(self, direction):
         """The sub-sum of fibers parallel to `direction`."""
         w = primitive(direction)
@@ -538,9 +547,6 @@ class LazyConfig:
         return f"LazyConfig({self.label})"
 
 
-ConfigView = (WindowConfig, PeriodicConfig, FiberSum, LazyConfig)
-
-
 # ---------------------------------------------------------------------------
 # generic operations
 
@@ -568,17 +574,7 @@ def rasterize(c, lo, hi):
         if not (c.contains(lo) and c.contains(hi)):
             raise OutOfDomainError(
                 f"box {lo}..{hi} exceeds window {c.lo}..{c.hi}")
-    vals = []
-    for x in box_points(lo, hi):
-        v = c.value_at(x)
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise PreconditionError(
-                    f"non-integer value {v} at {x}: cannot rasterize to an "
-                    "integer window")
-            v = int(v)
-        vals.append(v)
-    return WindowConfig(lo, hi, vals)
+    return WindowConfig.from_function(lo, hi, c.value_at)
 
 
 def apply_poly(f: LaurentPoly, c):
@@ -762,15 +758,6 @@ def add_views(views, coeffs=None):
         dim,
         lambda x: sum(k * v.value_at(x) for k, v in zip(coeffs, views)),
         label="sum")
-
-
-def is_zero_config(c) -> bool:
-    """Exact zero test for periodic and fiber views."""
-    if isinstance(c, (PeriodicConfig, FiberSum)):
-        return c.is_zero()
-    if isinstance(c, WindowConfig):
-        return all(v == 0 for v in c.values)
-    raise PreconditionError("zero test for an evaluator view is undecidable")
 
 
 def detect_period_multiple(c, direction, bound, window=None):

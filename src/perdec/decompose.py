@@ -30,11 +30,11 @@ from operator import add
 from .config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                      WindowConfig, add_views, apply_poly, box_points,
                      convolve_on_box, detect_period_multiple, is_annihilated,
-                     is_zero_config, period_lattice, periodic_in_subspace)
+                     period_lattice, periodic_in_subspace)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
-from .laurent import (LaurentPoly, difference_poly,
-                      line_degree, line_direction, poly_product,
+from .laurent import (LaurentPoly, difference_poly, line_degree,
+                      line_direction, non_parallel_directions, poly_product,
                       support_in_subspace)
 from .lattice import (CosetSystem, SubspaceBasis, is_zero_vector, parallel,
                       primitive, rank_rational, rational_nullspace_vector,
@@ -63,20 +63,17 @@ class Bounds:
 
 def _require_annihilation(f, c, bounds, message, error=PreconditionError):
     """Check fc = 0 where checkable; evidence window for evaluator views."""
-    if isinstance(c, (PeriodicConfig, FiberSum)):
-        if not is_annihilated(f, c).holds:
-            raise error(message)
-        return Verdict.exactly(True)
-    if isinstance(c, WindowConfig):
-        verdict = is_annihilated(f, c)
-        if not verdict.holds:
-            raise error(message + " (window evidence)")
-        return verdict
-    lo, hi = bounds.check_window(c.dim)
-    fc, = convolve_on_box([f], c, lo, hi)
-    if any(v != 0 for v in fc):
-        raise error(message + " (evaluator evidence)")
-    return Verdict.on_window(True, lo, hi)
+    if isinstance(c, LazyConfig):
+        lo, hi = bounds.check_window(c.dim)
+        fc, = convolve_on_box([f], c, lo, hi)
+        if any(v != 0 for v in fc):
+            raise error(message + " (evaluator evidence)")
+        return Verdict.on_window(True, lo, hi)
+    verdict = is_annihilated(f, c)
+    if not verdict.holds:
+        raise error(message if verdict.exact
+                    else message + " (window evidence)")
+    return verdict
 
 
 def _exact_div(s, a):
@@ -323,20 +320,11 @@ class Decomposition:
 
 
 def _validate_line_family(phis, V):
-    dirs = []
-    for f in phis:
-        d = line_direction(f)
-        if d is None:
-            raise PreconditionError(f"not a line polynomial: {f!r}")
-        dirs.append(d.direction)
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            if parallel(dirs[i], dirs[j]):
-                raise PreconditionError(
-                    f"parallel directions {dirs[i]} and {dirs[j]}")
-            if not span_meets_trivially(dirs[i], dirs[j], V):
-                raise PreconditionError(
-                    f"directions {dirs[i]}, {dirs[j]} collide with the subspace")
+    dirs = non_parallel_directions(phis)
+    for i, j in combinations(range(len(dirs)), 2):
+        if not span_meets_trivially(dirs[i], dirs[j], V):
+            raise PreconditionError(
+                f"directions {dirs[i]}, {dirs[j]} collide with the subspace")
     return dirs
 
 
@@ -404,22 +392,24 @@ class DifferenceProduct:
     def polys(self):
         return [difference_poly(v) for v in self.vectors]
 
-    def expanded(self, dim=None) -> LaurentPoly:
-        if self.vectors:
-            dim = len(self.vectors[0])
-        return poly_product(self.polys(), dim=dim)
-
     def __len__(self):
         return len(self.vectors)
 
 
-def _annihilating_multiple(c, w, bounds):
-    """Minimal p <= bounds.period with X^{p w} - 1 annihilating c."""
-    window = None
-    if isinstance(c, LazyConfig):
-        window = bounds.check_window(c.dim)
-    k, _ = detect_period_multiple(c, w, bounds.period, window=window)
-    return k
+def _period_multiple(view, w, bounds, context):
+    """(k, exact): minimal k <= bounds.period with X^{k w} - 1 killing view.
+
+    Evaluator views are checked on the evidence window; exhausting the
+    bound is inconclusive.
+    """
+    window = bounds.check_window(view.dim) \
+        if isinstance(view, LazyConfig) else None
+    k, exact = detect_period_multiple(view, w, bounds.period, window=window)
+    if k is None:
+        raise InconclusiveError(
+            f"no period multiple <= {bounds.period} along {w} ({context})",
+            bounds.period)
+    return k, exact
 
 
 def reduce_annihilator(dp: DifferenceProduct, e, V: SubspaceBasis,
@@ -469,10 +459,7 @@ def _merge_parallel(vecs, j, jp, e, bounds):
     partial = e
     for v in others:
         partial = apply_poly(difference_poly(v), partial)
-    p = _annihilating_multiple(partial, w, bounds)
-    if p is None:
-        raise InconclusiveError(
-            f"no period <= {bounds.period} in direction {w}", bounds.period)
+    p, _ = _period_multiple(partial, w, bounds, "parallel merge")
     new = others + [vscale(p, w)]
     _validate_product(new, e, bounds, VerificationError)
     return new
@@ -494,10 +481,7 @@ def _rewrite_span_collision(vecs, j, jp, e, V, bounds):
     v0 = vsub(vscale(pprime, vjp), vscale(p, vj))
     if is_zero_vector(v0) or not V.contains(v0):
         raise PerdecError("span dependency left the subspace (internal)")
-    k = _annihilating_multiple(e, v0, bounds)
-    if k is None:
-        raise InconclusiveError(
-            f"no period <= {bounds.period} in direction {v0}", bounds.period)
+    k, _ = _period_multiple(e, v0, bounds, "span collision")
     replacement = vscale(k * p, vj)
     new = [v for i, v in enumerate(vecs) if i != jp]
     new.append(replacement)
@@ -533,7 +517,7 @@ def annihilator_from_periodizer(g: LaurentPoly, c, V: SubspaceBasis,
     if V.rank >= dim:
         raise PreconditionError("subspace must be proper")
     gc = apply_poly(g, c)
-    if isinstance(gc, (PeriodicConfig, FiberSum)) and is_zero_config(gc):
+    if isinstance(gc, (PeriodicConfig, FiberSum)) and gc.is_zero():
         rows = tuple(tuple(int(i == j) for j in range(dim))
                      for i in range(dim))
     elif isinstance(gc, PeriodicConfig):
@@ -553,45 +537,6 @@ def annihilator_from_periodizer(g: LaurentPoly, c, V: SubspaceBasis,
             return f
     raise InconclusiveError(
         f"no admissible multiplier <= {n_bound} clears the subspace", n_bound)
-
-
-def build_periodizer(components, V: SubspaceBasis, n_bound: int,
-                     bounds: Bounds | None = None) -> LaurentPoly:
-    """Common periodizer of a sum from per-component period witnesses.
-
-    `components` is a sequence of (view, period_vector) pairs; every period
-    must lie outside V and annihilate its view as a difference polynomial
-    (checked where checkable).  The product is built factor by factor,
-    scaling each new difference factor so the accumulated support meets V
-    only at the origin.
-    """
-    bounds = bounds or Bounds()
-    comps = list(components)
-    if not comps:
-        raise PreconditionError("need at least one component")
-    dim = comps[0][0].dim
-    origin = zero_vector(dim)
-    for view, v in comps:
-        if is_zero_vector(tuple(v)):
-            raise PreconditionError("zero period vector")
-        if V.contains(v):
-            raise PreconditionError(f"period {tuple(v)} lies in the subspace")
-        _require_annihilation(difference_poly(v), view, bounds,
-                              f"{tuple(v)} is not a period of its component")
-    f = difference_poly(comps[0][1])
-    for _, v in comps[1:]:
-        for n in range(1, n_bound + 1):
-            cand = difference_poly(vscale(n, v)) * f
-            if support_in_subspace(cand, V) == {origin}:
-                f = cand
-                break
-        else:
-            raise InconclusiveError(
-                f"no multiplier <= {n_bound} keeps the support transversal",
-                n_bound)
-    if support_in_subspace(f, V) != {origin}:
-        raise VerificationError("periodizer support check failed (internal)")
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -694,18 +639,6 @@ def _difference_vector(poly: LaurentPoly):
     return nonzero[0]
 
 
-def _detect_multiple_checked(view, direction, bounds, context):
-    window = bounds.check_window(len(direction)) \
-        if isinstance(view, LazyConfig) else None
-    k, exact = detect_period_multiple(view, direction, bounds.period,
-                                      window=window)
-    if k is None:
-        raise InconclusiveError(
-            f"no period multiple <= {bounds.period} along {direction} "
-            f"({context})", bounds.period)
-    return vscale(k, direction), exact
-
-
 def _merge_by_subspace(comps, bounds):
     groups = {}
     for comp in comps:
@@ -720,8 +653,8 @@ def _merge_by_subspace(comps, bounds):
         periods = []
         exact = all(m.exact_periods for m in members)
         for p in members[0].periods:
-            vec, ex = _detect_multiple_checked(view, p, bounds, "merge")
-            periods.append(vec)
+            mult, ex = _period_multiple(view, p, bounds, "merge")
+            periods.append(vscale(mult, p))
             exact = exact and ex
         # the member annihilators only kill their own summand; the product
         # annihilates the merged view
@@ -804,9 +737,9 @@ def k_periodic_decompose(c, k: int, periodizer_oracle, bounds: Bounds | None = N
                 periods = [new_period]
                 exact = comp.exact_periods
                 for p in comp.periods:
-                    vec, ex = _detect_multiple_checked(sub.view, p, bounds,
-                                                       f"level {level}")
-                    periods.append(vec)
+                    mult, ex = _period_multiple(sub.view, p, bounds,
+                                                f"level {level}")
+                    periods.append(vscale(mult, p))
                     exact = exact and ex
                 if rank_rational(periods) != level:
                     raise VerificationError(

@@ -246,39 +246,22 @@ def order_modulo(v, rows, bound):
 def lattice_intersection(gens1, gens2, dim):
     """HNF basis of the intersection of two integer lattices.
 
-    Solves a*G1 = b*G2 through the integer left-kernel of the stacked
-    generator matrix, tracked with an identity block.
+    The HNF rows of [G1; -G2 | I] that vanish on the first dim columns
+    span the integer solutions (a, b) of a*G1 = b*G2; the points a*G1 span
+    the intersection.
     """
-    rows = [list(map(int, g)) for g in gens1] + \
-           [[-int(x) for x in h] for h in gens2]
+    gens1 = list(gens1)
+    rows = gens1 + [vneg(h) for h in gens2]
     m = len(rows)
-    aug = [rows[i] + [int(i == j) for j in range(m)] for i in range(m)]
-    r = 0
-    for col in range(dim):
-        piv = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(r + 1, m):
-            while aug[i][col] != 0:
-                if abs(aug[i][col]) < abs(aug[r][col]):
-                    aug[r], aug[i] = aug[i], aug[r]
-                q = aug[i][col] // aug[r][col]
-                aug[i] = [a - q * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-    n1 = len(list(gens1))
+    aug = [tuple(g) + tuple(int(i == j) for j in range(m))
+           for i, g in enumerate(rows)]
     inter = []
-    for row in aug[r:]:
-        coeffs = row[dim:dim + n1]
-        vec = zero_vector(dim)
-        for a, g in zip(coeffs, gens1):
-            if a:
-                vec = vadd(vec, vscale(a, g))
-        if not is_zero_vector(vec):
+    for row in hnf_rows(aug, dim + m):
+        if is_zero_vector(row[:dim]):
+            vec = zero_vector(dim)
+            for a, g in zip(row[dim:], gens1):
+                if a:
+                    vec = vadd(vec, vscale(a, g))
             inter.append(vec)
     return hnf_rows(inter, dim)
 
@@ -412,24 +395,3 @@ class CosetSystem:
 
     def representative(self, x) -> IntVector:
         return hnf_reduce(x, self._hnf)
-
-    def coordinates(self, x):
-        """Integer coordinates of x - representative(x) over the generators."""
-        z = self.representative(x)
-        rhs = vsub(x, z)
-        sol = solve_rational(self.generators, rhs)
-        if sol is None:
-            raise LatticeError("residual escaped the generator span (internal)")
-        coords = []
-        for a in sol:
-            if a.denominator != 1:
-                raise LatticeError("non-integer coset coordinate (internal)")
-            coords.append(int(a))
-        return tuple(coords)
-
-    def rebuild(self, z, coords) -> IntVector:
-        x = tuple(z)
-        for a, g in zip(coords, self.generators):
-            if a:
-                x = vadd(x, vscale(a, g))
-        return x

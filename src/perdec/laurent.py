@@ -45,7 +45,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, dim, value):
-        return cls(dim, {(0,) * dim: value})
+        return cls.monomial((0,) * dim, value)
 
     @classmethod
     def monomial(cls, exp, coef=1):
@@ -153,11 +153,6 @@ class LaurentPoly:
         return LaurentPoly(self.dim, out)
 
     __rmul__ = __mul__
-
-    def shifted(self, t):
-        """Multiplication by the monomial X^t."""
-        return LaurentPoly(self.dim,
-                           {vadd(e, t): c for e, c in self._terms.items()})
 
 
 def poly_product(polys, dim=None):

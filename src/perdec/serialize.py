@@ -1,23 +1,21 @@
-"""JSON schemas for polynomials, configurations, subspaces and tiles.
+"""JSON schemas for polynomials, configurations and tiles.
 
 Parsers enforce the type invariants bit-exactly: no zero coefficients or
 duplicate exponents in polynomials, canonical residue keys for periodic
-values, primitive directions and canonical anchors for fibers, rationals
-as "p/q" strings for subspace bases.  Serialization is deterministic
-(sorted keys working outward), so identical values produce identical bytes.
+values, primitive directions and canonical anchors for fibers, distinct
+cells for tiles.  Serialization is deterministic (sorted keys working
+outward), so identical values produce identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
 from .config import (FiberSum, PeriodicConfig, PeriodicFiber, WindowConfig,
                      _minimal_period, box_size)
 from .errors import SchemaError
 from .laurent import LaurentPoly
-from .lattice import SubspaceBasis
 from .tiling import Tile
 
 
@@ -162,48 +160,7 @@ def config_from_obj(obj):
 
 
 # ---------------------------------------------------------------------------
-# subspaces and tiles
-
-def subspace_to_obj(V: SubspaceBasis):
-    return {"dim": V.dim,
-            "basis": [[f"{x.numerator}/{x.denominator}" for x in row]
-                      for row in V.basis]}
-
-
-def subspace_from_obj(obj) -> SubspaceBasis:
-    if not isinstance(obj, dict):
-        raise SchemaError("subspace document must be an object")
-    dim = _dim_of(obj)
-    basis = obj.get("basis")
-    if not isinstance(basis, list):
-        raise SchemaError("subspace needs a 'basis' list")
-    rows = []
-    for row in basis:
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError("subspace basis vector of wrong length")
-        parsed = []
-        for x in row:
-            if isinstance(x, int) and not isinstance(x, bool):
-                parsed.append(Fraction(x))
-            elif isinstance(x, str):
-                try:
-                    p, _, q = x.partition("/")
-                    parsed.append(Fraction(int(p), int(q)) if q
-                                  else Fraction(int(p)))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise SchemaError(f"bad rational {x!r}") from exc
-            else:
-                raise SchemaError(f"bad rational {x!r}")
-        rows.append(parsed)
-    try:
-        return SubspaceBasis(dim, rows)
-    except Exception as exc:
-        raise SchemaError(f"invalid subspace: {exc}") from exc
-
-
-def tile_to_obj(tile: Tile):
-    return {"dim": tile.dim, "cells": [list(c) for c in tile.sorted_cells()]}
-
+# tiles
 
 def tile_from_obj(obj) -> Tile:
     if not isinstance(obj, dict):

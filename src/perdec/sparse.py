@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
-                     apply_poly, box_points, is_zero_config, make_fiber,
+                     apply_poly, box_points, make_fiber,
                      rasterize, translate)
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
@@ -354,9 +354,9 @@ def sparse_split2(c, phi: LaurentPoly, psi: LaurentPoly,
         c1 = subsequence_limit(c, v)
         c2 = subsequence_limit(c, u)
         checks = [
-            ("phi*c1 = 0", is_zero_config(apply_poly(phi, c1))),
+            ("phi*c1 = 0", apply_poly(phi, c1).is_zero()),
             ("psi*c1 = psi*c", apply_poly(psi, c1) == ext1),
-            ("psi*c2 = 0", is_zero_config(apply_poly(psi, c2))),
+            ("psi*c2 = 0", apply_poly(psi, c2).is_zero()),
             ("phi*c2 = phi*c", apply_poly(phi, c2) == ext2),
             ("c = c1 + c2", add_views([c, c1, c2], [1, -1, -1]).is_zero()),
         ]
@@ -431,7 +431,7 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
 
     residual = add_views([c] + families, [1] + [-1] * len(families))
     cn = fiber_extract(residual, dirs[-1], bounds.period)
-    if not is_zero_config(apply_poly(last, cn)):
+    if not apply_poly(last, cn).is_zero():
         raise VerificationError(
             f"residual family is not annihilated by the last factor "
             f"(induction level {len(phis)})")
@@ -449,7 +449,7 @@ def sparse_full(c, f: LaurentPoly, bounds: Bounds | None = None):
     (possibly empty) list of fiber families.
     """
     bounds = bounds or Bounds()
-    if isinstance(c, (FiberSum, PeriodicConfig)) and is_zero_config(c):
+    if isinstance(c, (FiberSum, PeriodicConfig)) and c.is_zero():
         return []
     dp = search_difference_annihilator(c, f, bounds.search)
     return sparse_decompose(c, dp.polys(), bounds)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -207,12 +208,67 @@ def test_tiling_commands(files):
                  fx["tiles"], fx["cb"]]) == 0
     m = manifest(out)
     assert m["verdicts"]["sum_matches"]
+    # the same writer as decompose: window and per-component witnesses
+    assert m["results"]["window"] == {"lo": [-8, -8], "hi": [8, 8]}
+    assert m["results"]["component_00_annihilator"] == poly_to_obj(
+        difference_poly((0, 2)))
+    assert m["results"]["component_00_periods"]
 
     dep = write(tmp / "dep.json", [
         {"dim": 2, "cells": [[0, 0], [1, 0]]},
         {"dim": 2, "cells": [[0, 0], [2, 0]]}])
     out = str(tmp / "out_dep")
     assert main(["--out", out, "tiling", "decompose", dep, fx["cb"]]) == 1
+
+
+# SHA-256 of every component file for the fixture runs above; the bytes must
+# not change when the writing code is refactored
+_COMPONENT_SHA256 = {
+    "factors": {
+        "component_00.json":
+            "00dbb482e22fc639d94c26fcc8093bae7652e4d305ca8320ea9465de1d73857c",
+        "component_01.json":
+            "24bc2bf045dad7837498b3cf6367f8de8c626ca0433c0a3e4bea6e2452446d93",
+    },
+    "annihilator": {
+        "component_00.json":
+            "45399ece0a7d0719f6575d7cbb433e21a9a838700c46ac50251a08bd4b99f890",
+    },
+    "k": {
+        "component_00.json":
+            "45399ece0a7d0719f6575d7cbb433e21a9a838700c46ac50251a08bd4b99f890",
+    },
+    "tiling": {
+        "component_00.json":
+            "24bc2bf045dad7837498b3cf6367f8de8c626ca0433c0a3e4bea6e2452446d93",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(_COMPONENT_SHA256))
+def test_component_files_keep_their_bytes(files, run):
+    tmp, fx = files
+    t2 = write(tmp / "t2.json",
+               poly_to_obj(LaurentPoly(2, {(0, 0): 1, (0, -1): 1})))
+    argv = {
+        "factors": ["--window=-8..8,-8..8", "decompose", fx["cb"],
+                    "--factors", fx["factors"]],
+        "annihilator": ["--window=-6..6,-6..6", "decompose", fx["cb"],
+                        "--annihilator", fx["tilepoly"]],
+        "k": ["--window=-6..6,-6..6", "decompose", fx["cb"], "--k", "2",
+              "--periodizers", fx["tilepoly"], t2],
+        "tiling": ["--window=-8..8,-8..8", "tiling", "decompose",
+                   fx["tiles"], fx["cb"]],
+    }[run]
+    out = str(tmp / f"out_bytes_{run}")
+    assert main(["--out", out] + argv) == 0
+    m = manifest(out)
+    assert m["outputs"] == sorted(_COMPONENT_SHA256[run])
+    for name, digest in _COMPONENT_SHA256[run].items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+        i = name[len("component_"):-len(".json")]
+        assert f"component_{i}_annihilator" in m["results"]
 
 
 def test_schema_error_exit_one(files, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,8 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                            add_views, apply_poly, box_points,
                            detect_period_multiple, evaluate, is_annihilated,
                            make_fiber, period_lattice, rasterize, translate)
-from perdec.errors import (EmptyRegionError, LatticeError, OutOfDomainError)
+from perdec.errors import (EmptyRegionError, LatticeError, OutOfDomainError,
+                           PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import in_lattice, lattice_determinant, vsub
 
@@ -37,6 +39,26 @@ def test_window_partial_function_semantics():
         evaluate(w, (3, 0))
     with pytest.raises(LatticeError):
         WindowConfig((0, 0), (1, 1), [1, 2, 3])  # wrong array length
+
+
+def test_window_rejects_non_integral_values():
+    # the third value sits at (1, 0) in box order
+    with pytest.raises(PreconditionError,
+                       match=r"non-integer value 1/2 at \(1, 0\)"):
+        WindowConfig((0, 0), (1, 1), [1, 2, Fraction(1, 2), 3])
+    with pytest.raises(PreconditionError):
+        WindowConfig((0,), (0,), [Fraction(-7, 3)])
+    w = WindowConfig((0,), (2,), [Fraction(4, 2), Fraction(-3, 1), 5])
+    assert w.values == [2, -3, 5]
+    assert all(type(v) is int for v in w.values)
+    # a window mixed with a rational view is checked, not truncated
+    half = LazyConfig(2, lambda x: Fraction(1, 2))
+    with pytest.raises(PreconditionError):
+        add_views([rasterize(CHECKER, (-2, -2), (2, 2)), half])
+    whole = LazyConfig(2, lambda x: Fraction(2 * x[0], 2))
+    mixed = add_views([rasterize(CHECKER, (-2, -2), (2, 2)), whole])
+    assert mixed.values == [CHECKER.value_at(x) + x[0]
+                            for x in box_points((-2, -2), (2, 2))]
 
 
 def test_translate_examples():
@@ -415,7 +437,7 @@ def test_fiber_kernel_translate_matches_make_fiber_reference(name):
 def test_fiber_kernel_scaled_and_parallel_part_match_reference(name):
     c = _fiber_sum_case(name)
     for k in (0, 1, -1, 3, -12):
-        out = c.scaled(k).fibers
+        out = add_views([c], [k]).fibers
         assert out == reference_scaled_fibers(c, k)
         assert_canonical_fibers(out)
     _, raw = FIBER_SUM_CASES[name]
@@ -478,7 +500,7 @@ def test_fiber_kernel_matches_make_fiber_reference_random():
                 (add_views(views, coeffs),
                  reference_add_views_fibers(views, coeffs)),
                 (c.translate(t), reference_translate_fibers(c, t)),
-                (c.scaled(k), reference_scaled_fibers(c, k)),
+                (add_views([c], [k]), reference_scaled_fibers(c, k)),
                 (c.parallel_part(w), reference_parallel_part_fibers(c, w))):
             assert out.fibers == ref
             assert_canonical_fibers(out.fibers)

@@ -8,13 +8,14 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, add_views,
                            box_contains, box_points, is_annihilated,
                            make_fiber, period_lattice, rasterize)
 from perdec.decompose import (Bounds, DifferenceProduct,
-                              annihilator_from_periodizer, build_periodizer,
+                              annihilator_from_periodizer,
                               decompose_product, k_periodic_decompose,
                               reduce_annihilator,
                               search_difference_annihilator, solve_transfer,
                               verify_transfer)
 from perdec.errors import (InconclusiveError, PreconditionError)
-from perdec.laurent import LaurentPoly, difference_poly, support_in_subspace
+from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
+                            support_in_subspace)
 from perdec.lattice import SubspaceBasis, primitive, rank_rational
 
 from helpers import (DIRECTIONS_2D, random_fiber_family,
@@ -357,6 +358,17 @@ def test_verify_on_window_keeps_fraction_values():
         "ok": True}
 
 
+def test_window_input_with_fraction_component_is_rejected():
+    # the residual of a window input is a window; a rational transfer
+    # component must not be truncated into it
+    ones = rasterize(PeriodicConfig.constant(2, 1), (-6, -6), (6, 6))
+    phis = [difference_poly((0, 1)), LaurentPoly(2, {(0, 0): 2, (1, 0): -1})]
+    with pytest.raises(PreconditionError, match="non-integer value 1/2"):
+        decompose_product(phis, ones, TRIVIAL2)
+    dec = decompose_product(phis, PeriodicConfig.constant(2, 1), TRIVIAL2)
+    assert dec.verify_on_window((-4, -4), (4, 4))["ok"]
+
+
 @pytest.mark.parametrize("name", ["two_factors", "three_factors", "fractions",
                                   "k_periodic_1"])
 @pytest.mark.parametrize("bump", [(0, 0), (-4, -4), (4, 4), (-5, 2), (-5, -4),
@@ -396,7 +408,8 @@ def test_reduce_parallel_pair_on_constant():
     red = reduce_annihilator(DifferenceProduct(((1, 0), (2, 0))),
                              PeriodicConfig.constant(2, 1), TRIVIAL2, BOUNDS)
     assert red.vectors == ((1, 0),)
-    assert is_annihilated(red.expanded(), PeriodicConfig.constant(2, 1)).holds
+    assert is_annihilated(poly_product(red.polys()),
+                          PeriodicConfig.constant(2, 1)).holds
 
 
 def test_reduce_already_reduced_fixpoint():
@@ -440,7 +453,7 @@ def test_reduce_randomized_collapse_with_rank_one_subspace():
             2, [(lcm_x, 0), (0, pb)],
             lambda r: fa[r[0] % pa] + gb[(r[0] - r[1]) % pb])
         dp = DifferenceProduct(((pa, 0), (2 * pa, 0), (pb, pb)))
-        assert is_annihilated(dp.expanded(), e).holds
+        assert is_annihilated(poly_product(dp.polys()), e).holds
         red = reduce_annihilator(dp, e, V, BOUNDS)
         assert len(red.vectors) == 1
         v = red.vectors[0]
@@ -463,7 +476,7 @@ def test_reduce_output_transversality_property():
         assert not V.contains(vecs[i])
         for j in range(i + 1, len(vecs)):
             assert primitive(vecs[i]) != primitive(vecs[j])
-    assert is_annihilated(red.expanded(), e).holds
+    assert is_annihilated(poly_product(red.polys()), e).holds
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +542,7 @@ def test_search_crossing_fibers_needs_both_factors():
     assert not is_annihilated(difference_poly((0, 3)), c).holds
     dp = search_difference_annihilator(c, f, 32)
     assert dp.vectors == ((0, 3), (2, 0))
-    assert is_annihilated(dp.expanded(), c).holds
+    assert is_annihilated(poly_product(dp.polys()), c).holds
 
 
 def test_search_multiplier_deepening_and_exhaustion():
@@ -551,38 +564,7 @@ def test_search_avoid_filter():
     dp = search_difference_annihilator(CHECKER, f, 32, avoid=V)
     for v in dp.vectors:
         assert not V.contains(v)
-    assert is_annihilated(dp.expanded(), CHECKER).holds
-
-
-# ---------------------------------------------------------------------------
-# build_periodizer
-
-def test_build_periodizer_single_component():
-    f = build_periodizer([(CHECKER, (1, 1))], SubspaceBasis(2, [(1, 0)]), 8)
-    assert f == difference_poly((1, 1))
-
-
-def test_build_periodizer_two_components_trivial_subspace():
-    e1 = PeriodicConfig.from_function(2, [(1, 0), (0, 2)], lambda r: r[1] % 2)
-    e2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
-    f = build_periodizer([(e2, (0, 1)), (e1, (1, 0))], TRIVIAL2, 8)
-    assert f == difference_poly((1, 0)) * difference_poly((0, 1))
-    # the product periodizes the sum
-    s = add_views([e1, e2])
-    assert is_annihilated(f, s).holds
-
-
-def test_build_periodizer_avoids_collisions():
-    V = SubspaceBasis(2, [(1, -1)])
-    e1 = PeriodicConfig.from_function(2, [(1, 0), (0, 2)], lambda r: r[1] % 2)
-    e2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
-    f = build_periodizer([(e2, (0, 1)), (e1, (1, 0))], V, 8)
-    assert support_in_subspace(f, V) == {(0, 0)}
-
-
-def test_build_periodizer_rejects_period_inside_subspace():
-    with pytest.raises(PreconditionError):
-        build_periodizer([(CHECKER, (1, 1))], SubspaceBasis(2, [(1, 1)]), 8)
+    assert is_annihilated(poly_product(dp.polys()), CHECKER).holds
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,13 +86,6 @@ def test_hnf_reduce_idempotent_and_in_span():
         assert in_lattice(vsub(x, r), rows)
 
 
-def test_coset_coordinates_examples():
-    cs = CosetSystem(2, [(1, 0), (0, 1)])
-    assert cs.coordinates((3, -2)) == (3, -2)
-    z = cs.representative((3, -2))
-    assert cs.coordinates(z) == (0, 0)
-
-
 def test_coset_roundtrip_random():
     rng = random.Random(11)
     for _ in range(60):
@@ -105,8 +99,8 @@ def test_coset_roundtrip_random():
         cs = CosetSystem(dim, gens)
         x = tuple(rng.randint(-15, 15) for _ in range(dim))
         z = cs.representative(x)
-        coords = cs.coordinates(x)
-        assert cs.rebuild(z, coords) == x
+        # x differs from its representative by a point of the span
+        assert in_lattice(vsub(x, z), hnf_rows(gens, dim))
         # representative is idempotent and constant on the coset
         assert cs.representative(z) == z
         shifted = vadd(x, gens[0])
@@ -122,7 +116,7 @@ def test_coset_partial_rank_points_outside_span():
     cs = CosetSystem(3, [(1, 0, 0), (0, 1, 0)])
     # points outside the span form their own cosets keyed by the residue
     assert cs.representative((0, 0, 5)) == (0, 0, 5)
-    assert cs.coordinates((4, -1, 5)) == (4, -1)
+    assert cs.representative((4, -1, 5)) == (0, 0, 5)
 
 
 def test_lattice_intersection():
@@ -141,6 +135,44 @@ def test_lattice_intersection_diagonal():
     for v in ((3, 3), (1, 1)):
         both = in_lattice(v, a) and in_lattice(v, b)
         assert in_lattice(v, inter) == both
+
+
+def _random_generators(rng, dim):
+    """Up to dim + 1 generators: dependent, rank-deficient or negative."""
+    kind = rng.choice(("random", "dependent", "deficient"))
+    gens = [tuple(rng.randint(-4, 4) for _ in range(dim))
+            for _ in range(rng.randint(1, dim + 1))]
+    if kind == "dependent":
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        gens.append(tuple(a * x + b * y for x, y in zip(gens[0], gens[-1])))
+    elif kind == "deficient":
+        # every generator on one line: rank at most one
+        gens = [tuple(rng.randint(-3, 3) * x for x in gens[0])
+                for _ in range(rng.randint(1, 3))]
+    return gens
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 40), (2, 9), (3, 4)])
+def test_lattice_intersection_matches_membership_in_both(dim, radius):
+    # a point of the box lies in the intersection exactly when it lies in
+    # both lattices
+    rng = random.Random(70 + dim)
+    cases = [([(-2,) * dim, (3,) * dim], [(4,) * dim]),
+             ([(0,) * dim], [(1,) * dim]),
+             ([(2,) * dim, (-4,) * dim], [(-3,) * dim, (6,) * dim])]
+    cases += [(_random_generators(rng, dim), _random_generators(rng, dim))
+              for _ in range(40)]
+    box = list(product(range(-radius, radius + 1), repeat=dim))
+    nontrivial = 0
+    for g1, g2 in cases:
+        inter = lattice_intersection(g1, g2, dim)
+        assert inter == hnf_rows(inter, dim)  # canonical HNF rows
+        a, b = hnf_rows(g1, dim), hnf_rows(g2, dim)
+        for x in box:
+            both = in_lattice(x, a) and in_lattice(x, b)
+            assert in_lattice(x, inter) == both, (g1, g2, x)
+            nontrivial += both and any(x)
+    assert nontrivial > 100
 
 
 @given(st.lists(vectors.filter(lambda v: len(v) == 2), min_size=1,

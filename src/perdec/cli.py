@@ -14,8 +14,7 @@ import os
 import sys
 import time
 
-from .config import (FiberSum, WindowConfig, apply_poly,
-                     box_points, evaluate, rasterize)
+from .config import FiberSum, WindowConfig, apply_poly, box_points, evaluate
 from .decompose import (Bounds, decompose_product, k_periodic_decompose,
                         search_difference_annihilator)
 from .errors import InconclusiveError, PerdecError
@@ -217,9 +216,10 @@ def _write_decomposition(ctx, dec, lo, hi):
     ctx.verdicts["sum_matches"] = report["sum"]
     for i, ok in enumerate(report["annihilation"]):
         ctx.verdicts[f"component_{i:02d}_annihilated"] = ok
-    for i, comp in enumerate(dec.components):
+    for i, (comp, values) in enumerate(zip(dec.components,
+                                           report["values"])):
         ctx.write_config(f"component_{i:02d}.json",
-                         rasterize(comp.view, lo, hi))
+                         WindowConfig(lo, hi, values))
         ctx.results[f"component_{i:02d}_annihilator"] = \
             poly_to_obj(comp.line_poly)
         if comp.gauge is not None:

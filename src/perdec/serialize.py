@@ -3,14 +3,22 @@
 Parsers enforce the type invariants bit-exactly: no zero coefficients or
 duplicate exponents in polynomials, canonical residue keys for periodic
 values, primitive directions and canonical anchors for fibers, distinct
-cells for tiles.  Serialization is deterministic (sorted keys working
-outward), so identical values produce identical bytes.
+cells for tiles.  Large value lists are type-checked in bulk; when a bulk
+check fails, the per-item checks run and name the first bad item.
+
+`dumps` writes the one output encoding itself: sorted keys, a 2-space
+indent, one scalar per line, a trailing newline and ASCII escapes, the
+bytes of `json.dumps(obj, sort_keys=True, indent=2) + "\n"`.  Identical
+values produce identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .config import (FiberSum, PeriodicConfig, PeriodicFiber, WindowConfig,
                      _minimal_period, box_size)
@@ -18,9 +26,86 @@ from .errors import SchemaError
 from .laurent import LaurentPoly
 from .tiling import Tile
 
+_INT = {int}
+
+
+def _all_int(xs):
+    """Whether every item has type exactly int (bools do not count)."""
+    return set(map(type, xs)) <= _INT
+
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj in the output encoding; every dict key must be a string."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(o, nl):
+    """o as indented JSON; `nl` is the newline and indent of o's own line."""
+    if type(o) is int:
+        return str(o)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, (list, tuple)):
+        return _array(o, nl)
+    if isinstance(o, dict):
+        return _object(o, nl)
+    return json.dumps(o)  # float, bool, None, int subclasses; TypeError else
+
+
+def _array(xs, nl):
+    if not xs:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if _all_int(xs):  # "%d" formats faster than str() calls
+        body = sep.join(["%d"] * len(xs)) % tuple(xs)
+    else:
+        body = _records(xs, inner)
+        if body is None:
+            body = sep.join([_encode(x, inner) for x in xs])
+    return "[" + inner + body + nl + "]"
+
+
+def _object(d, nl):
+    if not d:
+        return "{}"
+    inner = nl + "  "
+    return ("{" + inner
+            + ("," + inner).join([encode_basestring_ascii(k) + ": "
+                                  + _encode(v, inner)
+                                  for k, v in sorted(d.items())])
+            + nl + "}")
+
+
+def _records(xs, nl):
+    """Dicts with one key set and int or fixed-length int-list values, from
+    one %-template; None when the items are not records of that shape."""
+    if set(map(type, xs)) != {dict}:
+        return None
+    keysets = set(map(frozenset, xs))
+    keys = sorted(keysets.pop()) if len(keysets) == 1 else ()
+    if not keys:
+        return None
+    knl = nl + "  "
+    vnl = knl + "  "
+    fields, columns = [], []
+    for k in keys:
+        col = list(map(itemgetter(k), xs))
+        head = encode_basestring_ascii(k).replace("%", "%%") + ": "
+        if _all_int(col):
+            fields.append(head + "%d")
+            columns.append(col)
+            continue
+        lengths = set(map(len, col)) if set(map(type, col)) == {list} else ()
+        if len(lengths) != 1 or not _all_int(chain.from_iterable(col)):
+            return None
+        n = lengths.pop()
+        fields.append(head + ("[" + vnl + ("," + vnl).join(["%d"] * n) + knl
+                              + "]" if n else "[]"))
+        columns.extend(zip(*col))
+    template = "{" + knl + ("," + knl).join(fields) + nl + "}"
+    rows = zip(*columns) if columns else [()] * len(xs)
+    return ("," + nl).join(map(template.__mod__, rows))
 
 
 def sha256_hex(data: bytes) -> str:
@@ -110,7 +195,9 @@ def config_from_obj(obj):
             raise SchemaError(f"empty window {lo}..{hi}")
         if len(values) != box_size(lo, hi):
             raise SchemaError("window value count does not match the box")
-        return WindowConfig(lo, hi, [_int(v, "value") for v in values])
+        if not _all_int(values):
+            values = [_int(v, "value") for v in values]
+        return WindowConfig(lo, hi, values)
     if kind == "periodic":
         basis = obj.get("basis")
         if not isinstance(basis, list) or len(basis) != dim:
@@ -119,14 +206,17 @@ def config_from_obj(obj):
         raw = obj.get("values")
         if not isinstance(raw, list):
             raise SchemaError("periodic needs a 'values' list")
-        values = {}
-        for item in raw:
-            if not isinstance(item, dict) or set(item) != {"res", "val"}:
-                raise SchemaError("each value needs exactly 'res' and 'val'")
-            res = _int_vector(item["res"], dim, "residue")
-            if res in values:
-                raise SchemaError(f"duplicate residue {list(res)}")
-            values[res] = _int(item["val"], "value")
+        values = _residue_values(raw, dim)
+        if values is None:
+            values = {}
+            for item in raw:
+                if not isinstance(item, dict) or set(item) != {"res", "val"}:
+                    raise SchemaError(
+                        "each value needs exactly 'res' and 'val'")
+                res = _int_vector(item["res"], dim, "residue")
+                if res in values:
+                    raise SchemaError(f"duplicate residue {list(res)}")
+                values[res] = _int(item["val"], "value")
         try:
             cfg = PeriodicConfig(dim, gens, values)
         except Exception as exc:
@@ -148,7 +238,8 @@ def config_from_obj(obj):
             vals = item["vals"]
             if not isinstance(vals, list) or len(vals) != period or period < 1:
                 raise SchemaError("fiber 'vals' must list exactly 'period' values")
-            vals = [_int(v, "fiber value") for v in vals]
+            if not _all_int(vals):
+                vals = [_int(v, "fiber value") for v in vals]
             try:
                 fiber = PeriodicFiber(anchor, direction,
                                       vals[:_minimal_period(vals)])
@@ -157,6 +248,23 @@ def config_from_obj(obj):
             fibers.append(fiber)
         return FiberSum(dim, fibers)
     raise SchemaError(f"unknown configuration kind {kind!r}")
+
+
+_RES_VAL = frozenset(("res", "val"))
+
+
+def _residue_values(raw, dim):
+    """{res: val} from well-formed records without duplicate residues, checked
+    in bulk; None when any record fails, so the per-item loop names it."""
+    if set(map(type, raw)) - {dict} or set(map(frozenset, raw)) - {_RES_VAL}:
+        return None
+    res = list(map(itemgetter("res"), raw))
+    vals = list(map(itemgetter("val"), raw))
+    if (set(map(type, res)) - {list} or set(map(len, res)) - {dim}
+            or not _all_int(chain.from_iterable(res)) or not _all_int(vals)):
+        return None
+    values = dict(zip(map(tuple, res), vals))
+    return values if len(values) == len(raw) else None
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ patience and length bounds, and exhaustion is reported as inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
+from operator import add, mul
 
 from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
-                     apply_poly, box_points, make_fiber,
+                     apply_poly, box_points, box_strides, make_fiber,
                      rasterize, translate)
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
@@ -73,9 +75,8 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
         reach = min(8, max((max(map(abs, f.anchor)) + f.period
                             for f in c.fibers), default=0))
         r = reach + 2 * m_max
-        count = _cube_counter(rasterize(c, (-r,) * d, (r,) * d))
         checked, violation = _cube_scan(
-            a, m_max, lambda m: count,
+            a, m_max, _cube_counter(rasterize(c, (-r,) * d, (r,) * d)),
             lambda m: box_points((-reach - m,) * d, (reach + m,) * d),
             stop=False)
         ok = violation is None
@@ -95,7 +96,7 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
             if r not in built:
                 built[r] = _cube_counter(rasterize(
                     c, (-r,) * d, tuple(p - 1 + r for p in diag)))
-            return built[r]
+            return built[r](m)
 
         checked, violation = _cube_scan(
             a, m_max, table,
@@ -107,9 +108,8 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
     if isinstance(c, WindowConfig):
         # only cubes that fit inside the window are placed
         fit = min(m_max, *((hi - lo) // 2 for lo, hi in zip(c.lo, c.hi)))
-        count = _cube_counter(c)
         checked, violation = _cube_scan(
-            a, fit, lambda m: count,
+            a, fit, _cube_counter(c),
             lambda m: box_points(tuple(v + m for v in c.lo),
                                  tuple(v - m for v in c.hi)),
             stop=True)
@@ -121,7 +121,7 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
 
 def _cube_scan(a, m_max, table, translates, stop):
     """(checked, violation): per size m <= m_max, the largest count that
-    `table(m)` finds over `translates(m)`, and the first (m, t) over a*m;
+    `table(m)(t)` finds over `translates(m)`, and the first (m, t) over a*m;
     with `stop` the scan ends there and that count closes `checked`.
     """
     checked, violation = [], None
@@ -129,7 +129,7 @@ def _cube_scan(a, m_max, table, translates, stop):
         count = table(m)
         best = 0
         for t in translates(m):
-            n = count(m, t)
+            n = count(t)
             if n > best:
                 best = n
             if n > a * m and violation is None:
@@ -141,30 +141,47 @@ def _cube_scan(a, m_max, table, translates, stop):
 
 
 def _cube_counter(w: WindowConfig):
-    """count(m, t): support points of w in the cube C_m + t inside w's box.
+    """cubes(m) -> count(t): support points of w in the cube C_m + t, which
+    must lie inside w's box.
 
-    An inclusive prefix sum of the support indicator, one sweep per axis
-    over the flat layout, answers each count from the cube's 2^d corners,
-    with signs; a lower corner below the box is an empty prefix, skipped.
+    An inclusive prefix sum of the support indicator, padded with one
+    leading zero layer per axis, answers each count from the cube's 2^d
+    corners: one base index for t plus signed offsets fixed per size m.
     """
-    sums = [1 if v else 0 for v in w.values]
-    for s, lo, hi in zip(w.strides, w.lo, w.hi):
-        block = s * (hi - lo + 1)
-        for base in range(0, len(sums), block):
-            for i in range(base + s, base + block):
-                sums[i] += sums[i - s]
+    shape = [b - a + 2 for a, b in zip(w.lo, w.hi)]
+    strides = box_strides([0] * w.dim, [n - 1 for n in shape])
+    n = shape[-1] - 1
+    table = []  # rows along the last axis, each led by its zero
+    for i in range(0, len(w.values), n):
+        table += accumulate(map(bool, w.values[i:i + n]), initial=0)
+    for axis in reversed(range(w.dim - 1)):
+        inner = strides[axis]
+        block = (shape[axis] - 1) * inner
+        summed = []
+        for base in range(0, len(table), block):
+            row = [0] * inner
+            summed += row
+            for j in range(base, base + block, inner):
+                row = list(map(add, row, table[j:j + inner]))
+                summed += row
+        table = summed
 
-    def count(m, t):
-        corners = [(0, 1)]
-        for s, lo, x in zip(w.strides, w.lo, t):
-            q = x - m - 1 - lo
-            upper = [(i + (x + m - lo) * s, sign) for i, sign in corners]
-            if q >= 0:
-                upper += [(i + q * s, -sign) for i, sign in corners]
-            corners = upper
-        return sum(sign * sums[i] for i, sign in corners)
+    def cubes(m):
+        # the upper corner t + m, then per axis optionally the lower t - m - 1
+        plus = [sum((m + 1 - lo) * s for lo, s in zip(w.lo, strides))]
+        minus = []
+        for s in strides:
+            step = (2 * m + 1) * s
+            plus, minus = (plus + [o - step for o in minus],
+                           minus + [o - step for o in plus])
 
-    return count
+        def count(t):
+            b = sum(map(mul, t, strides))
+            return (sum([table[b + o] for o in plus])
+                    - sum([table[b + o] for o in minus]))
+        return count
+
+    return cubes
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The convolution oracle here is deliberately primitive (nested loops over a
 dense array) so it shares no code path with the library's apply_poly, the
 sparseness oracle counts every cube point by point through value_at, and
-the decomposition check evaluates every component point by point, and the
+the decomposition check evaluates every component point by point, the
 fiber-sum references canonicalize every shifted, scaled piece from raw data
-with make_fiber.
+with make_fiber, and the configuration parser checks every item in a loop.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from math import gcd
 
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
-from perdec.config import box_points
-from perdec.errors import EmptyRegionError
+from perdec.config import PeriodicFiber, _minimal_period, box_points, box_size
+from perdec.errors import EmptyRegionError, SchemaError
 from perdec.lattice import fundamental_residues, primitive, vadd, vscale, vsub
+from perdec.serialize import _dim_of, _int, _int_vector
 from perdec.sparse import SparsenessReport, fiber_closed_form_constant
 
 
@@ -158,7 +159,8 @@ def reference_verify_on_window(dec, lo, hi):
     A window component is checked on its own eroded box by the nested-loop
     convolution; every other component at each point of [lo, hi] by the
     sum of k * view(x - e) over the terms of its line polynomial.  The sum
-    check adds the components' values point by point.
+    check adds the components' values point by point; "values" lists
+    each component at every point of [lo, hi].
     """
     per_comp = []
     for comp in dec.components:
@@ -174,8 +176,10 @@ def reference_verify_on_window(dec, lo, hi):
         per_comp.append(ok)
     sum_ok = all(sum(comp.view.value_at(x) for comp in dec.components)
                  == dec.source.value_at(x) for x in box_points(lo, hi))
+    values = [[comp.view.value_at(x) for x in box_points(lo, hi)]
+              for comp in dec.components]
     return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,
-            "ok": sum_ok and all(per_comp)}
+            "ok": sum_ok and all(per_comp), "values": values}
 
 
 def reference_fiber_sum(raw):
@@ -255,6 +259,75 @@ def assert_canonical_fibers(fibers):
                            for j in range(n)), f"period of {f} is not minimal"
     keys = [(f.direction, f.anchor) for f in fibers]
     assert keys == sorted(set(keys)), "fiber lines repeat or are unsorted"
+
+
+def reference_config_from_obj(obj):
+    """serialize.config_from_obj checking every item in a loop: its oracle.
+
+    This is the parser as it was before the bulk checks, so the two must
+    return equal configurations or raise the same SchemaError message.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError("configuration document must be an object")
+    kind = obj.get("kind")
+    dim = _dim_of(obj)
+    if kind == "window":
+        lo = _int_vector(obj.get("lo"), dim, "lo")
+        hi = _int_vector(obj.get("hi"), dim, "hi")
+        values = obj.get("values")
+        if not isinstance(values, list):
+            raise SchemaError("window needs a 'values' list")
+        if any(a > b for a, b in zip(lo, hi)):
+            raise SchemaError(f"empty window {lo}..{hi}")
+        if len(values) != box_size(lo, hi):
+            raise SchemaError("window value count does not match the box")
+        return WindowConfig(lo, hi, [_int(v, "value") for v in values])
+    if kind == "periodic":
+        basis = obj.get("basis")
+        if not isinstance(basis, list) or len(basis) != dim:
+            raise SchemaError("periodic basis must list dim generators")
+        gens = [_int_vector(g, dim, "generator") for g in basis]
+        raw = obj.get("values")
+        if not isinstance(raw, list):
+            raise SchemaError("periodic needs a 'values' list")
+        values = {}
+        for item in raw:
+            if not isinstance(item, dict) or set(item) != {"res", "val"}:
+                raise SchemaError("each value needs exactly 'res' and 'val'")
+            res = _int_vector(item["res"], dim, "residue")
+            if res in values:
+                raise SchemaError(f"duplicate residue {list(res)}")
+            values[res] = _int(item["val"], "value")
+        try:
+            cfg = PeriodicConfig(dim, gens, values)
+        except Exception as exc:
+            raise SchemaError(f"invalid periodic configuration: {exc}") from exc
+        return cfg
+    if kind == "fibersum":
+        raw = obj.get("fibers")
+        if not isinstance(raw, list):
+            raise SchemaError("fibersum needs a 'fibers' list")
+        fibers = []
+        for item in raw:
+            if (not isinstance(item, dict)
+                    or set(item) != {"anchor", "dir", "period", "vals"}):
+                raise SchemaError(
+                    "each fiber needs exactly 'anchor', 'dir', 'period', 'vals'")
+            anchor = _int_vector(item["anchor"], dim, "anchor")
+            direction = _int_vector(item["dir"], dim, "direction")
+            period = _int(item["period"], "period")
+            vals = item["vals"]
+            if not isinstance(vals, list) or len(vals) != period or period < 1:
+                raise SchemaError("fiber 'vals' must list exactly 'period' values")
+            vals = [_int(v, "fiber value") for v in vals]
+            try:
+                fiber = PeriodicFiber(anchor, direction,
+                                      vals[:_minimal_period(vals)])
+            except Exception as exc:
+                raise SchemaError(f"invalid fiber: {exc}") from exc
+            fibers.append(fiber)
+        return FiberSum(dim, fibers)
+    raise SchemaError(f"unknown configuration kind {kind!r}")
 
 
 def random_poly(rng: random.Random, dim, max_terms=5, exp_range=4,

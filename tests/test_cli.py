@@ -271,6 +271,66 @@ def test_component_files_keep_their_bytes(files, run):
         assert f"component_{i}_annihilator" in m["results"]
 
 
+# SHA-256 of the result files of `act` on each configuration kind and of
+# `tiling verify`; recorded before the writer was rewritten, so they pin the
+# bytes of `json.dumps(obj, sort_keys=True, indent=2) + "\n"`
+_ACT_POLY = {"dim": 2, "terms": [{"exp": [0, 0], "coef": 2},
+                                 {"exp": [1, -1], "coef": -3},
+                                 {"exp": [0, 2], "coef": 1}]}
+_ACT_INPUTS = {
+    "window": {"kind": "window", "dim": 2, "lo": [-4, -3], "hi": [5, 6],
+               "values": [(7 * i * i - 3 * i) % 23 - 11 for i in range(100)]},
+    "periodic": config_to_obj(PeriodicConfig.from_function(
+        2, [(3, 1), (0, 4)], lambda r: (5 * r[0] - 2 * r[1]) % 7 - 3)),
+    "fibersum": {"kind": "fibersum", "dim": 2, "fibers": [
+        {"anchor": [0, 0], "dir": [1, 0], "period": 2, "vals": [3, 5]},
+        {"anchor": [0, 0], "dir": [0, 1], "period": 3, "vals": [1, 1, 0]},
+        {"anchor": [0, 1], "dir": [1, -2], "period": 3, "vals": [-4, 0, 9]}]},
+}
+_RESULT_SHA256 = {
+    "window":
+        "54617a26bfacf11449bf31683fc4f2ffe89a37051e5c72ce1e212a574aff22f6",
+    "periodic":
+        "4cef6048f1308e69a4c407e4d90aec087e3cf8a177842daff46420f124b92603",
+    "fibersum":
+        "9f6f13e788351375e80c7afe29805987bfd9c8db11c7f0b90715b622f798b3e1",
+    "tiling_verify":
+        "6b2268905ac67ca451e8c7013249dcbf6aeaaab89774cdfeefe8bfe8c482d286",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RESULT_SHA256))
+def test_result_files_keep_their_bytes(files, run):
+    tmp, fx = files
+    out = str(tmp / f"out_sha_{run}")
+    if run == "tiling_verify":
+        argv, name = ["tiling", "verify", fx["tiles"], fx["cb"]], "report.json"
+    else:
+        poly = write(tmp / "act_poly.json", _ACT_POLY)
+        cfg = write(tmp / f"act_{run}.json", _ACT_INPUTS[run])
+        argv, name = ["act", poly, cfg], "result.json"
+    assert main(["--out", out] + argv) == 0
+    with open(os.path.join(out, name), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == _RESULT_SHA256[run]
+
+
+def test_decompose_non_integral_component_exits_one(tmp_path, capsys):
+    # component files are windows of the values verify_on_window evaluated;
+    # a rational transfer component is refused, not truncated
+    cfg = write(tmp_path / "one.json",
+                config_to_obj(PeriodicConfig.constant(2, 1)))
+    factors = write(tmp_path / "half.json", [
+        poly_to_obj(difference_poly((0, 1))),
+        poly_to_obj(LaurentPoly(2, {(0, 0): 2, (1, 0): -1}))])
+    out = str(tmp_path / "out_half")
+    assert main(["--out", out, "--window=-3..3,-3..3", "decompose", cfg,
+                 "--factors", factors]) == 1
+    assert capsys.readouterr().err == (
+        "perdec: error: non-integer value 1/2 at (1, -3): "
+        "a window holds integers\n")
+    assert os.listdir(out) == []
+
+
 def test_schema_error_exit_one(files, tmp_path):
     tmp, fx = files
     bad = tmp_path / "bad.json"

@@ -1,8 +1,10 @@
+import copy
 import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, make_fiber)
 from perdec.errors import SchemaError
@@ -11,7 +13,8 @@ from perdec.serialize import (config_from_obj, config_to_obj, dumps,
                               poly_from_obj, poly_to_obj, tile_from_obj)
 from perdec.tiling import Tile
 
-from helpers import random_periodic, random_poly
+from helpers import (random_fiber_family, random_periodic, random_poly,
+                     reference_config_from_obj)
 
 
 def test_poly_roundtrip():
@@ -150,3 +153,148 @@ def test_dumps_deterministic():
     c = PeriodicConfig.constant(2, 3)
     assert dumps(config_to_obj(c)) == dumps(config_to_obj(
         config_from_obj(config_to_obj(c))))
+
+
+# ---------------------------------------------------------------------------
+# the writer emits json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+_KEYS = st.one_of(st.text(max_size=6),
+                  st.sampled_from(["res", "val", "%", "%d", "a%sb", "\u00e9",
+                                   "\u2603", "\n", '"', "\\", "\x00"]))
+_INTS = st.one_of(st.integers(-9, 9), st.integers(-10 ** 30, 10 ** 30))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, st.floats(),
+                     st.text(max_size=8))
+
+
+@st.composite
+def _records(draw, values):
+    """Record lists of one shape (int or fixed-length int-list values, the
+    writer's template path) or of shapes that differ in keys, lengths or
+    value types."""
+    keys = draw(st.lists(_KEYS, max_size=4, unique=True))
+    fields = {}
+    for k in keys:
+        n = draw(st.integers(0, 3))
+        fields[k] = draw(st.sampled_from([
+            _INTS, st.lists(_INTS, min_size=n, max_size=n),
+            st.lists(st.one_of(_INTS, st.booleans()), max_size=3),
+            values]))
+    recs = draw(st.lists(st.fixed_dictionaries(fields), max_size=5))
+    if recs and draw(st.booleans()):
+        odd = dict(recs[0])
+        odd.update(draw(st.dictionaries(_KEYS, values, max_size=2)))
+        if odd and draw(st.booleans()):
+            odd.pop(draw(st.sampled_from(sorted(odd))))
+        recs.insert(draw(st.integers(0, len(recs))), odd)
+    return recs
+
+
+_DOCS = st.recursive(
+    st.one_of(_SCALARS,
+              st.lists(st.one_of(_INTS, st.booleans()), max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_KEYS, inner, max_size=4),
+                            _records(inner)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCS)
+def test_dumps_matches_json_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_matches_json_dumps_on_configs():
+    rng = random.Random(11)
+    docs = [config_to_obj(random_periodic(rng, d, 40)) for d in (1, 2, 3)]
+    docs += [config_to_obj(random_fiber_family(rng, 2, v))
+             for v in ((1, 0), (1, -2), (2, 1))]
+    docs.append(config_to_obj(WindowConfig((-3, 0), (2, 4),
+                                           [i * i - 7 for i in range(30)])))
+    docs.append({"terms": [{"exp": [0, 1], "coef": True}], "x": [1, True]})
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the bulk-checked reader agrees with the per-item reference parser
+
+def _valid_doc(rng):
+    kind = rng.choice(("window", "periodic", "fibersum"))
+    if kind == "window":
+        d = rng.choice((1, 2, 3))
+        lo = [rng.randint(-3, 1) for _ in range(d)]
+        hi = [a + rng.randint(0, 2) for a in lo]
+        n = 1
+        for a, b in zip(lo, hi):
+            n *= b - a + 1
+        return {"kind": "window", "dim": d, "lo": lo, "hi": hi,
+                "values": [rng.randint(-4, 4) for _ in range(n)]}
+    if kind == "periodic":
+        return config_to_obj(random_periodic(rng, rng.choice((1, 2, 3)), 12))
+    return config_to_obj(random_fiber_family(
+        rng, 2, rng.choice(((1, 0), (0, 1), (1, -1), (2, 1))), max_fibers=3,
+        max_period=4))
+
+
+def _slots(doc):
+    """(container, key) for every list item and dict value below doc."""
+    out = []
+    items = (enumerate(doc) if isinstance(doc, list) else doc.items())
+    for k, v in items:
+        out.append((doc, k))
+        if isinstance(v, (list, dict)):
+            out += _slots(v)
+    return out
+
+
+_BAD = [True, False, 0.0, 1.5, "1", None, [], {}, -1, 0, 10 ** 20]
+
+
+def _mutate(doc, rng):
+    # half of the mutations land in the value records, where the bulk
+    # checks run
+    body = doc.get("values", doc.get("fibers"))
+    if not isinstance(body, list) or rng.random() < 0.5:
+        body = doc
+    containers = [body] + [c[k] for c, k in _slots(body)
+                           if isinstance(c[k], (list, dict))]
+    slots = _slots(body)
+    op = rng.randrange(5)
+    if op == 0 and slots:  # a wrongly typed or out-of-range value
+        c, k = rng.choice(slots)
+        c[k] = copy.deepcopy(rng.choice(_BAD))
+        return
+    target = rng.choice(containers)
+    if isinstance(target, list):
+        if op == 1 and target:  # wrong length
+            del target[rng.randrange(len(target))]
+        elif op == 2 and target:  # a repeated item: a duplicate residue
+            target.insert(rng.randrange(len(target) + 1),
+                          copy.deepcopy(rng.choice(target)))
+        else:
+            target.append(copy.deepcopy(rng.choice(_BAD)))
+    elif op in (1, 3) and target:  # a missing key
+        del target[rng.choice(sorted(target))]
+    else:  # an extra key
+        target[rng.choice(("extra", "val", "res", "kind"))] = rng.randint(0, 3)
+
+
+def _outcome(parse, doc):
+    try:
+        return "ok", parse(copy.deepcopy(doc))
+    except Exception as exc:  # the type and the message must agree
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3))
+def test_config_from_obj_matches_reference_parser(seed, mutations):
+    rng = random.Random(seed)
+    doc = _valid_doc(rng)
+    for _ in range(mutations):
+        _mutate(doc, rng)
+    got = _outcome(config_from_obj, doc)
+    assert got == _outcome(reference_config_from_obj, doc)
+    if got[0] != "ok":
+        assert got[0] == "SchemaError"

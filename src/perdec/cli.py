@@ -14,7 +14,8 @@ import os
 import sys
 import time
 
-from .config import FiberSum, WindowConfig, apply_poly, box_points, evaluate
+from .config import (FiberSum, WindowConfig, apply_poly,
+                     box_points, evaluate, rasterize)
 from .decompose import (Bounds, decompose_product, k_periodic_decompose,
                         search_difference_annihilator)
 from .errors import InconclusiveError, PerdecError
@@ -216,10 +217,9 @@ def _write_decomposition(ctx, dec, lo, hi):
     ctx.verdicts["sum_matches"] = report["sum"]
     for i, ok in enumerate(report["annihilation"]):
         ctx.verdicts[f"component_{i:02d}_annihilated"] = ok
-    for i, (comp, values) in enumerate(zip(dec.components,
-                                           report["values"])):
+    for i, comp in enumerate(dec.components):
         ctx.write_config(f"component_{i:02d}.json",
-                         WindowConfig(lo, hi, values))
+                         rasterize(comp.view, lo, hi))
         ctx.results[f"component_{i:02d}_annihilator"] = \
             poly_to_obj(comp.line_poly)
         if comp.gauge is not None:

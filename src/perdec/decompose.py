@@ -297,15 +297,10 @@ class Decomposition:
     components: list
 
     def verify_on_window(self, lo, hi):
-        """Check sum = source and per-component annihilation over a box.
-
-        The report's "values" holds each component over [lo, hi] in
-        box_points order, as its view returns them (ints or Fractions).
-        """
+        """Check sum = source and per-component annihilation over a box."""
         points = list(box_points(lo, hi))
         total = [0] * len(points)
         per_comp = []
-        values = []
         for comp in self.components:
             # windows are checked on their own eroded box; every other view
             # is evaluated once on one grid around [lo, hi]
@@ -317,12 +312,11 @@ class Decomposition:
                     [comp.line_poly, LaurentPoly.constant(comp.view.dim, 1)],
                     comp.view, lo, hi)
             per_comp.append(all(v == 0 for v in fc))
-            values.append(own)
             total = list(map(add, total, own))
         sum_ok = all(v == self.source.value_at(x)
                      for v, x in zip(total, points))
         return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,
-                "ok": sum_ok and all(per_comp), "values": values}
+                "ok": sum_ok and all(per_comp)}
 
 
 def _validate_line_family(phis, V):

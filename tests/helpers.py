@@ -159,8 +159,7 @@ def reference_verify_on_window(dec, lo, hi):
     A window component is checked on its own eroded box by the nested-loop
     convolution; every other component at each point of [lo, hi] by the
     sum of k * view(x - e) over the terms of its line polynomial.  The sum
-    check adds the components' values point by point; "values" lists
-    each component at every point of [lo, hi].
+    check adds the components' values point by point.
     """
     per_comp = []
     for comp in dec.components:
@@ -176,10 +175,8 @@ def reference_verify_on_window(dec, lo, hi):
         per_comp.append(ok)
     sum_ok = all(sum(comp.view.value_at(x) for comp in dec.components)
                  == dec.source.value_at(x) for x in box_points(lo, hi))
-    values = [[comp.view.value_at(x) for x in box_points(lo, hi)]
-              for comp in dec.components]
     return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,
-            "ok": sum_ok and all(per_comp), "values": values}
+            "ok": sum_ok and all(per_comp)}
 
 
 def reference_fiber_sum(raw):

@@ -315,7 +315,6 @@ def test_result_files_keep_their_bytes(files, run):
 
 
 def test_decompose_non_integral_component_exits_one(tmp_path, capsys):
-    # component files are windows of the values verify_on_window evaluated;
     # a rational transfer component is refused, not truncated
     cfg = write(tmp_path / "one.json",
                 config_to_obj(PeriodicConfig.constant(2, 1)))

@@ -21,8 +21,8 @@ from .decompose import (Bounds, decompose_product, k_periodic_decompose,
 from .errors import InconclusiveError, PerdecError
 from .laurent import line_direction
 from .lattice import SubspaceBasis
-from .serialize import (config_from_obj, config_to_obj, dumps, file_hash,
-                        load_json, poly_from_obj, poly_to_obj, tile_from_obj)
+from .serialize import (config_from_obj, config_to_obj, dumps, load_json,
+                        poly_from_obj, poly_to_obj, tile_from_obj)
 from .sparse import (check_sparseness, fiber_closed_form_constant,
                      fiber_extract, sparse_decompose, sparse_full,
                      sparse_split2)
@@ -49,12 +49,13 @@ class RunContext:
         self.verdicts = {}
         self.results = {}
 
-    def track_input(self, path):
-        self.inputs[path] = file_hash(path)
+    def _load(self, path):
+        """The parsed input file; its hash goes into the manifest."""
+        obj, self.inputs[path] = load_json(path)
+        return obj
 
     def load_config(self, path):
-        self.track_input(path)
-        return self._check_dim(path, config_from_obj(load_json(path)))
+        return self._check_dim(path, config_from_obj(self._load(path)))
 
     def _check_dim(self, path, value):
         if self.args.dim is not None and value.dim != self.args.dim:
@@ -64,18 +65,15 @@ class RunContext:
         return value
 
     def load_poly(self, path):
-        self.track_input(path)
-        return self._check_dim(path, poly_from_obj(load_json(path)))
+        return self._check_dim(path, poly_from_obj(self._load(path)))
 
     def load_poly_list(self, path):
-        self.track_input(path)
-        obj = load_json(path)
+        obj = self._load(path)
         items = [obj] if isinstance(obj, dict) else obj
         return [self._check_dim(path, poly_from_obj(item)) for item in items]
 
     def load_tiles(self, path):
-        self.track_input(path)
-        obj = load_json(path)
+        obj = self._load(path)
         items = [obj] if isinstance(obj, dict) else obj
         return [self._check_dim(path, tile_from_obj(item)) for item in items]
 

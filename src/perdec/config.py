@@ -10,6 +10,10 @@ Three concrete representations are provided:
 
 LazyConfig wraps an arbitrary evaluator on all of Z^d; decomposition
 pipelines expose their components this way and callers rasterize.
+
+Every representation answers `values_on_box(lo, hi)`, the values at the
+points of a box in box_points order, a row, a line segment or a
+recurrence line at a time rather than a point at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                      OutOfDomainError, PreconditionError)
@@ -37,9 +41,10 @@ def box_points(lo, hi):
 
 
 def box_size(lo, hi):
+    """Number of integer points of [lo, hi]; 0 for an empty box."""
     n = 1
     for a, b in zip(lo, hi):
-        n *= b - a + 1
+        n *= max(b - a + 1, 0)
     return n
 
 
@@ -51,6 +56,68 @@ def box_strides(lo, hi):
         strides.append(acc)
         acc *= b - a + 1
     return tuple(reversed(strides))
+
+
+def box_offset(lo, strides, x):
+    """Flat position of the point x in a box with corner lo and strides."""
+    return sum(s * (c - a) for s, c, a in zip(strides, x, lo))
+
+
+def box_line_range(lo, hi, p, w):
+    """(first, last) t with p + t*w inside [lo, hi], or None when none is."""
+    first = last = None
+    for a, b, c, s in zip(lo, hi, p, w):
+        if s > 0:
+            t0, t1 = -((c - a) // s), (b - c) // s
+        elif s < 0:
+            t0, t1 = -((b - c) // -s), (c - a) // -s
+        elif a <= c <= b:
+            continue
+        else:
+            return None
+        first = t0 if first is None else max(first, t0)
+        last = t1 if last is None else min(last, t1)
+    if first > last:
+        return None
+    return first, last
+
+
+def box_line_starts(lo, hi, w):
+    """Points x of [lo, hi] with x - w outside it, where lines along w enter.
+
+    They form one slab per coordinate that w moves; each slab leaves out
+    the earlier ones, so every start comes once.
+    """
+    cur_lo, cur_hi = list(lo), list(hi)
+    for i, s in enumerate(w):
+        if s > 0:
+            slab, keep = (lo[i], min(hi[i], lo[i] + s - 1)), (lo[i] + s, hi[i])
+        elif s < 0:
+            slab, keep = (max(lo[i], hi[i] + s + 1), hi[i]), (lo[i], hi[i] + s)
+        else:
+            continue
+        cur_lo[i], cur_hi[i] = slab
+        yield from box_points(cur_lo, cur_hi)
+        cur_lo[i], cur_hi[i] = keep
+
+
+def line_slice(start, step, n):
+    """The n flat positions start, start + step, ... as a slice.
+
+    Along a box line whose direction has a positive first nonzero entry,
+    step > 0 whenever n > 1.
+    """
+    return slice(start, start + step * (n - 1) + 1, step if n > 1 else 1)
+
+
+def _cyclic(vals, start, n):
+    """n entries of the cyclic table vals, read from position start on."""
+    p = len(vals)
+    start %= p
+    if start + n <= p:
+        return vals[start:start + n]
+    rot = vals[start:] + vals[:start]
+    return (rot * (n // p + 1))[:n]
 
 
 def box_contains(lo, hi, x):
@@ -118,39 +185,52 @@ class WindowConfig:
             raise DimensionMismatch("window corners of different dimension")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise EmptyRegionError(f"empty window {self.lo}..{self.hi}")
-        if not isinstance(values, list):
-            values = list(values)
-        self.values = list(map(int, values))
-        if len(self.values) != box_size(self.lo, self.hi):
+        values = list(values)  # own copy; the caller keeps its list
+        # a list of exact ints is kept as it is; anything else is converted
+        # and must compare equal to its conversion
+        ints = values if set(map(type, values)) <= {int} \
+            else list(map(int, values))
+        self.values = ints
+        if len(ints) != box_size(self.lo, self.hi):
             raise LatticeError("window value array has the wrong length")
         self.strides = box_strides(self.lo, self.hi)
-        if self.values != values:
+        if ints is not values and ints != values:
             i, v = next((i, v) for i, (v, n) in
-                        enumerate(zip(values, self.values)) if v != n)
+                        enumerate(zip(values, ints)) if v != n)
             x = tuple(a + i // s % (b - a + 1) for a, b, s in
                       zip(self.lo, self.hi, self.strides))
             raise PreconditionError(
                 f"non-integer value {v} at {x}: a window holds integers")
 
-    @classmethod
-    def from_function(cls, lo, hi, fn):
-        return cls(lo, hi, [fn(x) for x in box_points(lo, hi)])
-
     @property
     def box(self):
         return self.lo, self.hi
 
-    def index(self, x):
-        return sum(s * (c - a) for s, c, a in zip(self.strides, x, self.lo))
-
     def contains(self, x):
         return box_contains(self.lo, self.hi, x)
 
+    def _outside(self, x):
+        return OutOfDomainError(
+            f"{tuple(x)} outside window {self.lo}..{self.hi}")
+
     def value_at(self, x):
         if not self.contains(x):
-            raise OutOfDomainError(
-                f"{tuple(x)} outside window {self.lo}..{self.hi}")
-        return self.values[self.index(x)]
+            raise self._outside(x)
+        return self.values[box_offset(self.lo, self.strides, x)]
+
+    def values_on_box(self, lo, hi):
+        """Values over [lo, hi], one slice of the value list per row."""
+        if not box_size(lo, hi):
+            return []
+        if not (self.contains(lo) and self.contains(hi)):
+            raise self._outside(next(x for x in box_points(lo, hi)
+                                     if not self.contains(x)))
+        n = hi[-1] - lo[-1] + 1
+        out = []
+        for h in box_points(lo[:-1], hi[:-1]):
+            i = box_offset(self.lo, self.strides, h + (lo[-1],))
+            out += self.values[i:i + n]
+        return out
 
     def translate(self, t):
         return WindowConfig(vadd(self.lo, t), vadd(self.hi, t), self.values)
@@ -185,7 +265,7 @@ class PeriodicConfig:
     cover all of them.
     """
 
-    __slots__ = ("dim", "basis", "values", "_hnf", "_diag")
+    __slots__ = ("dim", "basis", "values", "_hnf", "_diag", "_rows")
 
     def __init__(self, dim, basis, values):
         self.dim = int(dim)
@@ -207,6 +287,7 @@ class PeriodicConfig:
             raise LatticeError(
                 "periodic values must be keyed by exactly the canonical residues")
         self.values = vals
+        self._rows = None
 
     @classmethod
     def from_function(cls, dim, basis, fn):
@@ -234,6 +315,31 @@ class PeriodicConfig:
 
     def value_at(self, x):
         return self.values[hnf_reduce(x, self._hnf)]
+
+    def row_table(self):
+        """The residue values in rows along the last axis, keyed by the rest.
+
+        Reducing (y, s) gives (h, (s + r) mod d), d the last pivot, with h
+        and r fixed by y, so every row of Z^d along the last axis is a
+        rotation of one row of this table.
+        """
+        if self._rows is None:
+            d = self._diag[-1]
+            residues = list(fundamental_residues(self._hnf, self.dim))
+            table = [self.values[r] for r in residues]
+            self._rows = {residues[i][:-1]: table[i:i + d]
+                          for i in range(0, len(table), d)}
+        return self._rows
+
+    def values_on_box(self, lo, hi):
+        """Values over [lo, hi], one HNF reduction per row."""
+        rows, table = self._hnf, self.row_table()
+        n = hi[-1] - lo[-1] + 1
+        out = []
+        for h in box_points(lo[:-1], hi[:-1]):
+            src = hnf_reduce(h + (lo[-1],), rows)
+            out += _cyclic(table[src[:-1]], src[-1], n)
+        return out
 
     def contains(self, x):
         return True
@@ -482,6 +588,23 @@ class FiberSum:
                 total += f.vals[f._parameter_on_line(x) % f.period]
         return total
 
+    def values_on_box(self, lo, hi):
+        """Values over [lo, hi]; each fiber adds its table along the range
+        of its line parameter that lies in the box."""
+        strides = box_strides(lo, hi)
+        out = [0] * box_size(lo, hi)
+        for f in self.fibers:
+            span = box_line_range(lo, hi, f.anchor, f.direction)
+            if span is None:
+                continue
+            t0, t1 = span
+            start = box_offset(lo, strides, vadd(f.anchor,
+                                                 vscale(t0, f.direction)))
+            sl = line_slice(start, sum(map(mul, strides, f.direction)),
+                            t1 - t0 + 1)
+            out[sl] = map(add, out[sl], _cyclic(f.vals, t0, t1 - t0 + 1))
+        return out
+
     def translate(self, t):
         return FiberSum(self.dim, _fiber_pieces_sum(
             [(f, t, 1) for f in self.fibers]))
@@ -512,6 +635,7 @@ class LazyConfig:
 
     Used for decomposition components, whose values need not form a
     configuration (they can be unbounded); callers rasterize on demand.
+    An evaluator with its own `values_on_box` answers whole boxes.
     """
 
     __slots__ = ("dim", "fn", "label", "_cache")
@@ -534,6 +658,17 @@ class LazyConfig:
                 v = int(v)
             self._cache[x] = v
             return v
+
+    def values_on_box(self, lo, hi):
+        """Values over [lo, hi]; point by point for a plain function."""
+        box = getattr(self.fn, "values_on_box", None)
+        if box is None:
+            return [self.value_at(x) for x in box_points(lo, hi)]
+        vals = box(lo, hi)
+        if self._cache is not None and not set(map(type, vals)) <= {int}:
+            vals = [int(v) if isinstance(v, Fraction) and v.denominator == 1
+                    else v for v in vals]
+        return vals
 
     def contains(self, x):
         return True
@@ -574,7 +709,7 @@ def rasterize(c, lo, hi):
         if not (c.contains(lo) and c.contains(hi)):
             raise OutOfDomainError(
                 f"box {lo}..{hi} exceeds window {c.lo}..{c.hi}")
-    return WindowConfig.from_function(lo, hi, c.value_at)
+    return WindowConfig(lo, hi, c.values_on_box(lo, hi))
 
 
 def apply_poly(f: LaurentPoly, c):
@@ -609,20 +744,17 @@ def apply_poly(f: LaurentPoly, c):
         # residue (h, t) - e reduces to (h', (t + s) mod d): h' and s do not
         # depend on t, so the source of row h is row h' rotated by s
         rows = c.lattice_rows
-        d = c._diag[-1]
-        residues = list(fundamental_residues(rows, c.dim))
-        table = [c.values[r] for r in residues]
-        lines = {residues[i][:-1]: table[i:i + d]
-                 for i in range(0, len(table), d)}
+        lines = c.row_table()
         out = []
-        for h in lines:
-            row = [0] * d
+        for h, line in lines.items():
+            row = [0] * len(line)
             for e, k in terms:
                 src = hnf_reduce(vsub(h + (0,), e), rows)
-                line, s = lines[src[:-1]], src[-1]
-                row = _add_scaled(row, k, line[s:] + line[:s])
+                row = _add_scaled(row, k, _cyclic(lines[src[:-1]], src[-1],
+                                                  len(line)))
             out += row
-        return PeriodicConfig(c.dim, c.basis, dict(zip(residues, out)))
+        return PeriodicConfig(c.dim, c.basis, dict(
+            zip(fundamental_residues(rows, c.dim), out)))
 
     if isinstance(c, FiberSum):
         return FiberSum(c.dim, _fiber_pieces_sum(
@@ -665,14 +797,14 @@ def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
 def convolve_on_box(polys, c, lo, hi):
     """f*c over the box [lo, hi] for each f in `polys`, from one grid of c.
 
-    c is evaluated once at each point of [lo, hi] grown by every support;
-    each result is a flat list in box_points order.  Values are kept as c
-    returns them, ints or Fractions, so evaluator views need no rasterizing.
+    c is evaluated once on [lo, hi] grown by every support; each result
+    is a flat list in box_points order.  Values are kept as c returns
+    them, ints or Fractions, so evaluator views need no rasterizing.
     """
     exps = [e for f in polys for e in f.support()]
     glo = tuple(a - max(e[i] for e in exps) for i, a in enumerate(lo))
     ghi = tuple(b - min(e[i] for e in exps) for i, b in enumerate(hi))
-    grid = [c.value_at(x) for x in box_points(glo, ghi)]
+    grid = c.values_on_box(glo, ghi)
     strides = box_strides(glo, ghi)
     return [_convolve_rows(f.terms(), grid, glo, strides, lo, hi)
             for f in polys]
@@ -737,9 +869,8 @@ def add_views(views, coeffs=None):
             rows = lattice_intersection(rows, v.lattice_rows, dim)
         if len(rows) != dim:
             raise LatticeError("intersection lattice lost rank (internal)")
-        return PeriodicConfig.from_function(
-            dim, rows,
-            lambda r: sum(k * v.value_at(r) for k, v in zip(coeffs, views)))
+        return PeriodicConfig.from_function(dim, rows,
+                                            _Combination(views, coeffs))
 
     windows = [v for v in views if isinstance(v, WindowConfig)]
     if windows:
@@ -749,15 +880,29 @@ def add_views(views, coeffs=None):
             if nxt is None:
                 raise EmptyRegionError("window domains do not intersect")
             box = nxt
-        lo, hi = box
-        return WindowConfig.from_function(
-            lo, hi,
-            lambda x: sum(k * v.value_at(x) for k, v in zip(coeffs, views)))
+        return WindowConfig(*box, _Combination(views, coeffs)
+                            .values_on_box(*box))
 
-    return LazyConfig(
-        dim,
-        lambda x: sum(k * v.value_at(x) for k, v in zip(coeffs, views)),
-        label="sum")
+    return LazyConfig(dim, _Combination(views, coeffs), label="sum")
+
+
+class _Combination:
+    """The evaluator of k1*c1 + ... + kn*cn, by point or by box."""
+
+    __slots__ = ("views", "coeffs")
+
+    def __init__(self, views, coeffs):
+        self.views = views
+        self.coeffs = coeffs
+
+    def __call__(self, x):
+        return sum(k * v.value_at(x) for k, v in zip(self.coeffs, self.views))
+
+    def values_on_box(self, lo, hi):
+        total = [0] * box_size(lo, hi)
+        for k, v in zip(self.coeffs, self.views):
+            total = _add_scaled(total, k, v.values_on_box(lo, hi))
+        return total
 
 
 def detect_period_multiple(c, direction, bound, window=None):

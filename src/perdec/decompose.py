@@ -14,7 +14,9 @@ bounded certificate search for difference-product annihilators, and the
 level-by-level pipeline producing k-periodic components.
 
 Decomposition components are exposed as evaluators plus rasterization; in
-general their values need not form a configuration.  All searches take
+general their values need not form a configuration.  Components are
+evaluated a box at a time: a transfer component walks its recurrence lines
+through the box and a residual sums the boxes of its parts.  All searches take
 caller-supplied bounds and report exhaustion as inconclusive rather than
 fabricating verdicts.
 """
@@ -23,14 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from .config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
-                     WindowConfig, add_views, apply_poly, box_points,
-                     convolve_on_box, detect_period_multiple, is_annihilated,
-                     period_lattice, periodic_in_subspace)
+                     WindowConfig, add_views, apply_poly, box_line_range,
+                     box_line_starts, box_offset, box_points, box_size,
+                     box_strides, convolve_on_box, detect_period_multiple,
+                     is_annihilated, line_slice, period_lattice,
+                     periodic_in_subspace)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
 from .laurent import (LaurentPoly, difference_poly, line_degree,
@@ -116,23 +120,32 @@ class TransferSolution:
 class _TransferEvaluator:
     """Per-line memoized evaluation of the coset recurrence.
 
-    Every point is computed once.  A line is keyed by its point at
+    Every value is computed once.  A line is keyed by its point at
     recurrence coordinate 0 and the sweep direction; its list holds the n
     band zeros followed by the values swept so far, nearest the band first,
     so each step reads its predecessors by index and moves one step of w.
+
+    Components are evaluated a box at a time by `values_on_box`: it walks
+    the lines of direction w through the box, finds the recurrence
+    coordinate once per line, extends every line that falls short and
+    copies each line's values into the box.  An eager source is read once
+    on the bounding box of the new source points when that box holds at
+    most 4 times as many points; any other source is read point by point.
+    Single points are answered by `__call__` from the same lines; its
+    extensions read the source point by point.
     """
 
-    __slots__ = ("w", "n", "source_at", "lam", "den", "cosets", "cache",
+    __slots__ = ("w", "n", "source", "lam", "den", "cosets", "cache",
                  "lines", "sweeps")
 
-    def __init__(self, w, alphas, n, source_at, shift, lam, den, cosets):
+    def __init__(self, w, alphas, n, source, shift, lam, den, cosets):
         self.w = w
         self.n = n
-        self.source_at = source_at
+        self.source = source
         self.lam = lam
         self.den = den
         self.cosets = cosets
-        self.cache = {}  # point -> value, band points included
+        self.cache = {}  # point -> value of the points asked one at a time
         self.lines = {}  # (line base, upward?) -> values from the band out
         alphas = sorted(alphas.items())  # (offset, coefficient)
         # upward, c(t) = (c'(p + shift) - sum a_off c(t - off)) / a_0;
@@ -153,6 +166,67 @@ class _TransferEvaluator:
             raise PerdecError("non-integer recurrence coordinate (internal)")
         return q
 
+    def _segment(self, base, up, last):
+        """What line (base, up) lacks through list position `last`.
+
+        Returns (list, up, first source point, source step, count); count
+        is not positive when nothing is missing.
+        """
+        n = self.n
+        vals = self.lines.get((base, up))
+        if vals is None:
+            vals = self.lines[base, up] = [0] * n
+        i = len(vals)
+        step, shift = self.sweeps[up][:2]
+        # list position i holds t = i upward and t = n - 1 - i downward
+        p = vadd(base, vscale(i if up else n - 1 - i, self.w))
+        return vals, up, vadd(p, shift), step, last + 1 - i
+
+    def _extend(self, segment, sources):
+        """Run the recurrence over a segment, one source value per step."""
+        vals, up = segment[:2]
+        div, back = self.sweeps[up][2:]
+        for s in sources:
+            for j, coef in back:
+                s -= coef * vals[-j]
+            vals.append(_exact_div(s, div))
+
+    def _source_values(self, segments):
+        """The source values of each segment, in sweep order."""
+        source = self.source
+        # a lazy source would extend its own lines over the whole box, which
+        # can cost far more than the points asked for
+        if segments and not isinstance(source, LazyConfig):
+            corners = [q for _, _, q, _, _ in segments] + [
+                vadd(q, vscale(count - 1, step))
+                for _, _, q, step, count in segments]
+            lo = tuple(map(min, zip(*corners)))
+            hi = tuple(map(max, zip(*corners)))
+            # one box read only when it wastes little and, for a window,
+            # asks for nothing the point reads would not
+            if box_size(lo, hi) <= 4 * sum(seg[-1] for seg in segments) and \
+                    (not isinstance(source, WindowConfig)
+                     or source.contains(lo) and source.contains(hi)):
+                grid = source.values_on_box(lo, hi)
+                strides = box_strides(lo, hi)
+                out = []
+                for _, _, q, step, count in segments:
+                    i = box_offset(lo, strides, q)
+                    di = sum(map(mul, strides, step))
+                    if di >= 0:
+                        out.append(grid[line_slice(i, di, count)])
+                    else:
+                        i += di * (count - 1)
+                        out.append(grid[line_slice(i, -di, count)][::-1])
+                return out
+        return [self._read_points(seg) for seg in segments]
+
+    def _read_points(self, segment):
+        """The source values of a segment, read point by point."""
+        _, _, q, step, count = segment
+        return map(self.source.value_at,
+                   accumulate(repeat(step, count - 1), vadd, initial=q))
+
     def __call__(self, x):
         cache = self.cache
         v = cache.get(x)
@@ -161,30 +235,59 @@ class _TransferEvaluator:
         a = self.a1_of(x)
         n = self.n
         if 0 <= a < n:
-            cache[x] = 0
-            return 0
-        w = self.w
-        up = a >= n
-        base = vsub(x, vscale(a, w))
-        vals = self.lines.get((base, up))
-        if vals is None:
-            vals = self.lines[base, up] = [0] * n
-        step, shift, div, back = self.sweeps[up]
-        i = len(vals)
-        # list position i holds t = i upward and t = n - 1 - i downward
-        p = vadd(base, vscale(i if up else n - 1 - i, w))
-        q = vadd(p, shift)
-        source_at = self.source_at
-        for i in range(i, (a if up else n - 1 - a) + 1):
-            s = source_at(q)
-            for j, coef in back:
-                s -= coef * vals[i - j]
-            v = _exact_div(s, div)
-            vals.append(v)
-            cache[p] = v
-            p = vadd(p, step)
-            q = vadd(q, step)
-        return cache[x]
+            v = 0
+        else:
+            up = a >= n
+            pos = a if up else n - 1 - a
+            base = vsub(x, vscale(a, self.w))
+            vals = self.lines.get((base, up), ())
+            if len(vals) <= pos:
+                seg = self._segment(base, up, pos)
+                vals, count = seg[0], seg[-1]
+                self._extend(seg, self._read_points(seg))
+                # point queries tend to walk a line: keep the swept points
+                step, shift = self.sweeps[up][:2]
+                p = vsub(seg[2], shift)
+                for v in vals[-count:]:
+                    cache[p] = v
+                    p = vadd(p, step)
+            v = vals[pos]
+        cache[x] = v
+        return v
+
+    def values_on_box(self, lo, hi):
+        """The values over [lo, hi], a line of direction w at a time."""
+        w, n, lines = self.w, self.n, self.lines
+        strides = box_strides(lo, hi)
+        di = sum(map(mul, strides, w))
+        runs = []  # (flat start, line base, first and last coordinate)
+        need = {}  # (line base, upward?) -> last list position needed
+        for x in box_line_starts(lo, hi, w):
+            a = self.a1_of(x)
+            e = a + box_line_range(lo, hi, x, w)[1]
+            base = vsub(x, vscale(a, w))
+            runs.append((box_offset(lo, strides, x), base, a, e))
+            if e >= n:
+                need[base, True] = e
+            if a < 0:
+                need[base, False] = n - 1 - a
+        segments = [seg for seg in (self._segment(base, up, last)
+                                    for (base, up), last in need.items())
+                    if seg[-1] > 0]
+        for seg, sources in zip(segments, self._source_values(segments)):
+            self._extend(seg, sources)
+        out = [0] * box_size(lo, hi)
+        for start, base, a, e in runs:
+            if a >= 0 and e < n:
+                continue  # the band: zeros
+            part = lines[base, False][n - 1 - min(e, -1):n - a][::-1] \
+                if a < 0 else []
+            if e >= n:
+                part += lines[base, True][max(a, 0):e + 1]
+            elif e >= 0:
+                part += [0] * (e + 1)
+            out[line_slice(start, di, e - a + 1)] = part
+        return out
 
 
 def _first_coordinate_functional(generators, dim):
@@ -244,8 +347,7 @@ def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
     cosets = CosetSystem(dim, generators)
     lam, den = _first_coordinate_functional(generators, dim)
 
-    ev = _TransferEvaluator(w1, alphas, n, cprime.value_at, u0, lam, den,
-                            cosets)
+    ev = _TransferEvaluator(w1, alphas, n, cprime, u0, lam, den, cosets)
     view = LazyConfig(dim, ev, label="transfer", cache=False)
     return TransferSolution(source=cprime, phi=phi, psi=psi, subspace=V,
                             cosets=cosets, view=view, step=w1,
@@ -257,12 +359,11 @@ def verify_transfer(sol: TransferSolution, lo, hi):
     phic, psic, own = convolve_on_box(
         [sol.phi, sol.psi, LaurentPoly.constant(sol.phi.dim, 1)], sol.view,
         lo, hi)
-    points = list(box_points(lo, hi))
-    product_ok = all(v == sol.source.value_at(x) for v, x in zip(phic, points))
+    product_ok = phic == sol.source.values_on_box(lo, hi)
     annihilation_ok = all(v == 0 for v in psic)
     ev = sol.view.fn
     band = max(sol.band_width, 1)
-    band_ok = all(v == 0 for v, x in zip(own, points)
+    band_ok = all(v == 0 for v, x in zip(own, box_points(lo, hi))
                   if 0 <= ev.a1_of(x) < band)
     return {"product": product_ok, "annihilation": annihilation_ok,
             "band": band_ok,
@@ -298,23 +399,21 @@ class Decomposition:
 
     def verify_on_window(self, lo, hi):
         """Check sum = source and per-component annihilation over a box."""
-        points = list(box_points(lo, hi))
-        total = [0] * len(points)
+        total = [0] * box_size(lo, hi)
         per_comp = []
         for comp in self.components:
             # windows are checked on their own eroded box; every other view
             # is evaluated once on one grid around [lo, hi]
             if isinstance(comp.view, WindowConfig):
                 fc = apply_poly(comp.line_poly, comp.view).values
-                own = [comp.view.value_at(x) for x in points]
+                own = comp.view.values_on_box(lo, hi)
             else:
                 fc, own = convolve_on_box(
                     [comp.line_poly, LaurentPoly.constant(comp.view.dim, 1)],
                     comp.view, lo, hi)
             per_comp.append(all(v == 0 for v in fc))
             total = list(map(add, total, own))
-        sum_ok = all(v == self.source.value_at(x)
-                     for v, x in zip(total, points))
+        sum_ok = total == self.source.values_on_box(lo, hi)
         return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,
                 "ok": sum_ok and all(per_comp)}
 

@@ -108,10 +108,6 @@ def _records(xs, nl):
     return ("," + nl).join(map(template.__mod__, rows))
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, got {value!r}")
@@ -287,17 +283,14 @@ def tile_from_obj(obj) -> Tile:
 # file helpers
 
 def load_json(path):
+    """(parsed JSON, SHA-256 hex digest of the bytes) of the file at path."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def file_hash(path) -> str:
-    with open(path, "rb") as fh:
-        return sha256_hex(fh.read())
+    return obj, hashlib.sha256(data).hexdigest()

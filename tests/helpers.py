@@ -22,6 +22,16 @@ from perdec.serialize import _dim_of, _int, _int_vector
 from perdec.sparse import SparsenessReport, fiber_closed_form_constant
 
 
+def window_from_function(lo, hi, fn):
+    """The window of fn over [lo, hi], evaluated point by point."""
+    return WindowConfig(lo, hi, [fn(x) for x in box_points(lo, hi)])
+
+
+def pointwise_rasterize(c, lo, hi):
+    """rasterize through value_at at every point: the box kernels' oracle."""
+    return window_from_function(lo, hi, c.value_at)
+
+
 def naive_convolution(terms, window: WindowConfig):
     """Dense nested-loop convolution; returns (lo, hi, {point: value}).
 

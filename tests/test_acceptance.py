@@ -28,7 +28,7 @@ from perdec.tiling import (Tile, cotiler_decompose, independent,
                            verify_cotiler)
 
 from helpers import (naive_convolution, random_fiber_family, random_periodic,
-                     random_poly)
+                     random_poly, window_from_function)
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
                          {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0})
@@ -251,7 +251,7 @@ def test_criterion_7_convolution_differential(capfd):
     while done < 500:
         kind = rng.choice(("window", "periodic", "fibersum"))
         if kind == "window":
-            c = WindowConfig.from_function(
+            c = window_from_function(
                 (-4, -4), (4, 4), lambda x: rng.randint(-5, 5))
         elif kind == "periodic":
             c = random_periodic(rng, 2, 16)

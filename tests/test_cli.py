@@ -338,6 +338,29 @@ def test_schema_error_exit_one(files, tmp_path):
     assert main(["--out", out, "poly", "add", str(bad), fx["f"]]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["act", "MISSING", "{cb}"], ["act", "{f}", "MISSING"],
+    ["decompose", "{cb}", "--factors", "MISSING"],
+    ["tiling", "verify", "MISSING", "{cb}"]])
+def test_missing_input_exits_one(files, capsys, argv):
+    tmp, fx = files
+    missing = str(tmp / "missing.json")
+    argv = [a.replace("MISSING", missing).format(**fx) for a in argv]
+    assert main(["--out", str(tmp / "out_missing")] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"perdec: error: cannot read {missing}: ")
+    assert err.count("\n") == 1
+
+
+def test_manifest_hashes_the_input_bytes(files):
+    tmp, fx = files
+    out = str(tmp / "out_hash")
+    assert main(["--out", out, "act", fx["f"], fx["cb"]]) == 0
+    for path, digest in manifest(out)["inputs"].items():
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
 def test_determinism_byte_identical_results(files):
     tmp, fx = files
     out1, out2 = str(tmp / "d1"), str(tmp / "d2")

@@ -12,11 +12,11 @@ from perdec.errors import (EmptyRegionError, LatticeError, OutOfDomainError,
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import in_lattice, lattice_determinant, vsub
 
-from helpers import (assert_canonical_fibers, naive_convolution,
+from helpers import (DIRECTIONS_2D, assert_canonical_fibers, naive_convolution,
                      random_fiber_family, random_periodic, random_poly,
                      reference_add_views_fibers, reference_apply_poly_fibers,
                      reference_parallel_part_fibers, reference_scaled_fibers,
-                     reference_translate_fibers)
+                     reference_translate_fibers, window_from_function)
 
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
@@ -51,6 +51,13 @@ def test_window_rejects_non_integral_values():
     w = WindowConfig((0,), (2,), [Fraction(4, 2), Fraction(-3, 1), 5])
     assert w.values == [2, -3, 5]
     assert all(type(v) is int for v in w.values)
+    w = WindowConfig((0,), (1,), [True, 2])
+    assert w.values == [1, 2] and type(w.values[0]) is int
+    # an all-int list is kept as a copy, not shared with the caller
+    ints = [4, 5]
+    w = WindowConfig((0,), (1,), ints)
+    ints[0] = 9
+    assert w.values == [4, 5]
     # a window mixed with a rational view is checked, not truncated
     half = LazyConfig(2, lambda x: Fraction(1, 2))
     with pytest.raises(PreconditionError):
@@ -93,7 +100,7 @@ def test_apply_poly_identity_and_parity():
 
 
 def test_apply_poly_window_erosion():
-    w = WindowConfig.from_function((0, 0), (4, 4), lambda x: x[0])
+    w = window_from_function((0, 0), (4, 4), lambda x: x[0])
     out = apply_poly(difference_poly((1, 0)), w)
     assert out.lo == (1, 0) and out.hi == (4, 4)
     # (fc)(u) = c(u - e1) - c(u) = (u0 - 1) - u0
@@ -143,7 +150,7 @@ def _pointwise(terms, c):
 @pytest.mark.parametrize("lo,hi,terms", WINDOW_CASES)
 def test_apply_poly_window_matches_pointwise_sum(lo, hi, terms):
     rng = random.Random(str((lo, hi)))
-    c = WindowConfig.from_function(lo, hi, lambda x: rng.randint(-9, 9))
+    c = window_from_function(lo, hi, lambda x: rng.randint(-9, 9))
     f = LaurentPoly(len(lo), terms)
     elo, ehi, values = _pointwise(f.terms(), c)
     if not values:
@@ -179,7 +186,7 @@ def test_apply_poly_kernels_match_pointwise_sum_random():
         assert apply_poly(f, c).values == _pointwise(f.terms(), c)
         lo = tuple(rng.randint(-4, 4) for _ in range(dim))
         hi = tuple(a + rng.randint(0, 12) for a in lo)
-        w = WindowConfig.from_function(lo, hi, lambda x: rng.randint(-5, 5))
+        w = window_from_function(lo, hi, lambda x: rng.randint(-5, 5))
         elo, ehi, values = _pointwise(f.terms(), w)
         if not values:
             with pytest.raises(EmptyRegionError):
@@ -284,8 +291,8 @@ def test_action_associativity_on_windows():
         g = random_poly(rng, 2, max_terms=3, exp_range=2)
         if f.is_zero() or g.is_zero():
             continue
-        w = WindowConfig.from_function((-8, -8), (8, 8),
-                                       lambda x: rng.randint(-5, 5))
+        w = window_from_function((-8, -8), (8, 8),
+                                 lambda x: rng.randint(-5, 5))
         try:
             lhs = apply_poly(f * g, w)
             rhs = apply_poly(f, apply_poly(g, w))
@@ -319,8 +326,8 @@ def test_convolution_matches_naive_oracle_all_representations():
     for _ in range(60):
         kind = rng.choice(("window", "periodic", "fibersum"))
         if kind == "window":
-            c = WindowConfig.from_function((-5, -5), (5, 5),
-                                           lambda x: rng.randint(-4, 4))
+            c = window_from_function((-5, -5), (5, 5),
+                                     lambda x: rng.randint(-4, 4))
         elif kind == "periodic":
             c = random_periodic(rng, 2, 16)
         else:
@@ -553,3 +560,122 @@ def test_detect_period_multiple():
     w = rasterize(CHECKER, (-6, -6), (6, 6))
     k, exact = detect_period_multiple(w, (1, 1), 8)
     assert k == 1 and not exact
+
+
+# ---------------------------------------------------------------------------
+# values_on_box against value_at at every point
+
+SKEWED = PeriodicConfig(2, [(3, 1), (0, 4)],
+                        {r: 7 * r[0] + r[1]
+                         for r in box_points((0, 0), (2, 3))})
+
+
+def _assert_box_matches_points(c, lo, hi):
+    got = c.values_on_box(lo, hi)
+    want = [c.value_at(x) for x in box_points(lo, hi)]
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def _random_box(rng, dim, reach=6, width=5):
+    """A box of random corner and widths 1..width, sometimes far out."""
+    far = rng.choice((0, 0, 1000, -997))
+    lo = tuple(far + rng.randint(-reach, reach) for _ in range(dim))
+    return lo, tuple(a + rng.randint(0, width - 1) for a in lo)
+
+
+def test_window_values_on_box_matches_points_and_errors_outside():
+    w = window_from_function((-3, 0, 2), (2, 4, 5),
+                             lambda x: 100 * x[0] + 10 * x[1] + x[2])
+    rng = random.Random(61)
+    for _ in range(40):
+        lo = tuple(rng.randint(a, b) for a, b in zip(w.lo, w.hi))
+        hi = tuple(rng.randint(a, b) for a, b in zip(lo, w.hi))
+        _assert_box_matches_points(w, lo, hi)
+    _assert_box_matches_points(w, w.lo, w.hi)
+    for lo, hi in [((-4, 0, 2), (0, 1, 3)), ((0, 3, 4), (1, 5, 4)),
+                   ((3, 5, 6), (4, 6, 7)), ((-3, 0, 2), (2, 4, 6))]:
+        first = next(x for x in box_points(lo, hi) if not w.contains(x))
+        with pytest.raises(OutOfDomainError) as point:
+            w.value_at(first)
+        with pytest.raises(OutOfDomainError) as box:
+            w.values_on_box(lo, hi)
+        assert str(box.value) == str(point.value)
+    assert w.values_on_box((0, 0, 9), (1, 1, 8)) == []  # empty box
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_periodic_values_on_box_matches_points(dim):
+    rng = random.Random(67 + dim)
+    skewed = 0
+    for _ in range(25):
+        c = random_periodic(rng, dim, 60)
+        skewed += any(r[j] for i, r in enumerate(c.lattice_rows)
+                      for j in range(i + 1, dim))
+        for _ in range(4):
+            _assert_box_matches_points(c, *_random_box(rng, dim, width=9))
+    assert dim == 1 or skewed >= 10  # many HNF bases are not diagonal
+    _assert_box_matches_points(SKEWED, (-5, -7), (6, 9))
+    _assert_box_matches_points(SKEWED, (2, -30), (2, 30))  # one long row
+    _assert_box_matches_points(SKEWED, (-30, 5), (30, 5))  # one-point rows
+
+
+def test_fiber_sum_values_on_box_matches_points():
+    misses = FiberSum(2, [make_fiber((0, 9), (1, 0), [1, 2]),
+                          make_fiber((20, 0), (0, 1), [3]),
+                          make_fiber((0, 8), (1, -1), [1, -1])])
+    assert misses.values_on_box((-3, -3), (3, 3)) == [0] * 49
+    # (4, 4) alone touches the box corner; axis-parallel fibers run along
+    # whole rows and columns
+    corner = FiberSum(2, [make_fiber((4, 4), (1, 1), [5, 6, 7]),
+                          make_fiber((0, 8), (1, -1), [2, 3]),
+                          make_fiber((0, 4), (1, 0), [1, -2, 4]),
+                          make_fiber((-3, 0), (0, 1), [9, 8])])
+    _assert_box_matches_points(corner, (0, 0), (4, 4))
+    _assert_box_matches_points(corner, (-3, -3), (4, 4))
+    rng = random.Random(71)
+    for dim, dirs in ((1, [(1,)]),
+                      (2, DIRECTIONS_2D),
+                      (3, [(1, 0, 0), (0, 0, 1), (1, -1, 2), (2, 1, -1)])):
+        for _ in range(12):
+            c = add_views([random_fiber_family(rng, dim, d, anchor_range=4)
+                           for d in rng.sample(dirs, min(3, len(dirs)))])
+            for _ in range(5):
+                # width-1 boxes give flat strides of 0 along some fibers
+                _assert_box_matches_points(
+                    c, *_random_box(rng, dim, reach=4,
+                                    width=rng.choice((1, 2, 7))))
+            lo = (-1,) * dim
+            _assert_box_matches_points(c, lo, (0,) + lo[1:])
+
+
+class _HalvesEvaluator:
+    """x -> Fraction(2 * x0 + 1, 2) - 1/2 by point or by box; integral
+    values come back as Fractions."""
+
+    def __call__(self, x):
+        return Fraction(2 * x[0] + 1, 2) - Fraction(1, 2)
+
+    def values_on_box(self, lo, hi):
+        return [self(x) for x in box_points(lo, hi)]
+
+
+def test_lazy_values_on_box_matches_points():
+    fs = add_views([FiberSum(2, [make_fiber((0, 1), (1, 1), [1, 2, 3])]),
+                    FiberSum(2, [make_fiber((2, 0), (0, 1), [4, -1])])])
+    lazy = add_views([fs, CHECKER, SKEWED], [2, -1, 3])
+    assert isinstance(lazy, LazyConfig)
+    for lo, hi in [((-4, -3), (5, 2)), ((7, -2), (7, 6)),
+                   ((-500, 3), (-497, 9))]:
+        _assert_box_matches_points(lazy, lo, hi)
+    # the point fallback: an evaluator without a box method
+    bump = LazyConfig(2, lambda x: int(x == (1, 1)))
+    _assert_box_matches_points(add_views([bump, lazy]), (-2, -2), (3, 3))
+    _assert_box_matches_points(apply_poly(difference_poly((1, 2)), bump),
+                               (-2, -2), (3, 3))
+    # integral Fractions become ints in a cached view, as value_at makes them
+    cached = LazyConfig(2, _HalvesEvaluator())
+    assert all(type(v) is int for v in cached.values_on_box((-2, 0), (2, 1)))
+    _assert_box_matches_points(cached, (-2, 0), (2, 1))
+    raw = LazyConfig(2, _HalvesEvaluator(), cache=False)
+    _assert_box_matches_points(raw, (-2, 0), (2, 1))

@@ -4,21 +4,23 @@ from math import gcd
 
 import pytest
 
-from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, add_views,
-                           box_contains, box_points, is_annihilated,
-                           make_fiber, period_lattice, rasterize)
-from perdec.decompose import (Bounds, DifferenceProduct,
+from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
+                           add_views, box_contains, box_points, box_size,
+                           is_annihilated, make_fiber, period_lattice,
+                           rasterize)
+from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               annihilator_from_periodizer,
                               decompose_product, k_periodic_decompose,
                               reduce_annihilator,
                               search_difference_annihilator, solve_transfer,
                               verify_transfer)
-from perdec.errors import (InconclusiveError, PreconditionError)
+from perdec.errors import (InconclusiveError, OutOfDomainError,
+                           PreconditionError)
 from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
                             support_in_subspace)
 from perdec.lattice import SubspaceBasis, primitive, rank_rational
 
-from helpers import (DIRECTIONS_2D, random_fiber_family,
+from helpers import (DIRECTIONS_2D, pointwise_rasterize, random_fiber_family,
                      reference_verify_on_window)
 
 TRIVIAL2 = SubspaceBasis.trivial(2)
@@ -95,7 +97,6 @@ def test_transfer_preconditions():
 
 
 def test_transfer_window_source_limits_queries():
-    from perdec.errors import OutOfDomainError
     w = rasterize(PeriodicConfig.constant(2, 1), (-10, -10), (10, 10))
     sol = solve_transfer(difference_poly((1, 0)), difference_poly((0, 1)),
                          w, TRIVIAL2)
@@ -675,3 +676,153 @@ def test_k3_three_dimensional_pipeline():
     assert dec.verify_on_window((-5, -5, -5), (5, 5, 5))["ok"]
     for comp in dec.components:
         assert rank_rational(comp.periods) == 3
+
+
+# ---------------------------------------------------------------------------
+# transfer components evaluated a box at a time
+
+TRIVIAL3 = SubspaceBasis.trivial(3)
+
+
+def _box_transfer_cases():
+    """(phi, psi, source, V) in dims 2 and 3, integer and Fraction values,
+    periodic, fiber-sum and window sources."""
+    cases = [(phi, psi, src, TRIVIAL2) for phi, psi, src in _transfer_cases()]
+    fibers = FiberSum(2, [make_fiber((0, 1), (0, 1), [1, -2]),
+                          make_fiber((3, 0), (0, 1), [4]),
+                          make_fiber((-2, 0), (0, 1), [0, 5])])
+    cases.append((difference_poly((1, 1)), difference_poly((0, 2)), fibers,
+                  TRIVIAL2))
+    cases.append((difference_poly((1, -2)), difference_poly((1, 1)),
+                  PeriodicConfig.from_function(2, [(1, 1), (3, 0)],
+                                               lambda r: 2 * r[0] - 1),
+                  TRIVIAL2))
+    cases.append((difference_poly((1, 0)), difference_poly((0, 1)),
+                  rasterize(PeriodicConfig.from_function(
+                      2, [(3, 0), (0, 1)], lambda r: r[0] - 1),
+                      (-30, -30), (30, 30)), TRIVIAL2))
+    src3 = PeriodicConfig.from_function(
+        3, [(0, 1, 0), (2, 0, 0), (0, 0, 3)], lambda r: r[0] + 2 * r[2] + 1)
+    cases.append((LaurentPoly(3, {(0, 0, 0): 2, (1, 0, 1): 1, (2, 0, 2): -3}),
+                  difference_poly((0, 1, 0)), src3, TRIVIAL3))
+    src3b = PeriodicConfig.from_function(
+        3, [(0, 0, 1), (2, 0, 0), (0, 3, 0)], lambda r: r[0] - r[1])
+    cases.append((LaurentPoly(3, {(0, 0, 0): -1, (1, -1, 0): 3}),
+                  difference_poly((0, 0, 1)), src3b,
+                  SubspaceBasis(3, [(1, 0, 0)])))
+    return cases
+
+
+def _box_cases(dim):
+    """Boxes near the band, far from it and of width 1 in some axis."""
+    if dim == 2:
+        return [((-6, -5), (6, 7)), ((3, -6), (3, 6)), ((-6, 2), (6, 2)),
+                ((18, -23), (24, -17)), ((-25, 11), (-20, 25)),
+                ((0, 0), (0, 0))]
+    return [((-3, -2, -3), (3, 2, 3)), ((1, -4, -4), (1, 4, 4)),
+            ((9, 5, -12), (12, 7, -9)), ((-2, 0, 0), (2, 0, 0))]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_transfer_values_on_box_match_points(case):
+    phi, psi, source, V = _box_transfer_cases()[case]
+    dim = phi.dim
+    fractions = False
+    for lo, hi in _box_cases(dim):
+        # a fresh evaluator per box and path: no line is shared
+        ref = solve_transfer(phi, psi, source, V).view
+        want = [ref.value_at(x) for x in box_points(lo, hi)]
+        view = solve_transfer(phi, psi, source, V).view
+        got = view.values_on_box(lo, hi)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        fractions = fractions or any(isinstance(v, Fraction) for v in got)
+    assert fractions == (case in (2, 3, 7, 8))
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_transfer_point_and_box_queries_share_lines(case):
+    phi, psi, source, V = _box_transfer_cases()[case]
+    dim = phi.dim
+    boxes = _box_cases(dim)
+    ref = solve_transfer(phi, psi, source, V).view
+    want = {box: [ref.value_at(x) for x in box_points(*box)] for box in boxes}
+    view = solve_transfer(phi, psi, source, V).view
+    rng = random.Random(case)
+    for lo, hi in boxes:
+        # some points first, then the box, then every point again
+        points = list(box_points(lo, hi))
+        for x in rng.sample(points, min(5, len(points))):
+            assert view.value_at(x) == ref.value_at(x)
+        assert view.values_on_box(lo, hi) == want[lo, hi]
+    for lo, hi in reversed(boxes):
+        assert [view.value_at(x) for x in box_points(lo, hi)] == want[lo, hi]
+        assert view.values_on_box(lo, hi) == want[lo, hi]
+
+
+def test_transfer_window_source_box_errors_like_points():
+    w = rasterize(PeriodicConfig.constant(2, 1), (-10, -10), (10, 10))
+    args = (difference_poly((1, 0)), difference_poly((0, 1)), w, TRIVIAL2)
+    assert solve_transfer(*args).view.values_on_box((-4, -4), (9, 4)) == [
+        -x for x, _ in box_points((-4, -4), (9, 4))]
+    for lo, hi in [((30, 0), (32, 1)), ((-12, -3), (-9, 3))]:
+        with pytest.raises(OutOfDomainError):
+            solve_transfer(*args).view.values_on_box(lo, hi)
+        with pytest.raises(OutOfDomainError):
+            [solve_transfer(*args).view.value_at(x)
+             for x in box_points(lo, hi)]
+
+
+def _torus_family_input(family):
+    """A 12x12-periodic input, one summand invariant along each vector."""
+    parts = []
+    for k, (a, b) in enumerate(family):
+        table = [(5 * j + 3 * k) % 7 - 3 for j in range(12)]
+        parts.append(PeriodicConfig.from_function(
+            2, [(12, 0), (0, 12)],
+            lambda r, a=a, b=b, t=table: t[(b * r[0] - a * r[1]) % 12]))
+    return add_views(parts)
+
+
+@pytest.mark.parametrize("family, box_read", [
+    # nearly parallel: a source box around the extension segments would be
+    # huge, so the sources are read point by point
+    (((1, 2), (2, 5), (5, 13)), False),
+    (((3, -2), (5, -3), (2, 7)), False),
+    # factors like the benchmark's: the periodic input is read by box
+    (((1, 0), (2, -2), (2, 1)), True)])
+def test_transfer_source_box_reads_stay_within_four_times(monkeypatch,
+                                                          family, box_read):
+    served, reads = [], []
+    source_values = _TransferEvaluator._source_values
+
+    def recording_source_values(self, segments):
+        served.append(sum(seg[-1] for seg in segments))
+        try:
+            return source_values(self, segments)
+        finally:
+            served.pop()
+    monkeypatch.setattr(_TransferEvaluator, "_source_values",
+                        recording_source_values)
+    for cls in (PeriodicConfig, FiberSum, WindowConfig, LazyConfig):
+        def recording_box(self, lo, hi, box=cls.values_on_box):
+            if served:
+                reads.append((type(self), box_size(lo, hi), served[-1]))
+            return box(self, lo, hi)
+        monkeypatch.setattr(cls, "values_on_box", recording_box)
+
+    c = _torus_family_input(family)
+    phis = [difference_poly(v) for v in family]
+    lo, hi = (-20, -20), (19, 19)
+    dec = decompose_product(phis, c, TRIVIAL2)
+    assert dec.verify_on_window(lo, hi)["ok"]
+    boxes = [rasterize(comp.view, lo, hi) for comp in dec.components]
+    monkeypatch.undo()
+    assert bool(reads) == box_read
+    assert {kind for kind, _, _ in reads} <= {PeriodicConfig, FiberSum,
+                                             WindowConfig}
+    assert all(size <= 4 * points for _, size, points in reads), max(
+        reads, key=lambda r: r[1] / r[2])
+    ref = decompose_product(phis, c, TRIVIAL2)
+    assert boxes == [pointwise_rasterize(comp.view, lo, hi)
+                     for comp in ref.components]

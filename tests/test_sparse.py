@@ -16,7 +16,7 @@ from perdec.sparse import (check_sparseness, fiber_closed_form_constant,
                            subsequence_limit)
 
 from helpers import (DIRECTIONS_2D, random_fiber_family, random_hnf_basis,
-                     reference_sparseness)
+                     reference_sparseness, window_from_function)
 
 BOUNDS = Bounds()
 
@@ -80,13 +80,13 @@ def _same_report(c, a, m_max):
 
 
 def _window(lo, hi, rng, density):
-    return WindowConfig.from_function(
+    return window_from_function(
         lo, hi, lambda x: rng.randint(-3, 3) if rng.random() < density else 0)
 
 
 def _grid_window(lo, hi, rng):
     """Nonzero only where every coordinate is a multiple of 4: sparse."""
-    return WindowConfig.from_function(
+    return window_from_function(
         lo, hi, lambda x: rng.choice((-2, 1, 5)) * all(v % 4 == 0 for v in x))
 
 
@@ -108,8 +108,8 @@ def test_window_counter_matches_reference(lo, hi, a, m_max, ok):
 def test_window_violation_on_the_low_edge():
     # the only dense cube touches the window's low corner, where the
     # counter's lower corners fall below the box
-    w = WindowConfig.from_function((0, 0), (8, 8),
-                                   lambda x: int(x[0] <= 2 and x[1] <= 2))
+    w = window_from_function((0, 0), (8, 8),
+                             lambda x: int(x[0] <= 2 and x[1] <= 2))
     rep = _same_report(w, 2, 3)
     assert rep.violation == (1, (1, 1))
 

@@ -13,14 +13,17 @@ pipelines expose their components this way and callers rasterize.
 
 Every representation answers `values_on_box(lo, hi)`, the values at the
 points of a box in box_points order, a row, a line segment or a
-recurrence line at a time rather than a point at a time.
+recurrence line at a time rather than a point at a time.  Each also reads
+lines: `values_on_line(q, step, count)` gives the values at q + k*step for
+k in range(count), and `values_on_segments` a list of such lines at once;
+a transfer component batches those reads by its own recurrence lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from operator import add, mul, sub
 
@@ -82,11 +85,12 @@ def box_line_range(lo, hi, p, w):
     return first, last
 
 
-def box_line_starts(lo, hi, w):
-    """Points x of [lo, hi] with x - w outside it, where lines along w enter.
+def box_line_slabs(lo, hi, w):
+    """Boxes holding the points x of [lo, hi] with x - w outside it, where
+    lines along w enter.
 
-    They form one slab per coordinate that w moves; each slab leaves out
-    the earlier ones, so every start comes once.
+    There is one slab per coordinate that w moves; each slab leaves out
+    the earlier ones, so every start lies in exactly one.
     """
     cur_lo, cur_hi = list(lo), list(hi)
     for i, s in enumerate(w):
@@ -97,7 +101,7 @@ def box_line_starts(lo, hi, w):
         else:
             continue
         cur_lo[i], cur_hi[i] = slab
-        yield from box_points(cur_lo, cur_hi)
+        yield tuple(cur_lo), tuple(cur_hi)
         cur_lo[i], cur_hi[i] = keep
 
 
@@ -108,6 +112,25 @@ def line_slice(start, step, n):
     step > 0 whenever n > 1.
     """
     return slice(start, start + step * (n - 1) + 1, step if n > 1 else 1)
+
+
+def line_values(vals, i, di, n):
+    """The n entries vals[i], vals[i + di], ... for a step di of any sign."""
+    if di < 0:
+        return vals[line_slice(i + di * (n - 1), -di, n)][::-1]
+    if di == 0:
+        return [vals[i]] * n
+    return vals[line_slice(i, di, n)]
+
+
+def line_points(q, step, count):
+    """The points q + k*step for k in range(count)."""
+    return [tuple(a + k * s for a, s in zip(q, step)) for k in range(count)]
+
+
+def _line_by_line(c, segments):
+    """values_on_segments of a representation that reads each line alone."""
+    return [c.values_on_line(q, step, count) for q, step, count in segments]
 
 
 def _cyclic(vals, start, n):
@@ -232,6 +255,18 @@ class WindowConfig:
             out += self.values[i:i + n]
         return out
 
+    def values_on_line(self, q, step, count):
+        """Values along q + k*step, one strided slice of the value list; a
+        line that leaves the box is read point by point, so it raises at
+        its first point outside."""
+        if not (self.contains(q)
+                and self.contains(vadd(q, vscale(count - 1, step)))):
+            return [self.value_at(x) for x in line_points(q, step, count)]
+        return line_values(self.values, box_offset(self.lo, self.strides, q),
+                           sum(map(mul, self.strides, step)), count)
+
+    values_on_segments = _line_by_line
+
     def translate(self, t):
         return WindowConfig(vadd(self.lo, t), vadd(self.hi, t), self.values)
 
@@ -265,7 +300,8 @@ class PeriodicConfig:
     cover all of them.
     """
 
-    __slots__ = ("dim", "basis", "values", "_hnf", "_diag", "_rows")
+    __slots__ = ("dim", "basis", "values", "_hnf", "_diag", "_rows",
+                 "_cycles")
 
     def __init__(self, dim, basis, values):
         self.dim = int(dim)
@@ -288,6 +324,7 @@ class PeriodicConfig:
                 "periodic values must be keyed by exactly the canonical residues")
         self.values = vals
         self._rows = None
+        self._cycles = {}  # step -> the residue cycles it runs through
 
     @classmethod
     def from_function(cls, dim, basis, fn):
@@ -340,6 +377,47 @@ class PeriodicConfig:
             src = hnf_reduce(h + (lo[-1],), rows)
             out += _cyclic(table[src[:-1]], src[-1], n)
         return out
+
+    def values_on_line(self, q, step, count):
+        """Values along q + k*step: one HNF reduction, then a cyclic read
+        of the residue cycle that step runs through from q."""
+        cycles = self._cycles.get(step)
+        if cycles is None:
+            cycles = self._cycles[step] = {}, {}
+        r = hnf_reduce(q, self._hnf)
+        found = cycles[0].get(r)
+        if found is None:
+            found = self._index_cycle(step, r, *cycles)
+        table, i = found
+        return _cyclic(table, i, count)
+
+    def _index_cycle(self, step, r, index, moves):
+        """Enter the cycle of residue r under step into `index` (residue ->
+        (the cycle's values, position)); returns r's entry.
+
+        The cycle is walked on the row table: (h, t) + step reduces to
+        (h', (t + s) mod d) with h' and s fixed by h (as in apply_poly), so
+        `moves` (h -> (h', s)) needs one HNF reduction per row, not one per
+        residue.
+        """
+        rows, d = self.row_table(), self._diag[-1]
+        cycle, table = [], []
+        h, t = r[:-1], r[-1]
+        while True:
+            cycle.append(h + (t,))
+            table.append(rows[h][t])
+            move = moves.get(h)
+            if move is None:
+                x = hnf_reduce(vadd(h + (0,), step), self._hnf)
+                move = moves[h] = x[:-1], x[-1]
+            h, t = move[0], (t + move[1]) % d
+            if t == r[-1] and h == r[:-1]:
+                break
+        for i, x in enumerate(cycle):
+            index[x] = table, i
+        return index[r]
+
+    values_on_segments = _line_by_line
 
     def contains(self, x):
         return True
@@ -605,6 +683,36 @@ class FiberSum:
             out[sl] = map(add, out[sl], _cyclic(f.vals, t0, t1 - t0 + 1))
         return out
 
+    def values_on_line(self, q, step, count):
+        """Values along q + k*step.  A fiber parallel to step holds the
+        whole line or none of it and adds its table read with stride; any
+        other fiber crosses the line at most once."""
+        out = [0] * count
+        for f in self.fibers:
+            d, vals, p = f.direction, f.vals, f.period
+            stride = step[f._pivot] // d[f._pivot]
+            if vscale(stride, d) == tuple(step):
+                t = f.parameter_of(q)
+                if t is not None:
+                    out = [v + vals[(t + k * stride) % p]
+                           for k, v in enumerate(out)]
+                continue
+            # on two axes where step and d are independent, q + k*step - anchor
+            # is parallel to d only for k = num / den
+            u = vsub(q, f.anchor)
+            num, den = next(
+                (u[b] * d[a] - u[a] * d[b], step[a] * d[b] - step[b] * d[a])
+                for a, b in combinations(range(self.dim), 2)
+                if step[a] * d[b] != step[b] * d[a])
+            k, r = divmod(num, den)
+            if r == 0 and 0 <= k < count:
+                t = f.parameter_of(vadd(q, vscale(k, step)))
+                if t is not None:
+                    out[k] += vals[t % p]
+        return out
+
+    values_on_segments = _line_by_line
+
     def translate(self, t):
         return FiberSum(self.dim, _fiber_pieces_sum(
             [(f, t, 1) for f in self.fibers]))
@@ -635,7 +743,10 @@ class LazyConfig:
 
     Used for decomposition components, whose values need not form a
     configuration (they can be unbounded); callers rasterize on demand.
-    An evaluator with its own `values_on_box` answers whole boxes.
+    An evaluator with its own `values_on_box` and `values_on_segments`
+    answers whole boxes and line segments, so a transfer component or a
+    residual sum is never read a point at a time; only a plain function
+    is.
     """
 
     __slots__ = ("dim", "fn", "label", "_cache")
@@ -660,11 +771,29 @@ class LazyConfig:
             return v
 
     def values_on_box(self, lo, hi):
-        """Values over [lo, hi]; point by point for a plain function."""
+        """Values over [lo, hi] from the evaluator's own box read; point by
+        point only for a plain function."""
         box = getattr(self.fn, "values_on_box", None)
         if box is None:
             return [self.value_at(x) for x in box_points(lo, hi)]
-        vals = box(lo, hi)
+        return self._normalized(box(lo, hi))
+
+    def values_on_line(self, q, step, count):
+        """Values along q + k*step for k in range(count)."""
+        return self.values_on_segments([(q, step, count)])[0]
+
+    def values_on_segments(self, segments):
+        """Values along each segment (q, step, count) from the evaluator's
+        own segment read; point by point only for a plain function."""
+        read = getattr(self.fn, "values_on_segments", None)
+        if read is None:
+            return [[self.value_at(x) for x in line_points(*seg)]
+                    for seg in segments]
+        return list(map(self._normalized, read(segments)))
+
+    def _normalized(self, vals):
+        """vals with integral Fractions as ints in a cached view, as
+        value_at makes them."""
         if self._cache is not None and not set(map(type, vals)) <= {int}:
             vals = [int(v) if isinstance(v, Fraction) and v.denominator == 1
                     else v for v in vals]
@@ -887,7 +1016,7 @@ def add_views(views, coeffs=None):
 
 
 class _Combination:
-    """The evaluator of k1*c1 + ... + kn*cn, by point or by box."""
+    """The evaluator of k1*c1 + ... + kn*cn, by point, box or segment."""
 
     __slots__ = ("views", "coeffs")
 
@@ -903,6 +1032,13 @@ class _Combination:
         for k, v in zip(self.coeffs, self.views):
             total = _add_scaled(total, k, v.values_on_box(lo, hi))
         return total
+
+    def values_on_segments(self, segments):
+        totals = [[0] * count for _, _, count in segments]
+        for k, v in zip(self.coeffs, self.views):
+            totals = [_add_scaled(total, k, part) for total, part
+                      in zip(totals, v.values_on_segments(segments))]
+        return totals
 
 
 def detect_period_multiple(c, direction, bound, window=None):

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, repeat
+from itertools import combinations
 from math import lcm
 from operator import add, mul
 
 from .config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                      WindowConfig, add_views, apply_poly, box_line_range,
-                     box_line_starts, box_offset, box_points, box_size,
+                     box_line_slabs, box_offset, box_points, box_size,
                      box_strides, convolve_on_box, detect_period_multiple,
-                     is_annihilated, line_slice, period_lattice,
+                     is_annihilated, line_slice, line_values, period_lattice,
                      periodic_in_subspace)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
@@ -127,12 +127,16 @@ class _TransferEvaluator:
 
     Components are evaluated a box at a time by `values_on_box`: it walks
     the lines of direction w through the box, finds the recurrence
-    coordinate once per line, extends every line that falls short and
-    copies each line's values into the box.  An eager source is read once
-    on the bounding box of the new source points when that box holds at
-    most 4 times as many points; any other source is read point by point.
-    Single points are answered by `__call__` from the same lines; its
-    extensions read the source point by point.
+    coordinate of every line start, extends every line that falls short and
+    copies each line's values into the box.  `values_on_segments` answers
+    other lines the same way: it finds the recurrence line of every point
+    asked for and extends each line once, to its farthest point.  Single
+    points are answered by `__call__` from the same lines.  All three
+    extend lines through `_source_values`: an eager source is read once on
+    the bounding box of the new source points when that box holds at most
+    4 times as many points; any other source is read segment by segment.
+    The recurrence coordinate is walked along lines (`a1_line`), so a line
+    pays one coset reduction per coset period rather than one per point.
     """
 
     __slots__ = ("w", "n", "source", "lam", "den", "cosets", "cache",
@@ -158,13 +162,44 @@ class _TransferEvaluator:
                     [(n - off, coef) for off, coef in alphas[:-1]]),
         }
 
-    def a1_of(self, x):
-        z = self.cosets.representative(x)
-        num = sum(l * (a - b) for l, a, b in zip(self.lam, x, z))
-        q, r = divmod(num, self.den)
-        if r:
-            raise PerdecError("non-integer recurrence coordinate (internal)")
-        return q
+    def a1_line(self, q, step, count):
+        """The recurrence coordinate a1 at q + k*step for k in range(count).
+
+        The coset representative first comes back to that of q after m
+        steps, m the order of step modulo the coset lattice (never when
+        step leaves its span); from there on a1 rises by lam.(m*step)/den
+        every m steps, so only the first m points are reduced.
+        """
+        rep, lam, den = self.cosets.representative, self.lam, self.den
+        x = q
+        z = z0 = rep(q)
+        out = []
+        for k in range(count):
+            if k:
+                x = vadd(x, step)
+                z = rep(x)
+                if z == z0:
+                    rise = sum(map(mul, lam, vsub(x, q))) // den
+                    return [out[j % k] + j // k * rise for j in range(count)]
+            a, r = divmod(sum(l * (b - c) for l, b, c in zip(lam, x, z)), den)
+            if r:
+                raise PerdecError(
+                    "non-integer recurrence coordinate (internal)")
+            out.append(a)
+        return out
+
+    def a1_on_box(self, lo, hi):
+        """a1 over [lo, hi] in box_points order, walked along the longest
+        axis of the box."""
+        i = max(range(len(lo)), key=lambda j: hi[j] - lo[j])
+        e = tuple(int(j == i) for j in range(len(lo)))
+        n = hi[i] - lo[i] + 1
+        strides = box_strides(lo, hi)
+        out = [0] * box_size(lo, hi)
+        for x in box_points(lo, hi[:i] + (lo[i],) + hi[i + 1:]):
+            out[line_slice(box_offset(lo, strides, x), strides[i], n)] = \
+                self.a1_line(x, e, n)
+        return out
 
     def _segment(self, base, up, last):
         """What line (base, up) lacks through list position `last`.
@@ -191,48 +226,45 @@ class _TransferEvaluator:
                 s -= coef * vals[-j]
             vals.append(_exact_div(s, div))
 
+    def _extend_lines(self, need):
+        """Extend each line (base, up) through its list position need[...]."""
+        lines = self.lines
+        segments = [self._segment(base, up, last)
+                    for (base, up), last in need.items()
+                    if len(lines.get((base, up), ())) <= last]
+        for seg, sources in zip(segments, self._source_values(segments)):
+            self._extend(seg, sources)
+
     def _source_values(self, segments):
         """The source values of each segment, in sweep order."""
         source = self.source
-        # a lazy source would extend its own lines over the whole box, which
-        # can cost far more than the points asked for
-        if segments and not isinstance(source, LazyConfig):
-            corners = [q for _, _, q, _, _ in segments] + [
-                vadd(q, vscale(count - 1, step))
-                for _, _, q, step, count in segments]
+        reads = [seg[2:] for seg in segments]
+        # a box around the segments of a lazy source would extend its own
+        # lines over the whole box, which can cost far more than the points
+        # asked for
+        if reads and not isinstance(source, LazyConfig):
+            corners = [q for q, _, _ in reads] + [
+                vadd(q, vscale(count - 1, step)) for q, step, count in reads]
             lo = tuple(map(min, zip(*corners)))
             hi = tuple(map(max, zip(*corners)))
             # one box read only when it wastes little and, for a window,
-            # asks for nothing the point reads would not
-            if box_size(lo, hi) <= 4 * sum(seg[-1] for seg in segments) and \
-                    (not isinstance(source, WindowConfig)
-                     or source.contains(lo) and source.contains(hi)):
+            # asks for nothing the segment reads would not
+            if box_size(lo, hi) <= 4 * sum(count for _, _, count in reads) \
+                    and (not isinstance(source, WindowConfig)
+                         or source.contains(lo) and source.contains(hi)):
                 grid = source.values_on_box(lo, hi)
                 strides = box_strides(lo, hi)
-                out = []
-                for _, _, q, step, count in segments:
-                    i = box_offset(lo, strides, q)
-                    di = sum(map(mul, strides, step))
-                    if di >= 0:
-                        out.append(grid[line_slice(i, di, count)])
-                    else:
-                        i += di * (count - 1)
-                        out.append(grid[line_slice(i, -di, count)][::-1])
-                return out
-        return [self._read_points(seg) for seg in segments]
-
-    def _read_points(self, segment):
-        """The source values of a segment, read point by point."""
-        _, _, q, step, count = segment
-        return map(self.source.value_at,
-                   accumulate(repeat(step, count - 1), vadd, initial=q))
+                return [line_values(grid, box_offset(lo, strides, q),
+                                    sum(map(mul, strides, step)), count)
+                        for q, step, count in reads]
+        return source.values_on_segments(reads)
 
     def __call__(self, x):
         cache = self.cache
         v = cache.get(x)
         if v is not None:
             return v
-        a = self.a1_of(x)
+        a, = self.a1_line(x, self.w, 1)
         n = self.n
         if 0 <= a < n:
             v = 0
@@ -244,7 +276,7 @@ class _TransferEvaluator:
             if len(vals) <= pos:
                 seg = self._segment(base, up, pos)
                 vals, count = seg[0], seg[-1]
-                self._extend(seg, self._read_points(seg))
+                self._extend(seg, self._source_values([seg])[0])
                 # point queries tend to walk a line: keep the swept points
                 step, shift = self.sweeps[up][:2]
                 p = vsub(seg[2], shift)
@@ -255,6 +287,30 @@ class _TransferEvaluator:
         cache[x] = v
         return v
 
+    def values_on_segments(self, segments):
+        """The values along each segment (q, step, count)."""
+        w, n, lines = self.w, self.n, self.lines
+        reads = []  # per segment: (line key, list position) or None per point
+        need = {}  # (line base, upward?) -> last list position needed
+        for q, step, count in segments:
+            read = []
+            for k, a in enumerate(self.a1_line(q, step, count)):
+                if 0 <= a < n:
+                    read.append(None)  # the band: zero
+                    continue
+                # the line base q + k*step - a*w, sweeping up or down
+                up = a >= n
+                key = tuple([c + k * s - a * v
+                             for c, s, v in zip(q, step, w)]), up
+                pos = a if up else n - 1 - a
+                if need.get(key, -1) < pos:
+                    need[key] = pos
+                read.append((key, pos))
+            reads.append(read)
+        self._extend_lines(need)
+        return [[0 if at is None else lines[at[0]][at[1]] for at in read]
+                for read in reads]
+
     def values_on_box(self, lo, hi):
         """The values over [lo, hi], a line of direction w at a time."""
         w, n, lines = self.w, self.n, self.lines
@@ -262,20 +318,16 @@ class _TransferEvaluator:
         di = sum(map(mul, strides, w))
         runs = []  # (flat start, line base, first and last coordinate)
         need = {}  # (line base, upward?) -> last list position needed
-        for x in box_line_starts(lo, hi, w):
-            a = self.a1_of(x)
-            e = a + box_line_range(lo, hi, x, w)[1]
-            base = vsub(x, vscale(a, w))
-            runs.append((box_offset(lo, strides, x), base, a, e))
-            if e >= n:
-                need[base, True] = e
-            if a < 0:
-                need[base, False] = n - 1 - a
-        segments = [seg for seg in (self._segment(base, up, last)
-                                    for (base, up), last in need.items())
-                    if seg[-1] > 0]
-        for seg, sources in zip(segments, self._source_values(segments)):
-            self._extend(seg, sources)
+        for slo, shi in box_line_slabs(lo, hi, w):
+            for x, a in zip(box_points(slo, shi), self.a1_on_box(slo, shi)):
+                e = a + box_line_range(lo, hi, x, w)[1]
+                base = vsub(x, vscale(a, w))
+                runs.append((box_offset(lo, strides, x), base, a, e))
+                if e >= n:
+                    need[base, True] = e
+                if a < 0:
+                    need[base, False] = n - 1 - a
+        self._extend_lines(need)
         out = [0] * box_size(lo, hi)
         for start, base, a, e in runs:
             if a >= 0 and e < n:
@@ -361,10 +413,9 @@ def verify_transfer(sol: TransferSolution, lo, hi):
         lo, hi)
     product_ok = phic == sol.source.values_on_box(lo, hi)
     annihilation_ok = all(v == 0 for v in psic)
-    ev = sol.view.fn
     band = max(sol.band_width, 1)
-    band_ok = all(v == 0 for v, x in zip(own, box_points(lo, hi))
-                  if 0 <= ev.a1_of(x) < band)
+    band_ok = all(v == 0 for v, a in zip(own, sol.view.fn.a1_on_box(lo, hi))
+                  if 0 <= a < band)
     return {"product": product_ok, "annihilation": annihilation_ok,
             "band": band_ok,
             "ok": product_ok and annihilation_ok and band_ok}

@@ -5,7 +5,8 @@ dense array) so it shares no code path with the library's apply_poly, the
 sparseness oracle counts every cube point by point through value_at, and
 the decomposition check evaluates every component point by point, the
 fiber-sum references canonicalize every shifted, scaled piece from raw data
-with make_fiber, and the configuration parser checks every item in a loop.
+with make_fiber, the configuration parser checks every item in a loop, and
+the transfer source reference reads every source point through value_at.
 """
 
 from __future__ import annotations
@@ -30,6 +31,38 @@ def window_from_function(lo, hi, fn):
 def pointwise_rasterize(c, lo, hi):
     """rasterize through value_at at every point: the box kernels' oracle."""
     return window_from_function(lo, hi, c.value_at)
+
+
+def segment_points(q, step, count):
+    """The points q + k*step for k in range(count), one step at a time."""
+    out, x = [], tuple(q)
+    for _ in range(count):
+        out.append(x)
+        x = vadd(x, step)
+    return out
+
+
+def assert_segments_match_points(c, segments, ref=None):
+    """c.values_on_segments, then c.values_on_line, equal the point reads
+    of ref (c itself by default) at every segment point, value and type;
+    returns the point reads."""
+    ref = c if ref is None else ref
+    want = [[ref.value_at(x) for x in segment_points(*seg)]
+            for seg in segments]
+    got = c.values_on_segments(segments)
+    assert got == want
+    assert [list(map(type, g)) for g in got] == \
+        [list(map(type, w)) for w in want]
+    for seg, vals in zip(segments, want):
+        assert c.values_on_line(*seg) == vals
+    return want
+
+
+def reference_source_values(evaluator, segments):
+    """_TransferEvaluator._source_values reading every source point through
+    value_at: the point-read reference for the recurrence work."""
+    return [[evaluator.source.value_at(x) for x in segment_points(*seg[2:])]
+            for seg in segments]
 
 
 def naive_convolution(terms, window: WindowConfig):

@@ -12,11 +12,13 @@ from perdec.errors import (EmptyRegionError, LatticeError, OutOfDomainError,
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import in_lattice, lattice_determinant, vsub
 
-from helpers import (DIRECTIONS_2D, assert_canonical_fibers, naive_convolution,
+from helpers import (DIRECTIONS_2D, assert_canonical_fibers,
+                     assert_segments_match_points, naive_convolution,
                      random_fiber_family, random_periodic, random_poly,
                      reference_add_views_fibers, reference_apply_poly_fibers,
                      reference_parallel_part_fibers, reference_scaled_fibers,
-                     reference_translate_fibers, window_from_function)
+                     reference_translate_fibers, segment_points,
+                     window_from_function)
 
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
@@ -650,7 +652,7 @@ def test_fiber_sum_values_on_box_matches_points():
 
 
 class _HalvesEvaluator:
-    """x -> Fraction(2 * x0 + 1, 2) - 1/2 by point or by box; integral
+    """x -> Fraction(2 * x0 + 1, 2) - 1/2 by point, box or segment; integral
     values come back as Fractions."""
 
     def __call__(self, x):
@@ -658,6 +660,9 @@ class _HalvesEvaluator:
 
     def values_on_box(self, lo, hi):
         return [self(x) for x in box_points(lo, hi)]
+
+    def values_on_segments(self, segments):
+        return [[self(x) for x in segment_points(*seg)] for seg in segments]
 
 
 def test_lazy_values_on_box_matches_points():
@@ -679,3 +684,115 @@ def test_lazy_values_on_box_matches_points():
     _assert_box_matches_points(cached, (-2, 0), (2, 1))
     raw = LazyConfig(2, _HalvesEvaluator(), cache=False)
     _assert_box_matches_points(raw, (-2, 0), (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# values_on_line and values_on_segments against value_at at every point
+
+def _random_segment(rng, dim, reach=6, span=3, length=12):
+    """A segment of random start, step (zero and reversed ones too) and
+    length 0..length, sometimes far out."""
+    far = rng.choice((0, 0, 1000, -997))
+    q = tuple(far + rng.randint(-reach, reach) for _ in range(dim))
+    step = tuple(rng.randint(-span, span) for _ in range(dim))
+    return q, step, rng.randint(0, length)
+
+
+def test_window_lines_match_points_and_error_outside():
+    w = window_from_function((-3, 0, 2), (2, 4, 5),
+                             lambda x: 100 * x[0] + 10 * x[1] + x[2])
+    rng = random.Random(73)
+    segments = []
+    while len(segments) < 60:
+        q = tuple(rng.randint(a, b) for a, b in zip(w.lo, w.hi))
+        seg = q, tuple(rng.randint(-2, 2) for _ in q), rng.randint(0, 6)
+        if all(map(w.contains, segment_points(*seg))):
+            segments.append(seg)
+    assert sum(any(s < 0 for s in step) and count > 1
+               for _, step, count in segments) >= 10  # reversed steps
+    assert_segments_match_points(w, segments)
+    for seg in [((2, 4, 5), (1, 0, 0), 2), ((-3, 0, 2), (0, -1, 1), 3),
+                ((0, 2, 3), (1, 1, 1), 5), ((5, 0, 2), (-1, 0, 0), 4)]:
+        first = next(x for x in segment_points(*seg) if not w.contains(x))
+        with pytest.raises(OutOfDomainError) as point:
+            w.value_at(first)
+        with pytest.raises(OutOfDomainError) as line:
+            w.values_on_line(*seg)
+        assert str(line.value) == str(point.value)
+        with pytest.raises(OutOfDomainError) as batch:
+            w.values_on_segments([((0, 0, 2), (0, 0, 1), 4), seg])
+        assert str(batch.value) == str(point.value)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_periodic_lines_match_points(dim):
+    rng = random.Random(79 + dim)
+    skewed = 0
+    for _ in range(25):
+        c = random_periodic(rng, dim, 60)
+        skewed += any(r[j] for i, r in enumerate(c.lattice_rows)
+                      for j in range(i + 1, dim))
+        # repeated steps read cycles found by earlier segments
+        assert_segments_match_points(
+            c, [_random_segment(rng, dim, span=2) for _ in range(12)])
+    assert dim == 1 or skewed >= 10  # many HNF bases are not diagonal
+    if dim == 2:
+        assert_segments_match_points(SKEWED, [
+            ((-5, 7), (1, 0), 40), ((-5, 7), (-1, 0), 40),
+            ((2, -30), (0, 1), 61), ((3, 3), (2, -1), 25),
+            ((3, 3), (0, 0), 3), ((-400, 9), (-3, 4), 1)])
+
+
+def test_fiber_sum_lines_match_points():
+    fs = FiberSum(2, [make_fiber((0, 1), (1, 1), [1, 2, 3]),
+                      make_fiber((0, 8), (1, -1), [2, 3]),
+                      make_fiber((0, 4), (1, 0), [1, -2, 4]),
+                      make_fiber((-3, 0), (0, 1), [9, 8])])
+    assert_segments_match_points(fs, [
+        # along a fiber, against it and with a stride of its direction
+        ((4, 5), (1, 1), 9), ((4, 5), (-1, -1), 9), ((4, 5), (2, 2), 9),
+        ((-5, 4), (1, 0), 12), ((7, 4), (-3, 0), 5), ((-3, 2), (0, 5), 4),
+        # across every fiber, and crossing some only beyond the segment
+        ((-6, -6), (1, 2), 10), ((-6, -6), (1, 2), 2), ((9, 9), (-1, -3), 7),
+        # beside the fibers' lines: nothing
+        ((0, 0), (1, 1), 6), ((0, 5), (1, 0), 6), ((0, 5), (0, 0), 2)])
+    assert fs.values_on_line((0, 0), (1, 1), 6) == [0] * 6
+    rng = random.Random(83)
+    for dim, dirs in ((1, [(1,)]),
+                      (2, DIRECTIONS_2D),
+                      (3, [(1, 0, 0), (0, 0, 1), (1, -1, 2), (2, 1, -1)])):
+        for _ in range(12):
+            c = add_views([random_fiber_family(rng, dim, d, anchor_range=4)
+                           for d in rng.sample(dirs, min(3, len(dirs)))])
+            segments = [_random_segment(rng, dim, reach=4, span=2)
+                        for _ in range(6)]
+            # and along some fibers' own lines
+            segments += [(f.anchor, tuple(k * a for a in f.direction), 7)
+                         for f, k in zip(c.fibers, (1, -1, 2))]
+            assert_segments_match_points(c, segments)
+
+
+def test_lazy_lines_match_points():
+    fs = add_views([FiberSum(2, [make_fiber((0, 1), (1, 1), [1, 2, 3])]),
+                    FiberSum(2, [make_fiber((2, 0), (0, 1), [4, -1])])])
+    lazy = add_views([fs, CHECKER, SKEWED], [2, -1, 3])
+    assert isinstance(lazy, LazyConfig)
+    rng = random.Random(89)
+    segments = [_random_segment(rng, 2) for _ in range(20)]
+    assert_segments_match_points(lazy, segments)
+    # the point fallback: an evaluator without a segment method
+    bump = LazyConfig(2, lambda x: int(x == (1, 1)))
+    assert_segments_match_points(add_views([bump, lazy]), segments)
+    assert_segments_match_points(apply_poly(difference_poly((1, 2)), bump),
+                               segments)
+    # integral Fractions become ints in a cached view, as value_at makes
+    # them, also when a sum adds them up
+    cached = LazyConfig(2, _HalvesEvaluator())
+    assert all(type(v) is int for vals in cached.values_on_segments(segments)
+               for v in vals)
+    assert_segments_match_points(cached, segments)
+    raw = LazyConfig(2, _HalvesEvaluator(), cache=False)
+    assert any(type(v) is Fraction for vals in raw.values_on_segments(segments)
+               for v in vals)
+    assert_segments_match_points(raw, segments)
+    assert_segments_match_points(add_views([raw, CHECKER], [3, -2]), segments)

@@ -18,10 +18,11 @@ from perdec.errors import (InconclusiveError, OutOfDomainError,
                            PreconditionError)
 from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
                             support_in_subspace)
-from perdec.lattice import SubspaceBasis, primitive, rank_rational
+from perdec.lattice import SubspaceBasis, primitive, rank_rational, vscale
 
-from helpers import (DIRECTIONS_2D, pointwise_rasterize, random_fiber_family,
-                     reference_verify_on_window)
+from helpers import (DIRECTIONS_2D, assert_segments_match_points,
+                     pointwise_rasterize, random_fiber_family,
+                     reference_source_values, reference_verify_on_window)
 
 TRIVIAL2 = SubspaceBasis.trivial(2)
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
@@ -773,6 +774,38 @@ def test_transfer_window_source_box_errors_like_points():
              for x in box_points(lo, hi)]
 
 
+@pytest.mark.parametrize("case", range(9))
+def test_transfer_values_on_segments_match_points(case):
+    phi, psi, source, V = _box_transfer_cases()[case]
+    dim = phi.dim
+    w = solve_transfer(phi, psi, source, V).step
+    rng = random.Random(97 + case)
+    segments = [(tuple(rng.randint(-8, 8) for _ in range(dim)),
+                 tuple(rng.randint(-2, 2) for _ in range(dim)),
+                 rng.choice((1, 1, 2, 5, 8))) for _ in range(14)]
+    # along and against the recurrence lines, standing still, empty
+    one = (1,) * dim
+    segments += [(one, w, 9), (one, vscale(-1, w), 9),
+                 (vscale(3, one), (0,) * dim, 3), (one, w, 0)]
+    assert sum(any(s < 0 for s in step) for _, step, _ in segments) >= 5
+    # a fresh evaluator per path: no line is shared
+    want = assert_segments_match_points(
+        solve_transfer(phi, psi, source, V).view, segments,
+        solve_transfer(phi, psi, source, V).view)
+    fractions = any(isinstance(v, Fraction) for vals in want for v in vals)
+    assert fractions == (case in (2, 3, 7, 8))
+
+
+def test_transfer_window_source_segments_error_like_points():
+    w = rasterize(PeriodicConfig.constant(2, 1), (-10, -10), (10, 10))
+    args = (difference_poly((1, 0)), difference_poly((0, 1)), w, TRIVIAL2)
+    assert solve_transfer(*args).view.values_on_line((-4, 2), (1, -1), 6) \
+        == [4, 3, 2, 1, 0, -1]
+    with pytest.raises(OutOfDomainError):
+        solve_transfer(*args).view.values_on_segments(
+            [((0, 0), (1, 0), 3), ((25, 0), (1, 1), 2)])
+
+
 def _torus_family_input(family):
     """A 12x12-periodic input, one summand invariant along each vector."""
     parts = []
@@ -786,7 +819,7 @@ def _torus_family_input(family):
 
 @pytest.mark.parametrize("family, box_read", [
     # nearly parallel: a source box around the extension segments would be
-    # huge, so the sources are read point by point
+    # huge, so the sources are read segment by segment
     (((1, 2), (2, 5), (5, 13)), False),
     (((3, -2), (5, -3), (2, 7)), False),
     # factors like the benchmark's: the periodic input is read by box
@@ -826,3 +859,54 @@ def test_transfer_source_box_reads_stay_within_four_times(monkeypatch,
     ref = decompose_product(phis, c, TRIVIAL2)
     assert boxes == [pointwise_rasterize(comp.view, lo, hi)
                      for comp in ref.components]
+
+
+GUARD_FAMILIES = [((1, 2), (2, 5), (5, 13)), ((3, -2), (5, -3), (2, 7)),
+                  ((1, 0), (2, -2), (2, 1))]
+
+
+@pytest.mark.parametrize("family", GUARD_FAMILIES)
+def test_transfer_segment_reads_extend_the_lines_point_reads_do(monkeypatch,
+                                                                family):
+    # a segment read of a lazy source extends exactly the recurrence lines
+    # that reading it point by point would: no more work, nothing skipped
+    c = _torus_family_input(family)
+    phis = [difference_poly(v) for v in family]
+    lo, hi = (-20, -20), (19, 19)
+    init = _TransferEvaluator.__init__
+
+    def run(source_values):
+        evaluators = []
+
+        def recording_init(self, *args):
+            init(self, *args)
+            evaluators.append(self)
+        with monkeypatch.context() as m:
+            m.setattr(_TransferEvaluator, "__init__", recording_init)
+            m.setattr(_TransferEvaluator, "_source_values", source_values)
+            dec = decompose_product(phis, c, TRIVIAL2)
+            assert dec.verify_on_window(lo, hi)["ok"]
+            boxes = [rasterize(comp.view, lo, hi) for comp in dec.components]
+        assert len(evaluators) == 3  # one inner, two outer
+        return boxes, sum(len(vals) for ev in evaluators
+                          for vals in ev.lines.values())
+
+    boxes, work = run(_TransferEvaluator._source_values)
+    ref_boxes, ref_work = run(reference_source_values)
+    assert boxes == ref_boxes
+    assert work == ref_work
+
+
+@pytest.mark.parametrize("family", GUARD_FAMILIES[::2])
+def test_nested_transfer_segments_match_points(family):
+    c = _torus_family_input(family)
+    phis = [difference_poly(v) for v in family]
+    ref = decompose_product(phis, c, TRIVIAL2)
+    dec = decompose_product(phis, c, TRIVIAL2)
+    rng = random.Random(sum(map(sum, family)))
+    segments = [(tuple(rng.randint(-12, 12) for _ in range(2)),
+                 tuple(rng.randint(-3, 3) for _ in range(2)),
+                 rng.randint(1, 9)) for _ in range(12)]
+    for comp, ref_comp in zip(dec.components, ref.components):
+        # lazy transfer sources and residual sums are read by segment too
+        assert_segments_match_points(comp.view, segments, ref_comp.view)

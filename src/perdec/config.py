@@ -8,8 +8,10 @@ Three concrete representations are provided:
 * FiberSum       -- a finite sum of periodic fibers, each supported on a
                     single rational line.
 
-LazyConfig wraps an arbitrary evaluator on all of Z^d; decomposition
-pipelines expose their components this way and callers rasterize.
+LazyConfig is the base of the lazy views of functions on all of Z^d: a
+plain function, a combination of shifted views (`_Combination`) or a
+transfer component.  Decomposition pipelines expose their components this
+way and callers rasterize.
 
 Every representation answers `values_on_box(lo, hi)`, the values at the
 points of a box in box_points order, a row, a line segment or a
@@ -22,7 +24,6 @@ a transfer component batches those reads by its own recurrence lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 from operator import add, mul, sub
@@ -736,79 +737,53 @@ def _merge_vals(a, b):
 
 
 # ---------------------------------------------------------------------------
-# lazy evaluator view
+# lazy views
 
 class LazyConfig:
-    """An evaluator on all of Z^d; values may be ints or Fractions.
+    """A function on all of Z^d; values may be ints or Fractions.
 
     Used for decomposition components, whose values need not form a
     configuration (they can be unbounded); callers rasterize on demand.
-    An evaluator with its own `values_on_box` and `values_on_segments`
-    answers whole boxes and line segments, so a transfer component or a
-    residual sum is never read a point at a time; only a plain function
-    is.
+    Values come back as exact arithmetic produces them: rasterize, through
+    WindowConfig, is the one place that makes integral Fractions ints.
+
+    This class is the plain-function view: `value_at` calls `fn` and boxes
+    and segments are read point by point.  It is the base of every lazy
+    view; the combinations built by add_views, translate and apply_poly
+    (`_Combination`) and transfer components read whole boxes and segments
+    natively.
     """
 
-    __slots__ = ("dim", "fn", "label", "_cache")
+    __slots__ = ("dim", "fn")
 
-    def __init__(self, dim, fn, label="evaluator", cache=True):
+    def __init__(self, dim, fn):
         self.dim = int(dim)
         self.fn = fn
-        self.label = label
-        self._cache = {} if cache else None
 
     def value_at(self, x):
-        x = tuple(x)
-        if self._cache is None:
-            return self.fn(x)
-        try:
-            return self._cache[x]
-        except KeyError:
-            v = self.fn(x)
-            if isinstance(v, Fraction) and v.denominator == 1:
-                v = int(v)
-            self._cache[x] = v
-            return v
+        return self.fn(tuple(x))
 
     def values_on_box(self, lo, hi):
-        """Values over [lo, hi] from the evaluator's own box read; point by
-        point only for a plain function."""
-        box = getattr(self.fn, "values_on_box", None)
-        if box is None:
-            return [self.value_at(x) for x in box_points(lo, hi)]
-        return self._normalized(box(lo, hi))
+        """Values over [lo, hi] in box_points order."""
+        return [self.value_at(x) for x in box_points(lo, hi)]
 
     def values_on_line(self, q, step, count):
         """Values along q + k*step for k in range(count)."""
         return self.values_on_segments([(q, step, count)])[0]
 
     def values_on_segments(self, segments):
-        """Values along each segment (q, step, count) from the evaluator's
-        own segment read; point by point only for a plain function."""
-        read = getattr(self.fn, "values_on_segments", None)
-        if read is None:
-            return [[self.value_at(x) for x in line_points(*seg)]
-                    for seg in segments]
-        return list(map(self._normalized, read(segments)))
-
-    def _normalized(self, vals):
-        """vals with integral Fractions as ints in a cached view, as
-        value_at makes them."""
-        if self._cache is not None and not set(map(type, vals)) <= {int}:
-            vals = [int(v) if isinstance(v, Fraction) and v.denominator == 1
-                    else v for v in vals]
-        return vals
+        """Values along each segment (q, step, count)."""
+        return [[self.value_at(x) for x in line_points(*seg)]
+                for seg in segments]
 
     def contains(self, x):
         return True
 
     def translate(self, t):
-        t = tuple(t)
-        return LazyConfig(self.dim, lambda x: self.value_at(vsub(x, t)),
-                          label=f"shift{t}:{self.label}")
+        return _Combination(self.dim, [(self, 1, t)])
 
     def __repr__(self):
-        return f"LazyConfig({self.label})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
 # ---------------------------------------------------------------------------
@@ -890,10 +865,7 @@ def apply_poly(f: LaurentPoly, c):
             [(fib, e, k) for e, k in terms for fib in c.fibers]))
 
     if isinstance(c, LazyConfig):
-        return LazyConfig(
-            c.dim,
-            lambda u: sum(k * c.value_at(vsub(u, e)) for e, k in terms),
-            label=f"poly*{c.label}")
+        return _Combination(c.dim, [(c, k, e) for e, k in terms])
 
     raise PreconditionError(f"unsupported configuration type {type(c)!r}")
 
@@ -970,7 +942,7 @@ def add_views(views, coeffs=None):
 
     The result is a FiberSum when all inputs are, a PeriodicConfig on the
     intersection lattice when all inputs are periodic, a window on the box
-    intersection when any input is a window, and a lazy evaluator for the
+    intersection when any input is a window, and a lazy view for the
     remaining mixes (their common domain is all of Z^d, which no finite
     window can carry).
     """
@@ -992,6 +964,7 @@ def add_views(views, coeffs=None):
             [(fib, None, k) for k, v in zip(coeffs, views)
              for fib in v.fibers]))
 
+    parts = [(v, k, None) for v, k in zip(views, coeffs)]
     if all(isinstance(v, PeriodicConfig) for v in views):
         rows = views[0].lattice_rows
         for v in views[1:]:
@@ -999,7 +972,7 @@ def add_views(views, coeffs=None):
         if len(rows) != dim:
             raise LatticeError("intersection lattice lost rank (internal)")
         return PeriodicConfig.from_function(dim, rows,
-                                            _Combination(views, coeffs))
+                                            _Combination(dim, parts).value_at)
 
     windows = [v for v in views if isinstance(v, WindowConfig)]
     if windows:
@@ -1009,35 +982,44 @@ def add_views(views, coeffs=None):
             if nxt is None:
                 raise EmptyRegionError("window domains do not intersect")
             box = nxt
-        return WindowConfig(*box, _Combination(views, coeffs)
-                            .values_on_box(*box))
+        return WindowConfig(*box, _Combination(dim, parts).values_on_box(*box))
 
-    return LazyConfig(dim, _Combination(views, coeffs), label="sum")
+    return _Combination(dim, parts)
 
 
-class _Combination:
-    """The evaluator of k1*c1 + ... + kn*cn, by point, box or segment."""
+class _Combination(LazyConfig):
+    """The lazy view of k1*c1(x - e1) + ... + kn*cn(x - en).
 
-    __slots__ = ("views", "coeffs")
+    Each part is (view, coefficient, shift), the shift None for an
+    unshifted part.  Boxes and segments are read from each part's own box
+    and segment reads, shifted back by e.
+    """
 
-    def __init__(self, views, coeffs):
-        self.views = views
-        self.coeffs = coeffs
+    __slots__ = ("parts",)
 
-    def __call__(self, x):
-        return sum(k * v.value_at(x) for k, v in zip(self.coeffs, self.views))
+    def __init__(self, dim, parts):
+        self.dim = dim
+        self.parts = parts
+
+    def value_at(self, x):
+        return sum(k * v.value_at(x if e is None else vsub(x, e))
+                   for v, k, e in self.parts)
 
     def values_on_box(self, lo, hi):
         total = [0] * box_size(lo, hi)
-        for k, v in zip(self.coeffs, self.views):
-            total = _add_scaled(total, k, v.values_on_box(lo, hi))
+        for v, k, e in self.parts:
+            part = v.values_on_box(lo, hi) if e is None \
+                else v.values_on_box(vsub(lo, e), vsub(hi, e))
+            total = _add_scaled(total, k, part)
         return total
 
     def values_on_segments(self, segments):
         totals = [[0] * count for _, _, count in segments]
-        for k, v in zip(self.coeffs, self.views):
+        for v, k, e in self.parts:
+            reads = segments if e is None else \
+                [(vsub(q, e), step, count) for q, step, count in segments]
             totals = [_add_scaled(total, k, part) for total, part
-                      in zip(totals, v.values_on_segments(segments))]
+                      in zip(totals, v.values_on_segments(reads))]
         return totals
 
 

@@ -13,10 +13,11 @@ annihilator rewriting rules, periodizer/annihilator conversions, the
 bounded certificate search for difference-product annihilators, and the
 level-by-level pipeline producing k-periodic components.
 
-Decomposition components are exposed as evaluators plus rasterization; in
-general their values need not form a configuration.  Components are
-evaluated a box at a time: a transfer component walks its recurrence lines
-through the box and a residual sums the boxes of its parts.  All searches take
+Decomposition components are exposed as lazy views (LazyConfig subclasses)
+plus rasterization; in general their values need not form a configuration.
+Components are evaluated a box at a time: a transfer component walks its
+recurrence lines through the box and a residual sums the boxes of its parts;
+a point read of a transfer component is a one-point segment.  All searches take
 caller-supplied bounds and report exhaustion as inconclusive rather than
 fabricating verdicts.
 """
@@ -117,8 +118,9 @@ class TransferSolution:
     anchor_shift: tuple
 
 
-class _TransferEvaluator:
-    """Per-line memoized evaluation of the coset recurrence.
+class _TransferEvaluator(LazyConfig):
+    """The lazy view of a transfer component: per-line memoized evaluation
+    of the coset recurrence.
 
     Every value is computed once.  A line is keyed by its point at
     recurrence coordinate 0 and the sweep direction; its list holds the n
@@ -130,26 +132,26 @@ class _TransferEvaluator:
     coordinate of every line start, extends every line that falls short and
     copies each line's values into the box.  `values_on_segments` answers
     other lines the same way: it finds the recurrence line of every point
-    asked for and extends each line once, to its farthest point.  Single
-    points are answered by `__call__` from the same lines.  All three
-    extend lines through `_source_values`: an eager source is read once on
-    the bounding box of the new source points when that box holds at most
-    4 times as many points; any other source is read segment by segment.
-    The recurrence coordinate is walked along lines (`a1_line`), so a line
-    pays one coset reduction per coset period rather than one per point.
+    asked for and extends each line once, to its farthest point.  A single
+    point is a one-point segment.  Both extend lines through
+    `_source_values`: an eager source is read once on the bounding box of
+    the new source points when that box holds at most 4 times as many
+    points; any other source is read segment by segment.  The recurrence
+    coordinate is walked along lines (`a1_line`), so a line pays one coset
+    reduction per coset period rather than one per point.
     """
 
-    __slots__ = ("w", "n", "source", "lam", "den", "cosets", "cache",
-                 "lines", "sweeps")
+    __slots__ = ("w", "n", "source", "lam", "den", "cosets", "lines",
+                 "sweeps")
 
     def __init__(self, w, alphas, n, source, shift, lam, den, cosets):
+        self.dim = len(w)
         self.w = w
         self.n = n
         self.source = source
         self.lam = lam
         self.den = den
         self.cosets = cosets
-        self.cache = {}  # point -> value of the points asked one at a time
         self.lines = {}  # (line base, upward?) -> values from the band out
         alphas = sorted(alphas.items())  # (offset, coefficient)
         # upward, c(t) = (c'(p + shift) - sum a_off c(t - off)) / a_0;
@@ -161,6 +163,9 @@ class _TransferEvaluator:
             False: (vscale(-1, w), vadd(shift, vscale(n, w)), alphas[-1][1],
                     [(n - off, coef) for off, coef in alphas[:-1]]),
         }
+
+    def value_at(self, x):
+        return self.values_on_segments([(x, self.w, 1)])[0][0]
 
     def a1_line(self, q, step, count):
         """The recurrence coordinate a1 at q + k*step for k in range(count).
@@ -258,34 +263,6 @@ class _TransferEvaluator:
                                     sum(map(mul, strides, step)), count)
                         for q, step, count in reads]
         return source.values_on_segments(reads)
-
-    def __call__(self, x):
-        cache = self.cache
-        v = cache.get(x)
-        if v is not None:
-            return v
-        a, = self.a1_line(x, self.w, 1)
-        n = self.n
-        if 0 <= a < n:
-            v = 0
-        else:
-            up = a >= n
-            pos = a if up else n - 1 - a
-            base = vsub(x, vscale(a, self.w))
-            vals = self.lines.get((base, up), ())
-            if len(vals) <= pos:
-                seg = self._segment(base, up, pos)
-                vals, count = seg[0], seg[-1]
-                self._extend(seg, self._source_values([seg])[0])
-                # point queries tend to walk a line: keep the swept points
-                step, shift = self.sweeps[up][:2]
-                p = vsub(seg[2], shift)
-                for v in vals[-count:]:
-                    cache[p] = v
-                    p = vadd(p, step)
-            v = vals[pos]
-        cache[x] = v
-        return v
 
     def values_on_segments(self, segments):
         """The values along each segment (q, step, count)."""
@@ -399,8 +376,7 @@ def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
     cosets = CosetSystem(dim, generators)
     lam, den = _first_coordinate_functional(generators, dim)
 
-    ev = _TransferEvaluator(w1, alphas, n, cprime, u0, lam, den, cosets)
-    view = LazyConfig(dim, ev, label="transfer", cache=False)
+    view = _TransferEvaluator(w1, alphas, n, cprime, u0, lam, den, cosets)
     return TransferSolution(source=cprime, phi=phi, psi=psi, subspace=V,
                             cosets=cosets, view=view, step=w1,
                             band_width=n, anchor_shift=u0)
@@ -414,7 +390,7 @@ def verify_transfer(sol: TransferSolution, lo, hi):
     product_ok = phic == sol.source.values_on_box(lo, hi)
     annihilation_ok = all(v == 0 for v in psic)
     band = max(sol.band_width, 1)
-    band_ok = all(v == 0 for v, a in zip(own, sol.view.fn.a1_on_box(lo, hi))
+    band_ok = all(v == 0 for v, a in zip(own, sol.view.a1_on_box(lo, hi))
                   if 0 <= a < band)
     return {"product": product_ok, "annihilation": annihilation_ok,
             "band": band_ok,

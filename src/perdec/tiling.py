@@ -95,9 +95,7 @@ def independent(tiles) -> tuple:
     Tiles must be normalized (contain the origin).  Every choice of one
     nonzero cell per tile is rank-tested over the rationals; the result is
     (True, None) or (False, first dependent choice) in lexicographic choice
-    order.  A rank test modulo a large prime screens each choice first;
-    full modular rank already proves rational independence, and only the
-    remaining choices pay for exact elimination.
+    order.
     """
     tiles = list(tiles)
     if not tiles:
@@ -116,33 +114,9 @@ def independent(tiles) -> tuple:
         if not cs:
             raise PreconditionError("a tile has no nonzero cell")
     for choice in product(*choice_sets):
-        if _rank_mod_prime(choice) == k:
-            continue  # full modular rank certifies rational independence
         if rank_rational(choice) < k:
             return False, choice
     return True, None
-
-
-_FILTER_PRIME = 2_147_483_647
-
-
-def _rank_mod_prime(vectors, p=_FILTER_PRIME):
-    mat = [[x % p for x in v] for v in vectors]
-    rank = 0
-    cols = len(mat[0])
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
 
 
 def select_periodizer(fs, V: SubspaceBasis) -> LaurentPoly:

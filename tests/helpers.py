@@ -12,6 +12,7 @@ the transfer source reference reads every source point through value_at.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
@@ -42,13 +43,12 @@ def segment_points(q, step, count):
     return out
 
 
-def assert_segments_match_points(c, segments, ref=None):
-    """c.values_on_segments, then c.values_on_line, equal the point reads
-    of ref (c itself by default) at every segment point, value and type;
-    returns the point reads."""
-    ref = c if ref is None else ref
-    want = [[ref.value_at(x) for x in segment_points(*seg)]
-            for seg in segments]
+def assert_segments_match_points(c, segments, value=None):
+    """c.values_on_segments, then c.values_on_line, equal value(x)
+    (c.value_at by default) at every segment point, value and type;
+    returns the point values."""
+    value = c.value_at if value is None else value
+    want = [[value(x) for x in segment_points(*seg)] for seg in segments]
     got = c.values_on_segments(segments)
     assert got == want
     assert [list(map(type, g)) for g in got] == \
@@ -63,6 +63,58 @@ def reference_source_values(evaluator, segments):
     value_at: the point-read reference for the recurrence work."""
     return [[evaluator.source.value_at(x) for x in segment_points(*seg[2:])]
             for seg in segments]
+
+
+def reference_transfer_value(view, x):
+    """A transfer view's value at x from the one-point recurrence: the
+    oracle for its box, segment and point reads.
+
+    The recurrence coordinate a1 comes from the coset representative of x.
+    Off the band, the line through x is walked from the band out to x, one
+    step of w at a time, reading every source point through
+    view.source.value_at; nothing is kept between calls.  A quotient is an
+    int only when an int source term divides exactly, as in the view.
+    """
+    x = tuple(x)
+    z = view.cosets.representative(x)
+    a, r = divmod(sum(l * (b - c) for l, b, c in zip(view.lam, x, z)),
+                  view.den)
+    assert r == 0, "non-integer recurrence coordinate"
+    n, w = view.n, view.w
+    if 0 <= a < n:
+        return 0
+    # phi = sum over offsets t of alpha_t X^(shift + t*w), from the sweep
+    # table of the upward direction
+    _, shift, a0, rest = view.sweeps[True]
+    alphas = {0: a0, **dict(rest)}
+    base = vsub(x, vscale(a, w))
+    vals = {t: 0 for t in range(n)}  # the band, by line coordinate t
+
+    def point(t):
+        return vadd(base, vscale(t, w))
+
+    def quotient(s, d):
+        q = Fraction(s) / d
+        return int(q) if isinstance(s, int) and q.denominator == 1 else q
+
+    if a >= n:
+        # phi*c = c' at point(t) + shift gives c(t) through alpha_0
+        for t in range(n, a + 1):
+            s = view.source.value_at(vadd(point(t), shift))
+            for off, coef in alphas.items():
+                if off:
+                    s -= coef * vals[t - off]
+            vals[t] = quotient(s, alphas[0])
+    else:
+        # the same equation at point(t + n) + shift gives c(t) through
+        # alpha_n
+        for t in range(-1, a - 1, -1):
+            s = view.source.value_at(vadd(point(t + n), shift))
+            for off, coef in alphas.items():
+                if off != n:
+                    s -= coef * vals[t + n - off]
+            vals[t] = quotient(s, alphas[n])
+    return vals[a]
 
 
 def naive_convolution(terms, window: WindowConfig):

@@ -651,18 +651,9 @@ def test_fiber_sum_values_on_box_matches_points():
             _assert_box_matches_points(c, lo, (0,) + lo[1:])
 
 
-class _HalvesEvaluator:
-    """x -> Fraction(2 * x0 + 1, 2) - 1/2 by point, box or segment; integral
-    values come back as Fractions."""
-
-    def __call__(self, x):
-        return Fraction(2 * x[0] + 1, 2) - Fraction(1, 2)
-
-    def values_on_box(self, lo, hi):
-        return [self(x) for x in box_points(lo, hi)]
-
-    def values_on_segments(self, segments):
-        return [[self(x) for x in segment_points(*seg)] for seg in segments]
+def _halves(x):
+    """x0 computed as Fraction(2 * x0 + 1, 2) - 1/2: integral Fractions."""
+    return Fraction(2 * x[0] + 1, 2) - Fraction(1, 2)
 
 
 def test_lazy_values_on_box_matches_points():
@@ -678,12 +669,16 @@ def test_lazy_values_on_box_matches_points():
     _assert_box_matches_points(add_views([bump, lazy]), (-2, -2), (3, 3))
     _assert_box_matches_points(apply_poly(difference_poly((1, 2)), bump),
                                (-2, -2), (3, 3))
-    # integral Fractions become ints in a cached view, as value_at makes them
-    cached = LazyConfig(2, _HalvesEvaluator())
-    assert all(type(v) is int for v in cached.values_on_box((-2, 0), (2, 1)))
-    _assert_box_matches_points(cached, (-2, 0), (2, 1))
-    raw = LazyConfig(2, _HalvesEvaluator(), cache=False)
-    _assert_box_matches_points(raw, (-2, 0), (2, 1))
+    # values come back as exact arithmetic makes them, integral Fractions
+    # too; only rasterize turns them into ints
+    halves = LazyConfig(2, _halves)
+    assert all(type(v) is Fraction
+               for v in halves.values_on_box((-2, 0), (2, 1)))
+    _assert_box_matches_points(halves, (-2, 0), (2, 1))
+    _assert_box_matches_points(add_views([halves, CHECKER], [3, -2]),
+                               (-2, 0), (2, 1))
+    assert rasterize(halves, (-2, 0), (2, 1)).values == [
+        x[0] for x in box_points((-2, 0), (2, 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -785,14 +780,10 @@ def test_lazy_lines_match_points():
     assert_segments_match_points(add_views([bump, lazy]), segments)
     assert_segments_match_points(apply_poly(difference_poly((1, 2)), bump),
                                segments)
-    # integral Fractions become ints in a cached view, as value_at makes
-    # them, also when a sum adds them up
-    cached = LazyConfig(2, _HalvesEvaluator())
-    assert all(type(v) is int for vals in cached.values_on_segments(segments)
-               for v in vals)
-    assert_segments_match_points(cached, segments)
-    raw = LazyConfig(2, _HalvesEvaluator(), cache=False)
-    assert any(type(v) is Fraction for vals in raw.values_on_segments(segments)
-               for v in vals)
-    assert_segments_match_points(raw, segments)
-    assert_segments_match_points(add_views([raw, CHECKER], [3, -2]), segments)
+    # integral Fractions stay Fractions, also when a sum adds them up
+    halves = LazyConfig(2, _halves)
+    assert all(type(v) is Fraction
+               for vals in halves.values_on_segments(segments) for v in vals)
+    assert_segments_match_points(halves, segments)
+    assert_segments_match_points(add_views([halves, CHECKER], [3, -2]),
+                                 segments)

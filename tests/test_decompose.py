@@ -5,9 +5,9 @@ from math import gcd
 import pytest
 
 from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
-                           add_views, box_contains, box_points, box_size,
-                           is_annihilated, make_fiber, period_lattice,
-                           rasterize)
+                           _Combination, add_views, apply_poly, box_contains,
+                           box_points, box_size, is_annihilated, make_fiber,
+                           period_lattice, rasterize, translate)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               annihilator_from_periodizer,
                               decompose_product, k_periodic_decompose,
@@ -18,11 +18,13 @@ from perdec.errors import (InconclusiveError, OutOfDomainError,
                            PreconditionError)
 from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
                             support_in_subspace)
-from perdec.lattice import SubspaceBasis, primitive, rank_rational, vscale
+from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vscale,
+                            vsub)
 
 from helpers import (DIRECTIONS_2D, assert_segments_match_points,
                      pointwise_rasterize, random_fiber_family,
-                     reference_source_values, reference_verify_on_window)
+                     reference_source_values, reference_transfer_value,
+                     reference_verify_on_window, segment_points)
 
 TRIVIAL2 = SubspaceBasis.trivial(2)
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
@@ -129,9 +131,8 @@ def _transfer_cases():
 def test_transfer_values_do_not_depend_on_query_order(case):
     phi, psi, source = _transfer_cases()[case]
     points = list(box_points((-6, -6), (6, 6)))
-    # one fresh evaluator per point: no cached line can leak in
-    ref = {x: solve_transfer(phi, psi, source, TRIVIAL2).view.value_at(x)
-           for x in points}
+    ref_view = solve_transfer(phi, psi, source, TRIVIAL2).view
+    ref = {x: reference_transfer_value(ref_view, x) for x in points}
     if case >= 2:
         assert any(isinstance(v, Fraction) for v in ref.values())
     shuffled = points[:]
@@ -730,10 +731,9 @@ def test_transfer_values_on_box_match_points(case):
     dim = phi.dim
     fractions = False
     for lo, hi in _box_cases(dim):
-        # a fresh evaluator per box and path: no line is shared
-        ref = solve_transfer(phi, psi, source, V).view
-        want = [ref.value_at(x) for x in box_points(lo, hi)]
+        # a fresh view per box: no line is shared
         view = solve_transfer(phi, psi, source, V).view
+        want = [reference_transfer_value(view, x) for x in box_points(lo, hi)]
         got = view.values_on_box(lo, hi)
         assert got == want
         assert [type(v) for v in got] == [type(v) for v in want]
@@ -746,15 +746,15 @@ def test_transfer_point_and_box_queries_share_lines(case):
     phi, psi, source, V = _box_transfer_cases()[case]
     dim = phi.dim
     boxes = _box_cases(dim)
-    ref = solve_transfer(phi, psi, source, V).view
-    want = {box: [ref.value_at(x) for x in box_points(*box)] for box in boxes}
     view = solve_transfer(phi, psi, source, V).view
+    want = {box: [reference_transfer_value(view, x) for x in box_points(*box)]
+            for box in boxes}
     rng = random.Random(case)
     for lo, hi in boxes:
         # some points first, then the box, then every point again
         points = list(box_points(lo, hi))
         for x in rng.sample(points, min(5, len(points))):
-            assert view.value_at(x) == ref.value_at(x)
+            assert view.value_at(x) == reference_transfer_value(view, x)
         assert view.values_on_box(lo, hi) == want[lo, hi]
     for lo, hi in reversed(boxes):
         assert [view.value_at(x) for x in box_points(lo, hi)] == want[lo, hi]
@@ -788,10 +788,9 @@ def test_transfer_values_on_segments_match_points(case):
     segments += [(one, w, 9), (one, vscale(-1, w), 9),
                  (vscale(3, one), (0,) * dim, 3), (one, w, 0)]
     assert sum(any(s < 0 for s in step) for _, step, _ in segments) >= 5
-    # a fresh evaluator per path: no line is shared
+    view = solve_transfer(phi, psi, source, V).view
     want = assert_segments_match_points(
-        solve_transfer(phi, psi, source, V).view, segments,
-        solve_transfer(phi, psi, source, V).view)
+        view, segments, lambda x: reference_transfer_value(view, x))
     fractions = any(isinstance(v, Fraction) for vals in want for v in vals)
     assert fractions == (case in (2, 3, 7, 8))
 
@@ -837,8 +836,10 @@ def test_transfer_source_box_reads_stay_within_four_times(monkeypatch,
             served.pop()
     monkeypatch.setattr(_TransferEvaluator, "_source_values",
                         recording_source_values)
-    for cls in (PeriodicConfig, FiberSum, WindowConfig, LazyConfig):
-        def recording_box(self, lo, hi, box=cls.values_on_box):
+    # every class with its own box read, the lazy ones included
+    for cls in (PeriodicConfig, FiberSum, WindowConfig, LazyConfig,
+                _Combination, _TransferEvaluator):
+        def recording_box(self, lo, hi, box=cls.__dict__["values_on_box"]):
             if served:
                 reads.append((type(self), box_size(lo, hi), served[-1]))
             return box(self, lo, hi)
@@ -909,4 +910,61 @@ def test_nested_transfer_segments_match_points(family):
                  rng.randint(1, 9)) for _ in range(12)]
     for comp, ref_comp in zip(dec.components, ref.components):
         # lazy transfer sources and residual sums are read by segment too
-        assert_segments_match_points(comp.view, segments, ref_comp.view)
+        assert_segments_match_points(comp.view, segments,
+                                     ref_comp.view.value_at)
+
+
+def test_transfer_point_read_after_box_read_extends_no_line():
+    phi, psi, source, V = _box_transfer_cases()[1]
+    view = solve_transfer(phi, psi, source, V).view
+    lo, hi = (-9, -7), (8, 6)
+    box = view.values_on_box(lo, hi)
+    work = sum(map(len, view.lines.values()))
+    assert work and any(box)
+    assert [view.value_at(x) for x in box_points(lo, hi)] == box
+    assert sum(map(len, view.lines.values())) == work
+
+
+@pytest.mark.parametrize("case", [0, 3, 7])
+def test_shifted_and_convolved_transfer_views_read_natively(monkeypatch,
+                                                            case):
+    # translate and apply_poly of a transfer view read boxes and segments
+    # through the view's own box and segment reads, never point by point
+    phi, psi, source, V = _box_transfer_cases()[case]
+    dim = phi.dim
+    t = (3, -2, 1)[:dim]
+    f = LaurentPoly(dim, {(0,) * dim: 2, (1,) + (0,) * (dim - 1): -1,
+                          (0,) * (dim - 1) + (-2,): 3})
+    ref_view = solve_transfer(phi, psi, source, V).view
+
+    def shifted(x):
+        return reference_transfer_value(ref_view, vsub(x, t))
+
+    def convolved(x):
+        return sum(k * reference_transfer_value(ref_view, vsub(x, e))
+                   for e, k in f.terms())
+
+    lo, hi = (-4,) * dim, (3,) + (5,) * (dim - 1)
+    rng = random.Random(case)
+    segments = [(tuple(rng.randint(-6, 6) for _ in range(dim)),
+                 tuple(rng.randint(-2, 2) for _ in range(dim)),
+                 rng.randint(1, 7)) for _ in range(8)]
+    point_reads = []
+    value_at = LazyConfig.value_at
+
+    def counted_value_at(self, x):
+        point_reads.append(x)
+        return value_at(self, x)
+    monkeypatch.setattr(LazyConfig, "value_at", counted_value_at)
+    for view, want in ((translate(solve_transfer(phi, psi, source, V).view,
+                                  t), shifted),
+                       (apply_poly(f, solve_transfer(phi, psi, source,
+                                                     V).view), convolved)):
+        assert isinstance(view, LazyConfig)
+        box = view.values_on_box(lo, hi)
+        lines = view.values_on_segments(segments)
+        assert not point_reads
+        assert box == [want(x) for x in box_points(lo, hi)]
+        assert lines == [[want(x) for x in segment_points(*seg)]
+                         for seg in segments]
+        assert [view.value_at(x) for x in box_points(lo, hi)] == box

@@ -252,9 +252,10 @@ _BAD = [True, False, 0.0, 1.5, "1", None, [], {}, -1, 0, 10 ** 20]
 
 
 def _mutate(doc, rng):
-    # half of the mutations land in the value records, where the bulk
-    # checks run
-    body = doc.get("values", doc.get("fibers"))
+    # half of the mutations land in the value records (where the bulk
+    # checks run), the terms or the cells
+    body = next((doc[k] for k in ("values", "fibers", "terms", "cells")
+                 if k in doc), None)
     if not isinstance(body, list) or rng.random() < 0.5:
         body = doc
     containers = [body] + [c[k] for c, k in _slots(body)
@@ -298,3 +299,62 @@ def test_config_from_obj_matches_reference_parser(seed, mutations):
     assert got == _outcome(reference_config_from_obj, doc)
     if got[0] != "ok":
         assert got[0] == "SchemaError"
+
+
+# ---------------------------------------------------------------------------
+# the polynomial and tile parsers keep their invariants or raise SchemaError
+
+def _valid_poly_doc(rng):
+    return poly_to_obj(random_poly(rng, rng.choice((1, 2, 3)), exp_range=2))
+
+
+def _valid_tile_doc(rng):
+    d = rng.choice((1, 2, 3))
+    cells = {tuple(rng.randint(-2, 2) for _ in range(d))
+             for _ in range(rng.randint(1, 5))}
+    return {"dim": d, "cells": [list(c) for c in sorted(cells)]}
+
+
+def _is_int_vector(v, dim):
+    return len(v) == dim and all(type(a) is int for a in v)
+
+
+def _check_poly(f, doc):
+    terms = f.terms()
+    exps = [e for e, _ in terms]
+    assert len(set(exps)) == len(exps)
+    assert all(type(k) is int and k != 0 for _, k in terms)
+    assert all(_is_int_vector(e, f.dim) for e in exps)
+    # every term of the document is kept: none dropped, merged or changed
+    assert f.dim == doc["dim"]
+    assert terms == sorted((tuple(t["exp"]), t["coef"])
+                           for t in doc["terms"])
+
+
+def _check_tile(tile, doc):
+    cells = [tuple(c) for c in doc["cells"]]
+    assert len(set(cells)) == len(cells)  # a repeated cell is an error
+    assert tile.cells and tile.cells == frozenset(cells)
+    assert tile.dim == doc["dim"]
+    assert all(_is_int_vector(c, tile.dim) for c in tile.cells)
+
+
+_PARSERS = {"poly": (poly_from_obj, _valid_poly_doc, _check_poly),
+            "tile": (tile_from_obj, _valid_tile_doc, _check_tile)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_PARSERS)), st.integers(0, 2 ** 32),
+       st.integers(0, 3))
+def test_poly_and_tile_parsers_keep_invariants_or_raise_schema_error(
+        kind, seed, mutations):
+    parse, valid_doc, check = _PARSERS[kind]
+    rng = random.Random(seed)
+    doc = valid_doc(rng)
+    for _ in range(mutations):
+        _mutate(doc, rng)
+    try:
+        obj = parse(copy.deepcopy(doc))
+    except SchemaError:
+        return
+    check(obj, doc)

@@ -8,17 +8,21 @@ Three concrete representations are provided:
 * FiberSum       -- a finite sum of periodic fibers, each supported on a
                     single rational line.
 
-LazyConfig is the base of the lazy views of functions on all of Z^d: a
-plain function, a combination of shifted views (`_Combination`) or a
-transfer component.  Decomposition pipelines expose their components this
-way and callers rasterize.
+LazyConfig is the abstract base of the lazy views of functions on all of
+Z^d: combinations of shifted views (`_Combination`) and transfer
+components.  Decomposition pipelines expose their components this way and
+callers rasterize.
 
-Every representation answers `values_on_box(lo, hi)`, the values at the
-points of a box in box_points order, a row, a line segment or a
-recurrence line at a time rather than a point at a time.  Each also reads
-lines: `values_on_line(q, step, count)` gives the values at q + k*step for
-k in range(count), and `values_on_segments` a list of such lines at once;
-a transfer component batches those reads by its own recurrence lines.
+Every representation reads boxes (`values_on_box`) and lists of line
+segments (`values_on_segments`) at once, not a point at a time.  Each also
+answers the queries of the decomposition theorems itself:
+`convolve(terms)`, `annihilated_by(f, window) -> Verdict` and
+`period_multiple(w, bound, window) -> (k, exact)`.  The module functions
+apply_poly, is_annihilated and detect_period_multiple check dimensions,
+normalise their arguments and delegate.  Periodic configurations and fiber
+sums answer exactly; a window answers with evidence from its own box; a
+lazy view answers with evidence from the `window` its caller passes and
+raises PreconditionError without one.
 """
 
 from __future__ import annotations
@@ -201,6 +205,8 @@ class WindowConfig:
 
     __slots__ = ("dim", "lo", "hi", "values", "strides")
 
+    evidence_kind = "window evidence"  # names inexact verdicts in errors
+
     def __init__(self, lo, hi, values):
         self.lo = tuple(int(x) for x in lo)
         self.hi = tuple(int(x) for x in hi)
@@ -270,6 +276,37 @@ class WindowConfig:
 
     def translate(self, t):
         return WindowConfig(vadd(self.lo, t), vadd(self.hi, t), self.values)
+
+    def convolve(self, terms):
+        """f*c on the erosion of the box by supp(f): one flat index per
+        term, each output row a sum of slices of the value list."""
+        eroded = erode_box(self.lo, self.hi, [e for e, _ in terms])
+        if eroded is None:
+            raise EmptyRegionError(
+                "window too small: erosion by the polynomial support is empty")
+        lo, hi = eroded
+        return WindowConfig(lo, hi, _convolve_rows(terms, self.values, self.lo,
+                                                   self.strides, lo, hi))
+
+    def annihilated_by(self, f, window):
+        """Evidence on the eroded box; `window` is not used."""
+        out = apply_poly(f, self)  # raises EmptyRegionError when eroded away
+        return Verdict.on_window(all(v == 0 for v in out.values),
+                                 out.lo, out.hi)
+
+    def period_multiple(self, w, bound, window):
+        """Evidence on the overlap of the box with each translate; `window`
+        is not used."""
+        for k in range(1, bound + 1):
+            step = vscale(k, w)
+            ov = box_intersect(self.box, (vadd(self.lo, step),
+                                          vadd(self.hi, step)))
+            if ov is None:
+                return None, False
+            if all(self.value_at(x) == self.value_at(vsub(x, step))
+                   for x in box_points(*ov)):
+                return k, False
+        return None, False
 
     def __eq__(self, other):
         return (isinstance(other, WindowConfig) and self.lo == other.lo
@@ -431,6 +468,30 @@ class PeriodicConfig:
 
     def is_zero(self):
         return all(v == 0 for v in self.values.values())
+
+    def convolve(self, terms):
+        """f*c on the same lattice, one HNF reduction per row and term."""
+        # residue (h, t) - e reduces to (h', (t + s) mod d): h' and s do not
+        # depend on t, so the source of row h is row h' rotated by s
+        rows = self._hnf
+        lines = self.row_table()
+        out = []
+        for h, line in lines.items():
+            row = [0] * len(line)
+            for e, k in terms:
+                src = hnf_reduce(vsub(h + (0,), e), rows)
+                row = _add_scaled(row, k, _cyclic(lines[src[:-1]], src[-1],
+                                                  len(line)))
+            out += row
+        return PeriodicConfig(self.dim, self.basis, dict(
+            zip(fundamental_residues(rows, self.dim), out)))
+
+    def annihilated_by(self, f, window):
+        return Verdict.exactly(apply_poly(f, self).is_zero())
+
+    def period_multiple(self, w, bound, window):
+        """Exact, by membership in the full period lattice."""
+        return order_modulo(w, period_lattice(self), bound), True
 
     def __eq__(self, other):
         return (isinstance(other, PeriodicConfig) and self.dim == other.dim
@@ -723,6 +784,26 @@ class FiberSum:
         w = primitive(direction)
         return FiberSum(self.dim, [f for f in self.fibers if f.direction == w])
 
+    def convolve(self, terms):
+        """f*c: the fibers translated, scaled and merged in one pass."""
+        return FiberSum(self.dim, _fiber_pieces_sum(
+            [(fib, e, k) for e, k in terms for fib in self.fibers]))
+
+    def annihilated_by(self, f, window):
+        return Verdict.exactly(apply_poly(f, self).is_zero())
+
+    def period_multiple(self, w, bound, window):
+        """Exact, by structural comparison of the translates."""
+        if self.is_zero():
+            return 1, True
+        wp = primitive(w)
+        if any(f.direction != wp for f in self.fibers):
+            return None, True  # some line drifts under every multiple
+        for k in range(1, bound + 1):
+            if self.translate(vscale(k, w)) == self:
+                return k, True
+        return None, True
+
     def __eq__(self, other):
         return (isinstance(other, FiberSum) and self.dim == other.dim
                 and self.fibers == other.fibers)
@@ -747,40 +828,46 @@ class LazyConfig:
     Values come back as exact arithmetic produces them: rasterize, through
     WindowConfig, is the one place that makes integral Fractions ints.
 
-    This class is the plain-function view: `value_at` calls `fn` and boxes
-    and segments are read point by point.  It is the base of every lazy
-    view; the combinations built by add_views, translate and apply_poly
-    (`_Combination`) and transfer components read whole boxes and segments
-    natively.
+    The abstract base of the lazy views: a subclass sets `dim` and reads
+    boxes and segments itself (`values_on_box`, `values_on_segments`); by
+    default a point read is a one-point segment.  With no finite region of
+    its own, a lazy view answers annihilation and period queries on the
+    window its caller passes.
     """
 
-    __slots__ = ("dim", "fn")
+    __slots__ = ("dim",)
 
-    def __init__(self, dim, fn):
-        self.dim = int(dim)
-        self.fn = fn
+    evidence_kind = "evaluator evidence"  # names inexact verdicts in errors
 
     def value_at(self, x):
-        return self.fn(tuple(x))
-
-    def values_on_box(self, lo, hi):
-        """Values over [lo, hi] in box_points order."""
-        return [self.value_at(x) for x in box_points(lo, hi)]
-
-    def values_on_line(self, q, step, count):
-        """Values along q + k*step for k in range(count)."""
-        return self.values_on_segments([(q, step, count)])[0]
-
-    def values_on_segments(self, segments):
-        """Values along each segment (q, step, count)."""
-        return [[self.value_at(x) for x in line_points(*seg)]
-                for seg in segments]
+        return self.values_on_segments([(x, zero_vector(self.dim), 1)])[0][0]
 
     def contains(self, x):
         return True
 
     def translate(self, t):
         return _Combination(self.dim, [(self, 1, t)])
+
+    def convolve(self, terms):
+        """f*c as a combination, one shifted part per term."""
+        return _Combination(self.dim, [(self, k, e) for e, k in terms])
+
+    def annihilated_by(self, f, window):
+        """Evidence on `window`, from one grid read around it."""
+        if window is None:
+            raise PreconditionError(
+                "annihilation of an evaluator view is undecidable; "
+                "rasterize first")
+        lo, hi = window
+        fc, = convolve_on_box([f], self, lo, hi)
+        return Verdict.on_window(all(v == 0 for v in fc), lo, hi)
+
+    def period_multiple(self, w, bound, window):
+        """The answer of the rasterized `window`."""
+        if window is None:
+            raise PreconditionError(
+                "period evidence for an evaluator needs an explicit window")
+        return rasterize(self, *window).period_multiple(w, bound, None)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -809,6 +896,8 @@ def rasterize(c, lo, hi):
     """Dense window of c over [lo, hi]; exact, errors outside c's domain."""
     lo = tuple(int(v) for v in lo)
     hi = tuple(int(v) for v in hi)
+    if len(lo) != c.dim or len(hi) != c.dim:
+        raise DimensionMismatch("box corners of wrong dimension")
     if isinstance(c, WindowConfig):
         if not (c.contains(lo) and c.contains(hi)):
             raise OutOfDomainError(
@@ -821,53 +910,14 @@ def apply_poly(f: LaurentPoly, c):
 
     Windows shrink to the erosion of their box by supp(f); periodic
     configurations keep their lattice; fiber sums map to merged translated
-    scaled fibers.  The zero polynomial yields the zero fiber sum.
-
-    Both eager kernels work on whole rows (all coordinates fixed but the
-    last).  The window kernel computes one flat index per term; each output
-    row is then a sum of slices of c.values.  The periodic kernel does one
-    HNF reduction per row and term; each source row is a rotation of a row
-    of the residue table.
+    scaled fibers; lazy views become combinations.  The zero polynomial
+    yields the zero fiber sum.
     """
     if f.dim != c.dim:
         raise DimensionMismatch("polynomial/configuration dimension mismatch")
     if f.is_zero():
         return FiberSum.zero(c.dim)
-    terms = f.terms()
-
-    if isinstance(c, WindowConfig):
-        eroded = erode_box(c.lo, c.hi, [e for e, _ in terms])
-        if eroded is None:
-            raise EmptyRegionError(
-                "window too small: erosion by the polynomial support is empty")
-        lo, hi = eroded
-        return WindowConfig(lo, hi, _convolve_rows(terms, c.values, c.lo,
-                                                   c.strides, lo, hi))
-
-    if isinstance(c, PeriodicConfig):
-        # residue (h, t) - e reduces to (h', (t + s) mod d): h' and s do not
-        # depend on t, so the source of row h is row h' rotated by s
-        rows = c.lattice_rows
-        lines = c.row_table()
-        out = []
-        for h, line in lines.items():
-            row = [0] * len(line)
-            for e, k in terms:
-                src = hnf_reduce(vsub(h + (0,), e), rows)
-                row = _add_scaled(row, k, _cyclic(lines[src[:-1]], src[-1],
-                                                  len(line)))
-            out += row
-        return PeriodicConfig(c.dim, c.basis, dict(
-            zip(fundamental_residues(rows, c.dim), out)))
-
-    if isinstance(c, FiberSum):
-        return FiberSum(c.dim, _fiber_pieces_sum(
-            [(fib, e, k) for e, k in terms for fib in c.fibers]))
-
-    if isinstance(c, LazyConfig):
-        return _Combination(c.dim, [(c, k, e) for e, k in terms])
-
-    raise PreconditionError(f"unsupported configuration type {type(c)!r}")
+    return c.convolve(f.terms())
 
 
 def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
@@ -921,20 +971,16 @@ def _add_scaled(row, k, part):
 
 
 def is_annihilated(f: LaurentPoly, c) -> Verdict:
-    """Whether fc = 0: exact for periodic/fiber views, window evidence else.
+    """Whether fc = 0: exact for periodic and fiber views, evidence on the
+    eroded box for windows.
 
-    Lazy evaluators have no intrinsic finite check region; rasterize first.
+    Lazy views have no finite check region of their own and raise
+    PreconditionError: rasterize first, or ask `c.annihilated_by(f, window)`
+    for evidence on a window.
     """
     if f.dim != c.dim:
         raise DimensionMismatch("polynomial/configuration dimension mismatch")
-    if isinstance(c, (PeriodicConfig, FiberSum)):
-        return Verdict.exactly(apply_poly(f, c).is_zero())
-    if isinstance(c, WindowConfig):
-        out = apply_poly(f, c)  # raises EmptyRegionError when eroded away
-        return Verdict.on_window(all(v == 0 for v in out.values),
-                                 out.lo, out.hi)
-    raise PreconditionError(
-        "annihilation of an evaluator view is undecidable; rasterize first")
+    return c.annihilated_by(f, None)
 
 
 def add_views(views, coeffs=None):
@@ -1027,66 +1073,14 @@ def detect_period_multiple(c, direction, bound, window=None):
     """Smallest k in [1, bound] with c invariant under k*direction.
 
     Exact for PeriodicConfig (lattice membership) and FiberSum (structural
-    comparison); window evidence otherwise.  Returns (k, exact_flag) or
+    comparison); evidence on a window's own box, and on the rasterized
+    `window` for lazy views, which need one.  Returns (k, exact_flag) or
     (None, exact_flag) when no such multiple exists within the bound.
     """
     w = tuple(int(x) for x in direction)
+    if len(w) != c.dim:
+        raise DimensionMismatch("direction of wrong dimension")
     if is_zero_vector(w):
         raise PreconditionError("the zero vector is not a direction")
-    if isinstance(c, PeriodicConfig):
-        return order_modulo(w, period_lattice(c), bound), True
-    if isinstance(c, FiberSum):
-        if c.is_zero():
-            return 1, True
-        wp = primitive(w)
-        if any(f.direction != wp for f in c.fibers):
-            return None, True  # some line drifts under every multiple
-        for k in range(1, bound + 1):
-            if translate(c, vscale(k, w)) == c:
-                return k, True
-        return None, True
-    if isinstance(c, WindowConfig):
-        for k in range(1, bound + 1):
-            step = vscale(k, w)
-            ov = box_intersect(c.box, (vadd(c.lo, step), vadd(c.hi, step)))
-            if ov is None:
-                return None, False
-            lo, hi = ov
-            if all(c.value_at(x) == c.value_at(vsub(x, step))
-                   for x in box_points(lo, hi)):
-                return k, False
-        return None, False
-    if isinstance(c, LazyConfig):
-        if window is None:
-            raise PreconditionError(
-                "period evidence for an evaluator needs an explicit window")
-        lo, hi = window
-        return detect_period_multiple(rasterize(c, lo, hi), w, bound)
-    raise PreconditionError(f"unsupported configuration type {type(c)!r}")
+    return c.period_multiple(w, bound, window)
 
-
-def periodic_in_subspace(c, V, bound) -> Verdict:
-    """Whether c is periodic in every rational direction of V.
-
-    Checking each basis direction suffices: integer combinations of periods
-    are periods.  Strongly periodic views always pass; windows give
-    evidence only.
-    """
-    if V.rank == 0:
-        return Verdict.exactly(True)
-    if isinstance(c, PeriodicConfig):
-        return Verdict.exactly(True)
-    exact = True
-    region = None
-    for b in V.integer_rows():
-        k, ex = detect_period_multiple(c, b, bound)
-        exact = exact and ex
-        if isinstance(c, WindowConfig):
-            region = c.box
-        if k is None:
-            if exact:
-                return Verdict.exactly(False)
-            return Verdict.on_window(False, *region)
-    if exact:
-        return Verdict.exactly(True)
-    return Verdict.on_window(True, *region)

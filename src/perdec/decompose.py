@@ -30,12 +30,11 @@ from itertools import combinations
 from math import lcm
 from operator import add, mul
 
-from .config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
-                     WindowConfig, add_views, apply_poly, box_line_range,
-                     box_line_slabs, box_offset, box_points, box_size,
-                     box_strides, convolve_on_box, detect_period_multiple,
-                     is_annihilated, line_slice, line_values, period_lattice,
-                     periodic_in_subspace)
+from .config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
+                     add_views, apply_poly, box_line_range, box_line_slabs,
+                     box_offset, box_points, box_size, box_strides,
+                     convolve_on_box, detect_period_multiple, is_annihilated,
+                     line_slice, line_values, period_lattice)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
 from .laurent import (LaurentPoly, difference_poly, line_degree,
@@ -67,18 +66,23 @@ class Bounds:
 
 
 def _require_annihilation(f, c, bounds, message, error=PreconditionError):
-    """Check fc = 0 where checkable; evidence window for evaluator views."""
-    if isinstance(c, LazyConfig):
-        lo, hi = bounds.check_window(c.dim)
-        fc, = convolve_on_box([f], c, lo, hi)
-        if any(v != 0 for v in fc):
-            raise error(message + " (evaluator evidence)")
-        return Verdict.on_window(True, lo, hi)
-    verdict = is_annihilated(f, c)
+    """Check fc = 0: exactly where c holds all of fc, else on evidence (for
+    evaluator views, the check window); returns the verdict."""
+    verdict = c.annihilated_by(f, bounds.check_window(c.dim))
     if not verdict.holds:
         raise error(message if verdict.exact
-                    else message + " (window evidence)")
+                    else f"{message} ({c.evidence_kind})")
     return verdict
+
+
+def _require_v_periodic(c, V, bounds, what):
+    """Check that c is V-periodic where that is exact and not automatic: for
+    a fiber sum.  A basis of V suffices, since integer combinations of
+    periods are periods."""
+    if V.rank and isinstance(c, FiberSum) and any(
+            detect_period_multiple(c, b, bounds.period)[0] is None
+            for b in V.integer_rows()):
+        raise PreconditionError(f"{what} is not V-periodic")
 
 
 def _exact_div(s, a):
@@ -163,9 +167,6 @@ class _TransferEvaluator(LazyConfig):
             False: (vscale(-1, w), vadd(shift, vscale(n, w)), alphas[-1][1],
                     [(n - off, coef) for off, coef in alphas[:-1]]),
         }
-
-    def value_at(self, x):
-        return self.values_on_segments([(x, self.w, 1)])[0][0]
 
     def a1_line(self, q, step, count):
         """The recurrence coordinate a1 at q + k*step for k in range(count).
@@ -365,9 +366,7 @@ def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
         raise PreconditionError("source of wrong dimension")
     _require_annihilation(psi, cprime, bounds,
                           "psi does not annihilate the source")
-    if V.rank and isinstance(cprime, FiberSum):
-        if not periodic_in_subspace(cprime, V, bounds.period).holds:
-            raise PreconditionError("source is not V-periodic")
+    _require_v_periodic(cprime, V, bounds, "source")
 
     u0 = desc.anchor
     n = offsets[-1]
@@ -470,9 +469,7 @@ def decompose_product(phis, c, V: SubspaceBasis, bounds: Bounds | None = None
     dirs = _validate_line_family(phis, V)
     _require_annihilation(poly_product(phis), c, bounds,
                           "the product does not annihilate the input")
-    if V.rank and isinstance(c, FiberSum):
-        if not periodic_in_subspace(c, V, bounds.period).holds:
-            raise PreconditionError("input is not V-periodic")
+    _require_v_periodic(c, V, bounds, "input")
     comps = _decompose_rec(phis, dirs, c, V, bounds)
     return Decomposition(source=c, subspace=V, components=comps)
 
@@ -528,9 +525,8 @@ def _period_multiple(view, w, bounds, context):
     Evaluator views are checked on the evidence window; exhausting the
     bound is inconclusive.
     """
-    window = bounds.check_window(view.dim) \
-        if isinstance(view, LazyConfig) else None
-    k, exact = detect_period_multiple(view, w, bounds.period, window=window)
+    k, exact = detect_period_multiple(view, w, bounds.period,
+                                      window=bounds.check_window(view.dim))
     if k is None:
         raise InconclusiveError(
             f"no period multiple <= {bounds.period} along {w} ({context})",

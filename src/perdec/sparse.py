@@ -322,7 +322,6 @@ def stabilized_translate_limit(c, step, window, k_max: int, patience: int
 
 
 def _sequence_limit(c, step, lo, hi, k_max, patience, required):
-    run_start = None
     run_len = 0
     prev = None
     first = None
@@ -331,7 +330,7 @@ def _sequence_limit(c, step, lo, hi, k_max, patience, required):
         if prev is not None and cur == prev:
             run_len += 1
         else:
-            run_start, first = k, cur
+            first = cur
             run_len = 1
         if run_len >= patience:
             return first

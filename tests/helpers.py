@@ -17,7 +17,8 @@ from math import gcd
 
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
-from perdec.config import PeriodicFiber, _minimal_period, box_points, box_size
+from perdec.config import (LazyConfig, PeriodicFiber, _minimal_period,
+                           box_points, box_size)
 from perdec.errors import EmptyRegionError, SchemaError
 from perdec.lattice import fundamental_residues, primitive, vadd, vscale, vsub
 from perdec.serialize import _dim_of, _int, _int_vector
@@ -27,6 +28,25 @@ from perdec.sparse import SparsenessReport, fiber_closed_form_constant
 def window_from_function(lo, hi, fn):
     """The window of fn over [lo, hi], evaluated point by point."""
     return WindowConfig(lo, hi, [fn(x) for x in box_points(lo, hi)])
+
+
+class FunctionView(LazyConfig):
+    """The lazy view of a plain function fn of a point tuple, read point by
+    point: the simplest lazy view, built only by tests."""
+
+    def __init__(self, dim, fn):
+        self.dim = dim
+        self.fn = fn
+
+    def value_at(self, x):
+        return self.fn(tuple(x))
+
+    def values_on_box(self, lo, hi):
+        return [self.value_at(x) for x in box_points(lo, hi)]
+
+    def values_on_segments(self, segments):
+        return [[self.value_at(x) for x in segment_points(*seg)]
+                for seg in segments]
 
 
 def pointwise_rasterize(c, lo, hi):
@@ -44,17 +64,18 @@ def segment_points(q, step, count):
 
 
 def assert_segments_match_points(c, segments, value=None):
-    """c.values_on_segments, then c.values_on_line, equal value(x)
-    (c.value_at by default) at every segment point, value and type;
-    returns the point values."""
+    """c.values_on_segments, then c.values_on_line where c has one (the
+    eager classes), equal value(x) (c.value_at by default) at every segment
+    point, value and type; returns the point values."""
     value = c.value_at if value is None else value
     want = [[value(x) for x in segment_points(*seg)] for seg in segments]
     got = c.values_on_segments(segments)
     assert got == want
     assert [list(map(type, g)) for g in got] == \
         [list(map(type, w)) for w in want]
-    for seg, vals in zip(segments, want):
-        assert c.values_on_line(*seg) == vals
+    if hasattr(c, "values_on_line"):
+        for seg, vals in zip(segments, want):
+            assert c.values_on_line(*seg) == vals
     return want
 
 

@@ -7,12 +7,12 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                            add_views, apply_poly, box_points,
                            detect_period_multiple, evaluate, is_annihilated,
                            make_fiber, period_lattice, rasterize, translate)
-from perdec.errors import (EmptyRegionError, LatticeError, OutOfDomainError,
-                           PreconditionError)
+from perdec.errors import (DimensionMismatch, EmptyRegionError, LatticeError,
+                           OutOfDomainError, PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import in_lattice, lattice_determinant, vsub
 
-from helpers import (DIRECTIONS_2D, assert_canonical_fibers,
+from helpers import (DIRECTIONS_2D, FunctionView, assert_canonical_fibers,
                      assert_segments_match_points, naive_convolution,
                      random_fiber_family, random_periodic, random_poly,
                      reference_add_views_fibers, reference_apply_poly_fibers,
@@ -61,10 +61,10 @@ def test_window_rejects_non_integral_values():
     ints[0] = 9
     assert w.values == [4, 5]
     # a window mixed with a rational view is checked, not truncated
-    half = LazyConfig(2, lambda x: Fraction(1, 2))
+    half = FunctionView(2, lambda x: Fraction(1, 2))
     with pytest.raises(PreconditionError):
         add_views([rasterize(CHECKER, (-2, -2), (2, 2)), half])
-    whole = LazyConfig(2, lambda x: Fraction(2 * x[0], 2))
+    whole = FunctionView(2, lambda x: Fraction(2 * x[0], 2))
     mixed = add_views([rasterize(CHECKER, (-2, -2), (2, 2)), whole])
     assert mixed.values == [CHECKER.value_at(x) + x[0]
                             for x in box_points((-2, -2), (2, 2))]
@@ -564,6 +564,22 @@ def test_detect_period_multiple():
     assert k == 1 and not exact
 
 
+@pytest.mark.parametrize("kind", ["window", "periodic", "fibersum", "lazy"])
+def test_rasterize_and_period_queries_check_dimensions(kind):
+    fs = FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 2])])
+    c = {"window": rasterize(CHECKER, (-2, -2), (2, 2)), "periodic": CHECKER,
+         "fibersum": fs, "lazy": add_views([fs, CHECKER])}[kind]
+    window = (-2, -2), (2, 2)
+    for lo, hi in [((0,), (1,)), ((0, 0, 0), (1, 1, 1)), ((0, 0), (1, 1, 1))]:
+        with pytest.raises(DimensionMismatch):
+            rasterize(c, lo, hi)
+    for w in [(1,), (1, 0, 0)]:
+        with pytest.raises(DimensionMismatch):
+            detect_period_multiple(c, w, 8, window=window)
+    assert rasterize(c, *window).box == window
+    assert detect_period_multiple(c, (1, 0), 8, window=window)[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # values_on_box against value_at at every point
 
@@ -665,13 +681,13 @@ def test_lazy_values_on_box_matches_points():
                    ((-500, 3), (-497, 9))]:
         _assert_box_matches_points(lazy, lo, hi)
     # the point fallback: an evaluator without a box method
-    bump = LazyConfig(2, lambda x: int(x == (1, 1)))
+    bump = FunctionView(2, lambda x: int(x == (1, 1)))
     _assert_box_matches_points(add_views([bump, lazy]), (-2, -2), (3, 3))
     _assert_box_matches_points(apply_poly(difference_poly((1, 2)), bump),
                                (-2, -2), (3, 3))
     # values come back as exact arithmetic makes them, integral Fractions
     # too; only rasterize turns them into ints
-    halves = LazyConfig(2, _halves)
+    halves = FunctionView(2, _halves)
     assert all(type(v) is Fraction
                for v in halves.values_on_box((-2, 0), (2, 1)))
     _assert_box_matches_points(halves, (-2, 0), (2, 1))
@@ -776,12 +792,12 @@ def test_lazy_lines_match_points():
     segments = [_random_segment(rng, 2) for _ in range(20)]
     assert_segments_match_points(lazy, segments)
     # the point fallback: an evaluator without a segment method
-    bump = LazyConfig(2, lambda x: int(x == (1, 1)))
+    bump = FunctionView(2, lambda x: int(x == (1, 1)))
     assert_segments_match_points(add_views([bump, lazy]), segments)
     assert_segments_match_points(apply_poly(difference_poly((1, 2)), bump),
                                segments)
     # integral Fractions stay Fractions, also when a sum adds them up
-    halves = LazyConfig(2, _halves)
+    halves = FunctionView(2, _halves)
     assert all(type(v) is Fraction
                for vals in halves.values_on_segments(segments) for v in vals)
     assert_segments_match_points(halves, segments)

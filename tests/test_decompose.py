@@ -4,11 +4,13 @@ from math import gcd
 
 import pytest
 
-from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
-                           _Combination, add_views, apply_poly, box_contains,
-                           box_points, box_size, is_annihilated, make_fiber,
+from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
+                           WindowConfig, _Combination, add_views, apply_poly,
+                           box_contains, box_points, box_size,
+                           detect_period_multiple, is_annihilated, make_fiber,
                            period_lattice, rasterize, translate)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
+                              _period_multiple, _require_annihilation,
                               annihilator_from_periodizer,
                               decompose_product, k_periodic_decompose,
                               reduce_annihilator,
@@ -21,10 +23,11 @@ from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
 from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vscale,
                             vsub)
 
-from helpers import (DIRECTIONS_2D, assert_segments_match_points,
-                     pointwise_rasterize, random_fiber_family,
-                     reference_source_values, reference_transfer_value,
-                     reference_verify_on_window, segment_points)
+from helpers import (DIRECTIONS_2D, FunctionView,
+                     assert_segments_match_points, pointwise_rasterize,
+                     random_fiber_family, reference_source_values,
+                     reference_transfer_value, reference_verify_on_window,
+                     segment_points)
 
 TRIVIAL2 = SubspaceBasis.trivial(2)
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
@@ -153,10 +156,82 @@ def test_bounds_reject_check_radius_below_one(radius):
 def test_evaluator_evidence_is_checked_at_radius_one():
     # a lazy source that psi does not annihilate is caught on the smallest
     # evidence window the bounds allow
-    bump = LazyConfig(2, lambda x: int(x == (0, 1)))
+    bump = FunctionView(2, lambda x: int(x == (0, 1)))
     with pytest.raises(PreconditionError, match="evaluator evidence"):
         solve_transfer(difference_poly((1, 0)), difference_poly((0, 1)),
                        bump, TRIVIAL2, Bounds(check_radius=1))
+
+
+def _protocol_views():
+    """One integer view of each representation on Z^2, the lazy ones too,
+    keyed by class name."""
+    fs = FiberSum(2, [make_fiber((0, 1), (1, 0), [1, 2]),
+                      make_fiber((0, -2), (1, 0), [3])])
+    source = PeriodicConfig.from_function(2, [(2, 0), (0, 3)],
+                                          lambda r: r[0] - r[1])
+    return {
+        "WindowConfig": rasterize(CHECKER, (-12, -12), (12, 12)),
+        "PeriodicConfig": CHECKER,
+        "FiberSum": fs,
+        "_Combination": add_views([fs, CHECKER]),
+        "_TransferEvaluator": solve_transfer(difference_poly((1, 0)),
+                                             difference_poly((0, 3)), source,
+                                             TRIVIAL2).view,
+        "FunctionView": FunctionView(2, lambda x: (x[0] + x[1]) % 2),
+    }
+
+
+@pytest.mark.parametrize("kind", ["WindowConfig", "PeriodicConfig",
+                                  "FiberSum", "_Combination",
+                                  "_TransferEvaluator", "FunctionView"])
+def test_protocol_answers_agree_with_the_rasterized_window(kind):
+    # apply_poly, annihilation and period queries answer as the rasterized
+    # check window does: exactly for periodic and fiber views, as evidence
+    # on their own box for windows and on the check window for lazy views
+    c = _protocol_views()[kind]
+    assert type(c).__name__ == kind
+    exact = kind in ("PeriodicConfig", "FiberSum")
+    lazy = isinstance(c, LazyConfig)
+    failure = "no" if exact else "no (evaluator evidence)" if lazy \
+        else "no (window evidence)"
+    bounds = Bounds(period=8, check_radius=9)
+    lo, hi = bounds.check_window(2)
+    for f in [difference_poly(v) for v in ((2, 0), (1, 1), (0, 3), (1, 0))]:
+        ref = apply_poly(f, rasterize(c, lo, hi))
+        assert rasterize(apply_poly(f, c), *ref.box) == ref
+        # the box grown by supp(f) erodes back to [lo, hi]
+        supp = f.support()
+        grown = (tuple(a - max(e[i] for e in supp) for i, a in enumerate(lo)),
+                 tuple(b - min(e[i] for e in supp) for i, b in enumerate(hi)))
+        evidence = is_annihilated(f, rasterize(c, *grown))
+        assert evidence.region == (lo, hi)
+        if lazy:
+            with pytest.raises(PreconditionError, match="undecidable"):
+                is_annihilated(f, c)
+            want = evidence
+        else:
+            want = Verdict.exactly(evidence.holds) if exact else \
+                Verdict.on_window(evidence.holds, *apply_poly(f, c).box)
+            assert is_annihilated(f, c) == want
+        if want.holds:
+            assert _require_annihilation(f, c, bounds, "no") == want
+        else:
+            with pytest.raises(PreconditionError) as err:
+                _require_annihilation(f, c, bounds, "no")
+            assert str(err.value) == failure
+    for w in [(1, 0), (0, 1), (1, 1), (2, -1)]:
+        k, on_window = detect_period_multiple(rasterize(c, lo, hi), w, 8)
+        assert not on_window
+        if lazy:
+            with pytest.raises(PreconditionError, match="explicit window"):
+                detect_period_multiple(c, w, 8)
+        got = detect_period_multiple(c, w, 8, window=(lo, hi))
+        assert got == (k, exact)
+        if k is None:
+            with pytest.raises(InconclusiveError):
+                _period_multiple(c, w, bounds, "test")
+        else:
+            assert _period_multiple(c, w, bounds, "test") == got
 
 
 def test_transfer_band_gauge():
@@ -386,8 +461,8 @@ def test_verify_on_window_perturbed_component_matches_reference(name, bump):
     for dec in (build(), build()):
         comp = dec.components[-1]
         view = comp.view
-        comp.view = LazyConfig(2, lambda x, v=view: v.value_at(x)
-                               + (x == bump))
+        comp.view = FunctionView(2, lambda x, v=view: v.value_at(x)
+                                 + (x == bump))
         reports.append(dec.verify_on_window(lo, hi) if not reports
                        else reference_verify_on_window(dec, lo, hi))
     assert reports[0] == reports[1]
@@ -798,8 +873,8 @@ def test_transfer_values_on_segments_match_points(case):
 def test_transfer_window_source_segments_error_like_points():
     w = rasterize(PeriodicConfig.constant(2, 1), (-10, -10), (10, 10))
     args = (difference_poly((1, 0)), difference_poly((0, 1)), w, TRIVIAL2)
-    assert solve_transfer(*args).view.values_on_line((-4, 2), (1, -1), 6) \
-        == [4, 3, 2, 1, 0, -1]
+    assert solve_transfer(*args).view.values_on_segments(
+        [((-4, 2), (1, -1), 6)]) == [[4, 3, 2, 1, 0, -1]]
     with pytest.raises(OutOfDomainError):
         solve_transfer(*args).view.values_on_segments(
             [((0, 0), (1, 0), 3), ((25, 0), (1, 1), 2)])
@@ -837,8 +912,8 @@ def test_transfer_source_box_reads_stay_within_four_times(monkeypatch,
     monkeypatch.setattr(_TransferEvaluator, "_source_values",
                         recording_source_values)
     # every class with its own box read, the lazy ones included
-    for cls in (PeriodicConfig, FiberSum, WindowConfig, LazyConfig,
-                _Combination, _TransferEvaluator):
+    for cls in (PeriodicConfig, FiberSum, WindowConfig, _Combination,
+                _TransferEvaluator):
         def recording_box(self, lo, hi, box=cls.__dict__["values_on_box"]):
             if served:
                 reads.append((type(self), box_size(lo, hi), served[-1]))
@@ -968,3 +1043,4 @@ def test_shifted_and_convolved_transfer_views_read_natively(monkeypatch,
         assert lines == [[want(x) for x in segment_points(*seg)]
                          for seg in segments]
         assert [view.value_at(x) for x in box_points(lo, hi)] == box
+        point_reads.clear()  # a transfer view's own point reads

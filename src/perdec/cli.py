@@ -10,6 +10,7 @@ result files; the manifest additionally records the wall time.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -416,10 +417,14 @@ def build_parser():
     return parser
 
 
+# the parser holds no state between parse_args calls, so one serves every
+# main call of the process; build_parser still returns a fresh one
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     ctx = RunContext(args)

@@ -289,7 +289,10 @@ class WindowConfig:
                                                    self.strides, lo, hi))
 
     def annihilated_by(self, f, window):
-        """Evidence on the eroded box; `window` is not used."""
+        """Evidence on the eroded box; `window` is not used.  The zero
+        polynomial annihilates exactly."""
+        if f.is_zero():
+            return Verdict.exactly(True)
         out = apply_poly(f, self)  # raises EmptyRegionError when eroded away
         return Verdict.on_window(all(v == 0 for v in out.values),
                                  out.lo, out.hi)
@@ -853,7 +856,10 @@ class LazyConfig:
         return _Combination(self.dim, [(self, k, e) for e, k in terms])
 
     def annihilated_by(self, f, window):
-        """Evidence on `window`, from one grid read around it."""
+        """Evidence on `window`, from one grid read around it.  The zero
+        polynomial annihilates exactly, with or without a window."""
+        if f.is_zero():
+            return Verdict.exactly(True)
         if window is None:
             raise PreconditionError(
                 "annihilation of an evaluator view is undecidable; "
@@ -972,7 +978,7 @@ def _add_scaled(row, k, part):
 
 def is_annihilated(f: LaurentPoly, c) -> Verdict:
     """Whether fc = 0: exact for periodic and fiber views, evidence on the
-    eroded box for windows.
+    eroded box for windows, and exact for every view when f is zero.
 
     Lazy views have no finite check region of their own and raise
     PreconditionError: rasterize first, or ask `c.annihilated_by(f, window)`

@@ -668,13 +668,37 @@ def _candidate_ok(avoid, z):
     return avoid is None or not avoid.contains(z)
 
 
-def _test_product(vectors, c):
-    product = poly_product([difference_poly(v) for v in vectors])
-    try:
-        verdict = is_annihilated(product, c)
-    except EmptyRegionError:
-        return False
-    return verdict.holds
+def _test_product(vectors, parts):
+    """Whether prod (X^v - 1) over `vectors` annihilates the sum of `parts`.
+
+    Each part is (w, G): G holds the fibers of a fiber sum along the
+    primitive direction w, or w is None and G is the whole input.  A None
+    part is tested against the full product.  A fiber part is tested
+    against the factors parallel to w alone, by this lemma: for
+    c = sum_w G_w, the product annihilates c exactly when, for every w,
+    prod_{v || w} (X^v - 1) annihilates G_w.
+
+    * Finite fiber sums along distinct directions add to zero only if each
+      is zero: a nonzero periodic fiber has infinitely many nonzero points
+      on its line, and a fiber along another direction meets that line at
+      most once.  Every factor maps w-fiber sums to w-fiber sums, so the
+      product kills c exactly when it kills each G_w.
+    * A factor X^u - 1 with u not parallel to w kills no nonzero finite
+      w-fiber sum: translation by u leaves no finite set of w-lines
+      invariant.  So the product kills G_w exactly when its factors
+      parallel to w do, and a part with none of them survives.
+    """
+    for w, part in parts:
+        factors = [v for v in vectors if w is None or primitive(v) == w]
+        if not factors:
+            return False
+        product = poly_product([difference_poly(v) for v in factors])
+        try:
+            if not is_annihilated(product, part).holds:
+                return False
+        except EmptyRegionError:
+            return False
+    return True
 
 
 def search_difference_annihilator(c, f: LaurentPoly, bound: int,
@@ -688,7 +712,14 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
     total 1-norm, then lexicographically), then iterative deepening over
     multiplied primitive directions with multiplier sum T and each
     multiplier in [1, bound].  The first certificate that annihilates c is
-    revalidated and returned; exhaustion is inconclusive, not a refutation.
+    returned; exhaustion is inconclusive, not a refutation.  The search
+    does not check its answer again: `decompose_product` and
+    `sparse_decompose` check the product with `_require_annihilation`
+    before they use it.
+
+    A fiber sum is split once into its parts along each fiber direction,
+    and a candidate is tested on each part with its factors parallel to
+    that direction (`_test_product`); any other view is tested whole.
 
     `avoid` filters out candidate vectors inside a subspace, for callers
     that need every factor transversal to it.
@@ -701,6 +732,11 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
         # elsewhere that is not checkable and an annihilator is required
         raise PreconditionError("f neither annihilates nor visibly periodizes c")
     support = f.support()
+    if isinstance(c, FiberSum):
+        parts = [(w, c.parallel_part(w))
+                 for w in sorted({fib.direction for fib in c.fibers})]
+    else:
+        parts = [(None, c)]
 
     # phase 1: raw support differences with their observed scales
     for u in support:
@@ -714,7 +750,7 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
                 dirs = [primitive(z) for z in combo]
                 if len(set(dirs)) != size:
                     continue
-                if _test_product(combo, c):
+                if _test_product(combo, parts):
                     return DifferenceProduct(tuple(combo))
 
     # phase 2: iterative deepening over scaled primitive directions
@@ -733,7 +769,7 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
                 for subset in combinations(prims, size):
                     for ks in _compositions(total, size, bound):
                         vecs = tuple(vscale(k, w) for k, w in zip(ks, subset))
-                        if _test_product(vecs, c):
+                        if _test_product(vecs, parts):
                             return DifferenceProduct(vecs)
     raise InconclusiveError(
         f"no difference-product certificate within multiplier bound {bound}",

@@ -6,7 +6,9 @@ sparseness oracle counts every cube point by point through value_at, and
 the decomposition check evaluates every component point by point, the
 fiber-sum references canonicalize every shifted, scaled piece from raw data
 with make_fiber, the configuration parser checks every item in a loop, and
-the transfer source reference reads every source point through value_at.
+the transfer source reference reads every source point through value_at,
+and the certificate test multiplies out every factor and applies the
+product to the whole view.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from math import gcd
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
 from perdec.config import (LazyConfig, PeriodicFiber, _minimal_period,
-                           box_points, box_size)
+                           box_points, box_size, is_annihilated)
 from perdec.errors import EmptyRegionError, SchemaError
+from perdec.laurent import difference_poly, poly_product
 from perdec.lattice import fundamental_residues, primitive, vadd, vscale, vsub
 from perdec.serialize import _dim_of, _int, _int_vector
 from perdec.sparse import SparsenessReport, fiber_closed_form_constant
@@ -293,6 +296,23 @@ def reference_verify_on_window(dec, lo, hi):
                  == dec.source.value_at(x) for x in box_points(lo, hi))
     return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,
             "ok": sum_ok and all(per_comp)}
+
+
+def reference_test_product(vectors, c):
+    """Whether prod (X^v - 1) over `vectors` annihilates c: every factor
+    multiplied out and the whole product applied to c at once."""
+    product = poly_product([difference_poly(v) for v in vectors])
+    try:
+        return is_annihilated(product, c).holds
+    except EmptyRegionError:
+        return False
+
+
+def fiber_parts(c: FiberSum):
+    """The certificate test's parts of a fiber sum: (w, fibers along w)
+    for each fiber direction w."""
+    return [(w, c.parallel_part(w))
+            for w in sorted({f.direction for f in c.fibers})]
 
 
 def reference_fiber_sum(raw):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from perdec import cli
 from perdec.cli import main
 from perdec.config import PeriodicConfig, box_points, evaluate, rasterize
 from perdec.serialize import config_from_obj, config_to_obj, dumps, poly_to_obj
@@ -399,3 +400,53 @@ def test_dim_flag_validates(files):
     out2 = str(tmp / "out_dim2")
     assert main(["--out", out2, "--dim", "3", "poly", "mul",
                  fx["f"], fx["g"]]) == 1
+
+
+def _outcome(argv, out):
+    """Exit code, result file bytes and manifest (less its wall time) of one
+    main call into the fresh directory `out`."""
+    code = main(["--out", out] + argv)
+    files = {}
+    for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    if "manifest.json" in files:
+        m = json.loads(files.pop("manifest.json"))
+        m.pop("wall_time_s")
+        files["manifest.json"] = m
+    return code, files
+
+
+def test_consecutive_main_calls_share_no_state(files):
+    # main parses with one parser per process; every call must see only its
+    # own flags, so each outcome equals that of a call on a fresh parser
+    tmp, fx = files
+    t2 = write(tmp / "t2.json",
+               poly_to_obj(LaurentPoly(2, {(0, 0): 1, (0, -1): 1})))
+    runs = [
+        ["--window=-4..4,-4..4", "decompose", fx["cb"], "--k", "2",
+         "--periodizers", fx["tilepoly"], t2],
+        ["--window=-4..4,-4..4", "decompose", fx["cb"],
+         "--annihilator", fx["tilepoly"]],
+        ["--format", "grid", "--window=-3..3,-3..3", "decompose", fx["cb"],
+         "--factors", fx["factors"]],
+        ["--window=-3..3,-3..3", "decompose", fx["cb"],
+         "--factors", fx["factors"]],
+        ["--bound-search", "2", "decompose", fx["cb"], "--k", "x"],
+        ["--format", "bogus", "act", fx["f"], fx["cb"]],
+        ["act", fx["f"], fx["cb"]],
+        ["sparse", "fibers", fx["cb"]],
+        ["poly", "mul", fx["f"], fx["g"]],
+    ]
+    shared = [_outcome(argv, str(tmp / f"shared_{i}"))
+              for i, argv in enumerate(runs)]
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 1, 1, 0, 1, 0]
+    assert any(name.endswith(".txt") for name in shared[2][1])
+    assert not any(name.endswith(".txt") for name in shared[3][1])
+    fresh = []
+    for i, argv in enumerate(runs):
+        cli._shared_parser.cache_clear()
+        fresh.append(_outcome(argv, str(tmp / f"fresh_{i}")))
+    assert shared == fresh
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                            WindowConfig, _Combination, add_views, apply_poly,
@@ -11,6 +12,7 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                            period_lattice, rasterize, translate)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               _period_multiple, _require_annihilation,
+                              _test_product,
                               annihilator_from_periodizer,
                               decompose_product, k_periodic_decompose,
                               reduce_annihilator,
@@ -24,8 +26,9 @@ from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vscale,
                             vsub)
 
 from helpers import (DIRECTIONS_2D, FunctionView,
-                     assert_segments_match_points, pointwise_rasterize,
-                     random_fiber_family, reference_source_values,
+                     assert_segments_match_points, fiber_parts,
+                     pointwise_rasterize, random_fiber_family,
+                     reference_source_values, reference_test_product,
                      reference_transfer_value, reference_verify_on_window,
                      segment_points)
 
@@ -179,6 +182,19 @@ def _protocol_views():
                                              TRIVIAL2).view,
         "FunctionView": FunctionView(2, lambda x: (x[0] + x[1]) % 2),
     }
+
+
+@pytest.mark.parametrize("kind", ["WindowConfig", "PeriodicConfig",
+                                  "FiberSum", "_Combination",
+                                  "_TransferEvaluator", "FunctionView"])
+def test_zero_polynomial_annihilates_every_view_exactly(kind):
+    c = _protocol_views()[kind]
+    zero = LaurentPoly.zero(2)
+    assert is_annihilated(zero, c) == Verdict.exactly(True)
+    assert _require_annihilation(zero, c, BOUNDS, "no") == \
+        Verdict.exactly(True)
+    assert _require_annihilation(zero, add_views([CHECKER, c]), BOUNDS,
+                                 "no") == Verdict.exactly(True)
 
 
 @pytest.mark.parametrize("kind", ["WindowConfig", "PeriodicConfig",
@@ -643,6 +659,188 @@ def test_search_avoid_filter():
     for v in dp.vectors:
         assert not V.contains(v)
     assert is_annihilated(poly_product(dp.polys()), CHECKER).holds
+
+
+# ---------------------------------------------------------------------------
+# the certificate test, one fiber direction at a time
+
+DIRECTIONS_3D = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 2),
+                 (0, 1, -1), (2, 1, 1)]
+
+
+def _period_six_vals(rng):
+    """A 6-periodic table a[j % 2] + b[j % 3] with neither part constant:
+    (X^{2w} - 1)(X^{3w} - 1) kills its fiber, neither factor alone does."""
+    a = [rng.randint(-4, 4)]
+    a.append(a[0] + rng.choice((-2, -1, 1, 2)))
+    b = [rng.randint(-4, 4) for _ in range(3)]
+    if b[0] == b[1] == b[2]:
+        b[1] += 1
+    return [a[j % 2] + b[j % 3] for j in range(6)]
+
+
+def _random_certificate_case(rng, dim):
+    """A fiber sum and a candidate vector list for the certificate test.
+
+    Fibers come along up to three directions, each given to make_fiber as
+    a signed or non-primitive multiple; some lines carry a fiber and its
+    negative, which cancel, and some carry a period-6 table.  The vectors
+    mix the lcm period of each direction (scaled by a signed multiplier),
+    the 2w, 3w pair, random multiples and vectors along other directions,
+    so the product both does and does not annihilate.
+    """
+    directions = DIRECTIONS_2D if dim == 2 else DIRECTIONS_3D
+    fibers = []
+    for w in rng.sample(directions, rng.choice((0, 1, 2, 2, 3, 3, 3))):
+        for _ in range(rng.randint(1, 3)):
+            anchor = tuple(rng.randint(-4, 4) for _ in range(dim))
+            given = vscale(rng.choice((1, 1, -1, 2, -3)), w)
+            if rng.random() < 0.2:
+                vals = _period_six_vals(rng)
+            else:
+                vals = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+                if not any(vals):
+                    vals[0] = 1
+            fibers.append(make_fiber(anchor, given, vals))
+            if rng.random() < 0.25:
+                fibers.append(make_fiber(anchor, given, [-v for v in vals]))
+    c = FiberSum(dim, fibers)
+    periods = {}
+    for f in c.fibers:
+        periods[f.direction] = lcm(periods.get(f.direction, 1), f.period)
+    vectors = []
+    for w in sorted({f.direction for f in fibers if f is not None}):
+        choice = rng.random()
+        if choice < 0.5:
+            vectors.append(vscale(rng.choice((1, -1, 2)) * periods.get(w, 1), w))
+        elif choice < 0.65:
+            vectors += [vscale(2, w), vscale(-3, w)]
+        elif choice < 0.85:
+            vectors.append(vscale(rng.choice((-4, -2, -1, 1, 3, 5)), w))
+    for _ in range(rng.randint(0 if vectors else 1, 2)):
+        vectors.append(vscale(rng.choice((1, -1, 2)), rng.choice(directions)))
+    rng.shuffle(vectors)
+    return c, vectors[:5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3)))
+def test_per_direction_test_matches_full_product(seed, dim):
+    c, vectors = _random_certificate_case(random.Random(seed), dim)
+    assert _test_product(vectors, fiber_parts(c)) == \
+        reference_test_product(vectors, c)
+
+
+def _line_and_cancelled_line():
+    # a fiber and its negative on the line through the origin along (1, 1),
+    # given as a non-primitive negative multiple, beside a (1, 0) fiber
+    f = make_fiber((0, 0), (-2, -2), [3, -1])
+    g = make_fiber((0, 0), (-2, -2), [-3, 1])
+    return FiberSum(2, [f, g, make_fiber((0, 1), (1, 0), [1, 2, 3])])
+
+
+# [2, 0] * 3 plus [3, -1, 1] * 2: periods 2 and 3 add to period 6
+_SIX = FiberSum(2, [make_fiber((0, 0), (1, 1), [5, -1, 3, 3, 1, 1])])
+# [2, 0] * 3 plus [1, 4, -2] * 2, on a line in Z^3
+_SIX3 = FiberSum(3, [make_fiber((1, 0, 0), (1, -1, 2),
+                                [a + b for a, b in zip([2, 0] * 3,
+                                                       [1, 4, -2] * 2)])])
+
+
+@pytest.mark.parametrize("c,vectors,holds", [
+    # cancelled lines need no factor of their own
+    (_line_and_cancelled_line(), [(3, 0)], True),
+    (_line_and_cancelled_line(), [(3, 0), (-1, -1)], True),
+    (_line_and_cancelled_line(), [(2, 0)], False),
+    # period 6 = lcm(2, 3): killed by the pair and by 6w, not by one of 2w, 3w
+    (_SIX, [(2, 2), (3, 3)], True),
+    (_SIX, [(-2, -2), (3, 3)], True),
+    (_SIX, [(-6, -6)], True),
+    (_SIX, [(2, 2)], False),
+    (_SIX, [(3, 3), (1, 0), (0, 1)], False),
+    (_SIX3, [(2, -2, 4), (-3, 3, -6)], True),
+    (_SIX3, [(2, -2, 4), (1, 0, 0)], False),
+    # negative and non-primitive multiples of a fiber direction
+    (FiberSum(2, [make_fiber((0, 1), (1, -1), [1, 4])]), [(-4, 4)], True),
+    (FiberSum(2, [make_fiber((0, 1), (1, -1), [1, 4])]), [(-3, 3)], False),
+    # every factor transverse to the fibers
+    (FiberSum(2, [make_fiber((0, 0), (1, 0), [1])]),
+     [(0, 1), (1, 1), (2, -1)], False),
+    (FiberSum(3, [make_fiber((0, 0, 0), (0, 0, 1), [2, 1])]),
+     [(1, 0, 0), (0, 2, 0)], False),
+    # the zero fiber sum has no parts and is annihilated by every product
+    (FiberSum.zero(2), [(1, 0)], True),
+    (FiberSum.zero(3), [(1, 2, 3), (0, 0, 1)], True),
+])
+def test_per_direction_test_edge_cases(c, vectors, holds):
+    assert reference_test_product(vectors, c) is holds
+    assert _test_product(vectors, fiber_parts(c)) is holds
+
+
+def test_whole_view_part_runs_the_full_product():
+    window = rasterize(CHECKER, (-3, -3), (3, 3))
+    for c in (CHECKER, window):
+        for vectors in ([(2, 0)], [(1, 1)], [(1, 0), (0, 1)], [(9, 0)]):
+            assert _test_product(vectors, [(None, c)]) == \
+                reference_test_product(vectors, c)
+
+
+def _sparse_full_case(rng):
+    """Fibers along two or three directions with periods in 1..8 and the
+    product of X^{P w} - 1 over their directions, P the lcm period."""
+    fibers, f = [], LaurentPoly.constant(2, 1)
+    for w in rng.sample(DIRECTIONS_2D, rng.randint(2, 3)):
+        period = 1
+        for _ in range(rng.randint(3, 5)):
+            p = rng.choice((1, 2, 3, 4, 6, 8))
+            vals = [rng.randint(-4, 4) for _ in range(p)]
+            vals[0] = vals[0] or 1
+            fibers.append(make_fiber((rng.randint(-6, 6), rng.randint(-6, 6)),
+                                     w, vals))
+            period = lcm(period, p)
+        f = f * difference_poly(vscale(period, w))
+    return FiberSum(2, fibers), f, 32
+
+
+def _exhausted_case(rng):
+    """Zero-sum 3-periodic fibers along w under 1 + X^w + X^{2w}: the
+    certificate X^{3w} - 1 needs multiplier 3, beyond the bound 2."""
+    w = rng.choice(DIRECTIONS_2D)
+    fibers = []
+    for _ in range(rng.randint(4, 8)):
+        a, b = rng.randint(-4, 4), rng.randint(1, 4)
+        fibers.append(make_fiber((rng.randint(-9, 9), rng.randint(-9, 9)), w,
+                                 [a, b, -a - b]))
+    f = LaurentPoly(2, {(0, 0): 1, w: 1, vscale(2, w): 1})
+    return FiberSum(2, fibers), f, 2
+
+
+def _search_with(monkeypatch, test, c, f, bound):
+    """The search's answer (None when exhausted) and every candidate it
+    tested, with `test` in place of the certificate test."""
+    tried = []
+
+    def counted(vectors, parts):
+        tried.append(tuple(vectors))
+        return test(vectors, parts)
+    monkeypatch.setattr("perdec.decompose._test_product", counted)
+    try:
+        return search_difference_annihilator(c, f, bound).vectors, tried
+    except InconclusiveError:
+        return None, tried
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_matches_full_product_reference(monkeypatch, seed):
+    rng = random.Random(seed)
+    c, f, bound = (_exhausted_case if seed % 4 == 3 else _sparse_full_case)(rng)
+    fast = _search_with(monkeypatch, _test_product, c, f, bound)
+    slow = _search_with(monkeypatch,
+                        lambda vectors, parts: reference_test_product(vectors,
+                                                                      c),
+                        c, f, bound)
+    assert fast == slow
+    assert (fast[0] is None) == (seed % 4 == 3)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,21 @@ def _parse_window(spec, dim):
     return tuple(lo), tuple(hi)
 
 
+def _positional(command, paths, names):
+    """`paths`, one per entry of `names`; a missing or an extra file is an
+    error that names it."""
+    if len(paths) < len(names):
+        raise PerdecError(f"{command}: missing the {names[len(paths)]} file")
+    if len(paths) > len(names):
+        raise PerdecError(f"{command}: unexpected file {paths[len(names)]!r}")
+    return paths
+
+
+# the positional files after CONFIG of each sparse subcommand
+_SPARSE_FILES = {"fibers": (), "split": ("phi polynomial", "psi polynomial"),
+                 "decompose": ("polynomial list",), "full": ("annihilator",)}
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -231,6 +246,8 @@ def _write_decomposition(ctx, dec, lo, hi):
 
 def _cmd_sparse(ctx):
     args = ctx.args
+    polys = _positional(f"sparse {args.subcommand}", args.polys,
+                        _SPARSE_FILES[args.subcommand])
     bounds = ctx.bounds()
     c = ctx.load_config(args.config)
 
@@ -250,8 +267,8 @@ def _cmd_sparse(ctx):
         return ctx.finish(["sparse", "fibers", args.config])
 
     if args.subcommand == "split":
-        phi = ctx.load_poly(args.polys[0])
-        psi = ctx.load_poly(args.polys[1])
+        phi = ctx.load_poly(polys[0])
+        psi = ctx.load_poly(polys[1])
         c1, c2 = sparse_split2(c, phi, psi, bounds)
         _sparse_report(ctx, c, [c1, c2],
                        ["phi*c1 = 0", "psi*c1 = psi*c", "psi*c2 = 0",
@@ -259,14 +276,14 @@ def _cmd_sparse(ctx):
         return ctx.finish(["sparse", "split", args.config])
 
     if args.subcommand == "decompose":
-        phis = ctx.load_poly_list(args.polys[0])
+        phis = ctx.load_poly_list(polys[0])
         fams = sparse_decompose(c, phis, bounds)
         _sparse_report(ctx, c, fams,
                        ["per-family annihilation", "family sum = input"])
         return ctx.finish(["sparse", "decompose", args.config])
 
     if args.subcommand == "full":
-        f = ctx.load_poly(args.polys[0])
+        f = ctx.load_poly(polys[0])
         fams = sparse_full(c, f, bounds)
         _sparse_report(ctx, c, fams,
                        ["certificate annihilates", "per-family annihilation",
@@ -286,7 +303,8 @@ def _sparse_report(ctx, source, families, identities):
     if isinstance(source, FiberSum):
         ctx.results["sparseness_constant"] = \
             max(fiber_closed_form_constant(source), 1)
-    # the operations verify these identities before returning
+    # on fiber sums per-family annihilation and the family sum are checked
+    # exactly, and imply the other split identities (psi*c1 = psi*c - psi*c2)
     for name in identities:
         ctx.verdicts[f"identity: {name}"] = True
 
@@ -310,6 +328,9 @@ def _cmd_sparseness(ctx):
 
 def _cmd_tiling(ctx):
     args = ctx.args
+    _positional(f"tiling {args.subcommand}",
+                [] if args.config is None else [args.config],
+                () if args.subcommand == "independent" else ("configuration",))
     bounds = ctx.bounds()
 
     if args.subcommand == "independent":

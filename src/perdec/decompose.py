@@ -713,9 +713,9 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
     multiplied primitive directions with multiplier sum T and each
     multiplier in [1, bound].  The first certificate that annihilates c is
     returned; exhaustion is inconclusive, not a refutation.  The search
-    does not check its answer again: `decompose_product` and
-    `sparse_decompose` check the product with `_require_annihilation`
-    before they use it.
+    does not check its answer again: `decompose_product` checks the product
+    with `_require_annihilation` before it uses it, and `sparse_decompose`
+    checks a fiber sum family by family.
 
     A fiber sum is split once into its parts along each fiber direction,
     and a candidate is tested on each part with its factors parallel to

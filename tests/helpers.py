@@ -7,8 +7,10 @@ the decomposition check evaluates every component point by point, the
 fiber-sum references canonicalize every shifted, scaled piece from raw data
 with make_fiber, the configuration parser checks every item in a loop, and
 the transfer source reference reads every source point through value_at,
-and the certificate test multiplies out every factor and applies the
-product to the whole view.
+the certificate test multiplies out every factor and applies the
+product to the whole view, and the sparse decomposition reference replays
+the inductive proof with translate limits and a two-factor split at every
+level.
 """
 
 from __future__ import annotations
@@ -20,12 +22,16 @@ from math import gcd
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
 from perdec.config import (LazyConfig, PeriodicFiber, _minimal_period,
-                           box_points, box_size, is_annihilated)
-from perdec.errors import EmptyRegionError, SchemaError
-from perdec.laurent import difference_poly, poly_product
+                           add_views, apply_poly, box_points, box_size,
+                           is_annihilated)
+from perdec.decompose import _require_annihilation
+from perdec.errors import EmptyRegionError, SchemaError, VerificationError
+from perdec.laurent import (difference_poly, non_parallel_directions,
+                            poly_product)
 from perdec.lattice import fundamental_residues, primitive, vadd, vscale, vsub
 from perdec.serialize import _dim_of, _int, _int_vector
-from perdec.sparse import SparsenessReport, fiber_closed_form_constant
+from perdec.sparse import (SparsenessReport, fiber_closed_form_constant,
+                           fiber_extract)
 
 
 def window_from_function(lo, hi, fn):
@@ -308,6 +314,64 @@ def reference_test_product(vectors, c):
         return False
 
 
+def reference_sparse_decompose(c: FiberSum, phis, bounds):
+    """sparse_decompose of a fiber sum by induction on the factor count.
+
+    The derived sum under the last factor is decomposed recursively; each
+    piece is matched against the translate limit of c along its direction
+    (the parallel part), which is then split in two by
+    `_reference_split2`, and the last family is the residual.  The
+    multiplied-out product is checked at every level.
+    """
+    dirs = non_parallel_directions(phis)
+    _require_annihilation(poly_product(phis), c, bounds,
+                          "the product does not annihilate the input")
+    if len(phis) == 1:
+        return [fiber_extract(c, dirs[0], bounds.period)]
+    last = phis[-1]
+    parts = reference_sparse_decompose(apply_poly(last, c), phis[:-1], bounds)
+    families = []
+    for i, part in enumerate(parts):
+        e = c.parallel_part(dirs[i])
+        if apply_poly(last, e) != part:
+            raise VerificationError(f"limit along {dirs[i]} does not project "
+                                    "onto the derived family")
+        families.append(_reference_split2(e, phis[i], last, bounds)[0])
+    residual = add_views([c] + families, [1] + [-1] * len(families))
+    cn = fiber_extract(residual, dirs[-1], bounds.period)
+    if not apply_poly(last, cn).is_zero():
+        raise VerificationError("residual family is not annihilated")
+    families.append(cn)
+    if not add_views([c] + families, [1] + [-1] * len(families)).is_zero():
+        raise VerificationError("family sum does not reproduce the input")
+    return families
+
+
+def _reference_split2(c: FiberSum, phi, psi, bounds):
+    """The two-factor split of a fiber sum, every identity checked."""
+    v, u = non_parallel_directions([phi, psi])
+    _require_annihilation(phi * psi, c, bounds,
+                          "phi*psi does not annihilate the input")
+    e1 = apply_poly(psi, c)
+    _require_annihilation(phi, e1, bounds, "psi*c is not annihilated by phi")
+    ext1 = fiber_extract(e1, v, bounds.period)
+    ext2 = fiber_extract(apply_poly(phi, c), u, bounds.period)
+    c1 = c.parallel_part(v)
+    c2 = c.parallel_part(u)
+    checks = [
+        ("phi*c1 = 0", apply_poly(phi, c1).is_zero()),
+        ("psi*c1 = psi*c", apply_poly(psi, c1) == ext1),
+        ("psi*c2 = 0", apply_poly(psi, c2).is_zero()),
+        ("phi*c2 = phi*c", apply_poly(phi, c2) == ext2),
+        ("c = c1 + c2", add_views([c, c1, c2], [1, -1, -1]).is_zero()),
+    ]
+    for name, ok in checks:
+        if not ok:
+            raise VerificationError(f"split identity failed: {name}")
+    return (fiber_extract(c1, v, bounds.period),
+            fiber_extract(c2, u, bounds.period))
+
+
 def fiber_parts(c: FiberSum):
     """The certificate test's parts of a fiber sum: (w, fibers along w)
     for each fiber direction w."""
@@ -517,3 +581,5 @@ def random_fiber_family(rng: random.Random, dim, direction, max_fibers=6,
 
 
 DIRECTIONS_2D = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2)]
+DIRECTIONS_3D = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 2),
+                 (0, 1, -1), (2, 1, 1)]

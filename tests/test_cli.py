@@ -353,6 +353,36 @@ def test_missing_input_exits_one(files, capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sparse", "split", "{cb}"],
+     "sparse split: missing the phi polynomial file"),
+    (["sparse", "split", "{cb}", "{f}"],
+     "sparse split: missing the psi polynomial file"),
+    (["sparse", "split", "{cb}", "{f}", "{g}", "{factors}"],
+     "sparse split: unexpected file '{factors}'"),
+    (["sparse", "decompose", "{cb}"],
+     "sparse decompose: missing the polynomial list file"),
+    (["sparse", "full", "{cb}"], "sparse full: missing the annihilator file"),
+    (["sparse", "full", "{cb}", "{f}", "{g}"],
+     "sparse full: unexpected file '{g}'"),
+    (["sparse", "fibers", "{cb}", "{f}", "--direction", "1,0"],
+     "sparse fibers: unexpected file '{f}'"),
+    (["tiling", "verify", "{tiles}"],
+     "tiling verify: missing the configuration file"),
+    (["tiling", "decompose", "{tiles}"],
+     "tiling decompose: missing the configuration file"),
+    (["tiling", "independent", "{tiles}", "{cb}"],
+     "tiling independent: unexpected file '{cb}'")])
+def test_missing_or_extra_positional_file_exits_one(files, capsys, argv,
+                                                    message):
+    tmp, fx = files
+    out = str(tmp / "out_positional")
+    assert main(["--out", out] + [a.format(**fx) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"perdec: error: {message.format(**fx)}\n"
+
+
 def test_manifest_hashes_the_input_bytes(files):
     tmp, fx = files
     out = str(tmp / "out_hash")

@@ -25,7 +25,7 @@ from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
 from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vscale,
                             vsub)
 
-from helpers import (DIRECTIONS_2D, FunctionView,
+from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView,
                      assert_segments_match_points, fiber_parts,
                      pointwise_rasterize, random_fiber_family,
                      reference_source_values, reference_test_product,
@@ -663,10 +663,6 @@ def test_search_avoid_filter():
 
 # ---------------------------------------------------------------------------
 # the certificate test, one fiber direction at a time
-
-DIRECTIONS_3D = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 2),
-                 (0, 1, -1), (2, 1, 1)]
-
 
 def _period_six_vals(rng):
     """A 6-periodic table a[j % 2] + b[j % 3] with neither part constant:

@@ -1,6 +1,8 @@
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perdec import sparse
 from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
@@ -8,14 +10,15 @@ from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                            make_fiber, rasterize, translate)
 from perdec.decompose import Bounds
 from perdec.errors import (InconclusiveError, PreconditionError)
-from perdec.laurent import difference_poly
+from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import primitive, vscale
 from perdec.sparse import (check_sparseness, fiber_closed_form_constant,
                            fiber_extract, sparse_decompose, sparse_full,
                            sparse_split2, stabilized_translate_limit,
                            subsequence_limit)
 
-from helpers import (DIRECTIONS_2D, random_fiber_family, random_hnf_basis,
+from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, random_fiber_family,
+                     random_hnf_basis, reference_sparse_decompose,
                      reference_sparseness, window_from_function)
 
 BOUNDS = Bounds()
@@ -445,3 +448,121 @@ def test_roundtrip_uniqueness_class():
         got = sparse_decompose(c, factors, BOUNDS)
         for d, fam, rec in zip(dirs, fams, got):
             assert rec == c.parallel_part(d) == fam
+
+
+def test_decompose_needs_no_intermediate_period():
+    # the derived sum under (X^(0,1) - 1) merges the period-2 and period-3
+    # lines at y = 0 and y = 1 into a period-6 line, beyond the bound of 5;
+    # the families themselves have periods 2, 3 and 1
+    horiz = FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 2]),
+                         make_fiber((0, 1), (1, 0), [4, 0, -1])])
+    vert = FiberSum(2, [make_fiber((3, 0), (0, 1), [7])])
+    c = add_views([horiz, vert])
+    phis = [difference_poly((6, 0)), difference_poly((0, 1))]
+    bounds = Bounds(period=5)
+    with pytest.raises(InconclusiveError):
+        reference_sparse_decompose(c, phis, bounds)
+    assert sparse_decompose(c, phis, bounds) == [horiz, vert]
+
+
+def test_decompose_rejects_transverse_stray_fiber():
+    stray = FiberSum(2, [make_fiber((0, 2), (1, 1), [1])])
+    with pytest.raises(PreconditionError,
+                       match="^the product does not annihilate the input$"):
+        sparse_decompose(add_views([HORIZ, VERT, stray]),
+                         [difference_poly((2, 0)), difference_poly((0, 3))],
+                         BOUNDS)
+
+
+def test_decompose_window_needs_one_factor():
+    w = rasterize(HORIZ, (-6, -6), (6, 6))
+    assert sparse_decompose(w, [difference_poly((2, 0))], BOUNDS) == [HORIZ]
+    with pytest.raises(PreconditionError, match="needs a fiber-sum view"):
+        sparse_decompose(w, [difference_poly((2, 0)),
+                             difference_poly((0, 3))], BOUNDS)
+
+
+# the grouping by direction against the inductive proof it replaces
+
+def _line_poly(dim, w, coeffs, shift):
+    """sum_j coeffs[j] X^(shift + j*w)."""
+    return LaurentPoly(dim, {tuple(s + j * a for s, a in zip(shift, w)): k
+                             for j, k in enumerate(coeffs) if k})
+
+
+def _random_decomposition_case(rng, dim):
+    """A fiber sum, one line polynomial per chosen direction and bounds.
+
+    Each direction carries a family of 0 to 2 fibers and one factor, which
+    may or may not annihilate the family: a difference X^(kw) - 1, the
+    non-unit (2X^w + 1)(X^(kw) - 1), or the cyclotomic-like
+    1 + X^w + ... + X^((n-1)w), which kills a fiber whose table sums to
+    zero over n steps (the families drawn for it mostly do).  Each factor
+    is moved by a random monomial.  Some cases add a fiber along another
+    direction, some a fiber and its negative; the period bound is 4, 6 or
+    64.
+    """
+    directions = DIRECTIONS_2D if dim == 2 else DIRECTIONS_3D
+    chosen = rng.sample(directions, rng.randint(1, 3))
+    fibers, phis = [], []
+    for w in chosen:
+        kind = rng.choice(("difference", "non-unit", "cyclotomic"))
+        n = rng.randint(2, 4)
+        family = []
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            anchor = tuple(rng.randint(-3, 3) for _ in range(dim))
+            if kind == "cyclotomic" and rng.random() < 0.8:
+                vals = [rng.randint(-3, 3) for _ in range(n - 1)]
+                vals.append(-sum(vals))
+            else:
+                vals = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
+            if any(vals):
+                family.append(make_fiber(anchor, w, vals))
+        fibers += family
+        period = lcm(1, *(f.period for f in family))
+        k = period if rng.random() < 0.7 else rng.randint(1, 6)
+        if kind == "cyclotomic":
+            coeffs = [1] * n
+        elif kind == "non-unit":  # (2X^w + 1)(X^(kw) - 1)
+            coeffs = [-1, -2] + [0] * (k - 2) + [1, 2] if k > 1 \
+                else [-1, -1, 2]
+        else:
+            coeffs = [-1] + [0] * (k - 1) + [1]
+        shift = tuple(rng.randint(-2, 2) for _ in range(dim))
+        phis.append(_line_poly(dim, vscale(rng.choice((1, -1)), w), coeffs,
+                               shift))
+    if rng.random() < 0.2:
+        w = rng.choice([d for d in directions if d not in chosen])
+        fibers.append(make_fiber((0,) * dim, w, [rng.randint(1, 3)]))
+    if rng.random() < 0.2:
+        anchor = tuple(rng.randint(-3, 3) for _ in range(dim))
+        vals = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        w = rng.choice(chosen)
+        fibers += [make_fiber(anchor, w, vals),
+                   make_fiber(anchor, w, [-v for v in vals])]
+    return FiberSum(dim, fibers), phis, Bounds(period=rng.choice((4, 6, 64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3)))
+def test_grouping_matches_inductive_reference(seed, dim):
+    c, phis, bounds = _random_decomposition_case(random.Random(seed), dim)
+    try:
+        want = reference_sparse_decompose(c, phis, bounds)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            sparse_decompose(c, phis, bounds)
+        return
+    except InconclusiveError:
+        # the induction may need a period beyond the bound on a derived
+        # sum; the grouping then returns families or is inconclusive too
+        try:
+            got = sparse_decompose(c, phis, bounds)
+        except InconclusiveError:
+            return
+        assert add_views(got) == c
+        for phi, fam in zip(phis, got):
+            assert is_annihilated(phi, fam).holds
+            assert all(f.period <= bounds.period for f in fam.fibers)
+        return
+    assert sparse_decompose(c, phis, bounds) == want

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                      apply_poly, box_points, box_strides, make_fiber,
@@ -26,8 +26,8 @@ from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
 from .errors import (InconclusiveError, PreconditionError, VerificationError)
 from .laurent import LaurentPoly, non_parallel_directions, poly_product
-from .lattice import (fundamental_residues, hnf_diagonal, hnf_reduce,
-                      is_zero_vector, primitive, vscale)
+from .lattice import (hnf_diagonal, hnf_reduce, is_zero_vector,
+                      primitive, vscale)
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +59,13 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
 
     Fiber sums get a proven certificate whenever a covers the closed-form
     per-line constant; other verdicts are evidence over the checked cube
-    sizes.  Periodic inputs are complete per size (translates reduce to the
-    fundamental residues); window inputs only place cubes that fit inside
-    the box.  Failure is a result, not an error.  Each cube is counted
-    exactly from a summed-area table of the support (`_cube_counter`) over
-    a box that holds every cube the scan places.
+    sizes.  Every kind scans a box of translates: a capped box around the
+    origin for fiber sums, the canonical residues [0, diag - 1] for periodic
+    inputs (complete per size), and for windows the translates whose cubes
+    fit inside the box.  Failure is a result, not an error.  Counts are
+    exact, read from a summed-area table of the support (`_cube_counter`)
+    over a box that holds every cube the scan places, one row of translates
+    along the last axis per read.
     """
     if a < 1 or m_max < 1:
         raise PreconditionError("sparseness check needs a >= 1 and m_max >= 1")
@@ -77,8 +79,7 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
         r = reach + 2 * m_max
         checked, violation = _cube_scan(
             a, m_max, _cube_counter(rasterize(c, (-r,) * d, (r,) * d)),
-            lambda m: box_points((-reach - m,) * d, (reach + m,) * d),
-            stop=False)
+            lambda m: ((-reach - m,) * d, (reach + m,) * d), stop=False)
         ok = violation is None
         return SparsenessReport(
             constant=a, ok=ok, exact=ok and a >= fiber_closed_form_constant(c),
@@ -98,9 +99,10 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
                     c, (-r,) * d, tuple(p - 1 + r for p in diag)))
             return built[r](m)
 
-        checked, violation = _cube_scan(
-            a, m_max, table,
-            lambda m: fundamental_residues(c.lattice_rows, d), stop=True)
+        # the canonical residues are the box [0, diag - 1]
+        residues = ((0,) * d, tuple(p - 1 for p in diag))
+        checked, violation = _cube_scan(a, m_max, table, lambda m: residues,
+                                        stop=True)
         return SparsenessReport(constant=a, ok=violation is None,
                                 exact=violation is not None, checked=checked,
                                 violation=violation)
@@ -110,8 +112,7 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
         fit = min(m_max, *((hi - lo) // 2 for lo, hi in zip(c.lo, c.hi)))
         checked, violation = _cube_scan(
             a, fit, _cube_counter(c),
-            lambda m: box_points(tuple(v + m for v in c.lo),
-                                 tuple(v - m for v in c.hi)),
+            lambda m: (tuple(v + m for v in c.lo), tuple(v - m for v in c.hi)),
             stop=True)
         return SparsenessReport(constant=a, ok=violation is None, exact=False,
                                 checked=checked, violation=violation)
@@ -120,33 +121,42 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
 
 
 def _cube_scan(a, m_max, table, translates, stop):
-    """(checked, violation): per size m <= m_max, the largest count that
-    `table(m)(t)` finds over `translates(m)`, and the first (m, t) over a*m;
-    with `stop` the scan ends there and that count closes `checked`.
+    """(checked, violation): per size m <= m_max, the largest count over the
+    translate box `translates(m)` = (lo, hi), and the first (m, t) over a*m
+    in box order; with `stop` the scan ends there and that count closes
+    `checked`.  `table(m)` reads the counts one row along the last axis at
+    a time.
     """
     checked, violation = [], None
     for m in range(1, m_max + 1):
-        count = table(m)
+        rows = table(m)
+        lo, hi = translates(m)
+        first, n = lo[-1], hi[-1] - lo[-1] + 1
         best = 0
-        for t in translates(m):
-            n = count(t)
-            if n > best:
-                best = n
-            if n > a * m and violation is None:
-                violation = (m, t)
+        for head in box_points(lo[:-1], hi[:-1]):
+            counts = rows(head + (first,), n)
+            top = max(counts)
+            if top > best:
+                best = top
+            if top > a * m and violation is None:
+                i = next(i for i, k in enumerate(counts) if k > a * m)
+                violation = (m, head + (first + i,))
                 if stop:
-                    return tuple(checked + [(m, n)]), violation
+                    return tuple(checked + [(m, counts[i])]), violation
         checked.append((m, best))
     return tuple(checked), violation
 
 
 def _cube_counter(w: WindowConfig):
-    """cubes(m) -> count(t): support points of w in the cube C_m + t, which
-    must lie inside w's box.
+    """cubes(m) -> rows(t, n): support counts of w in the cubes C_m + t,
+    C_m + t + e, ..., n translates along the last axis e; every cube must
+    lie inside w's box.
 
     An inclusive prefix sum of the support indicator, padded with one
     leading zero layer per axis, answers each count from the cube's 2^d
     corners: one base index for t plus signed offsets fixed per size m.
+    The last axis has stride 1, so a row of n counts is one slice of n
+    table entries per corner, added or subtracted elementwise.
     """
     shape = [b - a + 2 for a, b in zip(w.lo, w.hi)]
     strides = box_strides([0] * w.dim, [n - 1 for n in shape])
@@ -174,12 +184,17 @@ def _cube_counter(w: WindowConfig):
             step = (2 * m + 1) * s
             plus, minus = (plus + [o - step for o in minus],
                            minus + [o - step for o in plus])
+        upper, plus = plus[0], plus[1:]
 
-        def count(t):
+        def rows(t, n):
             b = sum(map(mul, t, strides))
-            return (sum([table[b + o] for o in plus])
-                    - sum([table[b + o] for o in minus]))
-        return count
+            counts = table[b + upper:b + upper + n]
+            for o in plus:
+                counts = map(add, counts, table[b + o:b + o + n])
+            for o in minus:
+                counts = map(sub, counts, table[b + o:b + o + n])
+            return list(counts)
+        return rows
 
     return cubes
 
@@ -282,12 +297,9 @@ def stabilized_translate_limit(c, step, window, k_max: int, patience: int
                                ) -> WindowConfig:
     """First window content repeated for `patience` consecutive translates.
 
-    The finite surrogate for a translate-sequence limit.  For fiber sums
-    the limit is computed in closed form - parallel fibers whose period
-    divides the step survive unchanged, every other line leaves the window
-    - and cross-checked against stabilization when it occurs within k_max.
-    A parallel fiber whose period does not divide the step makes the full
-    sequence cycle forever, which is reported as inconclusive.
+    The finite surrogate for a translate-sequence limit, for every view
+    alike; no stabilization within k_max translates is reported as
+    inconclusive.  The exact limit of a fiber sum is `subsequence_limit`.
     """
     step = tuple(int(x) for x in step)
     if is_zero_vector(step):
@@ -295,50 +307,15 @@ def stabilized_translate_limit(c, step, window, k_max: int, patience: int
     lo, hi = window
     if k_max < 1 or patience < 1:
         raise PreconditionError("k_max and patience must be positive")
-
-    if isinstance(c, FiberSum):
-        w = primitive(step)
-        pivot = next(i for i, s in enumerate(w) if s)
-        scale = step[pivot] // w[pivot]
-        survivors = []
-        for f in c.fibers:
-            if f.direction != w:
-                continue
-            if scale % f.period:
-                raise InconclusiveError(
-                    f"parallel fiber of period {f.period} cycles under step "
-                    f"{step}: the full translate sequence has no limit",
-                    k_max)
-            survivors.append(f)
-        limit = rasterize(FiberSum(c.dim, survivors), lo, hi)
-        settled = _sequence_limit(c, step, lo, hi, k_max, patience,
-                                  required=False)
-        if settled is not None and settled != limit:
-            raise VerificationError(
-                "closed-form fiber limit disagrees with window stabilization")
-        return limit
-
-    return _sequence_limit(c, step, lo, hi, k_max, patience, required=True)
-
-
-def _sequence_limit(c, step, lo, hi, k_max, patience, required):
-    run_len = 0
-    prev = None
-    first = None
-    for k in range(0, k_max + 1):
+    run_len, prev = 0, None
+    for k in range(k_max + 1):
         cur = rasterize(translate(c, vscale(k, step)), lo, hi)
-        if prev is not None and cur == prev:
-            run_len += 1
-        else:
-            first = cur
-            run_len = 1
+        run_len = run_len + 1 if prev is not None and cur == prev else 1
         if run_len >= patience:
-            return first
+            return cur
         prev = cur
-    if required:
-        raise InconclusiveError(
-            f"no stabilization within {k_max} translates", k_max)
-    return None
+    raise InconclusiveError(
+        f"no stabilization within {k_max} translates", k_max)
 
 
 # ---------------------------------------------------------------------------

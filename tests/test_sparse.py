@@ -214,6 +214,85 @@ def test_random_fiber_sums_match_reference():
                      rng.randint(1, 3))
 
 
+def _random_sparseness_case(rng, kind, dim):
+    """(view, a, m_max): a window, a sheared periodic view or a fiber sum."""
+    if kind == "window":
+        lo = tuple(rng.randint(-4, 1) for _ in range(dim))
+        hi = tuple(v + rng.randint(0, 10 - 2 * dim) for v in lo)
+        return (_window(lo, hi, rng, rng.random()), rng.randint(1, 4),
+                rng.randint(1, 5))
+    if kind == "periodic":
+        density = rng.random() / 2
+        c = PeriodicConfig.from_function(
+            dim, random_hnf_basis(rng, dim, 16),
+            lambda r: rng.randint(1, 3) if rng.random() < density else 0)
+        return c, rng.randint(1, 3 ** dim), rng.randint(1, 4)
+    dirs = rng.sample(DIRECTIONS_2D if dim == 2 else DIRECTIONS_3D,
+                      rng.randint(1, 2))
+    c = add_views([random_fiber_family(rng, dim, d, max_fibers=3,
+                                       max_period=3, anchor_range=2)
+                   for d in dirs])
+    return (c, rng.randint(1, 3 * len(c.fibers) + 1),
+            rng.randint(1, 3 if dim == 2 else 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from([("window", 1), ("window", 2), ("window", 3),
+                        ("periodic", 1), ("periodic", 2), ("periodic", 3),
+                        ("fibers", 2), ("fibers", 3)]))
+def test_row_reads_match_reference_reports(seed, case):
+    # whole reports: per-size maxima, first violation in box order, the
+    # count that closes a stopped scan, and the exact label
+    _same_report(*_random_sparseness_case(random.Random(seed), *case))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_cube_rows_match_point_counts(seed, dim):
+    # every count of a row, not only the maxima that reports keep
+    rng = random.Random(seed)
+    lo = tuple(rng.randint(-3, 0) for _ in range(dim))
+    hi = tuple(v + rng.randint(2, 9 - 2 * dim) for v in lo)
+    w = _window(lo, hi, rng, rng.random())
+    m = rng.randint(1, min(b - a for a, b in zip(lo, hi)) // 2)
+    head = tuple(rng.randint(a + m, b - m) for a, b in zip(lo[:-1], hi[:-1]))
+    start = rng.randint(lo[-1] + m, hi[-1] - m)
+    n = rng.randint(1, hi[-1] - m - start + 1)
+    want = [sum(1 for x in box_points(tuple(v - m for v in t),
+                                      tuple(v + m for v in t))
+                if w.value_at(x)) for t in
+            (head + (start + i,) for i in range(n))]
+    assert sparse._cube_counter(w)(m)(head + (start,), n) == want
+
+
+def _points_window(lo, hi, points):
+    return window_from_function(lo, hi, lambda x: int(x in points))
+
+
+@pytest.mark.parametrize("points,a,violation,checked", [
+    # the violation is the last translate of its row (t = (1, 5))
+    ({(0, 5), (0, 6)}, 1, (1, (1, 5)), ((1, 2),)),
+    # two violating translates in one row: the first is reported with its
+    # own count, not the row's larger one (3 at t = (1, 5))
+    ({(1, 2), (1, 3), (1, 5), (1, 6), (0, 6)}, 1, (1, (1, 2)), ((1, 2),)),
+    # row x = 1 holds the most points, at the budget; the first violation
+    # is in the later row x = 5
+    ({(0, y) for y in range(7)} | {(6, 2), (6, 3), (6, 4), (5, 3)}, 3,
+     (1, (5, 3)), ((1, 4),)),
+])
+def test_row_violations_are_reported_per_translate(points, a, violation,
+                                                   checked):
+    rep = _same_report(_points_window((0, 0), (6, 6), points), a, 3)
+    assert rep.violation == violation and rep.checked == checked
+
+
+def test_window_too_narrow_for_any_cube():
+    w = _points_window((0, 0), (6, 1), {(3, 0), (3, 1)})
+    rep = _same_report(w, 1, 3)
+    assert rep.ok and rep.checked == () and rep.violation is None
+
+
 # ---------------------------------------------------------------------------
 # fiber extraction
 
@@ -309,6 +388,36 @@ def test_limit_rejects_zero_step():
 def test_limit_cycling_fiber_is_inconclusive():
     with pytest.raises(InconclusiveError):
         stabilized_translate_limit(HORIZ, (1, 0), ((-3, -3), (3, 3)), 32, 3)
+
+
+def test_fiber_limit_needs_transverse_fibers_to_leave_the_window():
+    # fiber sums stabilize like every other view: within k_max = 2 the
+    # vertical fiber is still inside the window
+    with pytest.raises(InconclusiveError,
+                       match=r"^no stabilization within 2 translates$"):
+        stabilized_translate_limit(add_views([HORIZ, VERT]), (2, 0),
+                                   ((-5, -5), (5, 5)), 2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3)))
+def test_fiber_limit_matches_subsequence_limit(seed, dim):
+    # parallel periods divide the step, so the parallel part is invariant
+    # and every transverse fiber leaves the window for good.  More than F
+    # equal windows in a row (F transverse fibers) leave no transverse
+    # point inside: each would need a fiber per translate, along one line
+    # parallel to the step, and each fiber meets that line at most once.
+    rng = random.Random(seed)
+    dirs = rng.sample(DIRECTIONS_2D if dim == 2 else DIRECTIONS_3D, 3)
+    fams = [random_fiber_family(rng, dim, d, max_fibers=3, max_period=4,
+                                anchor_range=3) for d in dirs]
+    c = add_views(fams[:rng.randint(1, 3)])
+    scale = lcm(*(f.period for f in fams[0].fibers)) * rng.randint(1, 2)
+    step = vscale(rng.choice((1, -1)) * scale, dirs[0])
+    window = ((-3,) * dim, (3,) * dim)
+    got = stabilized_translate_limit(c, step, window, 200,
+                                     len(c.fibers) + 1)
+    assert got == rasterize(subsequence_limit(c, step), *window)
 
 
 def test_subsequence_limit_is_parallel_part():

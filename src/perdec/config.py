@@ -4,7 +4,7 @@ Three concrete representations are provided:
 
 * WindowConfig   -- values known only inside a box (a partial function;
                     nothing is assumed outside, never zero-padding),
-* PeriodicConfig -- strongly periodic values keyed by lattice residues,
+* PeriodicConfig -- strongly periodic values, one per lattice residue,
 * FiberSum       -- a finite sum of periodic fibers, each supported on a
                     single rational line.
 
@@ -13,8 +13,11 @@ Z^d: combinations of shifted views (`_Combination`) and transfer
 components.  Decomposition pipelines expose their components this way and
 callers rasterize.
 
-Every representation reads boxes (`values_on_box`) and lists of line
-segments (`values_on_segments`) at once, not a point at a time.  Each also
+WindowConfig and PeriodicConfig keep one flat list of values in
+`box_points` order: the window over its box, the periodic configuration
+over its residue box [0, diag - 1] of canonical HNF residues.  Every
+representation reads boxes (`values_on_box`) and lists of line segments
+(`values_on_segments`) at once, not a point at a time.  Each also
 answers the queries of the decomposition theorems itself:
 `convolve(terms)`, `annihilated_by(f, window) -> Verdict` and
 `period_multiple(w, bound, window) -> (k, exact)`.  The module functions
@@ -171,6 +174,29 @@ def erode_box(lo, hi, support):
     return elo, ehi
 
 
+def _int_table(values, lo, hi, kind):
+    """An own copy of `values`, a flat table over the box [lo, hi], as ints.
+
+    A list of exact ints is kept as it is; anything else is converted and
+    must compare equal to its conversion, so a non-integral value raises
+    PreconditionError naming its point instead of being truncated.
+    """
+    values = list(values)
+    if len(values) != box_size(lo, hi):
+        raise LatticeError(f"{kind} value array has the wrong length")
+    if set(map(type, values)) <= {int}:
+        return values
+    ints = list(map(int, values))
+    if ints != values:
+        i, v = next((i, v) for i, (v, n) in enumerate(zip(values, ints))
+                    if v != n)
+        x = tuple(a + i // s % (b - a + 1)
+                  for a, b, s in zip(lo, hi, box_strides(lo, hi)))
+        raise PreconditionError(
+            f"non-integer value {v} at {x}: a {kind} holds integers")
+    return ints
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -215,22 +241,8 @@ class WindowConfig:
             raise DimensionMismatch("window corners of different dimension")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise EmptyRegionError(f"empty window {self.lo}..{self.hi}")
-        values = list(values)  # own copy; the caller keeps its list
-        # a list of exact ints is kept as it is; anything else is converted
-        # and must compare equal to its conversion
-        ints = values if set(map(type, values)) <= {int} \
-            else list(map(int, values))
-        self.values = ints
-        if len(ints) != box_size(self.lo, self.hi):
-            raise LatticeError("window value array has the wrong length")
+        self.values = _int_table(values, self.lo, self.hi, "window")
         self.strides = box_strides(self.lo, self.hi)
-        if ints is not values and ints != values:
-            i, v = next((i, v) for i, (v, n) in
-                        enumerate(zip(values, ints)) if v != n)
-            x = tuple(a + i // s % (b - a + 1) for a, b, s in
-                      zip(self.lo, self.hi, self.strides))
-            raise PreconditionError(
-                f"non-integer value {v} at {x}: a window holds integers")
 
     @property
     def box(self):
@@ -298,16 +310,18 @@ class WindowConfig:
                                  out.lo, out.hi)
 
     def period_multiple(self, w, bound, window):
-        """Evidence on the overlap of the box with each translate; `window`
-        is not used."""
+        """Evidence on the overlap of the box with each translate, read
+        once there and once shifted back by the step; `window` is not
+        used."""
         for k in range(1, bound + 1):
             step = vscale(k, w)
             ov = box_intersect(self.box, (vadd(self.lo, step),
                                           vadd(self.hi, step)))
             if ov is None:
                 return None, False
-            if all(self.value_at(x) == self.value_at(vsub(x, step))
-                   for x in box_points(*ov)):
+            lo, hi = ov
+            if self.values_on_box(lo, hi) == self.values_on_box(
+                    vsub(lo, step), vsub(hi, step)):
                 return k, False
         return None, False
 
@@ -336,12 +350,14 @@ class WindowConfig:
 class PeriodicConfig:
     """Values on Z^d invariant under a full-rank integer lattice.
 
-    `basis` is the declared generator list (columns of the period matrix);
-    values are keyed by the canonical HNF residues of that lattice and must
-    cover all of them.
+    `basis` is the declared generator list (columns of the period matrix).
+    The canonical HNF residues of that lattice form the residue box
+    [0, diag - 1], diag the HNF pivots; `values` lists one value per
+    residue in `box_points` order over that box, the layout of a window.
+    Every whole-table operation is a read of the residue box.
     """
 
-    __slots__ = ("dim", "basis", "values", "_hnf", "_diag", "_rows",
+    __slots__ = ("dim", "basis", "values", "_hnf", "_diag", "_strides",
                  "_cycles")
 
     def __init__(self, dim, basis, values):
@@ -354,17 +370,9 @@ class PeriodicConfig:
         if len(self._hnf) != self.dim:
             raise LatticeError("period basis is singular")
         self._diag = hnf_diagonal(self._hnf, self.dim)
-        vals = {tuple(map(int, k)): int(v) for k, v in values.items()}
-        # count first: a huge lattice with few values must not enumerate its
-        # residues; with the count right, every residue present means the
-        # keys are exactly the residues
-        if len(vals) != lattice_determinant(self._hnf, self.dim) or not all(
-                map(vals.__contains__,
-                    fundamental_residues(self._hnf, self.dim))):
-            raise LatticeError(
-                "periodic values must be keyed by exactly the canonical residues")
-        self.values = vals
-        self._rows = None
+        lo, hi = self.residue_box
+        self.values = _int_table(values, lo, hi, "periodic configuration")
+        self._strides = box_strides(lo, hi)
         self._cycles = {}  # step -> the residue cycles it runs through
 
     @classmethod
@@ -372,13 +380,12 @@ class PeriodicConfig:
         rows = hnf_rows(basis, dim)
         if len(rows) != dim:
             raise LatticeError("period basis is singular")
-        vals = {r: fn(r) for r in fundamental_residues(rows, dim)}
-        return cls(dim, basis, vals)
+        return cls(dim, basis, [fn(r) for r in fundamental_residues(rows, dim)])
 
     @classmethod
     def constant(cls, dim, value):
         ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-        return cls(dim, ident, {zero_vector(dim): value})
+        return cls(dim, ident, [value])
 
     @property
     def determinant(self):
@@ -388,35 +395,30 @@ class PeriodicConfig:
     def lattice_rows(self):
         return self._hnf
 
-    def residues(self):
-        return sorted(self.values)
+    @property
+    def residue_box(self):
+        """(lo, hi) of the canonical residues: ((0, ..., 0), diag - 1)."""
+        return _residue_box(self._diag)
 
     def value_at(self, x):
-        return self.values[hnf_reduce(x, self._hnf)]
+        return self.values[sum(map(mul, self._strides,
+                                   hnf_reduce(x, self._hnf)))]
 
-    def row_table(self):
-        """The residue values in rows along the last axis, keyed by the rest.
+    def values_on_box(self, lo, hi):
+        """Values over [lo, hi], one HNF reduction per row.
 
         Reducing (y, s) gives (h, (s + r) mod d), d the last pivot, with h
         and r fixed by y, so every row of Z^d along the last axis is a
-        rotation of one row of this table.
+        rotation of the row h of the residue table.
         """
-        if self._rows is None:
-            d = self._diag[-1]
-            residues = list(fundamental_residues(self._hnf, self.dim))
-            table = [self.values[r] for r in residues]
-            self._rows = {residues[i][:-1]: table[i:i + d]
-                          for i in range(0, len(table), d)}
-        return self._rows
-
-    def values_on_box(self, lo, hi):
-        """Values over [lo, hi], one HNF reduction per row."""
-        rows, table = self._hnf, self.row_table()
+        vals, strides, d = self.values, self._strides, self._diag[-1]
         n = hi[-1] - lo[-1] + 1
         out = []
         for h in box_points(lo[:-1], hi[:-1]):
-            src = hnf_reduce(h + (lo[-1],), rows)
-            out += _cyclic(table[src[:-1]], src[-1], n)
+            src = hnf_reduce(h + (lo[-1],), self._hnf)
+            i, t = sum(map(mul, strides, src)), src[-1]
+            out += vals[i:i + n] if t + n <= d \
+                else _cyclic(vals[i - t:i - t + d], t, n)
         return out
 
     def values_on_line(self, q, step, count):
@@ -426,27 +428,27 @@ class PeriodicConfig:
         if cycles is None:
             cycles = self._cycles[step] = {}, {}
         r = hnf_reduce(q, self._hnf)
-        found = cycles[0].get(r)
+        found = cycles[0].get(sum(map(mul, self._strides, r)))
         if found is None:
             found = self._index_cycle(step, r, *cycles)
         table, i = found
         return _cyclic(table, i, count)
 
     def _index_cycle(self, step, r, index, moves):
-        """Enter the cycle of residue r under step into `index` (residue ->
-        (the cycle's values, position)); returns r's entry.
+        """Enter the cycle of residue r under step into `index` (flat
+        position -> (the cycle's values, position in the cycle)); returns
+        r's entry.
 
-        The cycle is walked on the row table: (h, t) + step reduces to
-        (h', (t + s) mod d) with h' and s fixed by h (as in apply_poly), so
-        `moves` (h -> (h', s)) needs one HNF reduction per row, not one per
-        residue.
+        The cycle is walked on the rows of the residue table: (h, t) + step
+        reduces to (h', (t + s) mod d) with h' and s fixed by h (as in
+        values_on_box), so `moves` (h -> (h', s)) needs one HNF reduction
+        per row, not one per residue.
         """
-        rows, d = self.row_table(), self._diag[-1]
-        cycle, table = [], []
+        strides, d = self._strides, self._diag[-1]
+        cycle = []
         h, t = r[:-1], r[-1]
         while True:
-            cycle.append(h + (t,))
-            table.append(rows[h][t])
+            cycle.append(sum(map(mul, strides, h)) + t)
             move = moves.get(h)
             if move is None:
                 x = hnf_reduce(vadd(h + (0,), step), self._hnf)
@@ -454,9 +456,10 @@ class PeriodicConfig:
             h, t = move[0], (t + move[1]) % d
             if t == r[-1] and h == r[:-1]:
                 break
-        for i, x in enumerate(cycle):
-            index[x] = table, i
-        return index[r]
+        table = [self.values[i] for i in cycle]
+        for k, i in enumerate(cycle):
+            index[i] = table, k
+        return index[cycle[0]]
 
     values_on_segments = _line_by_line
 
@@ -464,30 +467,19 @@ class PeriodicConfig:
         return True
 
     def translate(self, t):
-        return PeriodicConfig(
-            self.dim, self.basis,
-            {r: self.values[hnf_reduce(vsub(r, t), self._hnf)]
-             for r in self.values})
+        lo, hi = self.residue_box
+        return PeriodicConfig(self.dim, self.basis,
+                              self.values_on_box(vsub(lo, t), vsub(hi, t)))
 
     def is_zero(self):
-        return all(v == 0 for v in self.values.values())
+        return not any(self.values)
 
     def convolve(self, terms):
-        """f*c on the same lattice, one HNF reduction per row and term."""
-        # residue (h, t) - e reduces to (h', (t + s) mod d): h' and s do not
-        # depend on t, so the source of row h is row h' rotated by s
-        rows = self._hnf
-        lines = self.row_table()
-        out = []
-        for h, line in lines.items():
-            row = [0] * len(line)
-            for e, k in terms:
-                src = hnf_reduce(vsub(h + (0,), e), rows)
-                row = _add_scaled(row, k, _cyclic(lines[src[:-1]], src[-1],
-                                                  len(line)))
-            out += row
-        return PeriodicConfig(self.dim, self.basis, dict(
-            zip(fundamental_residues(rows, self.dim), out)))
+        """f*c on the same lattice: the shifted copies of c, each read once
+        on the residue box."""
+        return PeriodicConfig(self.dim, self.basis, _Combination(
+            self.dim, [(self, k, e) for e, k in terms]).values_on_box(
+                *self.residue_box))
 
     def annihilated_by(self, f, window):
         return Verdict.exactly(apply_poly(f, self).is_zero())
@@ -504,18 +496,23 @@ class PeriodicConfig:
         return f"PeriodicConfig(dim={self.dim}, det={self.determinant})"
 
 
+def _residue_box(diag):
+    """The canonical residues of a lattice with HNF pivots diag: a box."""
+    return (0,) * len(diag), tuple(p - 1 for p in diag)
+
+
 def period_lattice(c: PeriodicConfig):
     """HNF basis of the lattice of all period vectors of c.
 
-    Every coset of the declared lattice is tested as a candidate period, so
-    the result is the full superlattice, found by brute force over the
-    |det| residues.
+    Every coset of the declared lattice is tested as a candidate period t,
+    by reading the residue box shifted by t, so the result is the full
+    superlattice, found by brute force over the |det| residues.
     """
+    lo, hi = c.residue_box
     periods = list(c.lattice_rows)
-    for t in fundamental_residues(c.lattice_rows, c.dim):
-        if is_zero_vector(t):
-            continue
-        if all(c.value_at(vadd(r, t)) == v for r, v in c.values.items()):
+    for t in box_points(lo, hi):
+        if (not is_zero_vector(t)
+                and c.values_on_box(vadd(lo, t), vadd(hi, t)) == c.values):
             periods.append(t)
     return hnf_rows(periods, c.dim)
 
@@ -1023,8 +1020,8 @@ def add_views(views, coeffs=None):
             rows = lattice_intersection(rows, v.lattice_rows, dim)
         if len(rows) != dim:
             raise LatticeError("intersection lattice lost rank (internal)")
-        return PeriodicConfig.from_function(dim, rows,
-                                            _Combination(dim, parts).value_at)
+        return PeriodicConfig(dim, rows, _Combination(dim, parts).values_on_box(
+            *_residue_box(hnf_diagonal(rows, dim))))
 
     windows = [v for v in views if isinstance(v, WindowConfig)]
     if windows:
@@ -1052,10 +1049,6 @@ class _Combination(LazyConfig):
     def __init__(self, dim, parts):
         self.dim = dim
         self.parts = parts
-
-    def value_at(self, x):
-        return sum(k * v.value_at(x if e is None else vsub(x, e))
-                   for v, k, e in self.parts)
 
     def values_on_box(self, lo, hi):
         total = [0] * box_size(lo, hi)

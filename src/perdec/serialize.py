@@ -3,8 +3,11 @@
 Parsers enforce the type invariants bit-exactly: no zero coefficients or
 duplicate exponents in polynomials, canonical residue keys for periodic
 values, primitive directions and canonical anchors for fibers, distinct
-cells for tiles.  Large value lists are type-checked in bulk; when a bulk
-check fails, the per-item checks run and name the first bad item.
+cells for tiles.  Residue keys exist only here: a periodic configuration
+keeps a flat table over its residue box, written record by record in box
+order and read from records in any order.  Large value lists are
+type-checked in bulk; when a bulk check fails, the per-item checks run and
+name the first bad item.
 
 `dumps` writes the one output encoding itself: sorted keys, a 2-space
 indent, one scalar per line, a trailing newline and ASCII escapes, the
@@ -21,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .config import (FiberSum, PeriodicConfig, PeriodicFiber, WindowConfig,
-                     _minimal_period, box_size)
+                     _minimal_period, box_points, box_size)
 from .errors import SchemaError
 from .laurent import LaurentPoly
 from .tiling import Tile
@@ -166,8 +169,8 @@ def config_to_obj(c):
     if isinstance(c, PeriodicConfig):
         return {"kind": "periodic", "dim": c.dim,
                 "basis": [list(g) for g in c.basis],
-                "values": [{"res": list(r), "val": c.values[r]}
-                           for r in c.residues()]}
+                "values": [{"res": list(r), "val": v} for r, v in
+                           zip(box_points(*c.residue_box), c.values)]}
     if isinstance(c, FiberSum):
         return {"kind": "fibersum", "dim": c.dim,
                 "fibers": [{"anchor": list(f.anchor), "dir": list(f.direction),
@@ -214,9 +217,16 @@ def config_from_obj(obj):
                     raise SchemaError(f"duplicate residue {list(res)}")
                 values[res] = _int(item["val"], "value")
         try:
-            cfg = PeriodicConfig(dim, gens, values)
+            # the table in box order; a missing residue stops the read
+            cfg = PeriodicConfig.from_function(dim, gens, values.pop)
+        except KeyError:
+            cfg = None
         except Exception as exc:
             raise SchemaError(f"invalid periodic configuration: {exc}") from exc
+        if cfg is None or values:
+            raise SchemaError(
+                "invalid periodic configuration: periodic values must be "
+                "keyed by exactly the canonical residues")
         return cfg
     if kind == "fibersum":
         raw = obj.get("fibers")

@@ -20,14 +20,14 @@ from math import lcm
 from operator import add, mul, sub
 
 from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
-                     apply_poly, box_points, box_strides, make_fiber,
+                     apply_poly, box_intersect, box_line_range,
+                     box_line_slabs, box_points, box_strides, make_fiber,
                      rasterize, translate)
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
 from .errors import (InconclusiveError, PreconditionError, VerificationError)
 from .laurent import LaurentPoly, non_parallel_directions, poly_product
-from .lattice import (hnf_diagonal, hnf_reduce, is_zero_vector,
-                      primitive, vscale)
+from .lattice import hnf_reduce, is_zero_vector, primitive, vscale
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +89,16 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
         if c.is_zero():
             return SparsenessReport(constant=a, ok=True, exact=True,
                                     checked=((1, 0),))
-        diag = hnf_diagonal(c.lattice_rows, d)
+        residues = c.residue_box
         built = {}
 
         def table(m):  # doubles, so an early violation skips m_max's box
             r = min(m_max, 1 << (m - 1).bit_length())
             if r not in built:
                 built[r] = _cube_counter(rasterize(
-                    c, (-r,) * d, tuple(p - 1 + r for p in diag)))
+                    c, (-r,) * d, tuple(b + r for b in residues[1])))
             return built[r](m)
 
-        # the canonical residues are the box [0, diag - 1]
-        residues = ((0,) * d, tuple(p - 1 for p in diag))
         checked, violation = _cube_scan(a, m_max, table, lambda m: residues,
                                         stop=True)
         return SparsenessReport(constant=a, ok=violation is None,
@@ -230,48 +228,33 @@ def fiber_extract(c, v, period_bound: int) -> FiberSum:
             if p > period_bound:
                 raise InconclusiveError(
                     f"period {p} exceeds bound {period_bound}", period_bound)
-            vals = [c.value_at((j,)) for j in range(p)]
-            return FiberSum(1, [make_fiber((0,), (1,), vals)])
+            return FiberSum(1, [make_fiber((0,), (1,), c.values)])
         raise PreconditionError(
             "a nonzero strongly periodic configuration in dimension >= 2 is "
             "not sparse, so it is not a finite fiber sum")
 
     if isinstance(c, WindowConfig):
-        pivot = next(i for i, s in enumerate(w) if s)
-        lines = {}
-        for x, val in zip(box_points(c.lo, c.hi), c.values):
-            key = hnf_reduce(x, (w,))
-            t = (x[pivot] - key[pivot]) // w[pivot]
-            lines.setdefault(key, {})[t] = val
+        # each w-line meets the box in one run of values, read as one
+        # strided slice from the point where it enters
+        lines = []
+        for slab in box_line_slabs(c.lo, c.hi, w):
+            for q in box_points(*slab):
+                _, last = box_line_range(c.lo, c.hi, q, w)
+                lines.append((hnf_reduce(q, (w,)), q,
+                              c.values_on_line(q, w, last + 1)))
         fibers = []
-        for key in sorted(lines):
-            seq = lines[key]
-            if all(val == 0 for val in seq.values()):
+        for key, q, seq in sorted(lines):
+            if not any(seq):
                 continue
-            ts = sorted(seq)
-            span = ts[-1] - ts[0] + 1
-            period = None
-            for p in range(1, period_bound + 1):
-                if p > span:
-                    break
-                buckets = {}
-                consistent = True
-                for t, val in seq.items():
-                    r = t % p
-                    if buckets.setdefault(r, val) != val:
-                        consistent = False
-                        break
-                if consistent and len(buckets) == p:
-                    period = p
-                    vals = [buckets[r] for r in range(p)]
-                    break
-            if period is None:
-                # a contiguous segment of length s always matches period s,
-                # so this means the line's evidence needs a period > bound
+            # a run of length n always has period n, so no match means the
+            # line's evidence needs a period > bound
+            p = next((p for p in range(1, min(period_bound, len(seq)) + 1)
+                      if seq[p:] == seq[:-p]), None)
+            if p is None:
                 raise InconclusiveError(
                     f"no period <= {period_bound} fits the in-window "
                     f"evidence of the line at {key}", period_bound)
-            fibers.append(make_fiber(key, w, vals))
+            fibers.append(make_fiber(q, w, seq[:p]))
         return FiberSum(c.dim, fibers)
 
     raise PreconditionError("rasterize evaluator views before extraction")
@@ -353,8 +336,9 @@ def sparse_split2(c, phi: LaurentPoly, psi: LaurentPoly,
                                         bounds.k_max, bounds.patience)
         c1 = fiber_extract(w1, v, bounds.period)
         c2 = fiber_extract(w2, u, bounds.period)
-        if any(c1.value_at(x) + c2.value_at(x) != c.value_at(x)
-               for x in box_points(lo, hi) if c.contains(x)):
+        box = box_intersect((lo, hi), c.box)
+        if box is not None and (add_views([c1, c2]).values_on_box(*box)
+                                != c.values_on_box(*box)):
             raise VerificationError("split identity failed: c = c1 + c2")
         return c1, c2
 

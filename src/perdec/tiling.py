@@ -58,12 +58,10 @@ def tile_polynomial(tile: Tile) -> LaurentPoly:
 
 
 def _check_binary(c):
-    if isinstance(c, PeriodicConfig):
-        bad = [v for v in c.values.values() if v not in (0, 1)]
+    if isinstance(c, (PeriodicConfig, WindowConfig)):
+        bad = [v for v in c.values if v not in (0, 1)]
     elif isinstance(c, FiberSum):
         bad = [v for f in c.fibers for v in f.vals if v not in (0, 1)]
-    elif isinstance(c, WindowConfig):
-        bad = [v for v in c.values if v not in (0, 1)]
     else:
         raise PreconditionError("co-tiler check needs a concrete view")
     if bad:
@@ -80,7 +78,7 @@ def verify_cotiler(tile: Tile, c) -> Verdict:
     _check_binary(c)
     fc = apply_poly(tile_polynomial(tile), c)
     if isinstance(fc, PeriodicConfig):
-        return Verdict.exactly(all(v == 1 for v in fc.values.values()))
+        return Verdict.exactly(all(v == 1 for v in fc.values))
     if isinstance(fc, FiberSum):
         if fc.dim == 1:
             return Verdict.exactly(

@@ -8,9 +8,10 @@ fiber-sum references canonicalize every shifted, scaled piece from raw data
 with make_fiber, the configuration parser checks every item in a loop, and
 the transfer source reference reads every source point through value_at,
 the certificate test multiplies out every factor and applies the
-product to the whole view, and the sparse decomposition reference replays
-the inductive proof with translate limits and a two-factor split at every
-level.
+product to the whole view, the periodic reference keys every value by its
+residue and reads each point through one hnf_reduce, and the sparse
+decomposition reference replays the inductive proof with translate limits
+and a two-factor split at every level.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from perdec.decompose import _require_annihilation
 from perdec.errors import EmptyRegionError, SchemaError, VerificationError
 from perdec.laurent import (difference_poly, non_parallel_directions,
                             poly_product)
-from perdec.lattice import fundamental_residues, primitive, vadd, vscale, vsub
+from perdec.lattice import (fundamental_residues, hnf_reduce, hnf_rows,
+                            lattice_determinant, primitive, vadd, vscale, vsub)
 from perdec.serialize import _dim_of, _int, _int_vector
 from perdec.sparse import (SparsenessReport, fiber_closed_form_constant,
                            fiber_extract)
@@ -495,11 +497,20 @@ def reference_config_from_obj(obj):
             if res in values:
                 raise SchemaError(f"duplicate residue {list(res)}")
             values[res] = _int(item["val"], "value")
-        try:
-            cfg = PeriodicConfig(dim, gens, values)
-        except Exception as exc:
-            raise SchemaError(f"invalid periodic configuration: {exc}") from exc
-        return cfg
+        rows = hnf_rows(gens, dim)
+        if len(rows) != dim:
+            raise SchemaError(
+                "invalid periodic configuration: period basis is singular")
+        # count first: a huge lattice with few values must not enumerate its
+        # residues; with the count right, every residue present means the
+        # keys are exactly the residues
+        if len(values) != lattice_determinant(rows, dim) or not all(
+                r in values for r in fundamental_residues(rows, dim)):
+            raise SchemaError(
+                "invalid periodic configuration: periodic values must be "
+                "keyed by exactly the canonical residues")
+        return PeriodicConfig(dim, gens, [values[r] for r in
+                                          fundamental_residues(rows, dim)])
     if kind == "fibersum":
         raw = obj.get("fibers")
         if not isinstance(raw, list):
@@ -525,6 +536,23 @@ def reference_config_from_obj(obj):
             fibers.append(fiber)
         return FiberSum(dim, fibers)
     raise SchemaError(f"unknown configuration kind {kind!r}")
+
+
+class ResidueDict:
+    """A periodic configuration keyed by residue: the flat table's oracle.
+
+    `table` maps each canonical residue of c's lattice to its value, taken
+    from c.values in the order of fundamental_residues; a point is read
+    through one hnf_reduce and one dict lookup, with no box or row layout.
+    """
+
+    def __init__(self, c):
+        self.rows = c.lattice_rows
+        self.table = dict(zip(fundamental_residues(self.rows, c.dim),
+                              c.values))
+
+    def __call__(self, x):
+        return self.table[hnf_reduce(x, self.rows)]
 
 
 def random_poly(rng: random.Random, dim, max_terms=5, exp_range=4,

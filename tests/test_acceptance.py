@@ -30,8 +30,7 @@ from perdec.tiling import (Tile, cotiler_decompose, independent,
 from helpers import (naive_convolution, random_fiber_family, random_periodic,
                      random_poly, window_from_function)
 
-CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
-                         {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0})
+CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 
 
 def _report(capfd, num, name, t0, budget):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                            add_views, apply_poly, box_points,
@@ -10,9 +11,10 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
 from perdec.errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                            OutOfDomainError, PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
-from perdec.lattice import in_lattice, lattice_determinant, vsub
+from perdec.lattice import in_lattice, lattice_determinant, vadd, vsub
 
-from helpers import (DIRECTIONS_2D, FunctionView, assert_canonical_fibers,
+from helpers import (DIRECTIONS_2D, FunctionView, ResidueDict,
+                     assert_canonical_fibers,
                      assert_segments_match_points, naive_convolution,
                      random_fiber_family, random_periodic, random_poly,
                      reference_add_views_fibers, reference_apply_poly_fibers,
@@ -21,8 +23,7 @@ from helpers import (DIRECTIONS_2D, FunctionView, assert_canonical_fibers,
                      window_from_function)
 
 
-CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
-                         {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0})
+CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 
 
 def test_evaluate_examples():
@@ -98,7 +99,7 @@ def test_apply_poly_identity_and_parity():
     assert apply_poly(one, CHECKER) == CHECKER
     xm2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
     out = apply_poly(LaurentPoly(2, {(0, 0): 1, (-1, 0): 1}), xm2)
-    assert all(v == 1 for v in out.values.values())
+    assert all(v == 1 for v in out.values)
 
 
 def test_apply_poly_window_erosion():
@@ -137,13 +138,13 @@ PERIODIC_CASES = [
 def _pointwise(terms, c):
     """Reference fc, one point at a time: sum(k * c(u - e)).
 
-    Periodic inputs give a residue dict; windows give (lo, hi, values) over
-    the points u with every u - e inside the window.
+    Periodic inputs give the values over the residue box; windows give
+    (lo, hi, values) over the points u with every u - e inside the window.
     """
     def at(u):
         return sum(k * c.value_at(vsub(u, e)) for e, k in terms)
     if isinstance(c, PeriodicConfig):
-        return {r: at(r) for r in c.residues()}
+        return [at(r) for r in box_points(*c.residue_box)]
     lo = tuple(a + max(e[i] for e, _ in terms) for i, a in enumerate(c.lo))
     hi = tuple(b + min(e[i] for e, _ in terms) for i, b in enumerate(c.hi))
     return lo, hi, [at(u) for u in box_points(lo, hi)]
@@ -547,11 +548,28 @@ def test_fiber_canonicalization():
 
 def test_periodic_constructor_validation():
     with pytest.raises(LatticeError):
-        PeriodicConfig(2, [(2, 0), (4, 0)], {})  # singular
+        PeriodicConfig(2, [(2, 0), (4, 0)], [])  # singular
     with pytest.raises(LatticeError):
-        PeriodicConfig(2, [(2, 0), (0, 1)], {(0, 0): 1})  # missing residue
+        PeriodicConfig(2, [(2, 0), (0, 1)], [1])  # a residue short
     with pytest.raises(LatticeError):
-        PeriodicConfig(2, [(1, 0), (0, 1)], {(0, 0, 0): 1})  # key too long
+        PeriodicConfig(2, [(1, 0), (0, 1)], [1, 1])  # a value too many
+
+
+def test_periodic_refuses_non_integral_values():
+    # a value that int() would change is refused at its residue, never
+    # truncated; integral Fractions and floats are stored as ints
+    with pytest.raises(PreconditionError,
+                       match=r"non-integer value 1/2 at \(0,\)"):
+        PeriodicConfig(1, [(2,)], [Fraction(1, 2), 1])
+    with pytest.raises(PreconditionError,
+                       match=r"non-integer value 1\.7 at \(1, 0\)"):
+        PeriodicConfig(2, [(2, 0), (0, 1)], [0, 1.7])
+    c = PeriodicConfig(1, [(2,)], [Fraction(4, 2), 3.0])
+    assert c.values == [2, 3] and set(map(type, c.values)) == {int}
+    with pytest.raises(PreconditionError, match=r"at \(1, 2\)"):
+        PeriodicConfig.from_function(2, [(3, 1), (0, 4)],
+                                     lambda r: Fraction(1, 3) if r == (1, 2)
+                                     else 0)
 
 
 def test_detect_period_multiple():
@@ -584,8 +602,7 @@ def test_rasterize_and_period_queries_check_dimensions(kind):
 # values_on_box against value_at at every point
 
 SKEWED = PeriodicConfig(2, [(3, 1), (0, 4)],
-                        {r: 7 * r[0] + r[1]
-                         for r in box_points((0, 0), (2, 3))})
+                        [7 * r[0] + r[1] for r in box_points((0, 0), (2, 3))])
 
 
 def _assert_box_matches_points(c, lo, hi):
@@ -636,6 +653,55 @@ def test_periodic_values_on_box_matches_points(dim):
     _assert_box_matches_points(SKEWED, (-5, -7), (6, 9))
     _assert_box_matches_points(SKEWED, (2, -30), (2, 30))  # one long row
     _assert_box_matches_points(SKEWED, (-30, 5), (30, 5))  # one-point rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_flat_periodic_table_matches_residue_dict(seed, dim):
+    # every read and whole-table operation of the flat table against the
+    # residue-keyed reference, one hnf_reduce per point
+    rng = random.Random(seed)
+    c = random_periodic(rng, dim, 30)
+    ref = ResidueDict(c)
+    residues = list(ref.table)
+    for _ in range(3):
+        lo, hi = _random_box(rng, dim, width=7)
+        assert c.value_at(lo) == ref(lo)
+        assert c.values_on_box(lo, hi) == [ref(x) for x in box_points(lo, hi)]
+    segments = [(_random_box(rng, dim)[0],
+                 tuple(rng.randint(-3, 3) for _ in range(dim)),
+                 rng.randint(1, 12)) for _ in range(4)]
+    assert_segments_match_points(c, segments, ref)
+
+    t = tuple(rng.randint(-9, 9) for _ in range(dim))
+    moved = translate(c, t)
+    assert moved.lattice_rows == c.lattice_rows
+    assert ResidueDict(moved).table == {r: ref(vsub(r, t)) for r in residues}
+
+    f = random_poly(rng, dim, exp_range=3)
+    if not f.is_zero():
+        fc = apply_poly(f, c)
+        assert fc.lattice_rows == c.lattice_rows
+        assert ResidueDict(fc).table == {
+            r: sum(k * ref(vsub(r, e)) for e, k in f.terms())
+            for r in residues}
+
+    views = [c] + [random_periodic(rng, dim, 12)
+                   for _ in range(rng.randint(1, 2))]
+    coeffs = [rng.randint(-3, 3) for _ in views]
+    total = add_views(views, coeffs)
+    refs = [ResidueDict(v) for v in views]
+    assert all(in_lattice(row, v.lattice_rows)
+               for v in views for row in total.lattice_rows)
+    assert ResidueDict(total).table == {
+        r: sum(k * w(r) for k, w in zip(coeffs, refs))
+        for r in ResidueDict(total).table}
+
+    # brute force: t is a period when every residue agrees with its shift
+    rows = period_lattice(c)
+    for t in residues:
+        assert in_lattice(t, rows) == all(ref(vadd(r, t)) == v
+                                          for r, v in ref.table.items())
 
 
 def test_fiber_sum_values_on_box_matches_points():

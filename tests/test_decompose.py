@@ -33,8 +33,7 @@ from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView,
                      segment_points)
 
 TRIVIAL2 = SubspaceBasis.trivial(2)
-CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
-                         {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0})
+CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 BOUNDS = Bounds()
 
 

@@ -93,7 +93,7 @@ def test_periodic_rejects_wrong_or_missing_key():
     good = {"kind": "periodic", "dim": 2, "basis": [[3, 1], [0, 2]],
             "values": [{"res": [a, b], "val": a + b}
                        for a in range(3) for b in range(2)]}
-    assert config_from_obj(good).values[(2, 1)] == 3
+    assert config_from_obj(good).value_at((2, 1)) == 3
     for res in ([3, 0], [0, 2], [-1, 0], [0, -1]):  # outside 0 <= k_i < d_i
         bad = dict(good)
         bad["values"] = good["values"][1:] + [{"res": res, "val": 7}]
@@ -107,6 +107,34 @@ def test_periodic_rejects_wrong_or_missing_key():
     bad["values"] = good["values"] + [{"res": [3, 0], "val": 7}]  # extra
     with pytest.raises(SchemaError):
         config_from_obj(bad)
+
+
+_NOT_CANONICAL = ("invalid periodic configuration: periodic values must be "
+                  "keyed by exactly the canonical residues")
+
+
+def test_periodic_records_in_any_order_and_wrong_keys():
+    # records may come in any order; they are written in residue-box order
+    rng = random.Random(17)
+    for dim in (1, 2, 3):
+        c = random_periodic(rng, dim, 30)
+        good = config_to_obj(c)
+        shuffled = dict(good, values=rng.sample(good["values"],
+                                                len(good["values"])))
+        assert config_from_obj(shuffled) == c
+        assert config_to_obj(config_from_obj(shuffled)) == good
+    good = {"kind": "periodic", "dim": 2, "basis": [[3, 1], [0, 2]],
+            "values": [{"res": [a, b], "val": a + b}
+                       for a in range(3) for b in range(2)]}
+    for values in (good["values"][1:],  # missing
+                   good["values"] + [{"res": [3, 0], "val": 7}],  # extra
+                   good["values"][1:] + [{"res": [0, 2], "val": 7}]):  # off
+        with pytest.raises(SchemaError) as err:
+            config_from_obj(dict(good, values=values))
+        assert str(err.value) == _NOT_CANONICAL
+    with pytest.raises(SchemaError) as err:
+        config_from_obj(_periodic_doc([{"res": [0, 0], "val": 1}]))
+    assert str(err.value) == _NOT_CANONICAL
 
 
 def test_fibersum_roundtrip_and_rejections():

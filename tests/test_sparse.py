@@ -368,8 +368,7 @@ def test_extract_window_line_beyond_period_bound():
 # translate limits
 
 def test_limit_periodic_step_in_lattice_is_constant_sequence():
-    cb = PeriodicConfig(2, [(2, 0), (0, 2)],
-                        {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0})
+    cb = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
     lim = stabilized_translate_limit(cb, (2, 0), ((-4, -4), (4, 4)), 16, 3)
     assert lim == rasterize(cb, (-4, -4), (4, 4))
 

@@ -10,8 +10,7 @@ from perdec.lattice import SubspaceBasis, rank_rational
 from perdec.tiling import (Tile, cotiler_decompose, independent,
                            select_periodizer, tile_polynomial, verify_cotiler)
 
-CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)],
-                         {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0})
+CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 DOMINO_X = Tile(2, [(0, 0), (1, 0)])
 DOMINO_Y = Tile(2, [(0, 0), (0, 1)])
 
@@ -70,7 +69,7 @@ def test_cotiler_polynomial_periodizes():
     # constant-1 configuration, which is strongly periodic
     xm2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
     out = apply_poly(tile_polynomial(DOMINO_X), xm2)
-    assert all(v == 1 for v in out.values.values())
+    assert all(v == 1 for v in out.values)
     assert period_lattice(out) == ((1, 0), (0, 1))
 
 

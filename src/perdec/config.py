@@ -163,6 +163,27 @@ def box_intersect(b1, b2):
     return lo, hi
 
 
+def grow_box(lo, hi, exps):
+    """The smallest box holding u - e for every u in [lo, hi] and e in
+    `exps`: the box a convolution by that support reads."""
+    glo = tuple(a - max(e[i] for e in exps) for i, a in enumerate(lo))
+    ghi = tuple(b - min(e[i] for e in exps) for i, b in enumerate(hi))
+    return glo, ghi
+
+
+def sub_box(values, lo, strides, sub_lo, sub_hi):
+    """A new list of the values over [sub_lo, sub_hi], one slice per row,
+    from a flat table over a box with corner lo and strides holding it."""
+    if not box_size(sub_lo, sub_hi):
+        return []
+    n = sub_hi[-1] - sub_lo[-1] + 1
+    out = []
+    for h in box_points(sub_lo[:-1], sub_hi[:-1]):
+        i = box_offset(lo, strides, h + (sub_lo[-1],))
+        out += values[i:i + n]
+    return out
+
+
 def erode_box(lo, hi, support):
     """Points u with u - s inside [lo, hi] for every s in `support`."""
     cmax = tuple(max(s[i] for s in support) for i in range(len(lo)))
@@ -262,17 +283,10 @@ class WindowConfig:
 
     def values_on_box(self, lo, hi):
         """Values over [lo, hi], one slice of the value list per row."""
-        if not box_size(lo, hi):
-            return []
-        if not (self.contains(lo) and self.contains(hi)):
+        if box_size(lo, hi) and not (self.contains(lo) and self.contains(hi)):
             raise self._outside(next(x for x in box_points(lo, hi)
                                      if not self.contains(x)))
-        n = hi[-1] - lo[-1] + 1
-        out = []
-        for h in box_points(lo[:-1], hi[:-1]):
-            i = box_offset(self.lo, self.strides, h + (lo[-1],))
-            out += self.values[i:i + n]
-        return out
+        return sub_box(self.values, self.lo, self.strides, lo, hi)
 
     def values_on_line(self, q, step, count):
         """Values along q + k*step, one strided slice of the value list; a
@@ -361,26 +375,32 @@ class PeriodicConfig:
                  "_cycles")
 
     def __init__(self, dim, basis, values):
-        self.dim = int(dim)
-        self.basis = tuple(tuple(int(x) for x in g) for g in basis)
-        for g in self.basis:
-            if len(g) != self.dim:
-                raise DimensionMismatch("period generator of wrong dimension")
-        self._hnf = hnf_rows(self.basis, self.dim)
-        if len(self._hnf) != self.dim:
-            raise LatticeError("period basis is singular")
-        self._diag = hnf_diagonal(self._hnf, self.dim)
-        lo, hi = self.residue_box
-        self.values = _int_table(values, lo, hi, "periodic configuration")
-        self._strides = box_strides(lo, hi)
+        self._set(_declared_lattice(dim, basis), values)
+
+    def _set(self, lattice, values):
+        """Take the lattice (dim, basis, HNF rows, pivots, residue strides)
+        as it is and the flat table `values`; only the table is checked."""
+        self.dim, self.basis, self._hnf, self._diag, self._strides = lattice
+        self.values = _int_table(values, *self.residue_box,
+                                 "periodic configuration")
         self._cycles = {}  # step -> the residue cycles it runs through
 
     @classmethod
+    def _on(cls, lattice, values):
+        """The configuration with the table `values` on a known lattice."""
+        c = cls.__new__(cls)
+        c._set(lattice, values)
+        return c
+
+    @property
+    def _lattice(self):
+        return self.dim, self.basis, self._hnf, self._diag, self._strides
+
+    @classmethod
     def from_function(cls, dim, basis, fn):
-        rows = hnf_rows(basis, dim)
-        if len(rows) != dim:
-            raise LatticeError("period basis is singular")
-        return cls(dim, basis, [fn(r) for r in fundamental_residues(rows, dim)])
+        lattice = _declared_lattice(dim, basis)
+        return cls._on(lattice, [fn(r) for r in
+                                 fundamental_residues(lattice[2], lattice[0])])
 
     @classmethod
     def constant(cls, dim, value):
@@ -468,8 +488,8 @@ class PeriodicConfig:
 
     def translate(self, t):
         lo, hi = self.residue_box
-        return PeriodicConfig(self.dim, self.basis,
-                              self.values_on_box(vsub(lo, t), vsub(hi, t)))
+        return self._on(self._lattice,
+                        self.values_on_box(vsub(lo, t), vsub(hi, t)))
 
     def is_zero(self):
         return not any(self.values)
@@ -477,7 +497,7 @@ class PeriodicConfig:
     def convolve(self, terms):
         """f*c on the same lattice: the shifted copies of c, each read once
         on the residue box."""
-        return PeriodicConfig(self.dim, self.basis, _Combination(
+        return self._on(self._lattice, _Combination(
             self.dim, [(self, k, e) for e, k in terms]).values_on_box(
                 *self.residue_box))
 
@@ -494,6 +514,21 @@ class PeriodicConfig:
 
     def __repr__(self):
         return f"PeriodicConfig(dim={self.dim}, det={self.determinant})"
+
+
+def _declared_lattice(dim, basis):
+    """(dim, basis, HNF rows, pivots, residue strides) of a period basis,
+    the basis as int tuples; a singular basis raises LatticeError."""
+    dim = int(dim)
+    basis = tuple(tuple(int(x) for x in g) for g in basis)
+    for g in basis:
+        if len(g) != dim:
+            raise DimensionMismatch("period generator of wrong dimension")
+    rows = hnf_rows(basis, dim)
+    if len(rows) != dim:
+        raise LatticeError("period basis is singular")
+    diag = hnf_diagonal(rows, dim)
+    return dim, basis, rows, diag, box_strides(*_residue_box(diag))
 
 
 def _residue_box(diag):
@@ -951,13 +986,14 @@ def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
 def convolve_on_box(polys, c, lo, hi):
     """f*c over the box [lo, hi] for each f in `polys`, from one grid of c.
 
-    c is evaluated once on [lo, hi] grown by every support; each result
-    is a flat list in box_points order.  Values are kept as c returns
-    them, ints or Fractions, so evaluator views need no rasterizing.
+    c is evaluated once on [lo, hi] grown by every support (`grow_box`,
+    which Decomposition.verify_on_window uses for its shared grid box
+    too); each result is a flat list in box_points order.  Values are kept
+    as c returns them, ints or Fractions, so evaluator views need no
+    rasterizing.  A transfer view keeps the grid it computes, so a later
+    read inside it is a slice, not recurrence work.
     """
-    exps = [e for f in polys for e in f.support()]
-    glo = tuple(a - max(e[i] for e in exps) for i, a in enumerate(lo))
-    ghi = tuple(b - min(e[i] for e in exps) for i, b in enumerate(hi))
+    glo, ghi = grow_box(lo, hi, [e for f in polys for e in f.support()])
     grid = c.values_on_box(glo, ghi)
     strides = box_strides(glo, ghi)
     return [_convolve_rows(f.terms(), grid, glo, strides, lo, hi)
@@ -1020,8 +1056,11 @@ def add_views(views, coeffs=None):
             rows = lattice_intersection(rows, v.lattice_rows, dim)
         if len(rows) != dim:
             raise LatticeError("intersection lattice lost rank (internal)")
-        return PeriodicConfig(dim, rows, _Combination(dim, parts).values_on_box(
-            *_residue_box(hnf_diagonal(rows, dim))))
+        # rows is an HNF already: the basis and the HNF rows of the result
+        diag = hnf_diagonal(rows, dim)
+        box = _residue_box(diag)
+        return PeriodicConfig._on((dim, rows, rows, diag, box_strides(*box)),
+                                  _Combination(dim, parts).values_on_box(*box))
 
     windows = [v for v in views if isinstance(v, WindowConfig)]
     if windows:

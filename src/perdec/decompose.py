@@ -17,7 +17,9 @@ Decomposition components are exposed as lazy views (LazyConfig subclasses)
 plus rasterization; in general their values need not form a configuration.
 Components are evaluated a box at a time: a transfer component walks its
 recurrence lines through the box and a residual sums the boxes of its parts;
-a point read of a transfer component is a one-point segment.  All searches take
+a point read of a transfer component is a one-point segment.  A transfer
+component keeps the last box it computed, and verification reads every lazy
+component on one shared grid box, so each is evaluated once per job.  All searches take
 caller-supplied bounds and report exhaustion as inconclusive rather than
 fabricating verdicts.
 """
@@ -31,10 +33,11 @@ from math import lcm
 from operator import add, mul
 
 from .config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
-                     add_views, apply_poly, box_line_range, box_line_slabs,
-                     box_offset, box_points, box_size, box_strides,
-                     convolve_on_box, detect_period_multiple, is_annihilated,
-                     line_slice, line_values, period_lattice)
+                     _convolve_rows, add_views, apply_poly, box_contains,
+                     box_line_range, box_line_slabs, box_offset, box_points,
+                     box_size, box_strides, convolve_on_box,
+                     detect_period_multiple, grow_box, is_annihilated,
+                     line_slice, line_values, period_lattice, sub_box)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
 from .laurent import (LaurentPoly, difference_poly, line_degree,
@@ -143,10 +146,17 @@ class _TransferEvaluator(LazyConfig):
     points; any other source is read segment by segment.  The recurrence
     coordinate is walked along lines (`a1_line`), so a line pays one coset
     reduction per coset period rather than one per point.
+
+    The view keeps the last box it computed, `box` = (lo, hi, values): a
+    read of a box inside it is a sub-box read of those values, any other
+    box is computed and replaces it, and no read hands out the kept list.
+    Once a decomposition is verified on its grid box, the residual's read
+    of this view and the rasterized component file are sub-box reads, so
+    each lazy component is evaluated once per job.
     """
 
     __slots__ = ("w", "n", "source", "lam", "den", "cosets", "lines",
-                 "sweeps")
+                 "sweeps", "box")
 
     def __init__(self, w, alphas, n, source, shift, lam, den, cosets):
         self.dim = len(w)
@@ -157,6 +167,7 @@ class _TransferEvaluator(LazyConfig):
         self.den = den
         self.cosets = cosets
         self.lines = {}  # (line base, upward?) -> values from the band out
+        self.box = None  # (lo, hi, values) of the last box computed
         alphas = sorted(alphas.items())  # (offset, coefficient)
         # upward, c(t) = (c'(p + shift) - sum a_off c(t - off)) / a_0;
         # downward, the equation at t + n gives c(t) through a_n.  Both are
@@ -290,6 +301,19 @@ class _TransferEvaluator(LazyConfig):
                 for read in reads]
 
     def values_on_box(self, lo, hi):
+        """The values over [lo, hi]: a sub-box of the kept box when that
+        holds [lo, hi], else computed and kept in its place."""
+        if not box_size(lo, hi):
+            return []
+        if self.box is not None:
+            blo, bhi, vals = self.box
+            if box_contains(blo, bhi, lo) and box_contains(blo, bhi, hi):
+                return sub_box(vals, blo, box_strides(blo, bhi), lo, hi)
+        vals = self._compute_box(lo, hi)
+        self.box = lo, hi, vals
+        return vals[:]
+
+    def _compute_box(self, lo, hi):
         """The values over [lo, hi], a line of direction w at a time."""
         w, n, lines = self.w, self.n, self.lines
         strides = box_strides(lo, hi)
@@ -424,19 +448,34 @@ class Decomposition:
     components: list
 
     def verify_on_window(self, lo, hi):
-        """Check sum = source and per-component annihilation over a box."""
+        """Check sum = source and per-component annihilation over a box.
+
+        Windows are checked on their own eroded box.  Every other component
+        is read once, on one grid box shared by all of them: [lo, hi] grown
+        by the union of their line-polynomial supports and the origin.  Its
+        annihilation row is convolved from that grid and its own values are
+        the [lo, hi] sub-box.  A residual reads each transfer view on the
+        same grid box, which the view has just computed and kept, so every
+        lazy component is evaluated once per job; a later `rasterize` on
+        [lo, hi] is served from the kept box too.
+        """
+        windows = [isinstance(comp.view, WindowConfig)
+                   for comp in self.components]
+        glo, ghi = grow_box(lo, hi, [zero_vector(len(lo))] + [
+            e for comp, window in zip(self.components, windows) if not window
+            for e in comp.line_poly.support()])
+        strides = box_strides(glo, ghi)
         total = [0] * box_size(lo, hi)
         per_comp = []
-        for comp in self.components:
-            # windows are checked on their own eroded box; every other view
-            # is evaluated once on one grid around [lo, hi]
-            if isinstance(comp.view, WindowConfig):
+        for comp, window in zip(self.components, windows):
+            if window:
                 fc = apply_poly(comp.line_poly, comp.view).values
                 own = comp.view.values_on_box(lo, hi)
             else:
-                fc, own = convolve_on_box(
-                    [comp.line_poly, LaurentPoly.constant(comp.view.dim, 1)],
-                    comp.view, lo, hi)
+                grid = comp.view.values_on_box(glo, ghi)
+                fc = _convolve_rows(comp.line_poly.terms(), grid, glo, strides,
+                                    lo, hi)
+                own = sub_box(grid, glo, strides, lo, hi)
             per_comp.append(all(v == 0 for v in fc))
             total = list(map(add, total, own))
         sum_ok = total == self.source.values_on_box(lo, hi)

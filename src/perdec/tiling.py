@@ -121,19 +121,22 @@ def select_periodizer(fs, V: SubspaceBasis) -> LaurentPoly:
     """First polynomial whose support meets V exactly at the origin.
 
     For an independent family with 0 in every support such a member exists
-    whenever dim V < family size; failure therefore signals dependent
-    inputs and says so.
+    whenever dim V < family size.  When none does, the error names V by
+    its integer rows and, for each member, a nonzero support point in V.
     """
-    origin = None
-    for f in fs:
+    inside = []
+    for i, f in enumerate(fs):
         origin = zero_vector(f.dim)
         if f.coefficient(origin) == 0:
             raise PreconditionError("periodizer without the origin in support")
-        if support_in_subspace(f, V) == {origin}:
+        met = support_in_subspace(f, V) - {origin}
+        if not met:
             return f
+        inside.append(f"member {i} has the support point {min(met)} in it")
     raise PreconditionError(
-        "no family member is transversal to the subspace; the family is "
-        "not independent (cross-check with independent())")
+        "no periodizer meets the subspace spanned by "
+        f"{[list(r) for r in V.integer_rows()]} only at the origin: "
+        + "; ".join(inside))
 
 
 def cotiler_decompose(tiles, c, bounds: Bounds | None = None) -> Decomposition:

@@ -330,6 +330,60 @@ def test_decompose_non_integral_component_exits_one(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+def _components(out):
+    return {name: open(os.path.join(out, name), "rb").read()
+            for name in os.listdir(out) if name.startswith("component_")}
+
+
+def test_window_input_decomposes_like_its_periodic_source(tmp_path, capsys):
+    # a [-15, 14]^2 window of a 6x6-periodic input: its decomposition
+    # matches the periodic input's up to r = 12 and runs out of the window
+    # inside a recurrence at r = 13
+    c = PeriodicConfig.from_function(
+        2, [(6, 0), (0, 6)],
+        lambda r: (r[0] % 3) * (r[1] + 1) + (r[1] % 2) * (r[0] + 2))
+    periodic = write(tmp_path / "periodic.json", config_to_obj(c))
+    window = write(tmp_path / "window.json",
+                   config_to_obj(rasterize(c, (-15, -15), (14, 14))))
+    factors = write(tmp_path / "factors.json", [
+        poly_to_obj(difference_poly((3, 0))),
+        poly_to_obj(difference_poly((0, 2)))])
+
+    def run(cfg, r):
+        out = str(tmp_path / f"out_{r}_{os.path.basename(cfg)}")
+        code = main(["--out", out, f"--window=-{r}..{r - 1},-{r}..{r - 1}",
+                     "decompose", cfg, "--factors", factors])
+        return code, out
+
+    code, out = run(window, 12)
+    assert code == 0
+    ref_code, ref_out = run(periodic, 12)
+    assert ref_code == 0
+    assert sorted(_components(out)) == ["component_00.json",
+                                        "component_01.json"]
+    assert _components(out) == _components(ref_out)
+    capsys.readouterr()
+    code, out = run(window, 13)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "perdec: error: (-16, 2) outside window (-15, -13)..(14, 14)\n")
+
+
+def test_decompose_k_names_the_subspace_no_periodizer_avoids(tmp_path,
+                                                             capsys):
+    checker = write(tmp_path / "checker.json", config_to_obj(
+        PeriodicConfig(2, [(1, 1), (0, 2)], [0, 1])))
+    family = write(tmp_path / "family.json", [
+        poly_to_obj(LaurentPoly(2, {(0, 0): 1, (1, 0): 1}))])
+    out = str(tmp_path / "out_k")
+    assert main(["--out", out, "decompose", checker, "--k", "2",
+                 "--periodizers", family]) == 1
+    assert capsys.readouterr().err == (
+        "perdec: error: no periodizer meets the subspace spanned by "
+        "[[1, 0]] only at the origin: member 0 has the support point "
+        "(1, 0) in it\n")
+
+
 def test_schema_error_exit_one(files, tmp_path):
     tmp, fx = files
     bad = tmp_path / "bad.json"

@@ -22,8 +22,8 @@ from perdec.errors import (InconclusiveError, OutOfDomainError,
                            PreconditionError)
 from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
                             support_in_subspace)
-from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vscale,
-                            vsub)
+from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vadd,
+                            vscale, vsub)
 
 from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView,
                      assert_segments_match_points, fiber_parts,
@@ -1237,3 +1237,134 @@ def test_shifted_and_convolved_transfer_views_read_natively(monkeypatch,
                          for seg in segments]
         assert [view.value_at(x) for x in box_points(lo, hi)] == box
         point_reads.clear()  # a transfer view's own point reads
+
+
+# ---------------------------------------------------------------------------
+# the kept box of a transfer view
+
+def _integer_transfer_cases():
+    """(phi, psi, source, V) with integer values: the integer cases of
+    _box_transfer_cases in dim 2 and two in dim 3."""
+    cases = [case for i, case in enumerate(_box_transfer_cases())
+             if i not in (2, 3, 7, 8)]
+    src3 = PeriodicConfig.from_function(
+        3, [(0, 1, 0), (2, 0, 0), (0, 0, 3)], lambda r: r[0] + 2 * r[2] + 1)
+    cases.append((difference_poly((1, 0, 1)), difference_poly((0, 1, 0)),
+                  src3, TRIVIAL3))
+    src3b = PeriodicConfig.from_function(
+        3, [(0, 0, 1), (2, 0, 0), (0, 3, 0)], lambda r: r[0] - r[1])
+    cases.append((difference_poly((1, -1, 0)), difference_poly((0, 0, 1)),
+                  src3b, SubspaceBasis(3, [(1, 0, 0)])))
+    return cases
+
+
+@st.composite
+def _box_sequences(draw, dim):
+    """Boxes near [-10, 10]^dim, each inside, overlapping, reaching past
+    one corner of, apart from or equal to the one before it, or
+    anywhere."""
+    def box_at(lo, widths):
+        return lo, tuple(a + w for a, w in zip(lo, widths))
+
+    coord, width = st.integers(-10, 6), st.integers(0, 4)
+    boxes = [box_at(tuple(draw(coord) for _ in range(dim)),
+                    tuple(draw(width) for _ in range(dim)))]
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = boxes[-1]
+        kind = draw(st.sampled_from(("inside", "overlap", "past", "apart",
+                                     "same", "anywhere")))
+        if kind == "past":  # one corner inside, the other beyond
+            reach = [draw(st.integers(0, 2)) for _ in range(dim)]
+            reach[draw(st.integers(0, dim - 1))] += 1
+            if draw(st.booleans()):
+                boxes.append((lo, vadd(hi, reach)))
+            else:
+                boxes.append((vsub(lo, reach), hi))
+        elif kind == "inside":
+            sub_lo = tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi))
+            boxes.append((sub_lo, tuple(draw(st.integers(a, b))
+                                        for a, b in zip(sub_lo, hi))))
+        elif kind in ("overlap", "apart"):
+            shift = [draw(st.integers(-2, 2)) for _ in range(dim)]
+            if kind == "apart":  # towards the origin along the first axis
+                gap = hi[0] - lo[0] + 1 + draw(st.integers(0, 3))
+                shift[0] = -gap if lo[0] > 0 else gap
+            boxes.append((vadd(lo, shift), vadd(hi, shift)))
+        elif kind == "same":
+            boxes.append((lo, hi))
+        else:
+            boxes.append(box_at(tuple(draw(coord) for _ in range(dim)),
+                                tuple(draw(width) for _ in range(dim))))
+    return boxes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_transfer_box_reads_through_the_kept_box_match_points(data):
+    cases = _integer_transfer_cases()
+    phi, psi, source, V = cases[data.draw(st.integers(0, len(cases) - 1))]
+    view = solve_transfer(phi, psi, source, V).view
+    ref = solve_transfer(phi, psi, source, V).view
+    for lo, hi in data.draw(_box_sequences(phi.dim)):
+        want = pointwise_rasterize(ref, lo, hi).values
+        got = view.values_on_box(lo, hi)
+        assert got == want
+        # the caller owns what it is handed: changing it changes no later
+        # read, of this box or of the kept one
+        got[0] = "changed"
+        got.append("extra")
+        assert view.values_on_box(lo, hi) == want
+        assert view.values_on_box(*view.box[:2]) == \
+            pointwise_rasterize(ref, *view.box[:2]).values
+
+
+def test_transfer_box_read_of_an_empty_box_keeps_the_box():
+    phi, psi, source, V = _box_transfer_cases()[0]
+    view = solve_transfer(phi, psi, source, V).view
+    kept = view.values_on_box((-3, -3), (3, 3))
+    assert view.values_on_box((2, 2), (1, 1)) == []
+    assert view.box[:2] == ((-3, -3), (3, 3))
+    assert view.values_on_box((-3, -3), (3, 3)) == kept
+
+
+def _seeded_torus_input(seed, family):
+    """A 12x12-periodic input with seeded values, one summand invariant
+    along each vector of the family."""
+    rng = random.Random(seed)
+    parts = []
+    for a, b in family:
+        table = [rng.randint(-3, 3) for _ in range(12)]
+        parts.append(PeriodicConfig.from_function(
+            2, [(12, 0), (0, 12)],
+            lambda r, a=a, b=b, t=table: t[(b * r[0] - a * r[1]) % 12]))
+    return add_views(parts)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_and_rasterize_compute_each_transfer_box_once(monkeypatch,
+                                                             seed):
+    family = GUARD_FAMILIES[seed]
+    c = _seeded_torus_input(seed, family)
+    phis = [difference_poly(v) for v in family]
+    lo, hi = (-9, -8), (8, 10)
+    dec = decompose_product(phis, c, TRIVIAL2)
+    computed = []
+    compute_box = _TransferEvaluator._compute_box
+
+    def counted_compute_box(self, lo, hi):
+        computed.append(self)
+        return compute_box(self, lo, hi)
+    monkeypatch.setattr(_TransferEvaluator, "_compute_box",
+                        counted_compute_box)
+    report = dec.verify_on_window(lo, hi)
+    boxes = [rasterize(comp.view, lo, hi) for comp in dec.components]
+    monkeypatch.undo()
+    assert report["ok"]
+    transfer = [comp.view for comp in dec.components
+                if isinstance(comp.view, _TransferEvaluator)]
+    assert len(transfer) == 2
+    # the residual and the component files read the kept grid box
+    assert sorted(map(id, computed)) == sorted(map(id, transfer))
+    ref = decompose_product(phis, c, TRIVIAL2)
+    assert boxes == [pointwise_rasterize(comp.view, lo, hi)
+                     for comp in ref.components]

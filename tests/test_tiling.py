@@ -115,8 +115,13 @@ def test_select_periodizer():
     assert select_periodizer([f1, f2], SubspaceBasis(2, [(1, 0)])) == f2
     assert select_periodizer([f1, f2], SubspaceBasis.trivial(2)) == f1
     assert select_periodizer([f1], SubspaceBasis.trivial(2)) == f1
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as err:
         select_periodizer([f1, f1], SubspaceBasis(2, [(1, 0)]))
+    assert str(err.value) == (
+        "no periodizer meets the subspace spanned by [[1, 0]] only at the "
+        "origin: member 0 has the support point (-1, 0) in it; member 1 "
+        "has the support point (-1, 0) in it")
+    assert "independent()" not in str(err.value)
 
 
 def test_cotiler_decompose_checkerboard():

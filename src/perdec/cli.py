@@ -26,7 +26,7 @@ from .serialize import (config_from_obj, config_to_obj, dumps, load_json,
                         poly_from_obj, poly_to_obj, tile_from_obj)
 from .sparse import (check_sparseness, fiber_closed_form_constant,
                      fiber_extract, sparse_decompose, sparse_full,
-                     sparse_split2)
+                     sparse_split2, split_identities)
 from .tiling import (cotiler_decompose, independent, select_periodizer,
                      verify_cotiler)
 
@@ -272,7 +272,8 @@ def _cmd_sparse(ctx):
         c1, c2 = sparse_split2(c, phi, psi, bounds)
         _sparse_report(ctx, c, [c1, c2],
                        ["phi*c1 = 0", "psi*c1 = psi*c", "psi*c2 = 0",
-                        "phi*c2 = phi*c", "c = c1 + c2"])
+                        "phi*c2 = phi*c", "c = c1 + c2"],
+                       lambda: split_identities(c, phi, psi, c1, c2, bounds))
         return ctx.finish(["sparse", "split", args.config])
 
     if args.subcommand == "decompose":
@@ -282,31 +283,33 @@ def _cmd_sparse(ctx):
                        ["per-family annihilation", "family sum = input"])
         return ctx.finish(["sparse", "decompose", args.config])
 
-    if args.subcommand == "full":
-        f = ctx.load_poly(polys[0])
-        fams = sparse_full(c, f, bounds)
-        _sparse_report(ctx, c, fams,
-                       ["certificate annihilates", "per-family annihilation",
-                        "family sum = input"])
-        return ctx.finish(["sparse", "full", args.config])
-
-    raise PerdecError(f"unknown sparse subcommand {args.subcommand!r}")
+    # "full", the last choice argparse allows
+    f = ctx.load_poly(polys[0])
+    fams = sparse_full(c, f, bounds)
+    _sparse_report(ctx, c, fams,
+                   ["certificate annihilates", "per-family annihilation",
+                    "family sum = input"])
+    return ctx.finish(["sparse", "full", args.config])
 
 
-def _sparse_report(ctx, source, families, identities):
-    """Record certificate, detected periods and the verified-identity log."""
+def _sparse_report(ctx, source, families, identities, on_window=None):
+    """Record the families, their detected periods and the identity log.
+    On fiber sums per-family annihilation and the family sum are checked
+    exactly and imply the other split identities (psi*c1 = psi*c - psi*c2);
+    elsewhere `on_window`, where given, evaluates them (name -> verdict)."""
     for i, fam in enumerate(families):
         ctx.write_config(f"family_{i:02d}.json", fam)
         ctx.results[f"family_{i:02d}_periods"] = \
             [{"anchor": list(f.anchor), "dir": list(f.direction),
               "period": f.period} for f in fam.fibers]
+    verdicts = dict.fromkeys(identities, True)
     if isinstance(source, FiberSum):
         ctx.results["sparseness_constant"] = \
             max(fiber_closed_form_constant(source), 1)
-    # on fiber sums per-family annihilation and the family sum are checked
-    # exactly, and imply the other split identities (psi*c1 = psi*c - psi*c2)
-    for name in identities:
-        ctx.verdicts[f"identity: {name}"] = True
+    elif on_window is not None:
+        verdicts = on_window()
+    for name, holds in verdicts.items():
+        ctx.verdicts[f"identity: {name}"] = holds
 
 
 def _cmd_sparseness(ctx):
@@ -358,14 +361,12 @@ def _cmd_tiling(ctx):
         ctx.write_json("report.json", report)
         return ctx.finish(["tiling", "verify", args.tiles, args.config])
 
-    if args.subcommand == "decompose":
-        tiles = ctx.load_tiles(args.tiles)
-        c = ctx.load_config(args.config)
-        lo, hi = ctx.window(c.dim)
-        _write_decomposition(ctx, cotiler_decompose(tiles, c, bounds), lo, hi)
-        return ctx.finish(["tiling", "decompose", args.tiles, args.config])
-
-    raise PerdecError(f"unknown tiling subcommand {args.subcommand!r}")
+    # "decompose", the last choice argparse allows
+    tiles = ctx.load_tiles(args.tiles)
+    c = ctx.load_config(args.config)
+    lo, hi = ctx.window(c.dim)
+    _write_decomposition(ctx, cotiler_decompose(tiles, c, bounds), lo, hi)
+    return ctx.finish(["tiling", "decompose", args.tiles, args.config])
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,7 @@ class WindowConfig:
         if f.is_zero():
             return Verdict.exactly(True)
         out = apply_poly(f, self)  # raises EmptyRegionError when eroded away
-        return Verdict.on_window(all(v == 0 for v in out.values),
-                                 out.lo, out.hi)
+        return Verdict.on_window(not any(out.values), out.lo, out.hi)
 
     def period_multiple(self, w, bound, window):
         """Evidence on the overlap of the box with each translate, read
@@ -372,7 +371,7 @@ class PeriodicConfig:
     """
 
     __slots__ = ("dim", "basis", "values", "_hnf", "_diag", "_strides",
-                 "_cycles")
+                 "_moves")
 
     def __init__(self, dim, basis, values):
         self._set(_declared_lattice(dim, basis), values)
@@ -383,7 +382,7 @@ class PeriodicConfig:
         self.dim, self.basis, self._hnf, self._diag, self._strides = lattice
         self.values = _int_table(values, *self.residue_box,
                                  "periodic configuration")
-        self._cycles = {}  # step -> the residue cycles it runs through
+        self._moves = {}  # step -> row h -> (next row, shift, its start)
 
     @classmethod
     def _on(cls, lattice, values):
@@ -442,44 +441,26 @@ class PeriodicConfig:
         return out
 
     def values_on_line(self, q, step, count):
-        """Values along q + k*step: one HNF reduction, then a cyclic read
-        of the residue cycle that step runs through from q."""
-        cycles = self._cycles.get(step)
-        if cycles is None:
-            cycles = self._cycles[step] = {}, {}
+        """Values along q + k*step: q is reduced once, then (h, t) + step
+        reduces to (h', (t + s) mod d) with h' and s fixed by the row h (as
+        in values_on_box); each row's move is reduced once per step, kept."""
+        moves = self._moves.setdefault(step, {})
+        vals, strides, d = self.values, self._strides, self._diag[-1]
         r = hnf_reduce(q, self._hnf)
-        found = cycles[0].get(sum(map(mul, self._strides, r)))
-        if found is None:
-            found = self._index_cycle(step, r, *cycles)
-        table, i = found
-        return _cyclic(table, i, count)
-
-    def _index_cycle(self, step, r, index, moves):
-        """Enter the cycle of residue r under step into `index` (flat
-        position -> (the cycle's values, position in the cycle)); returns
-        r's entry.
-
-        The cycle is walked on the rows of the residue table: (h, t) + step
-        reduces to (h', (t + s) mod d) with h' and s fixed by h (as in
-        values_on_box), so `moves` (h -> (h', s)) needs one HNF reduction
-        per row, not one per residue.
-        """
-        strides, d = self._strides, self._diag[-1]
-        cycle = []
         h, t = r[:-1], r[-1]
-        while True:
-            cycle.append(sum(map(mul, strides, h)) + t)
-            move = moves.get(h)
-            if move is None:
-                x = hnf_reduce(vadd(h + (0,), step), self._hnf)
-                move = moves[h] = x[:-1], x[-1]
-            h, t = move[0], (t + move[1]) % d
-            if t == r[-1] and h == r[:-1]:
-                break
-        table = [self.values[i] for i in cycle]
-        for k, i in enumerate(cycle):
-            index[i] = table, k
-        return index[cycle[0]]
+        i = sum(map(mul, strides, r)) - t  # flat start of the row h
+        out = []
+        for k in range(count):
+            if k:
+                move = moves.get(h)
+                if move is None:
+                    x = hnf_reduce(vadd(h + (0,), step), self._hnf)
+                    move = moves[h] = (x[:-1], x[-1],
+                                       sum(map(mul, strides, x)) - x[-1])
+                h, s, i = move
+                t = (t + s) % d
+            out.append(vals[i + t])
+        return out
 
     values_on_segments = _line_by_line
 
@@ -898,7 +879,7 @@ class LazyConfig:
                 "rasterize first")
         lo, hi = window
         fc, = convolve_on_box([f], self, lo, hi)
-        return Verdict.on_window(all(v == 0 for v in fc), lo, hi)
+        return Verdict.on_window(not any(fc), lo, hi)
 
     def period_multiple(self, w, bound, window):
         """The answer of the rasterized `window`."""
@@ -936,10 +917,8 @@ def rasterize(c, lo, hi):
     hi = tuple(int(v) for v in hi)
     if len(lo) != c.dim or len(hi) != c.dim:
         raise DimensionMismatch("box corners of wrong dimension")
-    if isinstance(c, WindowConfig):
-        if not (c.contains(lo) and c.contains(hi)):
-            raise OutOfDomainError(
-                f"box {lo}..{hi} exceeds window {c.lo}..{c.hi}")
+    if not (c.contains(lo) and c.contains(hi)):
+        raise OutOfDomainError(f"box {lo}..{hi} exceeds the domain of {c!r}")
     return WindowConfig(lo, hi, c.values_on_box(lo, hi))
 
 
@@ -1027,9 +1006,8 @@ def add_views(views, coeffs=None):
 
     The result is a FiberSum when all inputs are, a PeriodicConfig on the
     intersection lattice when all inputs are periodic, a window on the box
-    intersection when any input is a window, and a lazy view for the
-    remaining mixes (their common domain is all of Z^d, which no finite
-    window can carry).
+    intersection when any input is a window and none is lazy, and a lazy
+    view, read only where it is asked for, for the remaining mixes.
     """
     views = list(views)
     if not views:
@@ -1063,7 +1041,7 @@ def add_views(views, coeffs=None):
                                   _Combination(dim, parts).values_on_box(*box))
 
     windows = [v for v in views if isinstance(v, WindowConfig)]
-    if windows:
+    if windows and not any(isinstance(v, LazyConfig) for v in views):
         box = windows[0].box
         for w in windows[1:]:
             nxt = box_intersect(box, w.box)

@@ -141,9 +141,9 @@ class _TransferEvaluator(LazyConfig):
     other lines the same way: it finds the recurrence line of every point
     asked for and extends each line once, to its farthest point.  A single
     point is a one-point segment.  Both extend lines through
-    `_source_values`: an eager source is read once on the bounding box of
-    the new source points when that box holds at most 4 times as many
-    points; any other source is read segment by segment.  The recurrence
+    `_source_values`: any source is read once on the bounding box of the
+    new source points when that box lies in its domain and holds at most 4
+    times as many points, else segment by segment.  The recurrence
     coordinate is walked along lines (`a1_line`), so a line pays one coset
     reduction per coset period rather than one per point.
 
@@ -256,19 +256,13 @@ class _TransferEvaluator(LazyConfig):
         """The source values of each segment, in sweep order."""
         source = self.source
         reads = [seg[2:] for seg in segments]
-        # a box around the segments of a lazy source would extend its own
-        # lines over the whole box, which can cost far more than the points
-        # asked for
-        if reads and not isinstance(source, LazyConfig):
+        if reads:
             corners = [q for q, _, _ in reads] + [
                 vadd(q, vscale(count - 1, step)) for q, step, count in reads]
             lo = tuple(map(min, zip(*corners)))
             hi = tuple(map(max, zip(*corners)))
-            # one box read only when it wastes little and, for a window,
-            # asks for nothing the segment reads would not
             if box_size(lo, hi) <= 4 * sum(count for _, _, count in reads) \
-                    and (not isinstance(source, WindowConfig)
-                         or source.contains(lo) and source.contains(hi)):
+                    and source.contains(lo) and source.contains(hi):
                 grid = source.values_on_box(lo, hi)
                 strides = box_strides(lo, hi)
                 return [line_values(grid, box_offset(lo, strides, q),
@@ -411,10 +405,10 @@ def verify_transfer(sol: TransferSolution, lo, hi):
         [sol.phi, sol.psi, LaurentPoly.constant(sol.phi.dim, 1)], sol.view,
         lo, hi)
     product_ok = phic == sol.source.values_on_box(lo, hi)
-    annihilation_ok = all(v == 0 for v in psic)
+    annihilation_ok = not any(psic)
     band = max(sol.band_width, 1)
-    band_ok = all(v == 0 for v, a in zip(own, sol.view.a1_on_box(lo, hi))
-                  if 0 <= a < band)
+    band_ok = not any(v for v, a in zip(own, sol.view.a1_on_box(lo, hi))
+                      if 0 <= a < band)
     return {"product": product_ok, "annihilation": annihilation_ok,
             "band": band_ok,
             "ok": product_ok and annihilation_ok and band_ok}
@@ -476,7 +470,7 @@ class Decomposition:
                 fc = _convolve_rows(comp.line_poly.terms(), grid, glo, strides,
                                     lo, hi)
                 own = sub_box(grid, glo, strides, lo, hi)
-            per_comp.append(all(v == 0 for v in fc))
+            per_comp.append(not any(fc))
             total = list(map(add, total, own))
         sum_ok = total == self.source.values_on_box(lo, hi)
         return {"box": (lo, hi), "sum": sum_ok, "annihilation": per_comp,

@@ -336,13 +336,33 @@ def sparse_split2(c, phi: LaurentPoly, psi: LaurentPoly,
                                         bounds.k_max, bounds.patience)
         c1 = fiber_extract(w1, v, bounds.period)
         c2 = fiber_extract(w2, u, bounds.period)
-        box = box_intersect((lo, hi), c.box)
-        if box is not None and (add_views([c1, c2]).values_on_box(*box)
-                                != c.values_on_box(*box)):
+        if not _agree_on(add_views([c1, c2]), c, (lo, hi)):
             raise VerificationError("split identity failed: c = c1 + c2")
         return c1, c2
 
     raise PreconditionError("split needs a fiber sum or a window view")
+
+
+def _agree_on(a, b, window):
+    """Whether a equals the window b on `window` cut to b's box (not when
+    nothing is left)."""
+    box = box_intersect(window, b.box)
+    return box is not None and a.values_on_box(*box) == b.values_on_box(*box)
+
+
+def split_identities(c, phi, psi, c1, c2, bounds: Bounds | None = None):
+    """The verdict of each identity of a split (c1, c2) of a window c:
+    exact on the fiber sums c1 and c2 alone, else on the check window cut
+    to the box of the right side, c's or its erosion by the factor."""
+    window = (bounds or Bounds()).check_window(c.dim)
+    return {
+        "phi*c1 = 0": apply_poly(phi, c1).is_zero(),
+        "psi*c1 = psi*c": _agree_on(apply_poly(psi, c1), apply_poly(psi, c),
+                                    window),
+        "psi*c2 = 0": apply_poly(psi, c2).is_zero(),
+        "phi*c2 = phi*c": _agree_on(apply_poly(phi, c2), apply_poly(phi, c),
+                                    window),
+        "c = c1 + c2": _agree_on(add_views([c1, c2]), c, window)}
 
 
 # ---------------------------------------------------------------------------

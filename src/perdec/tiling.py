@@ -78,13 +78,14 @@ def verify_cotiler(tile: Tile, c) -> Verdict:
     _check_binary(c)
     fc = apply_poly(tile_polynomial(tile), c)
     if isinstance(fc, PeriodicConfig):
-        return Verdict.exactly(all(v == 1 for v in fc.values))
+        return Verdict.exactly(fc.values.count(1) == len(fc.values))
     if isinstance(fc, FiberSum):
         if fc.dim == 1:
             return Verdict.exactly(
                 len(fc.fibers) == 1 and fc.fibers[0].vals == (1,))
         return Verdict.exactly(False)  # finitely many lines never cover Z^d
-    return Verdict.on_window(all(v == 1 for v in fc.values), fc.lo, fc.hi)
+    return Verdict.on_window(fc.values.count(1) == len(fc.values),
+                             fc.lo, fc.hi)
 
 
 def independent(tiles) -> tuple:

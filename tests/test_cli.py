@@ -6,7 +6,8 @@ import pytest
 
 from perdec import cli
 from perdec.cli import main
-from perdec.config import PeriodicConfig, box_points, evaluate, rasterize
+from perdec.config import (FiberSum, PeriodicConfig, box_points, evaluate,
+                           make_fiber, rasterize)
 from perdec.serialize import config_from_obj, config_to_obj, dumps, poly_to_obj
 from perdec.laurent import LaurentPoly, difference_poly
 
@@ -166,6 +167,43 @@ def test_sparse_commands(files, tmp_path):
     out = str(tmp / "out_fib")
     assert main(["--out", out, "sparse", "fibers", horiz,
                  "--direction", "1,0"]) == 0
+
+
+def test_sparse_split_evaluates_window_identities(tmp_path, monkeypatch):
+    # on a window input every identity of the split is evaluated: a split
+    # result with one fiber value changed fails them and exits 1
+    fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
+                          make_fiber((0, 1), (0, 1), [1, 1, 0])])
+    cfg = write(tmp_path / "w.json",
+                config_to_obj(rasterize(fibers, (-24, -24), (24, 24))))
+    phi = write(tmp_path / "phi.json", poly_to_obj(difference_poly((2, 0))))
+    psi = write(tmp_path / "psi.json", poly_to_obj(difference_poly((0, 3))))
+
+    def run(label):
+        out = str(tmp_path / label)
+        code = main(["--out", out, "--kmax", "8", "--patience", "2",
+                     "sparse", "split", cfg, phi, psi])
+        return code, {name[len("identity: "):]: holds for name, holds
+                      in manifest(out)["verdicts"].items()
+                      if name.startswith("identity: ")}
+
+    assert run("out_split") == (0, dict.fromkeys(
+        ["phi*c1 = 0", "psi*c1 = psi*c", "psi*c2 = 0", "phi*c2 = phi*c",
+         "c = c1 + c2"], True))
+    split = cli.sparse_split2
+
+    def mutated_split(*args):
+        c1, c2 = split(*args)
+        f = c1.fibers[0]
+        bumped = make_fiber(f.anchor, f.direction,
+                            (f.vals[0] + 1,) + f.vals[1:])
+        return FiberSum(2, [bumped] + list(c1.fibers[1:])), c2
+    monkeypatch.setattr(cli, "sparse_split2", mutated_split)
+    code, verdicts = run("out_mutated")
+    assert code == 1
+    assert verdicts == {"phi*c1 = 0": True, "psi*c1 = psi*c": False,
+                        "psi*c2 = 0": True, "phi*c2 = phi*c": True,
+                        "c = c1 + c2": False}
 
 
 def test_sparse_full_inconclusive_exit_code(files):
@@ -367,6 +405,30 @@ def test_window_input_decomposes_like_its_periodic_source(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "perdec: error: (-16, 2) outside window (-15, -13)..(14, 14)\n")
+
+
+def test_three_factor_window_input_decomposes_like_its_periodic_source(
+        tmp_path):
+    # the residual of a window input is lazy, so it is read only on the
+    # boxes asked for, not over the whole window, where the recurrences of
+    # its transfer parts run out of the window
+    family = [(1, 0), (0, 1), (1, 1)]
+    c = PeriodicConfig.from_function(2, [(12, 0), (0, 12)], lambda r: sum(
+        (5 * ((b * r[0] - a * r[1]) % 12) + 3 * k) % 7 - 3
+        for k, (a, b) in enumerate(family)))
+    periodic = write(tmp_path / "periodic.json", config_to_obj(c))
+    window = write(tmp_path / "window.json",
+                   config_to_obj(rasterize(c, (-30, -30), (29, 29))))
+    factors = write(tmp_path / "factors.json",
+                    [poly_to_obj(difference_poly(v)) for v in family])
+    outs = []
+    for cfg in (window, periodic):
+        out = str(tmp_path / f"out_{os.path.basename(cfg)}")
+        assert main(["--out", out, "--window=-6..5,-6..5", "decompose", cfg,
+                     "--factors", factors]) == 0
+        outs.append(_components(out))
+    assert sorted(outs[0]) == [f"component_0{i}.json" for i in range(3)]
+    assert outs[0] == outs[1]
 
 
 def test_decompose_k_names_the_subspace_no_periodizer_avoids(tmp_path,

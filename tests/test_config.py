@@ -61,14 +61,21 @@ def test_window_rejects_non_integral_values():
     w = WindowConfig((0,), (1,), ints)
     ints[0] = 9
     assert w.values == [4, 5]
-    # a window mixed with a rational view is checked, not truncated
+    # a window mixed with a rational view is a lazy view, which rasterize
+    # checks instead of truncating
     half = FunctionView(2, lambda x: Fraction(1, 2))
-    with pytest.raises(PreconditionError):
-        add_views([rasterize(CHECKER, (-2, -2), (2, 2)), half])
+    mixed = add_views([rasterize(CHECKER, (-2, -2), (2, 2)), half])
+    assert isinstance(mixed, LazyConfig)
+    with pytest.raises(PreconditionError,
+                       match=r"non-integer value 1/2 at \(-2, -2\)"):
+        rasterize(mixed, (-2, -2), (2, 2))
     whole = FunctionView(2, lambda x: Fraction(2 * x[0], 2))
     mixed = add_views([rasterize(CHECKER, (-2, -2), (2, 2)), whole])
-    assert mixed.values == [CHECKER.value_at(x) + x[0]
-                            for x in box_points((-2, -2), (2, 2))]
+    assert rasterize(mixed, (-2, -2), (2, 2)).values == [
+        CHECKER.value_at(x) + x[0] for x in box_points((-2, -2), (2, 2))]
+    # it is defined on the window only
+    with pytest.raises(OutOfDomainError):
+        rasterize(mixed, (-2, -2), (2, 3))
 
 
 def test_translate_examples():
@@ -809,7 +816,7 @@ def test_periodic_lines_match_points(dim):
         c = random_periodic(rng, dim, 60)
         skewed += any(r[j] for i, r in enumerate(c.lattice_rows)
                       for j in range(i + 1, dim))
-        # repeated steps read cycles found by earlier segments
+        # repeated steps walk rows whose moves earlier segments kept
         assert_segments_match_points(
             c, [_random_segment(rng, dim, span=2) for _ in range(12)])
     assert dim == 1 or skewed >= 10  # many HNF bases are not diagonal

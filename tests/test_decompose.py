@@ -18,8 +18,8 @@ from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               reduce_annihilator,
                               search_difference_annihilator, solve_transfer,
                               verify_transfer)
-from perdec.errors import (InconclusiveError, OutOfDomainError,
-                           PreconditionError)
+from perdec.errors import (EmptyRegionError, InconclusiveError,
+                           OutOfDomainError, PreconditionError)
 from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
                             support_in_subspace)
 from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vadd,
@@ -452,14 +452,23 @@ def test_verify_on_window_keeps_fraction_values():
 
 
 def test_window_input_with_fraction_component_is_rejected():
-    # the residual of a window input is a window; a rational transfer
-    # component must not be truncated into it
+    # the residual of a window input is lazy like the transfer component it
+    # holds: it keeps the exact rational values of the periodic input's
+    # residual, and rasterize rejects them instead of truncating
     ones = rasterize(PeriodicConfig.constant(2, 1), (-6, -6), (6, 6))
     phis = [difference_poly((0, 1)), LaurentPoly(2, {(0, 0): 2, (1, 0): -1})]
-    with pytest.raises(PreconditionError, match="non-integer value 1/2"):
-        decompose_product(phis, ones, TRIVIAL2)
-    dec = decompose_product(phis, PeriodicConfig.constant(2, 1), TRIVIAL2)
-    assert dec.verify_on_window((-4, -4), (4, 4))["ok"]
+    dec = decompose_product(phis, ones, TRIVIAL2)
+    ref = decompose_product(phis, PeriodicConfig.constant(2, 1), TRIVIAL2)
+    lo, hi = (-4, -4), (4, 4)
+    assert dec.verify_on_window(lo, hi)["ok"]
+    assert ref.verify_on_window(lo, hi)["ok"]
+    for comp, ref_comp in zip(dec.components, ref.components):
+        assert isinstance(comp.view, LazyConfig)
+        assert comp.view.values_on_box(lo, hi) == \
+            ref_comp.view.values_on_box(lo, hi)
+        with pytest.raises(PreconditionError,
+                           match=r"non-integer value 1/2 at \(1, -4\)"):
+            rasterize(comp.view, lo, hi)
 
 
 @pytest.mark.parametrize("name", ["two_factors", "three_factors", "fractions",
@@ -1086,10 +1095,12 @@ def _torus_family_input(family):
 
 @pytest.mark.parametrize("family, box_read", [
     # nearly parallel: a source box around the extension segments would be
-    # huge, so the sources are read segment by segment
+    # huge, so every source is read segment by segment
     (((1, 2), (2, 5), (5, 13)), False),
-    (((3, -2), (5, -3), (2, 7)), False),
-    # factors like the benchmark's: the periodic input is read by box
+    # the inner transfer components and residual sums are lazy sources;
+    # they are read by box too wherever the box wastes little
+    (((3, -2), (5, -3), (2, 7)), True),
+    # factors like the benchmark's: the periodic input is read by box too
     (((1, 0), (2, -2), (2, 1)), True)])
 def test_transfer_source_box_reads_stay_within_four_times(monkeypatch,
                                                           family, box_read):
@@ -1121,8 +1132,9 @@ def test_transfer_source_box_reads_stay_within_four_times(monkeypatch,
     boxes = [rasterize(comp.view, lo, hi) for comp in dec.components]
     monkeypatch.undo()
     assert bool(reads) == box_read
-    assert {kind for kind, _, _ in reads} <= {PeriodicConfig, FiberSum,
-                                             WindowConfig}
+    if box_read:
+        assert {kind for kind, _, _ in reads} & {_Combination,
+                                                 _TransferEvaluator}
     assert all(size <= 4 * points for _, size, points in reads), max(
         reads, key=lambda r: r[1] / r[2])
     ref = decompose_product(phis, c, TRIVIAL2)
@@ -1134,11 +1146,23 @@ GUARD_FAMILIES = [((1, 2), (2, 5), (5, 13)), ((3, -2), (5, -3), (2, 7)),
                   ((1, 0), (2, -2), (2, 1))]
 
 
+def _segment_source_values(self, segments):
+    """_TransferEvaluator._source_values always taking the segment path."""
+    return self.source.values_on_segments([seg[2:] for seg in segments])
+
+
+# the recurrence values the guard families compute under the read rule;
+# point reads compute 141,330, 24,493 and 7,910
+RULE_WORK = dict(zip(GUARD_FAMILIES, (141330, 49724, 10645)))
+
+
 @pytest.mark.parametrize("family", GUARD_FAMILIES)
 def test_transfer_segment_reads_extend_the_lines_point_reads_do(monkeypatch,
                                                                 family):
     # a segment read of a lazy source extends exactly the recurrence lines
-    # that reading it point by point would: no more work, nothing skipped
+    # that reading it point by point would: no more work, nothing skipped;
+    # the box reads of the real rule give the same values for the pinned
+    # recurrence work
     c = _torus_family_input(family)
     phis = [difference_poly(v) for v in family]
     lo, hi = (-20, -20), (19, 19)
@@ -1160,10 +1184,62 @@ def test_transfer_segment_reads_extend_the_lines_point_reads_do(monkeypatch,
         return boxes, sum(len(vals) for ev in evaluators
                           for vals in ev.lines.values())
 
-    boxes, work = run(_TransferEvaluator._source_values)
+    boxes, seg_work = run(_segment_source_values)
     ref_boxes, ref_work = run(reference_source_values)
     assert boxes == ref_boxes
-    assert work == ref_work
+    assert seg_work == ref_work
+    rule_boxes, rule_work = run(_TransferEvaluator._source_values)
+    assert rule_boxes == ref_boxes
+    assert rule_work == RULE_WORK[family]
+
+
+WINDOW_SWEEP = [((1, 0), (0, 1), (1, 1))] + GUARD_FAMILIES + [
+    ((3, 0), (0, 2)), ((1, 1), (2, -1))]
+
+
+def _window_sweep_outcomes():
+    """Per (family, R, r): whether decompose_product of the [-R, R - 1]^2
+    window of a torus input succeeds on [-r, r - 1]^2, r odd, or the
+    error it runs into.  Every success must give the components of the
+    periodic input the window was cut from."""
+    outcomes = {}
+    for family in WINDOW_SWEEP:
+        c = _torus_family_input(family)
+        phis = [difference_poly(v) for v in family]
+        ref = decompose_product(phis, c, TRIVIAL2)
+        for R in (10, 16, 24):
+            window = rasterize(c, (-R, -R), (R - 1, R - 1))
+            for r in range(1, R, 2):
+                lo, hi = (-r, -r), (r - 1, r - 1)
+                try:
+                    dec = decompose_product(phis, window, TRIVIAL2)
+                    report = dec.verify_on_window(lo, hi)
+                    boxes = [rasterize(comp.view, lo, hi)
+                             for comp in dec.components]
+                except (OutOfDomainError, EmptyRegionError) as exc:
+                    outcomes[family, R, r] = type(exc).__name__
+                    continue
+                assert report["ok"]
+                assert boxes == [rasterize(comp.view, lo, hi)
+                                 for comp in ref.components]
+                outcomes[family, R, r] = "ok"
+    return outcomes
+
+
+def test_window_inputs_decompose_like_their_periodic_source(monkeypatch):
+    # the oracle for window inputs: wherever a run succeeds, its components
+    # are those of the periodic source.  The residual of a window input is
+    # lazy, so three-factor windows succeed wherever the recurrences stay
+    # inside the window; an eager window residual, built over the whole
+    # window, succeeded only in the runs of ((3, 0), (0, 2))
+    outcomes = _window_sweep_outcomes()
+    assert [sum(outcomes[family, R, r] == "ok" for R in (10, 16, 24)
+                for r in range(1, R, 2))
+            for family in WINDOW_SWEEP] == [12, 0, 0, 3, 22, 22]
+    # the read rule decides how sources are read, never which runs succeed
+    monkeypatch.setattr(_TransferEvaluator, "_source_values",
+                        _segment_source_values)
+    assert _window_sweep_outcomes() == outcomes
 
 
 @pytest.mark.parametrize("family", GUARD_FAMILIES[::2])
@@ -1363,8 +1439,10 @@ def test_verify_and_rasterize_compute_each_transfer_box_once(monkeypatch,
     transfer = [comp.view for comp in dec.components
                 if isinstance(comp.view, _TransferEvaluator)]
     assert len(transfer) == 2
-    # the residual and the component files read the kept grid box
-    assert sorted(map(id, computed)) == sorted(map(id, transfer))
+    # the residual and the component files read the kept grid box; an
+    # inner view read as a source may compute a box of its own
+    assert [id(view) for view in computed if view in transfer] \
+        == list(map(id, transfer))
     ref = decompose_product(phis, c, TRIVIAL2)
     assert boxes == [pointwise_rasterize(comp.view, lo, hi)
                      for comp in ref.components]

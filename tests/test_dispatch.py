@@ -23,10 +23,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "perdec"
 ALLOWED = {
     "config.py": {
         "add_views",  # the one table of mixing rules
-        "rasterize",  # a window's own bounds check and its message
     },
     "decompose.py": {
-        "_TransferEvaluator._source_values",  # when a source box read pays
         "Decomposition.verify_on_window",  # a window is checked on its own box
         "_require_v_periodic",  # exact and not automatic for fiber sums only
         "annihilator_from_periodizer",  # g*c must be strongly periodic

@@ -185,13 +185,16 @@ def sub_box(values, lo, strides, sub_lo, sub_hi):
 
 
 def erode_box(lo, hi, support):
-    """Points u with u - s inside [lo, hi] for every s in `support`."""
+    """Points u with u - s inside [lo, hi] for every s in `support`, the
+    box a window convolution by that support fills; EmptyRegionError when
+    there are none."""
     cmax = tuple(max(s[i] for s in support) for i in range(len(lo)))
     cmin = tuple(min(s[i] for s in support) for i in range(len(lo)))
     elo = vadd(lo, cmax)
     ehi = vadd(hi, cmin)
     if any(a > b for a, b in zip(elo, ehi)):
-        return None
+        raise EmptyRegionError(
+            "window too small: erosion by the polynomial support is empty")
     return elo, ehi
 
 
@@ -306,11 +309,7 @@ class WindowConfig:
     def convolve(self, terms):
         """f*c on the erosion of the box by supp(f): one flat index per
         term, each output row a sum of slices of the value list."""
-        eroded = erode_box(self.lo, self.hi, [e for e, _ in terms])
-        if eroded is None:
-            raise EmptyRegionError(
-                "window too small: erosion by the polynomial support is empty")
-        lo, hi = eroded
+        lo, hi = erode_box(self.lo, self.hi, [e for e, _ in terms])
         return WindowConfig(lo, hi, _convolve_rows(terms, self.values, self.lo,
                                                    self.strides, lo, hi))
 
@@ -937,21 +936,26 @@ def apply_poly(f: LaurentPoly, c):
     return c.convolve(f.terms())
 
 
+def row_sources(terms, lo, strides, out_lo, out_hi):
+    """Where the rows of sum_e k * c(u - e) over [out_lo, out_hi] lie in a
+    flat table of c with corner lo and strides: (start, k) per term for the
+    first row, the offset of every row past it, and the row length."""
+    # an output row lies `off` past out_lo in the source layout; its source
+    # for term e is the n values from the index of out_lo - e plus off on
+    starts = [(box_offset(lo, strides, vsub(out_lo, e)), k) for e, k in terms]
+    offsets = [0]
+    for a, b, s in zip(out_lo[:-1], out_hi[:-1], strides[:-1]):
+        offsets = [o + j * s for o in offsets for j in range(b - a + 1)]
+    return starts, offsets, out_hi[-1] - out_lo[-1] + 1
+
+
 def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
     """sum_e k * c(u - e) for u in [out_lo, out_hi], in flat layout.
 
     `values` holds c over a box with corner `lo` and flat `strides`, which
     must contain every u - e.  Values may be ints or Fractions.
     """
-    # an output row lies `off` past out_lo in the source layout; its source
-    # for term e is the n values from the index of out_lo - e plus off on
-    starts = [(sum(s * (a - b) for s, a, b in zip(strides, vsub(out_lo, e),
-                                                  lo)), k)
-              for e, k in terms]
-    n = out_hi[-1] - out_lo[-1] + 1
-    offsets = [0]
-    for a, b, s in zip(out_lo[:-1], out_hi[:-1], strides[:-1]):
-        offsets = [o + j * s for o in offsets for j in range(b - a + 1)]
+    starts, offsets, n = row_sources(terms, lo, strides, out_lo, out_hi)
     out = []
     for off in offsets:
         row = [0] * n

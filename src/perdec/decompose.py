@@ -90,10 +90,6 @@ def _require_v_periodic(c, V, bounds, what):
 
 def _exact_div(s, a):
     """s / a exactly; int when it divides, Fraction otherwise."""
-    if a == 1:
-        return s
-    if a == -1:
-        return -s
     if isinstance(s, int):
         q, r = divmod(s, a)
         if r == 0:
@@ -235,13 +231,15 @@ class _TransferEvaluator(LazyConfig):
         return vals, up, vadd(p, shift), step, last + 1 - i
 
     def _extend(self, segment, sources):
-        """Run the recurrence over a segment, one source value per step."""
+        """Run the recurrence over a segment, one source value per step; a
+        unit extreme coefficient divides by a sign flip."""
         vals, up = segment[:2]
         div, back = self.sweeps[up][2:]
         for s in sources:
             for j, coef in back:
                 s -= coef * vals[-j]
-            vals.append(_exact_div(s, div))
+            vals.append(s if div == 1 else -s if div == -1
+                        else _exact_div(s, div))
 
     def _extend_lines(self, need):
         """Extend each line (base, up) through its list position need[...]."""

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .config import (FiberSum, PeriodicConfig, Verdict, WindowConfig,
-                     apply_poly)
+                     apply_poly, box_strides, erode_box, grow_box,
+                     row_sources)
 from .decompose import Bounds, Decomposition, k_periodic_decompose
-from .errors import PreconditionError, VerificationError
+from .errors import DimensionMismatch, PreconditionError, VerificationError
 from .laurent import LaurentPoly, support_in_subspace
 from .lattice import (SubspaceBasis, rank_rational, vneg, zero_vector)
 
@@ -57,35 +58,66 @@ def tile_polynomial(tile: Tile) -> LaurentPoly:
     return LaurentPoly(tile.dim, {vneg(cell): 1 for cell in tile.cells})
 
 
-def _check_binary(c):
-    if isinstance(c, (PeriodicConfig, WindowConfig)):
-        bad = [v for v in c.values if v not in (0, 1)]
-    elif isinstance(c, FiberSum):
-        bad = [v for f in c.fibers for v in f.vals if v not in (0, 1)]
-    else:
-        raise PreconditionError("co-tiler check needs a concrete view")
-    if bad:
-        raise PreconditionError(
-            f"co-tiler values must be 0/1; found {sorted(set(bad))[:4]}")
+def _covers(terms, grid, lo, strides, out_lo, out_hi):
+    """Whether sum_e c(u - e) = 1 for every u in [out_lo, out_hi], from the
+    0/1 table `grid` of c over a box with corner lo and strides.
+
+    Each cell packs into one little-endian digit wide enough that a sum of
+    len(terms) digits never carries, so a row's sum is one integer
+    addition per term, compared with the row of ones.
+    """
+    w = (len(terms).bit_length() + 7) // 8
+    packed = bytes(grid)
+    if w > 1:
+        packed = bytearray(w * len(grid))
+        packed[::w] = bytes(grid)
+    starts, offsets, n = row_sources(terms, lo, strides, out_lo, out_hi)
+    starts = [w * a for a, _ in starts]
+    ones = int.from_bytes(b"\1".ljust(w, b"\0") * n, "little")
+    n *= w
+    for off in offsets:
+        off *= w
+        if sum(int.from_bytes(packed[a + off:a + off + n], "little")
+               for a in starts) != ones:
+            return False
+    return True
 
 
 def verify_cotiler(tile: Tile, c) -> Verdict:
     """Whether c is a co-tiler of the tile: tile polynomial times c is 1.
 
     Exact for periodic and fiber views; window views give a verdict on the
-    eroded region only, never extrapolated beyond it.
+    eroded region only, never extrapolated beyond it.  Windows and periodic
+    views are decided row by row from packed values (`_covers`): a window
+    on its own box, a periodic view on its residue box grown by the tile.
     """
-    _check_binary(c)
-    fc = apply_poly(tile_polynomial(tile), c)
-    if isinstance(fc, PeriodicConfig):
-        return Verdict.exactly(fc.values.count(1) == len(fc.values))
-    if isinstance(fc, FiberSum):
+    if isinstance(c, FiberSum):
+        bad = {v for f in c.fibers for v in f.vals} - {0, 1}
+    elif isinstance(c, (PeriodicConfig, WindowConfig)):
+        bad = set(c.values) - {0, 1}
+    else:
+        raise PreconditionError("co-tiler check needs a concrete view")
+    if bad:
+        raise PreconditionError(
+            f"co-tiler values must be 0/1; found {sorted(bad)[:4]}")
+    f = tile_polynomial(tile)
+    if isinstance(c, FiberSum):
+        fc = apply_poly(f, c)
         if fc.dim == 1:
             return Verdict.exactly(
                 len(fc.fibers) == 1 and fc.fibers[0].vals == (1,))
         return Verdict.exactly(False)  # finitely many lines never cover Z^d
-    return Verdict.on_window(fc.values.count(1) == len(fc.values),
-                             fc.lo, fc.hi)
+    if f.dim != c.dim:
+        raise DimensionMismatch("polynomial/configuration dimension mismatch")
+    terms, exps = f.terms(), f.support()
+    if isinstance(c, WindowConfig):
+        lo, hi = erode_box(c.lo, c.hi, exps)
+        return Verdict.on_window(
+            _covers(terms, c.values, c.lo, c.strides, lo, hi), lo, hi)
+    lo, hi = c.residue_box
+    glo, ghi = grow_box(lo, hi, exps)
+    return Verdict.exactly(_covers(terms, c.values_on_box(glo, ghi), glo,
+                                   box_strides(glo, ghi), lo, hi))
 
 
 def independent(tiles) -> tuple:

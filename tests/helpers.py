@@ -22,11 +22,12 @@ from math import gcd
 
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
-from perdec.config import (LazyConfig, PeriodicFiber, _minimal_period,
-                           add_views, apply_poly, box_points, box_size,
-                           is_annihilated)
+from perdec.config import (LazyConfig, PeriodicFiber, Verdict,
+                           _minimal_period, add_views, apply_poly, box_points,
+                           box_size, is_annihilated)
 from perdec.decompose import _require_annihilation
-from perdec.errors import EmptyRegionError, SchemaError, VerificationError
+from perdec.errors import (EmptyRegionError, PreconditionError, SchemaError,
+                           VerificationError)
 from perdec.laurent import (difference_poly, non_parallel_directions,
                             poly_product)
 from perdec.lattice import (fundamental_residues, hnf_reduce, hnf_rows,
@@ -34,6 +35,7 @@ from perdec.lattice import (fundamental_residues, hnf_reduce, hnf_rows,
 from perdec.serialize import _dim_of, _int, _int_vector
 from perdec.sparse import (SparsenessReport, fiber_closed_form_constant,
                            fiber_extract)
+from perdec.tiling import tile_polynomial
 
 
 def window_from_function(lo, hi, fn):
@@ -278,6 +280,20 @@ def reference_sparseness(c, a: int, m_max: int) -> SparsenessReport:
         checked.append((m, best))
     return SparsenessReport(constant=a, ok=True, exact=False,
                             checked=tuple(checked))
+
+
+def reference_verify_cotiler(tile, c):
+    """verify_cotiler of a window or periodic c by building the product:
+    apply_poly(tile_polynomial(tile), c), then count its ones."""
+    bad = [v for v in c.values if v not in (0, 1)]
+    if bad:
+        raise PreconditionError(
+            f"co-tiler values must be 0/1; found {sorted(set(bad))[:4]}")
+    fc = apply_poly(tile_polynomial(tile), c)
+    holds = fc.values.count(1) == len(fc.values)
+    if isinstance(fc, PeriodicConfig):
+        return Verdict.exactly(holds)
+    return Verdict.on_window(holds, fc.lo, fc.hi)
 
 
 def reference_verify_on_window(dec, lo, hi):

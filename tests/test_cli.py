@@ -206,6 +206,31 @@ def test_sparse_split_evaluates_window_identities(tmp_path, monkeypatch):
                         "c = c1 + c2": False}
 
 
+def test_sparse_fibers_checks_a_window_extraction_on_the_cut(
+        tmp_path, monkeypatch):
+    # the extraction and the window input are compared on --window cut to
+    # the input's box: a wrong extraction records false, an empty cut true
+    fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
+                          make_fiber((0, 2), (1, 0), [1, 0, 2])])
+    cfg = write(tmp_path / "w.json",
+                config_to_obj(rasterize(fibers, (-6, -3), (8, 5))))
+
+    def run(label, *flags):
+        out = str(tmp_path / label)
+        code = main(["--out", out, *flags, "sparse", "fibers", cfg,
+                     "--direction", "1,0"])
+        return code, manifest(out)["verdicts"]["extraction_consistent"]
+
+    assert run("out") == (0, True)
+    assert run("out_wide", "--window=-20..20,1..30") == (0, True)
+    extract = cli.fiber_extract
+    monkeypatch.setattr(cli, "fiber_extract",
+                        lambda *args: extract(*args).translate((0, 1)))
+    assert run("out_wrong") == (1, False)
+    assert run("out_wrong_cut", "--window=-20..20,1..30") == (1, False)
+    assert run("out_empty_cut", "--window=9..20,-8..8") == (0, True)
+
+
 def test_sparse_full_inconclusive_exit_code(files):
     tmp, fx = files
     c = {"kind": "fibersum", "dim": 2, "fibers": [

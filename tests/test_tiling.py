@@ -1,14 +1,22 @@
 import random
+from collections import Counter
 from itertools import product
+from math import gcd
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perdec.config import (PeriodicConfig, apply_poly, period_lattice, rasterize)
-from perdec.errors import PreconditionError
+from perdec.config import (PeriodicConfig, Verdict, WindowConfig, apply_poly,
+                           period_lattice, rasterize)
+from perdec.errors import EmptyRegionError, PerdecError, PreconditionError
 from perdec.laurent import LaurentPoly
-from perdec.lattice import SubspaceBasis, rank_rational
+from perdec.lattice import SubspaceBasis, primitive, rank_rational
 from perdec.tiling import (Tile, cotiler_decompose, independent,
                            select_periodizer, tile_polynomial, verify_cotiler)
+
+from helpers import (random_hnf_basis, reference_verify_cotiler,
+                     window_from_function)
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 DOMINO_X = Tile(2, [(0, 0), (1, 0)])
@@ -62,6 +70,152 @@ def test_verify_cotiler_window_evidence():
 def test_verify_cotiler_rejects_nonbinary():
     with pytest.raises(PreconditionError):
         verify_cotiler(DOMINO_X, PeriodicConfig.constant(2, 2))
+
+
+def _cotiling_case(rng, dim):
+    """A tile and a 0/1 window or periodic input it may tile with.
+
+    The tile is L cells off + k*v; [lam.x = r mod L] is a co-tiler of it
+    whenever lam.v is prime to L, and it is periodic under any lattice
+    inside L*Z^d.  Some cases take a random tile or random 0/1 values, and
+    some change one value, so covers and non-covers both occur; windows
+    may be too small to keep a region.
+    """
+    wide = rng.random() < 0.1  # two-byte digits and beyond
+    if wide:
+        dim = min(dim, 2)
+        L = rng.choice((255, 256, 257, 300))
+        v = (1,) + (0,) * (dim - 1)
+    else:
+        L = rng.randint(1, 4)
+        v = (0,) * dim
+        while not any(v):
+            v = tuple(rng.randint(-2, 2) for _ in range(dim))
+        v = primitive(v)  # then some lam has lam.v = 1 mod L
+    lam = (0,) * dim
+    while gcd(sum(map(mul, lam, v)), L) != 1:
+        lam = tuple(rng.randrange(L) for _ in range(dim))
+    off = tuple(rng.randint(-3, 3) for _ in range(dim))
+    cells = {tuple(o + k * s for o, s in zip(off, v)) for k in range(L)}
+    if not wide and rng.random() < 0.25:
+        cells = {tuple(rng.randint(-3, 3) for _ in range(dim))
+                 for _ in range(rng.randint(1, 6))}
+    tile = Tile(dim, cells)
+    if wide:  # L * e_0 and the other unit vectors
+        basis = [(L,) + (0,) * (dim - 1)] + [
+            tuple(int(i == j) for j in range(dim)) for i in range(1, dim)]
+    else:
+        basis = [tuple(L * x for x in row)
+                 for row in random_hnf_basis(rng, dim, 2 ** dim)]
+    r = rng.randrange(L)
+    noise = rng.random() < 0.2
+    c = PeriodicConfig.from_function(
+        dim, basis, lambda x: rng.randint(0, 1) if noise
+        else int(sum(map(mul, lam, x)) % L == r))
+    if rng.random() < 0.3:
+        values = list(c.values)
+        values[rng.randrange(len(values))] ^= 1
+        c = PeriodicConfig(dim, basis, values)
+    if rng.random() < 0.5:
+        lo = tuple(rng.randint(-6, 3) for _ in range(dim))
+        hi = tuple(a + (rng.randint(L - 1, L + 8) if wide and i == 0
+                        else rng.randint(0, 9)) for i, a in enumerate(lo))
+        c = rasterize(c, lo, hi)
+        if rng.random() < 0.2:
+            values = list(c.values)
+            values[rng.randrange(len(values))] ^= 1
+            c = WindowConfig(lo, hi, values)
+    return tile, c
+
+
+def _outcome(check, tile, c):
+    try:
+        return check(tile, c)
+    except PerdecError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_verify_cotiler_matches_the_product_and_count(seed, dim):
+    tile, c = _cotiling_case(random.Random(seed), dim)
+    assert _outcome(verify_cotiler, tile, c) == \
+        _outcome(reference_verify_cotiler, tile, c)
+
+
+def test_cotiling_cases_cover_every_outcome():
+    # the differential test above sees covers and non-covers, exact and on
+    # windows, wide tiles, and too-small windows
+    seen = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        tile, c = _cotiling_case(rng, rng.randint(1, 3))
+        out = _outcome(reference_verify_cotiler, tile, c)
+        if isinstance(out, Verdict):
+            seen[out.holds, out.exact, len(tile) >= 256] += 1
+        else:
+            seen[out[0]] += 1
+    assert all(seen[key] for key in product((True, False), repeat=3))
+    assert seen[EmptyRegionError]
+
+
+@pytest.mark.parametrize("size", [255, 256, 257])
+def test_verify_cotiler_wide_tiles(size):
+    # a row digit sums up to len(tile) ones; from 256 cells on a digit is
+    # two bytes wide, so no sum carries into the next point's digit
+    rod = Tile(2, [(k, 0) for k in range(size)])
+    c = PeriodicConfig.from_function(2, [(size, 0), (0, 2)],
+                                     lambda r: int(r[0] == 0))
+    w = rasterize(c, (-3, -1), (size + 4, 1))
+    for view in (c, w):
+        assert verify_cotiler(rod, view).holds
+        values = list(view.values)
+        values[2] ^= 1  # a zero at (1, 0) or (-3, 1) becomes one
+        bad = (PeriodicConfig(2, view.basis, values) if view is c
+               else WindowConfig(w.lo, w.hi, values))
+        assert verify_cotiler(rod, bad) == reference_verify_cotiler(rod, bad)
+        assert not verify_cotiler(rod, bad).holds
+
+
+def test_verify_cotiler_digit_sums_do_not_carry():
+    # 257 cells two apart: the window's two region points see 257 ones and
+    # none, and 257 + 0 * 256 is the one-byte packing of the row (1, 1)
+    tile = Tile(1, [(2 * k,) for k in range(257)])
+    w = WindowConfig((0,), (513,), [int(x % 2 == 0 and x <= 512)
+                                    for x in range(514)])
+    verdict = verify_cotiler(tile, w)
+    assert verdict == reference_verify_cotiler(tile, w)
+    assert not verdict.holds and verdict.region == ((0,), (1,))
+
+
+def test_verify_cotiler_region_is_the_eroded_box():
+    rng = random.Random(3)
+    for _ in range(50):
+        tile = Tile(2, {(rng.randint(-3, 3), rng.randint(-3, 3))
+                        for _ in range(rng.randint(1, 5))})
+        w = window_from_function((-4, -5), (6, 7),
+                                 lambda x: rng.randint(0, 1))
+        fc = apply_poly(tile_polynomial(tile), w)
+        assert verify_cotiler(tile, w).region == (fc.lo, fc.hi)
+
+
+def test_verify_cotiler_errors_keep_their_text():
+    tile = Tile(2, [(0, 0), (4, 0), (0, -3)])
+    small = WindowConfig((0, 0), (3, 9), [1] * 40)
+    with pytest.raises(EmptyRegionError) as product_error:
+        apply_poly(tile_polynomial(tile), small)
+    with pytest.raises(EmptyRegionError) as check_error:
+        verify_cotiler(tile, small)
+    assert str(check_error.value) == str(product_error.value) == (
+        "window too small: erosion by the polynomial support is empty")
+    for c in (WindowConfig((0, 0), (9, 9), [0, 2, 1, 3, -1] * 20),
+              PeriodicConfig(2, [(2, 0), (0, 2)], [1, 0, 5, 1])):
+        with pytest.raises(PreconditionError) as check_error:
+            verify_cotiler(tile, c)
+        with pytest.raises(PreconditionError) as reference_error:
+            reference_verify_cotiler(tile, c)
+        assert str(check_error.value) == str(reference_error.value)
+    assert str(check_error.value) == "co-tiler values must be 0/1; found [5]"
 
 
 def test_cotiler_polynomial_periodizes():

@@ -15,8 +15,8 @@ import os
 import sys
 import time
 
-from .config import (FiberSum, WindowConfig, apply_poly, box_intersect,
-                     rasterize)
+from .config import (FiberSum, WindowConfig, apply_poly,
+                     box_points, evaluate, rasterize)
 from .decompose import (Bounds, decompose_product, k_periodic_decompose,
                         search_difference_annihilator)
 from .errors import InconclusiveError, PerdecError
@@ -259,12 +259,10 @@ def _cmd_sparse(ctx):
         ctx.write_config("fibers.json", out)
         if isinstance(c, FiberSum):
             consistent = out == c
-        else:  # one box read of each on --window cut to a window's box
-            box = ctx.window(c.dim)
-            box = box_intersect(box, c.box if isinstance(c, WindowConfig)
-                                else box)
-            consistent = box is None or \
-                out.values_on_box(*box) == c.values_on_box(*box)
+        else:
+            lo, hi = ctx.window(c.dim)
+            consistent = all(evaluate(out, x) == evaluate(c, x)
+                             for x in box_points(lo, hi) if c.contains(x))
         ctx.verdicts["extraction_consistent"] = consistent
         return ctx.finish(["sparse", "fibers", args.config])
 

@@ -83,6 +83,13 @@ def _covers(terms, grid, lo, strides, out_lo, out_hi):
     return True
 
 
+def _require_binary(values):
+    bad = set(values) - {0, 1}
+    if bad:
+        raise PreconditionError(
+            f"co-tiler values must be 0/1; found {sorted(bad)[:4]}")
+
+
 def verify_cotiler(tile: Tile, c) -> Verdict:
     """Whether c is a co-tiler of the tile: tile polynomial times c is 1.
 
@@ -91,22 +98,17 @@ def verify_cotiler(tile: Tile, c) -> Verdict:
     views are decided row by row from packed values (`_covers`): a window
     on its own box, a periodic view on its residue box grown by the tile.
     """
-    if isinstance(c, FiberSum):
-        bad = {v for f in c.fibers for v in f.vals} - {0, 1}
-    elif isinstance(c, (PeriodicConfig, WindowConfig)):
-        bad = set(c.values) - {0, 1}
-    else:
-        raise PreconditionError("co-tiler check needs a concrete view")
-    if bad:
-        raise PreconditionError(
-            f"co-tiler values must be 0/1; found {sorted(bad)[:4]}")
     f = tile_polynomial(tile)
     if isinstance(c, FiberSum):
+        _require_binary(v for fiber in c.fibers for v in fiber.vals)
         fc = apply_poly(f, c)
         if fc.dim == 1:
             return Verdict.exactly(
                 len(fc.fibers) == 1 and fc.fibers[0].vals == (1,))
         return Verdict.exactly(False)  # finitely many lines never cover Z^d
+    if not isinstance(c, (PeriodicConfig, WindowConfig)):
+        raise PreconditionError("co-tiler check needs a concrete view")
+    _require_binary(c.values)
     if f.dim != c.dim:
         raise DimensionMismatch("polynomial/configuration dimension mismatch")
     terms, exps = f.terms(), f.support()

@@ -208,8 +208,9 @@ def test_sparse_split_evaluates_window_identities(tmp_path, monkeypatch):
 
 def test_sparse_fibers_checks_a_window_extraction_on_the_cut(
         tmp_path, monkeypatch):
-    # the extraction and the window input are compared on --window cut to
-    # the input's box: a wrong extraction records false, an empty cut true
+    # the extraction and the window input are compared on the --window
+    # points inside the input's box: a wrong extraction records false, and
+    # a --window that misses the box records true
     fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
                           make_fiber((0, 2), (1, 0), [1, 0, 2])])
     cfg = write(tmp_path / "w.json",

@@ -13,9 +13,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "perdec"
 
 # public entry points kept for callers outside the package: the acceptance
-# criteria and the benchmark tracer call verify_transfer, the acceptance
-# criteria evaluate
-ALLOWED = {"verify_transfer", "evaluate"}
+# criteria and the benchmark tracer call verify_transfer
+ALLOWED = {"verify_transfer"}
 
 
 def _references(node):

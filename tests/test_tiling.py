@@ -15,8 +15,7 @@ from perdec.lattice import SubspaceBasis, primitive, rank_rational
 from perdec.tiling import (Tile, cotiler_decompose, independent,
                            select_periodizer, tile_polynomial, verify_cotiler)
 
-from helpers import (random_hnf_basis, reference_verify_cotiler,
-                     window_from_function)
+from helpers import random_hnf_basis, reference_verify_cotiler
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 DOMINO_X = Tile(2, [(0, 0), (1, 0)])
@@ -159,24 +158,6 @@ def test_cotiling_cases_cover_every_outcome():
     assert seen[EmptyRegionError]
 
 
-@pytest.mark.parametrize("size", [255, 256, 257])
-def test_verify_cotiler_wide_tiles(size):
-    # a row digit sums up to len(tile) ones; from 256 cells on a digit is
-    # two bytes wide, so no sum carries into the next point's digit
-    rod = Tile(2, [(k, 0) for k in range(size)])
-    c = PeriodicConfig.from_function(2, [(size, 0), (0, 2)],
-                                     lambda r: int(r[0] == 0))
-    w = rasterize(c, (-3, -1), (size + 4, 1))
-    for view in (c, w):
-        assert verify_cotiler(rod, view).holds
-        values = list(view.values)
-        values[2] ^= 1  # a zero at (1, 0) or (-3, 1) becomes one
-        bad = (PeriodicConfig(2, view.basis, values) if view is c
-               else WindowConfig(w.lo, w.hi, values))
-        assert verify_cotiler(rod, bad) == reference_verify_cotiler(rod, bad)
-        assert not verify_cotiler(rod, bad).holds
-
-
 def test_verify_cotiler_digit_sums_do_not_carry():
     # 257 cells two apart: the window's two region points see 257 ones and
     # none, and 257 + 0 * 256 is the one-byte packing of the row (1, 1)
@@ -188,26 +169,9 @@ def test_verify_cotiler_digit_sums_do_not_carry():
     assert not verdict.holds and verdict.region == ((0,), (1,))
 
 
-def test_verify_cotiler_region_is_the_eroded_box():
-    rng = random.Random(3)
-    for _ in range(50):
-        tile = Tile(2, {(rng.randint(-3, 3), rng.randint(-3, 3))
-                        for _ in range(rng.randint(1, 5))})
-        w = window_from_function((-4, -5), (6, 7),
-                                 lambda x: rng.randint(0, 1))
-        fc = apply_poly(tile_polynomial(tile), w)
-        assert verify_cotiler(tile, w).region == (fc.lo, fc.hi)
-
-
-def test_verify_cotiler_errors_keep_their_text():
+def test_verify_cotiler_nonbinary_message_keeps_its_text():
+    # the differential test only draws 0/1 values
     tile = Tile(2, [(0, 0), (4, 0), (0, -3)])
-    small = WindowConfig((0, 0), (3, 9), [1] * 40)
-    with pytest.raises(EmptyRegionError) as product_error:
-        apply_poly(tile_polynomial(tile), small)
-    with pytest.raises(EmptyRegionError) as check_error:
-        verify_cotiler(tile, small)
-    assert str(check_error.value) == str(product_error.value) == (
-        "window too small: erosion by the polynomial support is empty")
     for c in (WindowConfig((0, 0), (9, 9), [0, 2, 1, 3, -1] * 20),
               PeriodicConfig(2, [(2, 0), (0, 2)], [1, 0, 5, 1])):
         with pytest.raises(PreconditionError) as check_error:

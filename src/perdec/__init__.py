@@ -10,7 +10,7 @@ translational tiling verification.  All arithmetic is exact.
 
 from .config import (FiberSum, LazyConfig, PeriodicConfig, PeriodicFiber,
                      Verdict, WindowConfig, add_views, apply_poly, box_points,
-                     detect_period_multiple, evaluate, is_annihilated,
+                     detect_period_multiple, is_annihilated,
                      make_fiber, period_lattice, rasterize, translate)
 from .decompose import (Bounds, Component, Decomposition, DifferenceProduct,
                         TransferSolution, annihilator_from_periodizer,

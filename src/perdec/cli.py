@@ -15,8 +15,7 @@ import os
 import sys
 import time
 
-from .config import (FiberSum, WindowConfig, apply_poly,
-                     box_points, evaluate, rasterize)
+from .config import FiberSum, WindowConfig, apply_poly, rasterize
 from .decompose import (Bounds, decompose_product, k_periodic_decompose,
                         search_difference_annihilator)
 from .errors import InconclusiveError, PerdecError
@@ -24,7 +23,7 @@ from .laurent import line_direction
 from .lattice import SubspaceBasis
 from .serialize import (config_from_obj, config_to_obj, dumps, load_json,
                         poly_from_obj, poly_to_obj, tile_from_obj)
-from .sparse import (check_sparseness, fiber_closed_form_constant,
+from .sparse import (_agree_on, check_sparseness, fiber_closed_form_constant,
                      fiber_extract, sparse_decompose, sparse_full,
                      sparse_split2, split_identities)
 from .tiling import (cotiler_decompose, independent, select_periodizer,
@@ -257,12 +256,8 @@ def _cmd_sparse(ctx):
         v = tuple(int(x) for x in args.direction.split(","))
         out = fiber_extract(c, v, bounds.period)
         ctx.write_config("fibers.json", out)
-        if isinstance(c, FiberSum):
-            consistent = out == c
-        else:
-            lo, hi = ctx.window(c.dim)
-            consistent = all(evaluate(out, x) == evaluate(c, x)
-                             for x in box_points(lo, hi) if c.contains(x))
+        consistent = out == c if isinstance(c, FiberSum) \
+            else _agree_on(out, c, ctx.window(c.dim))
         ctx.verdicts["extraction_consistent"] = consistent
         return ctx.finish(["sparse", "fibers", args.config])
 

@@ -11,21 +11,26 @@ Three concrete representations are provided:
 LazyConfig is the abstract base of the lazy views of functions on all of
 Z^d: combinations of shifted views (`_Combination`) and transfer
 components.  Decomposition pipelines expose their components this way and
-callers rasterize.
+callers rasterize.  A combination reads each view once per box: a view
+with one unshifted part on the box itself, any other on the box grown by
+its shifts, its parts summed from that grid by the row kernel
+`_convolve_rows`, the one box convolution.
 
 WindowConfig and PeriodicConfig keep one flat list of values in
 `box_points` order: the window over its box, the periodic configuration
 over its residue box [0, diag - 1] of canonical HNF residues.  Every
 representation reads boxes (`values_on_box`) and lists of line segments
-(`values_on_segments`) at once, not a point at a time.  Each also
-answers the queries of the decomposition theorems itself:
+(`values_on_segments`) at once, not a point at a time; an empty box reads
+as [].  Each also answers the queries of the decomposition theorems itself:
 `convolve(terms)`, `annihilated_by(f, window) -> Verdict` and
 `period_multiple(w, bound, window) -> (k, exact)`.  The module functions
 apply_poly, is_annihilated and detect_period_multiple check dimensions,
-normalise their arguments and delegate.  Periodic configurations and fiber
-sums answer exactly; a window answers with evidence from its own box; a
-lazy view answers with evidence from the `window` its caller passes and
-raises PreconditionError without one.
+normalise their arguments and delegate; translation is the convolution by a
+monomial, `translate(c, t) = c.convolve([(t, 1)])`.  Points are read with
+`c.value_at(x)`.  Periodic configurations and fiber sums answer exactly; a
+window answers with evidence from its own box; a lazy view answers with
+evidence from the `window` its caller passes and raises PreconditionError
+without one.
 """
 
 from __future__ import annotations
@@ -303,9 +308,6 @@ class WindowConfig:
 
     values_on_segments = _line_by_line
 
-    def translate(self, t):
-        return WindowConfig(vadd(self.lo, t), vadd(self.hi, t), self.values)
-
     def convolve(self, terms):
         """f*c on the erosion of the box by supp(f): one flat index per
         term, each output row a sum of slices of the value list."""
@@ -429,6 +431,8 @@ class PeriodicConfig:
         and r fixed by y, so every row of Z^d along the last axis is a
         rotation of the row h of the residue table.
         """
+        if not box_size(lo, hi):
+            return []
         vals, strides, d = self.values, self._strides, self._diag[-1]
         n = hi[-1] - lo[-1] + 1
         out = []
@@ -466,17 +470,12 @@ class PeriodicConfig:
     def contains(self, x):
         return True
 
-    def translate(self, t):
-        lo, hi = self.residue_box
-        return self._on(self._lattice,
-                        self.values_on_box(vsub(lo, t), vsub(hi, t)))
-
     def is_zero(self):
         return not any(self.values)
 
     def convolve(self, terms):
-        """f*c on the same lattice: the shifted copies of c, each read once
-        on the residue box."""
+        """f*c on the same lattice, from one read of c on the residue box
+        grown by supp(f)."""
         return self._on(self._lattice, _Combination(
             self.dim, [(self, k, e) for e, k in terms]).values_on_box(
                 *self.residue_box))
@@ -790,10 +789,6 @@ class FiberSum:
 
     values_on_segments = _line_by_line
 
-    def translate(self, t):
-        return FiberSum(self.dim, _fiber_pieces_sum(
-            [(f, t, 1) for f in self.fibers]))
-
     def parallel_part(self, direction):
         """The sub-sum of fibers parallel to `direction`."""
         w = primitive(direction)
@@ -815,7 +810,7 @@ class FiberSum:
         if any(f.direction != wp for f in self.fibers):
             return None, True  # some line drifts under every multiple
         for k in range(1, bound + 1):
-            if self.translate(vscale(k, w)) == self:
+            if self.convolve([(vscale(k, w), 1)]) == self:
                 return k, True
         return None, True
 
@@ -860,9 +855,6 @@ class LazyConfig:
     def contains(self, x):
         return True
 
-    def translate(self, t):
-        return _Combination(self.dim, [(self, 1, t)])
-
     def convolve(self, terms):
         """f*c as a combination, one shifted part per term."""
         return _Combination(self.dim, [(self, k, e) for e, k in terms])
@@ -877,7 +869,7 @@ class LazyConfig:
                 "annihilation of an evaluator view is undecidable; "
                 "rasterize first")
         lo, hi = window
-        fc, = convolve_on_box([f], self, lo, hi)
+        fc = self.convolve(f.terms()).values_on_box(lo, hi)
         return Verdict.on_window(not any(fc), lo, hi)
 
     def period_multiple(self, w, bound, window):
@@ -894,20 +886,12 @@ class LazyConfig:
 # ---------------------------------------------------------------------------
 # generic operations
 
-def evaluate(c, x):
-    """c(x); raises OutOfDomainError outside a window's box."""
-    x = tuple(int(v) for v in x)
-    if len(x) != c.dim:
-        raise DimensionMismatch("point of wrong dimension")
-    return c.value_at(x)
-
-
 def translate(c, t):
-    """The translate of c by t: value at x equals c(x - t)."""
+    """The translate of c by t, x -> c(x - t): the convolution by X^t."""
     t = tuple(int(v) for v in t)
     if len(t) != c.dim:
         raise DimensionMismatch("translation vector of wrong dimension")
-    return c.translate(t)
+    return c.convolve([(t, 1)])
 
 
 def rasterize(c, lo, hi):
@@ -953,34 +937,20 @@ def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
     """sum_e k * c(u - e) for u in [out_lo, out_hi], in flat layout.
 
     `values` holds c over a box with corner `lo` and flat `strides`, which
-    must contain every u - e.  Values may be ints or Fractions.
+    must contain every u - e.  Values may be ints or Fractions.  A row
+    starts as the first term's source row, so a translate only copies rows.
     """
     starts, offsets, n = row_sources(terms, lo, strides, out_lo, out_hi)
+    (first, k0), rest = starts[0], starts[1:]
     out = []
     for off in offsets:
-        row = [0] * n
-        for start, k in starts:
-            a = start + off
-            row = _add_scaled(row, k, values[a:a + n])
+        row = values[first + off:first + off + n]
+        if k0 != 1:
+            row = [k0 * v for v in row]
+        for start, k in rest:
+            row = _add_scaled(row, k, values[start + off:start + off + n])
         out += row
     return out
-
-
-def convolve_on_box(polys, c, lo, hi):
-    """f*c over the box [lo, hi] for each f in `polys`, from one grid of c.
-
-    c is evaluated once on [lo, hi] grown by every support (`grow_box`,
-    which Decomposition.verify_on_window uses for its shared grid box
-    too); each result is a flat list in box_points order.  Values are kept
-    as c returns them, ints or Fractions, so evaluator views need no
-    rasterizing.  A transfer view keeps the grid it computes, so a later
-    read inside it is a slice, not recurrence work.
-    """
-    glo, ghi = grow_box(lo, hi, [e for f in polys for e in f.support()])
-    grid = c.values_on_box(glo, ghi)
-    strides = box_strides(glo, ghi)
-    return [_convolve_rows(f.terms(), grid, glo, strides, lo, hi)
-            for f in polys]
 
 
 def _add_scaled(row, k, part):
@@ -1061,8 +1031,9 @@ class _Combination(LazyConfig):
     """The lazy view of k1*c1(x - e1) + ... + kn*cn(x - en).
 
     Each part is (view, coefficient, shift), the shift None for an
-    unshifted part.  Boxes and segments are read from each part's own box
-    and segment reads, shifted back by e.
+    unshifted part.  A box read reads each view once (see the module
+    docstring); segments are read from each part's own segment reads,
+    shifted back by e.
     """
 
     __slots__ = ("parts",)
@@ -1072,10 +1043,21 @@ class _Combination(LazyConfig):
         self.parts = parts
 
     def values_on_box(self, lo, hi):
-        total = [0] * box_size(lo, hi)
+        if not box_size(lo, hi):
+            return []
+        by_view = {}  # id(view) -> (view, [(shift, coefficient)])
         for v, k, e in self.parts:
-            part = v.values_on_box(lo, hi) if e is None \
-                else v.values_on_box(vsub(lo, e), vsub(hi, e))
+            by_view.setdefault(id(v), (v, []))[1].append((e, k))
+        total = [0] * box_size(lo, hi)
+        for v, terms in by_view.values():
+            if len(terms) == 1 and terms[0][0] is None:
+                k, part = terms[0][1], v.values_on_box(lo, hi)
+            else:
+                terms = [(zero_vector(self.dim) if e is None else e, k)
+                         for e, k in terms]
+                glo, ghi = grow_box(lo, hi, [e for e, _ in terms])
+                k, part = 1, _convolve_rows(terms, v.values_on_box(glo, ghi),
+                                            glo, box_strides(glo, ghi), lo, hi)
             total = _add_scaled(total, k, part)
         return total
 

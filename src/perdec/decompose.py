@@ -35,7 +35,7 @@ from operator import add, mul
 from .config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                      _convolve_rows, add_views, apply_poly, box_contains,
                      box_line_range, box_line_slabs, box_offset, box_points,
-                     box_size, box_strides, convolve_on_box,
+                     box_size, box_strides,
                      detect_period_multiple, grow_box, is_annihilated,
                      line_slice, line_values, period_lattice, sub_box)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
@@ -398,10 +398,15 @@ def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
 
 
 def verify_transfer(sol: TransferSolution, lo, hi):
-    """Residuals of the defining identities over a box; all must be zero."""
-    phic, psic, own = convolve_on_box(
-        [sol.phi, sol.psi, LaurentPoly.constant(sol.phi.dim, 1)], sol.view,
-        lo, hi)
+    """Residuals of the defining identities over a box, all zero when they
+    hold, from one read of the view grown by supp(phi), supp(psi) and 0."""
+    glo, ghi = grow_box(lo, hi, [zero_vector(len(lo)), *sol.phi.support(),
+                                 *sol.psi.support()])
+    grid = sol.view.values_on_box(glo, ghi)
+    strides = box_strides(glo, ghi)
+    phic, psic = (_convolve_rows(f.terms(), grid, glo, strides, lo, hi)
+                  for f in (sol.phi, sol.psi))
+    own = sub_box(grid, glo, strides, lo, hi)
     product_ok = phic == sol.source.values_on_box(lo, hi)
     annihilation_ok = not any(psic)
     band = max(sol.band_width, 1)

@@ -307,10 +307,6 @@ class SubspaceBasis:
     def trivial(cls, dim):
         return cls(dim, ())
 
-    @classmethod
-    def span(cls, dim, *vectors):
-        return cls(dim, vectors)
-
     @property
     def rank(self):
         return len(self.basis)

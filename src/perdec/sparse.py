@@ -21,8 +21,8 @@ from operator import add, mul, sub
 
 from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                      apply_poly, box_intersect, box_line_range,
-                     box_line_slabs, box_points, box_strides, make_fiber,
-                     rasterize, translate)
+                     box_line_slabs, box_points, box_size, box_strides,
+                     make_fiber, rasterize, translate)
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
 from .errors import (InconclusiveError, PreconditionError, VerificationError)
@@ -344,10 +344,12 @@ def sparse_split2(c, phi: LaurentPoly, psi: LaurentPoly,
 
 
 def _agree_on(a, b, window):
-    """Whether a equals the window b on `window` cut to b's box (not when
-    nothing is left)."""
-    box = box_intersect(window, b.box)
-    return box is not None and a.values_on_box(*box) == b.values_on_box(*box)
+    """Whether a equals b on `window`, cut to b's box when b is a window,
+    from one box read of each; not when nothing is left."""
+    if isinstance(b, WindowConfig):
+        window = box_intersect(window, b.box)
+    return window is not None and box_size(*window) > 0 and \
+        a.values_on_box(*window) == b.values_on_box(*window)
 
 
 def split_identities(c, phi, psi, c1, c2, bounds: Bounds | None = None):

@@ -7,6 +7,7 @@ the decomposition check evaluates every component point by point, the
 fiber-sum references canonicalize every shifted, scaled piece from raw data
 with make_fiber, the configuration parser checks every item in a loop, and
 the transfer source reference reads every source point through value_at,
+the combination reference reads every part alone, point by point,
 the certificate test multiplies out every factor and applies the
 product to the whole view, the periodic reference keys every value by its
 residue and reads each point through one hnf_reduce, and the sparse
@@ -60,6 +61,19 @@ class FunctionView(LazyConfig):
     def values_on_segments(self, segments):
         return [[self.value_at(x) for x in segment_points(*seg)]
                 for seg in segments]
+
+
+def reference_combination_values(parts, lo, hi):
+    """sum k * v(x - e) over the parts (v, k, e) of a combination at each x
+    of [lo, hi], every part read alone, point by point through value_at:
+    the oracle for a combination's grouped box read."""
+    out = []
+    for x in box_points(lo, hi):
+        total = 0
+        for v, k, e in parts:
+            total += k * v.value_at(x if e is None else vsub(x, e))
+        out.append(total)
+    return out
 
 
 def pointwise_rasterize(c, lo, hi):

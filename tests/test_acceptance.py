@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
-                           apply_poly, box_points, evaluate, is_annihilated,
+                           apply_poly, box_points, is_annihilated,
                            make_fiber, period_lattice, rasterize)
 from perdec.decompose import (Bounds, decompose_product,
                               solve_transfer,
@@ -222,7 +222,7 @@ def test_criterion_5_sparse_recovery(capfd):
         total = add_views(recovered) if recovered else FiberSum.zero(2)
         # covering check set: all fiber lines near the origin plus off-line
         for x in box_points((-12, -12), (12, 12)):
-            assert evaluate(total, x) == evaluate(c, x)
+            assert total.value_at(x) == c.value_at(x)
     _report(capfd, 5, "100 sparse fiber-family recoveries (exact)", t0, 60)
 
 
@@ -272,7 +272,7 @@ def test_criterion_7_convolution_differential(capfd):
         assert apply_poly(f, base).box == (lo, hi)
         out = apply_poly(f, c)
         for x in box_points(lo, hi):
-            assert evaluate(out, x) == expected[x]
+            assert out.value_at(x) == expected[x]
         done += 1
     _report(capfd, 7, "apply_poly matches naive convolution on 500 instances "
             "(bit-exact)", t0, 30)
@@ -287,7 +287,7 @@ def test_criterion_8_sparseness_certificates(capfd):
     m, t = rep.violation
     count = sum(1 for x in box_points(tuple(v - m for v in t),
                                       tuple(v + m for v in t))
-                if evaluate(plane, x) != 0)
+                if plane.value_at(x) != 0)
     assert count > 3 * m
 
     # every constructed fiber sum passes with its closed-form constant

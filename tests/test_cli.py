@@ -6,8 +6,8 @@ import pytest
 
 from perdec import cli
 from perdec.cli import main
-from perdec.config import (FiberSum, PeriodicConfig, box_points, evaluate,
-                           make_fiber, rasterize)
+from perdec.config import (FiberSum, PeriodicConfig, box_points, make_fiber,
+                           rasterize, translate)
 from perdec.serialize import config_from_obj, config_to_obj, dumps, poly_to_obj
 from perdec.laurent import LaurentPoly, difference_poly
 
@@ -110,7 +110,7 @@ def test_decompose_factors(files):
              for name in m["outputs"]]
     assert len(comps) == 2
     for x in box_points((-8, -8), (8, 8)):
-        assert sum(evaluate(c, x) for c in comps) == evaluate(CHECKER, x)
+        assert sum(c.value_at(x) for c in comps) == CHECKER.value_at(x)
 
 
 def test_decompose_with_search(files):
@@ -209,8 +209,8 @@ def test_sparse_split_evaluates_window_identities(tmp_path, monkeypatch):
 def test_sparse_fibers_checks_a_window_extraction_on_the_cut(
         tmp_path, monkeypatch):
     # the extraction and the window input are compared on the --window
-    # points inside the input's box: a wrong extraction records false, and
-    # a --window that misses the box records true
+    # cut to the input's box: a wrong extraction records false, and so does
+    # a --window that misses the box, as in `sparse split`
     fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
                           make_fiber((0, 2), (1, 0), [1, 0, 2])])
     cfg = write(tmp_path / "w.json",
@@ -226,10 +226,26 @@ def test_sparse_fibers_checks_a_window_extraction_on_the_cut(
     assert run("out_wide", "--window=-20..20,1..30") == (0, True)
     extract = cli.fiber_extract
     monkeypatch.setattr(cli, "fiber_extract",
-                        lambda *args: extract(*args).translate((0, 1)))
+                        lambda *args: translate(extract(*args), (0, 1)))
     assert run("out_wrong") == (1, False)
     assert run("out_wrong_cut", "--window=-20..20,1..30") == (1, False)
-    assert run("out_empty_cut", "--window=9..20,-8..8") == (0, True)
+    assert run("out_empty_cut", "--window=9..20,-8..8") == (1, False)
+
+
+def test_sparse_fibers_checks_a_periodic_extraction_on_the_window(tmp_path):
+    # a periodic input has no box to cut to: the --window itself is read,
+    # and an empty one records false
+    cfg = write(tmp_path / "p.json",
+                config_to_obj(PeriodicConfig(1, [(3,)], [1, 0, 2])))
+
+    def run(label, *flags):
+        out = str(tmp_path / label)
+        code = main(["--out", out, *flags, "sparse", "fibers", cfg,
+                     "--direction", "1"])
+        return code, manifest(out)["verdicts"]["extraction_consistent"]
+
+    assert run("out") == (0, True)
+    assert run("out_empty", "--window=3..1") == (1, False)
 
 
 def test_sparse_full_inconclusive_exit_code(files):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                            add_views, apply_poly, box_points,
-                           detect_period_multiple, evaluate, is_annihilated,
+                           detect_period_multiple, is_annihilated,
                            make_fiber, period_lattice, rasterize, translate)
 from perdec.errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                            OutOfDomainError, PreconditionError)
@@ -28,18 +28,18 @@ CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 
 def test_evaluate_examples():
     one = PeriodicConfig.constant(2, 1)
-    assert evaluate(one, (17, -4)) == 1
+    assert one.value_at((17, -4)) == 1
     fs = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5])])
-    assert evaluate(fs, (4, 0)) == 3
-    assert evaluate(fs, (4, 1)) == 0
-    assert evaluate(CHECKER, (3, 2)) == 1  # (3 + 2) mod 2 = 1
+    assert fs.value_at((4, 0)) == 3
+    assert fs.value_at((4, 1)) == 0
+    assert CHECKER.value_at((3, 2)) == 1  # (3 + 2) mod 2 = 1
 
 
 def test_window_partial_function_semantics():
     w = WindowConfig((0, 0), (2, 2), list(range(9)))
-    assert evaluate(w, (1, 1)) == 4
+    assert w.value_at((1, 1)) == 4
     with pytest.raises(OutOfDomainError):
-        evaluate(w, (3, 0))
+        w.value_at((3, 0))
     with pytest.raises(LatticeError):
         WindowConfig((0, 0), (1, 1), [1, 2, 3])  # wrong array length
 
@@ -90,8 +90,8 @@ def test_translate_examples():
     for c in (CHECKER, FiberSum(2, [make_fiber((0, 1), (1, 0), [1, 2])])):
         t = (rng.randint(-4, 4), rng.randint(-4, 4))
         for x in box_points((-3, -3), (3, 3)):
-            assert evaluate(translate(c, t), x) == evaluate(
-                c, tuple(a - b for a, b in zip(x, t)))
+            assert translate(c, t).value_at(x) == c.value_at(
+                tuple(a - b for a, b in zip(x, t)))
 
 
 def test_apply_poly_difference_on_periodic():
@@ -277,7 +277,7 @@ def test_add_views_examples():
     s = add_views([a, b])
     assert isinstance(s, PeriodicConfig) and s.determinant == 4
     for x in box_points((-3, -3), (3, 3)):
-        assert evaluate(s, x) == evaluate(a, x) + evaluate(b, x)
+        assert s.value_at(x) == a.value_at(x) + b.value_at(x)
 
 
 def test_add_views_mixed_kinds():
@@ -289,7 +289,7 @@ def test_add_views_mixed_kinds():
     lazy = add_views([fs, CHECKER])
     assert isinstance(lazy, LazyConfig)
     for x in box_points((-2, -2), (2, 2)):
-        assert lazy.value_at(x) == evaluate(fs, x) + evaluate(CHECKER, x)
+        assert lazy.value_at(x) == fs.value_at(x) + CHECKER.value_at(x)
     with pytest.raises(EmptyRegionError):
         add_views([w, translate(w, (40, 40))])
 
@@ -328,7 +328,7 @@ def test_translate_commutes_with_apply_poly():
         a = apply_poly(f, translate(c, t))
         b = translate(apply_poly(f, c), t)
         for x in box_points((-4, -4), (4, 4)):
-            assert evaluate(a, x) == evaluate(b, x)
+            assert a.value_at(x) == b.value_at(x)
 
 
 def test_convolution_matches_naive_oracle_all_representations():
@@ -358,7 +358,7 @@ def test_convolution_matches_naive_oracle_all_representations():
         assert apply_poly(f, base).box == (lo, hi)
         out = apply_poly(f, c)
         for x in box_points(lo, hi):
-            assert evaluate(out, x) == expected[x]
+            assert out.value_at(x) == expected[x]
 
 
 def test_fiber_merge_preserves_evaluation():
@@ -445,7 +445,7 @@ def test_fiber_kernel_translate_matches_make_fiber_reference(name):
     for terms in FIBER_POLY_TERMS[c.dim]:
         for t in terms:
             for s in (t, vsub((0,) * c.dim, t)):
-                out = c.translate(s).fibers
+                out = translate(c, s).fibers
                 assert out == reference_translate_fibers(c, s)
                 assert_canonical_fibers(out)
 
@@ -468,7 +468,7 @@ def test_fiber_kernel_scaled_and_parallel_part_match_reference(name):
 def test_fiber_kernel_add_views_matches_make_fiber_reference(name):
     c = _fiber_sum_case(name)
     step = (1,) + (0,) * (c.dim - 1)
-    views = [c, c.translate(step), apply_poly(
+    views = [c, translate(c, step), apply_poly(
         LaurentPoly(c.dim, FIBER_POLY_TERMS[c.dim][-1]), c)]
     for coeffs in ([1, -1, 0], [0, 2, 1], [1, 1, -1], [-1, 0, 0], [0, 0, 0],
                    [3, -2, 5]):
@@ -491,8 +491,8 @@ def test_fiber_kernel_merges_coprime_periods_and_cancels_on_own_line():
     for e in ((3, 6), (-3, -6), (9, 18), (-12, -24)):
         g = LaurentPoly(2, {e: 1, (0, 0): -1})
         assert apply_poly(g, f).fibers == () == reference_apply_poly_fibers(g, f)
-        assert f.translate(e) == f
-    assert add_views([f, f.translate((-6, -12))], [1, -1]).is_zero()
+        assert translate(f, e) == f
+    assert add_views([f, translate(f, (-6, -12))], [1, -1]).is_zero()
 
 
 def test_fiber_kernel_matches_make_fiber_reference_random():
@@ -516,7 +516,7 @@ def test_fiber_kernel_matches_make_fiber_reference_random():
                 (apply_poly(f, c), reference_apply_poly_fibers(f, c)),
                 (add_views(views, coeffs),
                  reference_add_views_fibers(views, coeffs)),
-                (c.translate(t), reference_translate_fibers(c, t)),
+                (translate(c, t), reference_translate_fibers(c, t)),
                 (add_views([c], [k]), reference_scaled_fibers(c, k)),
                 (c.parallel_part(w), reference_parallel_part_fibers(c, w))):
             assert out.fibers == ref

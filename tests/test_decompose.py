@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
-                           WindowConfig, _Combination, add_views, apply_poly,
+                           WindowConfig, _Combination, _fiber_pieces_sum,
+                           add_views, apply_poly,
                            box_contains, box_points, box_size,
                            detect_period_multiple, is_annihilated, make_fiber,
                            period_lattice, rasterize, translate)
@@ -28,6 +29,7 @@ from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vadd,
 from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView,
                      assert_segments_match_points, fiber_parts,
                      pointwise_rasterize, random_fiber_family,
+                     reference_combination_values,
                      reference_source_values, reference_test_product,
                      reference_transfer_value, reference_verify_on_window,
                      segment_points)
@@ -1446,3 +1448,113 @@ def test_verify_and_rasterize_compute_each_transfer_box_once(monkeypatch,
     ref = decompose_product(phis, c, TRIVIAL2)
     assert boxes == [pointwise_rasterize(comp.view, lo, hi)
                      for comp in ref.components]
+
+
+# ---------------------------------------------------------------------------
+# one convolution path: a combination reads each view once
+
+def _combination_pool(dim):
+    """Fresh views on Z^dim for combinations: a window with room around
+    the boxes read, a periodic input, a fiber sum and a Fraction-valued
+    function view; in dim 2 an integer and a Fraction transfer view, in
+    dim 3 two Fraction ones, and a combination of a transfer view."""
+    periodic = PeriodicConfig.from_function(
+        dim, [(3,) + (0,) * (dim - 1)] + [
+            tuple(int(i == j) * (2 + i) for j in range(dim))
+            for i in range(1, dim)], lambda r: r[0] - 2 * r[-1] + 1)
+    e0 = (1,) + (0,) * (dim - 1)
+    pool = [rasterize(periodic, (-12,) * dim, (12,) * dim), periodic,
+            FiberSum(dim, [make_fiber((0,) * dim, e0, [2, -1, 3]),
+                           make_fiber((0,) * (dim - 1) + (1,), e0, [1, 4])]),
+            FunctionView(dim, lambda x: Fraction(x[0] - x[-1], 3))]
+    if dim == 1:
+        return pool
+    cases = _box_transfer_cases()
+    views = [solve_transfer(*cases[i]).view
+             for i in ((1, 2) if dim == 2 else (7, 8))]
+    return pool + views + [add_views([views[0], pool[2]])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_combination_box_read_matches_per_part_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    pool = _combination_pool(dim)
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    parts = data.draw(st.lists(st.tuples(
+        st.sampled_from(pool), st.integers(-3, 3), st.none() | vec),
+        min_size=1, max_size=6))
+    lo = data.draw(st.tuples(*[st.integers(-4, 4)] * dim))
+    hi = tuple(a + s for a, s in zip(lo, data.draw(
+        st.tuples(*[st.integers(0, 4)] * dim))))
+    got = _Combination(dim, parts).values_on_box(lo, hi)
+    want = reference_combination_values(parts, lo, hi)
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+
+
+def test_combination_reads_a_transfer_view_once_per_box(monkeypatch):
+    phi, psi, source, V = _box_transfer_cases()[1]
+    view = solve_transfer(phi, psi, source, V).view
+    f = LaurentPoly(2, {(0, 0): 2, (1, 0): -1, (0, -2): 3})
+    computed = []
+    compute_box = _TransferEvaluator._compute_box
+
+    def counted_compute_box(self, lo, hi):
+        computed.append((lo, hi))
+        return compute_box(self, lo, hi)
+    monkeypatch.setattr(_TransferEvaluator, "_compute_box",
+                        counted_compute_box)
+    lo, hi = (-4, -3), (5, 6)
+    got = apply_poly(f, view).values_on_box(lo, hi)
+    assert computed == [((-5, -3), (5, 8))]  # [lo, hi] grown by supp(f)
+    monkeypatch.undo()
+    ref = solve_transfer(phi, psi, source, V).view
+    assert got == reference_combination_values(
+        [(ref, k, e) for e, k in f.terms()], lo, hi)
+
+
+def _old_translate(c, t):
+    """The per-class translation rules that `translate` replaced."""
+    if isinstance(c, WindowConfig):
+        return WindowConfig(vadd(c.lo, t), vadd(c.hi, t), c.values)
+    if isinstance(c, PeriodicConfig):
+        lo, hi = c.residue_box
+        return PeriodicConfig(c.dim, c.basis,
+                              c.values_on_box(vsub(lo, t), vsub(hi, t)))
+    if isinstance(c, FiberSum):
+        return FiberSum(c.dim, _fiber_pieces_sum(
+            [(f, t, 1) for f in c.fibers]))
+    return _Combination(c.dim, [(c, 1, t)])
+
+
+@pytest.mark.parametrize("kind", ["WindowConfig", "PeriodicConfig",
+                                  "FiberSum", "_Combination",
+                                  "_TransferEvaluator"])
+def test_translate_is_the_monomial_convolution(kind):
+    c = _protocol_views()[kind]
+    for t in ((0, 0), (3, -2), (-5, 7), (1, 1)):
+        got, old = translate(c, t), _old_translate(c, t)
+        assert type(got) is type(old)
+        if isinstance(c, LazyConfig):
+            assert got.parts == old.parts == [(c, 1, t)]
+            lo, hi = (-4, -3), (3, 5)
+            assert got.values_on_box(lo, hi) == old.values_on_box(lo, hi)
+        else:
+            assert got == old
+
+
+@pytest.mark.parametrize("reversed_axis", [0, -1])
+@pytest.mark.parametrize("kind", ["WindowConfig", "PeriodicConfig",
+                                  "FiberSum", "_Combination",
+                                  "_TransferEvaluator", "shifted",
+                                  "periodic-1d"])
+def test_empty_boxes_read_as_nothing(kind, reversed_axis):
+    views = _protocol_views()
+    views["shifted"] = apply_poly(
+        LaurentPoly(2, {(0, 0): 1, (2, -1): -1}), views["_TransferEvaluator"])
+    views["periodic-1d"] = PeriodicConfig(1, [(5,)], [1, 2, 3, 4, 5])
+    c = views[kind]
+    lo, hi = [-3, -2][:c.dim], [4, 5][:c.dim]
+    lo[reversed_axis], hi[reversed_axis] = 0, -2
+    assert c.values_on_box(tuple(lo), tuple(hi)) == []

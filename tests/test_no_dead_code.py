@@ -1,9 +1,11 @@
 """Every function, class and method of the package is used by the package.
 
-A definition counts as used when its name is referenced (as a name or an
-attribute) somewhere in src/perdec outside its own body; imports and the
-re-exports in __init__.py do not count.  Code reached only from tests is
-dead code.
+A top-level function or class counts as used when its name is referenced
+(as a name or an attribute) somewhere in src/perdec outside its own body;
+a method counts as used only through an attribute reference (`x.method`),
+so a local variable or a function of the same name does not hide it.
+Imports and the re-exports in __init__.py do not count.  Code reached only
+from tests is dead code.
 """
 
 import ast
@@ -12,35 +14,59 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "perdec"
 
-# public entry points kept for callers outside the package: the acceptance
-# criteria and the benchmark tracer call verify_transfer
-ALLOWED = {"verify_transfer"}
+# definitions kept for callers outside the package, by qualified name
+ALLOWED = {
+    # the acceptance criteria and the benchmark tracer call it
+    "verify_transfer",
+    # argparse calls it on a usage error
+    "_Parser.error",
+}
 
 
 def _references(node):
-    """Counter of the names a subtree refers to."""
-    out = Counter()
+    """Counters of the names and of the attribute names a subtree refers
+    to."""
+    names, attrs = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out[sub.attr] += 1
-    return out
+            attrs[sub.attr] += 1
+    return names, attrs
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and non-dunder methods."""
+    """(qualified name, node, is a method) of the top-level functions and
+    classes and of the non-dunder methods."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, defs):
             continue
-        yield node
+        yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, defs) and not (
                         item.name.startswith("__")
                         and item.name.endswith("__"))):
-                    yield item
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def _unused(trees):
+    names, attrs = Counter(), Counter()
+    for tree in trees.values():
+        n, a = _references(tree)
+        names += n
+        attrs += a
+    unused = []
+    for module, tree in trees.items():
+        for qualname, node, method in _definitions(tree):
+            own_names, own_attrs = _references(node)
+            outside = attrs[node.name] - own_attrs[node.name]
+            if not method:
+                outside += names[node.name] - own_names[node.name]
+            if outside <= 0 and qualname not in ALLOWED:
+                unused.append(f"{module}:{node.lineno} {qualname}")
+    return unused
 
 
 def test_every_definition_is_referenced_in_the_package():
@@ -48,14 +74,21 @@ def test_every_definition_is_referenced_in_the_package():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert trees, f"no modules found under {PACKAGE}"
-    total = Counter()
-    for tree in trees.values():
-        total += _references(tree)
-    unused = []
-    for name, tree in trees.items():
-        for node in _definitions(tree):
-            outside = total[node.name] - _references(node)[node.name]
-            if outside <= 0 and node.name not in ALLOWED:
-                unused.append(f"{name}:{node.lineno} {node.name}")
+    unused = _unused(trees)
     assert not unused, "defined but never used in src/perdec: " + \
         ", ".join(unused)
+
+
+def test_a_method_is_not_used_through_a_name():
+    # a local variable named like a method does not count as a use of it
+    tree = ast.parse(
+        "class A:\n"
+        "    def span(self):\n"
+        "        return 1\n"
+        "    def used(self):\n"
+        "        return 2\n"
+        "def f(a):\n"
+        "    span = a.used()\n"
+        "    return span\n"
+        "f(A())\n")
+    assert _unused({"m.py": tree}) == ["m.py:2 A.span"]

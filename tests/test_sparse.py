@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perdec import sparse
 from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
-                           box_points, box_size, evaluate, is_annihilated,
+                           box_points, box_size, is_annihilated,
                            make_fiber, rasterize, translate)
 from perdec.decompose import Bounds
 from perdec.errors import (InconclusiveError, PreconditionError)
@@ -156,7 +156,7 @@ def test_crossing_fibers_cancel_at_their_common_point():
                    [make_fiber((1, 0, 0), (0, 1, 0), [1, 1, 2]),
                     make_fiber((1, 0, 0), (0, 0, 1), [-1, 3])]):
         c = FiberSum(len(fibers[0].anchor), fibers)
-        assert evaluate(c, fibers[0].anchor) == 0
+        assert c.value_at(fibers[0].anchor) == 0
         assert not _same_report(c, 1, 3).ok
         rep = _same_report(c, fiber_closed_form_constant(c), 3)
         assert rep.ok and rep.exact
@@ -318,7 +318,7 @@ def test_extract_periodic_cases():
     assert fiber_extract(zero, (1, 0), 8).is_zero()
     one_d = PeriodicConfig.from_function(1, [(3,)], lambda r: r[0])
     fs = fiber_extract(one_d, (1,), 8)
-    assert [evaluate(fs, (j,)) for j in range(-3, 6)] == \
+    assert [fs.value_at((j,)) for j in range(-3, 6)] == \
         [(j % 3) for j in range(-3, 6)]
     with pytest.raises(PreconditionError):
         fiber_extract(PeriodicConfig.constant(2, 1), (1, 0), 8)
@@ -330,7 +330,7 @@ def test_extract_from_window_matches_values():
     w = rasterize(fs, (-7, -7), (7, 7))
     got = fiber_extract(w, (1, 0), 8)
     for x in box_points((-7, -7), (7, 7)):
-        assert evaluate(got, x) == evaluate(w, x)
+        assert got.value_at(x) == w.value_at(x)
 
 
 @pytest.mark.parametrize("dim,direction,raw", [
@@ -353,7 +353,7 @@ def test_extract_window_evidence_is_minimal_consistent():
     # period 4 reproduces the window but extrapolates differently
     assert got.fibers[0].period == 4
     for x in box_points((0, 0), (3, 0)):
-        assert evaluate(got, x) == evaluate(w, x)
+        assert got.value_at(x) == w.value_at(x)
 
 
 def test_extract_window_line_beyond_period_bound():
@@ -455,11 +455,11 @@ def test_split_crossing_with_overlap():
     a = FiberSum(2, [make_fiber((0, 0), (1, 0), [2, 1])])
     b = FiberSum(2, [make_fiber((0, 0), (0, 1), [3, 0, 1])])
     c = add_views([a, b])
-    assert evaluate(c, (0, 0)) == 5  # overlapping support point
+    assert c.value_at((0, 0)) == 5  # overlapping support point
     c1, c2 = sparse_split2(c, difference_poly((2, 0)),
                            difference_poly((0, 3)), BOUNDS)
     assert c1 == a and c2 == b
-    assert evaluate(c1, (0, 0)) + evaluate(c2, (0, 0)) == 5
+    assert c1.value_at((0, 0)) + c2.value_at((0, 0)) == 5
 
 
 def test_split_window_inputs():
@@ -470,7 +470,7 @@ def test_split_window_inputs():
                            difference_poly((0, 3)), bounds)
     lo, hi = bounds.check_window(2)
     for x in box_points(lo, hi):
-        assert evaluate(c1, x) + evaluate(c2, x) == evaluate(c, x)
+        assert c1.value_at(x) + c2.value_at(x) == c.value_at(x)
 
 
 def test_split_detects_broken_premises():

@@ -11,7 +11,7 @@ translational tiling verification.  All arithmetic is exact.
 from .config import (FiberSum, LazyConfig, PeriodicConfig, PeriodicFiber,
                      Verdict, WindowConfig, add_views, apply_poly, box_points,
                      detect_period_multiple, is_annihilated,
-                     make_fiber, period_lattice, rasterize, translate)
+                     make_fiber, period_lattice, rasterize)
 from .decompose import (Bounds, Component, Decomposition, DifferenceProduct,
                         TransferSolution, annihilator_from_periodizer,
                         decompose_product, k_periodic_decompose,
@@ -27,8 +27,7 @@ from .lattice import (CosetSystem, SubspaceBasis, hnf_reduce, hnf_rows,
                       span_meets_trivially)
 from .sparse import (SparsenessReport, check_sparseness,
                      fiber_closed_form_constant, fiber_extract, sparse_decompose,
-                     sparse_full, sparse_split2, stabilized_translate_limit,
-                     subsequence_limit)
+                     sparse_full, sparse_split2, stabilized_translate_limit)
 from .tiling import (Tile, cotiler_decompose, independent, select_periodizer,
                      tile_polynomial, verify_cotiler)
 

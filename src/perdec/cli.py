@@ -3,7 +3,8 @@
 Every run reads JSON inputs, writes JSON results plus exactly one
 manifest.json into the output directory, and exits 0 when all recorded
 verifications passed, 2 when a bounded search was exhausted, and 1 on any
-other failure.  Identical inputs and parameters produce byte-identical
+other failure, naming the error (with the bound that ended a search) in
+its manifest.  Identical inputs and parameters produce byte-identical
 result files; the manifest additionally records the wall time.
 """
 
@@ -107,7 +108,9 @@ class RunContext:
             return (-r,) * dim, (r,) * dim
         return _parse_window(self.args.window, dim)
 
-    def finish(self, command):
+    def finish(self, command, error=None):
+        """Write the manifest, with `error` on a failed run; the exit code
+        of the verdicts."""
         manifest = {
             "command": command,
             "inputs": self.inputs,
@@ -119,6 +122,7 @@ class RunContext:
             "results": self.results,
             "outputs": sorted(self.outputs),
             "wall_time_s": round(time.monotonic() - self.t0, 6),
+            **({} if error is None else {"error": error}),
         }
         with open(os.path.join(self.out_dir, "manifest.json"), "w",
                   encoding="utf-8") as fh:
@@ -447,12 +451,14 @@ def main(argv=None):
     ctx = RunContext(args)
     try:
         return args.handler(ctx)
-    except InconclusiveError as exc:
-        print(f"perdec: inconclusive: {exc}", file=sys.stderr)
-        return 2
     except PerdecError as exc:
-        print(f"perdec: error: {exc}", file=sys.stderr)
-        return 1
+        inconclusive = isinstance(exc, InconclusiveError)
+        print(f"perdec: {'inconclusive' if inconclusive else 'error'}: {exc}",
+              file=sys.stderr)
+        ctx.finish([args.command], {"type": type(exc).__name__,
+                                    "message": str(exc),
+                                    "bound": getattr(exc, "bound", None)})
+        return 2 if inconclusive else 1
 
 
 if __name__ == "__main__":

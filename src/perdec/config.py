@@ -25,8 +25,9 @@ as [].  Each also answers the queries of the decomposition theorems itself:
 `convolve(terms)`, `annihilated_by(f, window) -> Verdict` and
 `period_multiple(w, bound, window) -> (k, exact)`.  The module functions
 apply_poly, is_annihilated and detect_period_multiple check dimensions,
-normalise their arguments and delegate; translation is the convolution by a
-monomial, `translate(c, t) = c.convolve([(t, 1)])`.  Points are read with
+normalise their arguments and delegate.  Translation by t is the
+convolution by the monomial X^t, and on a box it is a read: c on the box
+shifted by -t.  Points are read with
 `c.value_at(x)`.  Periodic configurations and fiber sums answer exactly; a
 window answers with evidence from its own box; a lazy view answers with
 evidence from the `window` its caller passes and raises PreconditionError
@@ -43,8 +44,7 @@ from operator import add, mul, sub
 from .errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                      OutOfDomainError, PreconditionError)
 from .laurent import LaurentPoly
-from .lattice import (fundamental_residues, hnf_diagonal,
-                      hnf_reduce, hnf_rows, is_zero_vector,
+from .lattice import (hnf_diagonal, hnf_reduce, hnf_rows, is_zero_vector,
                       lattice_determinant, lattice_intersection, order_modulo,
                       primitive, vadd, vscale, vsub, zero_vector)
 
@@ -395,12 +395,6 @@ class PeriodicConfig:
     @property
     def _lattice(self):
         return self.dim, self.basis, self._hnf, self._diag, self._strides
-
-    @classmethod
-    def from_function(cls, dim, basis, fn):
-        lattice = _declared_lattice(dim, basis)
-        return cls._on(lattice, [fn(r) for r in
-                                 fundamental_residues(lattice[2], lattice[0])])
 
     @classmethod
     def constant(cls, dim, value):
@@ -885,14 +879,6 @@ class LazyConfig:
 
 # ---------------------------------------------------------------------------
 # generic operations
-
-def translate(c, t):
-    """The translate of c by t, x -> c(x - t): the convolution by X^t."""
-    t = tuple(int(v) for v in t)
-    if len(t) != c.dim:
-        raise DimensionMismatch("translation vector of wrong dimension")
-    return c.convolve([(t, 1)])
-
 
 def rasterize(c, lo, hi):
     """Dense window of c over [lo, hi]; exact, errors outside c's domain."""

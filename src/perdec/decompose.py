@@ -844,12 +844,9 @@ def _merge_by_subspace(comps, bounds):
             merged.append(members[0])
             continue
         view = add_views([m.view for m in members])
-        periods = []
-        exact = all(m.exact_periods for m in members)
-        for p in members[0].periods:
-            mult, ex = _period_multiple(view, p, bounds, "merge")
-            periods.append(vscale(mult, p))
-            exact = exact and ex
+        periods, exact = _rescaled_periods(
+            view, members[0].periods, all(m.exact_periods for m in members),
+            bounds, "merge")
         # the member annihilators only kill their own summand; the product
         # annihilates the merged view
         merged.append(Component(view=view,
@@ -859,6 +856,14 @@ def _merge_by_subspace(comps, bounds):
                                 subspace=members[0].subspace,
                                 periods=tuple(periods), exact_periods=exact))
     return merged
+
+
+def _rescaled_periods(view, periods, exact, bounds, context):
+    """Each period times its least multiple that is a period of `view`,
+    and whether `exact` and every multiple are exact."""
+    found = [_period_multiple(view, p, bounds, context) for p in periods]
+    return ([vscale(m, p) for (m, _), p in zip(found, periods)],
+            exact and all(ex for _, ex in found))
 
 
 def _period_outside(comp, V):
@@ -886,10 +891,10 @@ def k_periodic_decompose(c, k: int, periodizer_oracle, bounds: Bounds | None = N
 
     The oracle must return, for each queried subspace V of dimension
     level-1, a periodizer of c whose support meets V exactly at the origin.
-    Level one runs the certificate search plus product decomposition with
-    the trivial subspace; each later level upgrades the oracle's periodizer
-    to an annihilator, extracts a transversal difference product, appends
-    the other components' period factors, rewrites it into reduced form and
+    It starts from c as one component with the trivial subspace and no
+    periods.  Each level upgrades the oracle's periodizer to an
+    annihilator, extracts a transversal difference product, appends the
+    other components' period factors, rewrites it into reduced form and
     splits each component again, accumulating one new independent period
     direction per level.  Only finitely many subspaces are ever queried.
     """
@@ -898,20 +903,9 @@ def k_periodic_decompose(c, k: int, periodizer_oracle, bounds: Bounds | None = N
     if not 1 <= k <= dim:
         raise PreconditionError(f"k must lie in [1, {dim}]")
 
-    trivial = SubspaceBasis.trivial(dim)
-    f = _oracle_periodizer(periodizer_oracle, trivial)
-    fstar = annihilator_from_periodizer(f, c, trivial, bounds.search, bounds)
-    dp = search_difference_annihilator(c, fstar, bounds.search)
-    dp = reduce_annihilator(dp, c, trivial, bounds)
-    dec = decompose_product(dp.polys(), c, trivial, bounds)
-    comps = [Component(view=comp.view, line_poly=comp.line_poly,
-                       direction=comp.direction,
-                       subspace=SubspaceBasis(dim, [comp.direction]),
-                       periods=(_difference_vector(comp.line_poly),),
-                       exact_periods=True, gauge=comp.gauge)
-             for comp in dec.components]
-
-    for level in range(2, k + 1):
+    comps = [Component(view=c, line_poly=None, direction=None,
+                       subspace=SubspaceBasis.trivial(dim))]
+    for level in range(1, k + 1):
         comps = _merge_by_subspace(comps, bounds)
         next_comps = []
         for i, comp in enumerate(comps):
@@ -927,14 +921,10 @@ def k_periodic_decompose(c, k: int, periodizer_oracle, bounds: Bounds | None = N
             red = reduce_annihilator(full, comp.view, Vi, bounds)
             dec = decompose_product(red.polys(), comp.view, Vi, bounds)
             for sub in dec.components:
-                new_period = _difference_vector(sub.line_poly)
-                periods = [new_period]
-                exact = comp.exact_periods
-                for p in comp.periods:
-                    mult, ex = _period_multiple(sub.view, p, bounds,
-                                                f"level {level}")
-                    periods.append(vscale(mult, p))
-                    exact = exact and ex
+                periods, exact = _rescaled_periods(
+                    sub.view, comp.periods, comp.exact_periods, bounds,
+                    f"level {level}")
+                periods.insert(0, _difference_vector(sub.line_poly))
                 if rank_rational(periods) != level:
                     raise VerificationError(
                         "component period directions are dependent (internal)")

@@ -24,9 +24,10 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .config import (FiberSum, PeriodicConfig, PeriodicFiber, WindowConfig,
-                     _minimal_period, box_points, box_size)
+                     _declared_lattice, _minimal_period, box_points, box_size)
 from .errors import SchemaError
 from .laurent import LaurentPoly
+from .lattice import fundamental_residues, lattice_determinant
 from .tiling import Tile
 
 _INT = {int}
@@ -217,13 +218,17 @@ def config_from_obj(obj):
                     raise SchemaError(f"duplicate residue {list(res)}")
                 values[res] = _int(item["val"], "value")
         try:
-            # the table in box order; a missing residue stops the read
-            cfg = PeriodicConfig.from_function(dim, gens, values.pop)
+            # count first, not to enumerate a huge lattice with few values;
+            # then the table in box order, a missing residue stopping it
+            lattice = _declared_lattice(dim, gens)
+            cfg = PeriodicConfig._on(lattice, [
+                values.pop(r) for r in fundamental_residues(lattice[2], dim)
+            ]) if len(values) == lattice_determinant(lattice[2], dim) else None
         except KeyError:
             cfg = None
         except Exception as exc:
             raise SchemaError(f"invalid periodic configuration: {exc}") from exc
-        if cfg is None or values:
+        if cfg is None:
             raise SchemaError(
                 "invalid periodic configuration: periodic values must be "
                 "keyed by exactly the canonical residues")

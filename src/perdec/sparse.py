@@ -8,8 +8,9 @@ and that closed-form bound powers the exact certificates here.
 Compactness arguments are replaced by computable surrogates: for fiber
 sums, the limit of a translate sequence along a fiber-preserving step is
 the parallel sub-sum (the canonical converging subsequence); for window
-views, stabilization of rasterized translates is detected with explicit
-patience and length bounds, and exhaustion is reported as inconclusive.
+views, stabilization of translates, each one box read, is detected with
+explicit patience and length bounds, and exhaustion of either bound or of
+the window is reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from operator import add, mul, sub
 from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                      apply_poly, box_intersect, box_line_range,
                      box_line_slabs, box_points, box_size, box_strides,
-                     make_fiber, rasterize, translate)
+                     make_fiber, rasterize)
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
 from .errors import (InconclusiveError, PreconditionError, VerificationError)
 from .laurent import LaurentPoly, non_parallel_directions, poly_product
-from .lattice import hnf_reduce, is_zero_vector, primitive, vscale
+from .lattice import (check_same_dim, hnf_reduce, is_zero_vector, primitive,
+                      vscale, vsub, zero_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -263,39 +265,37 @@ def fiber_extract(c, v, period_bound: int) -> FiberSum:
 # ---------------------------------------------------------------------------
 # translate limits
 
-def subsequence_limit(c: FiberSum, step) -> FiberSum:
-    """Limit of a converging subsequence of translates of c by k*step.
-
-    The subsequence multiplier is chosen canonically so that every fiber
-    parallel to the step becomes invariant; fibers on other lines drift out
-    of every finite window, so the limit is exactly the parallel sub-sum.
-    """
-    step = tuple(int(x) for x in step)
-    if is_zero_vector(step):
-        raise PreconditionError("the zero vector is no translation direction")
-    return c.parallel_part(step)
-
-
 def stabilized_translate_limit(c, step, window, k_max: int, patience: int
                                ) -> WindowConfig:
     """First window content repeated for `patience` consecutive translates.
 
     The finite surrogate for a translate-sequence limit, for every view
-    alike; no stabilization within k_max translates is reported as
-    inconclusive.  The exact limit of a fiber sum is `subsequence_limit`.
+    alike.  On window = [lo, hi] the translate of c by k*step is c on
+    [lo - k*step, hi - k*step], so each step is one box read of c (a
+    sub-box slice of a window).  No stabilization within k_max translates
+    is inconclusive, and so is a domain that runs out first, with the
+    number of translates it held as the bound.  The exact limit of a fiber
+    sum is `FiberSum.parallel_part`.
     """
     step = tuple(int(x) for x in step)
+    lo, hi = (tuple(int(x) for x in corner) for corner in window)
+    check_same_dim(step, lo, hi, zero_vector(c.dim))
     if is_zero_vector(step):
         raise PreconditionError("the zero vector is no translation direction")
-    lo, hi = window
     if k_max < 1 or patience < 1:
         raise PreconditionError("k_max and patience must be positive")
     run_len, prev = 0, None
     for k in range(k_max + 1):
-        cur = rasterize(translate(c, vscale(k, step)), lo, hi)
-        run_len = run_len + 1 if prev is not None and cur == prev else 1
+        shift = vscale(k, step)
+        a, b = vsub(lo, shift), vsub(hi, shift)
+        if not (c.contains(a) and c.contains(b)):
+            raise InconclusiveError(
+                f"no stabilization within the {k} translates that the domain "
+                f"of {c!r} holds", k)
+        cur = c.values_on_box(a, b)
+        run_len = run_len + 1 if cur == prev else 1
         if run_len >= patience:
-            return cur
+            return WindowConfig(lo, hi, cur)
         prev = cur
     raise InconclusiveError(
         f"no stabilization within {k_max} translates", k_max)
@@ -377,7 +377,7 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
     direction, phi_i annihilates it, and the families sum to c.
 
     On a fiber sum this decomposition is unique: family i is the sub-sum
-    parallel to phi_i (`subsequence_limit`), and the checks are exact.
+    parallel to phi_i (`FiberSum.parallel_part`), and the checks are exact.
     prod phi_i annihilates c exactly when each phi_i annihilates family i
     and the families sum to c: the lemma of `_test_product`, which holds
     for every line polynomial.  A line polynomial transverse to w is
@@ -396,7 +396,7 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
     dirs = non_parallel_directions(phis)
 
     if isinstance(c, FiberSum):
-        families = [subsequence_limit(c, d) for d in dirs]
+        families = [c.parallel_part(d) for d in dirs]
         if not (all(apply_poly(phi, fam).is_zero()
                     for phi, fam in zip(phis, families))
                 and add_views([c] + families,

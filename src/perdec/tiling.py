@@ -16,7 +16,7 @@ from .config import (FiberSum, PeriodicConfig, Verdict, WindowConfig,
                      apply_poly, box_strides, erode_box, grow_box,
                      row_sources)
 from .decompose import Bounds, Decomposition, k_periodic_decompose
-from .errors import DimensionMismatch, PreconditionError, VerificationError
+from .errors import DimensionMismatch, PreconditionError
 from .laurent import LaurentPoly, support_in_subspace
 from .lattice import (SubspaceBasis, rank_rational, vneg, zero_vector)
 
@@ -181,23 +181,16 @@ def cotiler_decompose(tiles, c, bounds: Bounds | None = None) -> Decomposition:
     co-tiling property for every tile, then drives the k-periodic pipeline
     with the tile polynomials as the periodizer family.
     """
-    bounds = bounds or Bounds()
     tiles = list(tiles)
     ok, witness = independent(tiles)
     if not ok:
         raise PreconditionError(
             f"tiles are not independent; dependent choice {witness}")
     polys = [tile_polynomial(t) for t in tiles]
-    for tile, f in zip(tiles, polys):
-        verdict = verify_cotiler(tile, c)
-        if not verdict.holds:
+    for tile in tiles:
+        if not verify_cotiler(tile, c).holds:
             raise PreconditionError(
                 f"input is not a co-tiler of the tile with cells "
                 f"{tile.sorted_cells()}")
-    dec = k_periodic_decompose(
+    return k_periodic_decompose(
         c, len(tiles), lambda V: select_periodizer(polys, V), bounds)
-    for comp in dec.components:
-        if rank_rational(comp.periods) != len(tiles):
-            raise VerificationError(
-                "component does not exhibit enough independent periods")
-    return dec

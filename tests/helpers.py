@@ -12,7 +12,8 @@ the certificate test multiplies out every factor and applies the
 product to the whole view, the periodic reference keys every value by its
 residue and reads each point through one hnf_reduce, and the sparse
 decomposition reference replays the inductive proof with translate limits
-and a two-factor split at every level.
+and a two-factor split at every level, and the translate-limit reference
+convolves by a monomial and rasterizes at every step.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
 from perdec.config import (LazyConfig, PeriodicFiber, Verdict,
                            _minimal_period, add_views, apply_poly, box_points,
-                           box_size, is_annihilated)
+                           box_size, is_annihilated, rasterize)
 from perdec.decompose import _require_annihilation
-from perdec.errors import (EmptyRegionError, PreconditionError, SchemaError,
-                           VerificationError)
+from perdec.errors import (EmptyRegionError, OutOfDomainError,
+                           PreconditionError, SchemaError, VerificationError)
 from perdec.laurent import (difference_poly, non_parallel_directions,
                             poly_product)
 from perdec.lattice import (fundamental_residues, hnf_reduce, hnf_rows,
@@ -42,6 +43,13 @@ from perdec.tiling import tile_polynomial
 def window_from_function(lo, hi, fn):
     """The window of fn over [lo, hi], evaluated point by point."""
     return WindowConfig(lo, hi, [fn(x) for x in box_points(lo, hi)])
+
+
+def periodic_from_function(dim, basis, fn):
+    """The periodic configuration with the value fn(r) at each canonical
+    residue r of the lattice that `basis` spans."""
+    return PeriodicConfig(dim, basis, [
+        fn(r) for r in fundamental_residues(hnf_rows(basis, dim), dim)])
 
 
 class FunctionView(LazyConfig):
@@ -404,6 +412,26 @@ def _reference_split2(c: FiberSum, phi, psi, bounds):
             fiber_extract(c2, u, bounds.period))
 
 
+def reference_translate_limit(c, step, window, k_max, patience):
+    """The translate-sequence limit by its first definition: translate k is
+    the convolution by X^(k*step), rasterized on `window`.  ("limit", the
+    window repeated `patience` times in a row), or ("inconclusive", bound):
+    k_max when no window repeats, k at the first translate k whose window
+    leaves c's domain."""
+    prev, run = None, 0
+    for k in range(k_max + 1):
+        moved = c.convolve([(vscale(k, step), 1)])
+        try:
+            cur = rasterize(moved, *window)
+        except OutOfDomainError:
+            return "inconclusive", k
+        run = run + 1 if cur == prev else 1
+        if run >= patience:
+            return "limit", cur
+        prev = cur
+    return "inconclusive", k_max
+
+
 def fiber_parts(c: FiberSum):
     """The certificate test's parts of a fiber sum: (w, fibers along w)
     for each fiber direction w."""
@@ -618,7 +646,7 @@ def random_hnf_basis(rng: random.Random, dim, det_bound):
 
 def random_periodic(rng: random.Random, dim, det_bound, value_range=5):
     basis = random_hnf_basis(rng, dim, det_bound)
-    return PeriodicConfig.from_function(
+    return periodic_from_function(
         dim, basis,
         lambda r: rng.randint(-value_range, value_range))
 

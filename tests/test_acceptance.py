@@ -27,8 +27,9 @@ from perdec.sparse import (check_sparseness, fiber_closed_form_constant,
 from perdec.tiling import (Tile, cotiler_decompose, independent,
                            verify_cotiler)
 
-from helpers import (naive_convolution, random_fiber_family, random_periodic,
-                     random_poly, window_from_function)
+from helpers import (naive_convolution, periodic_from_function,
+                     random_fiber_family, random_periodic, random_poly,
+                     window_from_function)
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 
@@ -127,7 +128,7 @@ def _transfer_instance(rng):
             rows = hnf_rows(basis, dim)
             if len(rows) == dim and lattice_determinant(rows, dim) <= 64:
                 break
-        cprime = PeriodicConfig.from_function(
+        cprime = periodic_from_function(
             dim, basis, lambda r: rng.randint(-5, 5))
     return phi, psi, cprime, V, dim
 
@@ -161,7 +162,7 @@ def _roundtrip_instance(rng):
             rows = hnf_rows(basis, 2)
             if len(rows) == 2 and lattice_determinant(rows, 2) <= 12:
                 break
-        parts.append(PeriodicConfig.from_function(
+        parts.append(periodic_from_function(
             2, basis, lambda r: rng.randint(-4, 4)))
         factors.append(difference_poly(vscale(k, v)))
     c = add_views(parts)

@@ -7,9 +7,11 @@ import pytest
 from perdec import cli
 from perdec.cli import main
 from perdec.config import (FiberSum, PeriodicConfig, box_points, make_fiber,
-                           rasterize, translate)
+                           rasterize)
 from perdec.serialize import config_from_obj, config_to_obj, dumps, poly_to_obj
 from perdec.laurent import LaurentPoly, difference_poly
+
+from helpers import periodic_from_function
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 
@@ -51,6 +53,7 @@ def test_poly_mul(files):
     m = manifest(out)
     assert set(m["inputs"]) == {fx["f"], fx["g"]}
     assert m["outputs"] == ["result.json"]
+    assert "error" not in m
 
 
 def test_poly_add_inverse_is_zero(files):
@@ -74,7 +77,7 @@ def test_poly_line_dir_absent(files):
 def test_act_tile_polynomial_gives_constant(files):
     tmp, fx = files
     xm2 = write(tmp / "xm2.json", config_to_obj(
-        PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)))
+        periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)))
     out = str(tmp / "out_act")
     assert main(["--out", out, "act", fx["tilepoly"], xm2]) == 0
     with open(os.path.join(out, "result.json")) as fh:
@@ -226,7 +229,7 @@ def test_sparse_fibers_checks_a_window_extraction_on_the_cut(
     assert run("out_wide", "--window=-20..20,1..30") == (0, True)
     extract = cli.fiber_extract
     monkeypatch.setattr(cli, "fiber_extract",
-                        lambda *args: translate(extract(*args), (0, 1)))
+                        lambda *args: extract(*args).convolve([((0, 1), 1)]))
     assert run("out_wrong") == (1, False)
     assert run("out_wrong_cut", "--window=-20..20,1..30") == (1, False)
     assert run("out_empty_cut", "--window=9..20,-8..8") == (1, False)
@@ -360,7 +363,7 @@ _ACT_POLY = {"dim": 2, "terms": [{"exp": [0, 0], "coef": 2},
 _ACT_INPUTS = {
     "window": {"kind": "window", "dim": 2, "lo": [-4, -3], "hi": [5, 6],
                "values": [(7 * i * i - 3 * i) % 23 - 11 for i in range(100)]},
-    "periodic": config_to_obj(PeriodicConfig.from_function(
+    "periodic": config_to_obj(periodic_from_function(
         2, [(3, 1), (0, 4)], lambda r: (5 * r[0] - 2 * r[1]) % 7 - 3)),
     "fibersum": {"kind": "fibersum", "dim": 2, "fibers": [
         {"anchor": [0, 0], "dir": [1, 0], "period": 2, "vals": [3, 5]},
@@ -407,7 +410,8 @@ def test_decompose_non_integral_component_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "perdec: error: non-integer value 1/2 at (1, -3): "
         "a window holds integers\n")
-    assert os.listdir(out) == []
+    assert os.listdir(out) == ["manifest.json"]
+    assert manifest(out)["outputs"] == []
 
 
 def _components(out):
@@ -419,7 +423,7 @@ def test_window_input_decomposes_like_its_periodic_source(tmp_path, capsys):
     # a [-15, 14]^2 window of a 6x6-periodic input: its decomposition
     # matches the periodic input's up to r = 12 and runs out of the window
     # inside a recurrence at r = 13
-    c = PeriodicConfig.from_function(
+    c = periodic_from_function(
         2, [(6, 0), (0, 6)],
         lambda r: (r[0] % 3) * (r[1] + 1) + (r[1] % 2) * (r[0] + 2))
     periodic = write(tmp_path / "periodic.json", config_to_obj(c))
@@ -455,7 +459,7 @@ def test_three_factor_window_input_decomposes_like_its_periodic_source(
     # boxes asked for, not over the whole window, where the recurrences of
     # its transfer parts run out of the window
     family = [(1, 0), (0, 1), (1, 1)]
-    c = PeriodicConfig.from_function(2, [(12, 0), (0, 12)], lambda r: sum(
+    c = periodic_from_function(2, [(12, 0), (0, 12)], lambda r: sum(
         (5 * ((b * r[0] - a * r[1]) % 12) + 3 * k) % 7 - 3
         for k, (a, b) in enumerate(family)))
     periodic = write(tmp_path / "periodic.json", config_to_obj(c))
@@ -494,6 +498,43 @@ def test_schema_error_exit_one(files, tmp_path):
     bad.write_text('{"dim": 2, "terms": [{"exp": [0,0], "coef": 0}]}')
     out = str(tmp / "out_bad")
     assert main(["--out", out, "poly", "add", str(bad), fx["f"]]) == 1
+
+
+def test_failed_runs_leave_a_manifest_naming_the_error(tmp_path):
+    # a schema error and an out-of-domain --window exit 1, a window too
+    # small for the translate limits of a split exits 2 with the number of
+    # translates it held as the bound; each writes only its manifest
+    bad = write(tmp_path / "bad.json", {"kind": "window", "dim": 2,
+                                        "lo": [0, 0], "hi": [1, 1],
+                                        "values": [1, 2, 3]})
+    phi = write(tmp_path / "phi.json", poly_to_obj(difference_poly((2, 0))))
+    psi = write(tmp_path / "psi.json", poly_to_obj(difference_poly((0, 3))))
+    checker = write(tmp_path / "w5.json",
+                    config_to_obj(rasterize(CHECKER, (-2, -2), (2, 2))))
+    factors = write(tmp_path / "factors.json",
+                    [poly_to_obj(difference_poly((2, 0)))])
+    fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
+                          make_fiber((0, 1), (0, 1), [1, 1, 0])])
+    small = write(tmp_path / "w25.json",
+                  config_to_obj(rasterize(fibers, (-12, -12), (12, 12))))
+    held = ("no stabilization within the 3 translates that the domain of "
+            "WindowConfig((-12, -12)..(12, 12)) holds")
+    for argv, code, error in (
+            (["act", phi, bad], 1,
+             ["SchemaError", "window value count does not match the box",
+              None]),
+            (["--window=-3..3,-3..3", "decompose", checker, "--factors",
+              factors], 1,
+             ["OutOfDomainError", "(-3, -3) outside window (-2, -2)..(2, 2)",
+              None]),
+            (["sparse", "split", small, phi, psi], 2,
+             ["InconclusiveError", held, 3])):
+        out = str(tmp_path / f"out_{code}_{argv[0]}")
+        assert main(["--out", out] + argv) == code
+        assert os.listdir(out) == ["manifest.json"]
+        m = manifest(out)
+        assert m["outputs"] == [] and m["verdicts"] == {}
+        assert m["error"] == dict(zip(("type", "message", "bound"), error))
 
 
 @pytest.mark.parametrize("argv", [

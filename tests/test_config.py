@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                            add_views, apply_poly, box_points,
                            detect_period_multiple, is_annihilated,
-                           make_fiber, period_lattice, rasterize, translate)
+                           make_fiber, period_lattice, rasterize)
 from perdec.errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                            OutOfDomainError, PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import in_lattice, lattice_determinant, vadd, vsub
 
 from helpers import (DIRECTIONS_2D, FunctionView, ResidueDict,
+                     periodic_from_function,
                      assert_canonical_fibers,
                      assert_segments_match_points, naive_convolution,
                      random_fiber_family, random_periodic, random_poly,
@@ -81,16 +82,16 @@ def test_window_rejects_non_integral_values():
 def test_translate_examples():
     for c in (CHECKER, FiberSum(2, [make_fiber((0, 1), (1, 0), [1, 2])]),
               WindowConfig((0, 0), (2, 2), list(range(9)))):
-        assert translate(c, (0, 0)) == c
-        assert translate(translate(c, (3, -1)), (-3, 1)) == c
+        assert c.convolve([((0, 0), 1)]) == c
+        assert c.convolve([((3, -1), 1)]).convolve([((-3, 1), 1)]) == c
     w = WindowConfig((0, 0), (2, 2), list(range(9)))
-    shifted = translate(w, (1, 1))
+    shifted = w.convolve([((1, 1), 1)])
     assert shifted.lo == (1, 1) and shifted.hi == (3, 3)
     rng = random.Random(1)
     for c in (CHECKER, FiberSum(2, [make_fiber((0, 1), (1, 0), [1, 2])])):
         t = (rng.randint(-4, 4), rng.randint(-4, 4))
         for x in box_points((-3, -3), (3, 3)):
-            assert translate(c, t).value_at(x) == c.value_at(
+            assert c.convolve([(t, 1)]).value_at(x) == c.value_at(
                 tuple(a - b for a, b in zip(x, t)))
 
 
@@ -104,7 +105,7 @@ def test_apply_poly_difference_on_periodic():
 def test_apply_poly_identity_and_parity():
     one = LaurentPoly.constant(2, 1)
     assert apply_poly(one, CHECKER) == CHECKER
-    xm2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
+    xm2 = periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
     out = apply_poly(LaurentPoly(2, {(0, 0): 1, (-1, 0): 1}), xm2)
     assert all(v == 1 for v in out.values)
 
@@ -175,7 +176,7 @@ def test_apply_poly_window_matches_pointwise_sum(lo, hi, terms):
 def test_apply_poly_periodic_matches_pointwise_sum(basis, terms):
     rng = random.Random(str(basis))
     dim = len(basis)
-    c = PeriodicConfig.from_function(dim, basis, lambda r: rng.randint(-9, 9))
+    c = periodic_from_function(dim, basis, lambda r: rng.randint(-9, 9))
     assert dim == 1 or any(row[j] for i, row in enumerate(c.lattice_rows)
                            for j in range(i + 1, dim))
     f = LaurentPoly(dim, terms)
@@ -228,13 +229,13 @@ def test_is_annihilated_window_region():
 
 
 def test_period_lattice_examples():
-    const = PeriodicConfig.from_function(2, [(4, 0), (0, 4)], lambda r: 7)
+    const = periodic_from_function(2, [(4, 0), (0, 4)], lambda r: 7)
     assert period_lattice(const) == ((1, 0), (0, 1))
     rows = period_lattice(CHECKER)
     assert lattice_determinant(rows, 2) == 2
     assert in_lattice((1, 1), rows) and in_lattice((1, -1), rows)
     rng = random.Random(13)
-    c = PeriodicConfig.from_function(
+    c = periodic_from_function(
         2, [(3, 0), (0, 3)],
         lambda r: r[0] * 3 + r[1])  # all residues distinct
     assert period_lattice(c) == ((3, 0), (0, 3))
@@ -272,8 +273,8 @@ def test_add_views_examples():
                         FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 1, 0])])])
     assert len(merged.fibers) == 1 and merged.fibers[0].period == 6
     assert [merged.value_at((j, 0)) for j in range(6)] == [2, 1, 1, 1, 2, 0]
-    a = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0])
-    b = PeriodicConfig.from_function(2, [(1, 0), (0, 2)], lambda r: r[1])
+    a = periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0])
+    b = periodic_from_function(2, [(1, 0), (0, 2)], lambda r: r[1])
     s = add_views([a, b])
     assert isinstance(s, PeriodicConfig) and s.determinant == 4
     for x in box_points((-3, -3), (3, 3)):
@@ -291,7 +292,7 @@ def test_add_views_mixed_kinds():
     for x in box_points((-2, -2), (2, 2)):
         assert lazy.value_at(x) == fs.value_at(x) + CHECKER.value_at(x)
     with pytest.raises(EmptyRegionError):
-        add_views([w, translate(w, (40, 40))])
+        add_views([w, w.convolve([((40, 40), 1)])])
 
 
 def test_action_associativity_on_windows():
@@ -325,8 +326,8 @@ def test_translate_commutes_with_apply_poly():
     f = difference_poly((1, -1)) * 2 + 3
     t = (2, -3)
     for c in (CHECKER, FiberSum(2, [make_fiber((1, 0), (0, 1), [1, 2, 3])])):
-        a = apply_poly(f, translate(c, t))
-        b = translate(apply_poly(f, c), t)
+        a = apply_poly(f, c.convolve([(t, 1)]))
+        b = apply_poly(f, c).convolve([(t, 1)])
         for x in box_points((-4, -4), (4, 4)):
             assert a.value_at(x) == b.value_at(x)
 
@@ -445,7 +446,7 @@ def test_fiber_kernel_translate_matches_make_fiber_reference(name):
     for terms in FIBER_POLY_TERMS[c.dim]:
         for t in terms:
             for s in (t, vsub((0,) * c.dim, t)):
-                out = translate(c, s).fibers
+                out = c.convolve([(s, 1)]).fibers
                 assert out == reference_translate_fibers(c, s)
                 assert_canonical_fibers(out)
 
@@ -468,7 +469,7 @@ def test_fiber_kernel_scaled_and_parallel_part_match_reference(name):
 def test_fiber_kernel_add_views_matches_make_fiber_reference(name):
     c = _fiber_sum_case(name)
     step = (1,) + (0,) * (c.dim - 1)
-    views = [c, translate(c, step), apply_poly(
+    views = [c, c.convolve([(step, 1)]), apply_poly(
         LaurentPoly(c.dim, FIBER_POLY_TERMS[c.dim][-1]), c)]
     for coeffs in ([1, -1, 0], [0, 2, 1], [1, 1, -1], [-1, 0, 0], [0, 0, 0],
                    [3, -2, 5]):
@@ -491,8 +492,8 @@ def test_fiber_kernel_merges_coprime_periods_and_cancels_on_own_line():
     for e in ((3, 6), (-3, -6), (9, 18), (-12, -24)):
         g = LaurentPoly(2, {e: 1, (0, 0): -1})
         assert apply_poly(g, f).fibers == () == reference_apply_poly_fibers(g, f)
-        assert translate(f, e) == f
-    assert add_views([f, translate(f, (-6, -12))], [1, -1]).is_zero()
+        assert f.convolve([(e, 1)]) == f
+    assert add_views([f, f.convolve([((-6, -12), 1)])], [1, -1]).is_zero()
 
 
 def test_fiber_kernel_matches_make_fiber_reference_random():
@@ -516,7 +517,7 @@ def test_fiber_kernel_matches_make_fiber_reference_random():
                 (apply_poly(f, c), reference_apply_poly_fibers(f, c)),
                 (add_views(views, coeffs),
                  reference_add_views_fibers(views, coeffs)),
-                (translate(c, t), reference_translate_fibers(c, t)),
+                (c.convolve([(t, 1)]), reference_translate_fibers(c, t)),
                 (add_views([c], [k]), reference_scaled_fibers(c, k)),
                 (c.parallel_part(w), reference_parallel_part_fibers(c, w))):
             assert out.fibers == ref
@@ -574,9 +575,9 @@ def test_periodic_refuses_non_integral_values():
     c = PeriodicConfig(1, [(2,)], [Fraction(4, 2), 3.0])
     assert c.values == [2, 3] and set(map(type, c.values)) == {int}
     with pytest.raises(PreconditionError, match=r"at \(1, 2\)"):
-        PeriodicConfig.from_function(2, [(3, 1), (0, 4)],
-                                     lambda r: Fraction(1, 3) if r == (1, 2)
-                                     else 0)
+        periodic_from_function(2, [(3, 1), (0, 4)],
+                               lambda r: Fraction(1, 3) if r == (1, 2)
+                               else 0)
 
 
 def test_detect_period_multiple():
@@ -681,7 +682,7 @@ def test_flat_periodic_table_matches_residue_dict(seed, dim):
     assert_segments_match_points(c, segments, ref)
 
     t = tuple(rng.randint(-9, 9) for _ in range(dim))
-    moved = translate(c, t)
+    moved = c.convolve([(t, 1)])
     assert moved.lattice_rows == c.lattice_rows
     assert ResidueDict(moved).table == {r: ref(vsub(r, t)) for r in residues}
 

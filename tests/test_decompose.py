@@ -10,7 +10,7 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                            add_views, apply_poly,
                            box_contains, box_points, box_size,
                            detect_period_multiple, is_annihilated, make_fiber,
-                           period_lattice, rasterize, translate)
+                           period_lattice, rasterize)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               _period_multiple, _require_annihilation,
                               _test_product,
@@ -27,6 +27,7 @@ from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vadd,
                             vscale, vsub)
 
 from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView,
+                     periodic_from_function,
                      assert_segments_match_points, fiber_parts,
                      pointwise_rasterize, random_fiber_family,
                      reference_combination_values,
@@ -69,7 +70,7 @@ def test_transfer_integrality_with_difference_polynomials():
         basis = [tuple(k2 * a for a in v2), v1]
         if rank_rational(basis) < 2:
             continue
-        cprime = PeriodicConfig.from_function(
+        cprime = periodic_from_function(
             2, basis, lambda r: rng.randint(-5, 5))
         sol = solve_transfer(phi, psi, cprime, TRIVIAL2)
         for x in box_points((-8, -8), (8, 8)):
@@ -97,7 +98,7 @@ def test_transfer_preconditions():
     with pytest.raises(PreconditionError):
         solve_transfer(difference_poly((1, 0)), difference_poly((0, 1)),
                        one, SubspaceBasis(2, [(1, 1)]))  # span collision
-    xm2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
+    xm2 = periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
     with pytest.raises(PreconditionError):
         solve_transfer(difference_poly((0, 1)), difference_poly((1, 0)),
                        xm2, TRIVIAL2)  # psi does not annihilate the source
@@ -118,15 +119,15 @@ def test_transfer_window_source_limits_queries():
 def _transfer_cases():
     """(phi, psi, source) triples with integer and Fraction recurrences."""
     rng = random.Random(29)
-    steps = PeriodicConfig.from_function(2, [(2, 0), (0, 1)],
-                                         lambda r: r[0] + 1)
+    steps = periodic_from_function(2, [(2, 0), (0, 1)],
+                                   lambda r: r[0] + 1)
     return [
         (difference_poly((2, 1)), difference_poly((0, 1)),
-         PeriodicConfig.from_function(2, [(0, 1), (3, 0)],
-                                      lambda r: rng.randint(-5, 5))),
+         periodic_from_function(2, [(0, 1), (3, 0)],
+                                lambda r: rng.randint(-5, 5))),
         (difference_poly((1, 1)), difference_poly((2, -2)),
-         PeriodicConfig.from_function(2, [(2, -2), (1, 1)],
-                                      lambda r: rng.randint(-5, 5))),
+         periodic_from_function(2, [(2, -2), (1, 1)],
+                                lambda r: rng.randint(-5, 5))),
         (LaurentPoly(2, {(1, 0): 2, (0, 0): -1}), difference_poly((0, 1)),
          steps),
         (LaurentPoly(2, {(0, 0): 2, (1, 0): 1, (2, 0): -3}),
@@ -171,8 +172,8 @@ def _protocol_views():
     keyed by class name."""
     fs = FiberSum(2, [make_fiber((0, 1), (1, 0), [1, 2]),
                       make_fiber((0, -2), (1, 0), [3])])
-    source = PeriodicConfig.from_function(2, [(2, 0), (0, 3)],
-                                          lambda r: r[0] - r[1])
+    source = periodic_from_function(2, [(2, 0), (0, 3)],
+                                    lambda r: r[0] - r[1])
     return {
         "WindowConfig": rasterize(CHECKER, (-12, -12), (12, 12)),
         "PeriodicConfig": CHECKER,
@@ -272,8 +273,8 @@ def test_decompose_product_single_factor_is_identity():
 
 
 def test_decompose_product_separable():
-    c = PeriodicConfig.from_function(2, [(6, 0), (0, 6)],
-                                     lambda r: (r[0] % 2) + (r[1] % 3))
+    c = periodic_from_function(2, [(6, 0), (0, 6)],
+                               lambda r: (r[0] % 2) + (r[1] % 3))
     dec = decompose_product([difference_poly((2, 0)),
                              difference_poly((0, 3))], c, TRIVIAL2)
     report = dec.verify_on_window((-15, -15), (15, 15))
@@ -289,10 +290,10 @@ def test_decompose_product_checkerboard_diagonals():
 
 def test_decompose_product_three_factors_integer_values():
     parts = [
-        PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2),
-        PeriodicConfig.from_function(2, [(1, 0), (0, 3)], lambda r: r[1] % 3),
-        PeriodicConfig.from_function(2, [(1, 1), (0, 2)],
-                                     lambda r: (r[0] + r[1]) % 2),
+        periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2),
+        periodic_from_function(2, [(1, 0), (0, 3)], lambda r: r[1] % 3),
+        periodic_from_function(2, [(1, 1), (0, 2)],
+                               lambda r: (r[0] + r[1]) % 2),
     ]
     c = add_views(parts)
     phis = [difference_poly((2, 0)), difference_poly((0, 3)),
@@ -310,9 +311,9 @@ def test_decompose_product_with_general_line_polynomial():
     # zero; its extreme coefficients are units, so everything stays integer
     phi1 = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
     phi2 = difference_poly((0, 2))
-    a = PeriodicConfig.from_function(2, [(3, 0), (0, 1)],
-                                     lambda r: (1, -2, 1)[r[0]])
-    b = PeriodicConfig.from_function(2, [(1, 0), (0, 2)], lambda r: 5 * r[1])
+    a = periodic_from_function(2, [(3, 0), (0, 1)],
+                               lambda r: (1, -2, 1)[r[0]])
+    b = periodic_from_function(2, [(1, 0), (0, 2)], lambda r: 5 * r[1])
     c = add_views([a, b])
     assert is_annihilated(phi1 * phi2, c).holds
     for order in ([phi1, phi2], [phi2, phi1]):
@@ -328,7 +329,7 @@ def test_decompose_product_components_inherit_subspace_periodicity():
     # c is constant along e3; with V = span{e3} every component of the
     # decomposition must again be e3-periodic (the coset construction puts
     # e3 among the generators, so the band and recurrence respect it)
-    c = PeriodicConfig.from_function(
+    c = periodic_from_function(
         3, [(2, 0, 0), (0, 3, 0), (0, 0, 1)],
         lambda r: (r[0] % 2) + 2 * (r[1] % 3))
     V = SubspaceBasis(3, [(0, 0, 1)])
@@ -351,7 +352,7 @@ def _k2_checker():
 
 
 def _k3_parity():
-    c = PeriodicConfig.from_function(
+    c = periodic_from_function(
         3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
         lambda r: (r[0] + r[1] + r[2]) % 2)
     fams = [LaurentPoly(3, {(0, 0, 0): 1,
@@ -380,32 +381,32 @@ def _fiber_input():
 
 def _three_factor_input():
     c = add_views([
-        PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2),
-        PeriodicConfig.from_function(2, [(1, 0), (0, 3)], lambda r: r[1] % 3),
-        PeriodicConfig.from_function(2, [(1, 1), (0, 2)],
-                                     lambda r: (r[0] + r[1]) % 2)])
+        periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2),
+        periodic_from_function(2, [(1, 0), (0, 3)], lambda r: r[1] % 3),
+        periodic_from_function(2, [(1, 1), (0, 2)],
+                               lambda r: (r[0] + r[1]) % 2)])
     return decompose_product([difference_poly((2, 0)),
                               difference_poly((0, 3)),
                               difference_poly((1, 1))], c, TRIVIAL2)
 
 
 def _fraction_input():
-    c = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] + 1)
+    c = periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] + 1)
     return decompose_product(
         [difference_poly((0, 1)), LaurentPoly(2, {(1, 0): 2, (0, 0): -1})],
         c, TRIVIAL2)
 
 
 def _window_input():
-    c = PeriodicConfig.from_function(2, [(2, 0), (0, 3)],
-                                     lambda r: r[0] + 2 * r[1])
+    c = periodic_from_function(2, [(2, 0), (0, 3)],
+                               lambda r: r[0] + 2 * r[1])
     return decompose_product([difference_poly((2, 0)),
                               difference_poly((0, 3))],
                              rasterize(c, (-12, -12), (12, 12)), TRIVIAL2)
 
 
 def _three_dim_input():
-    c = PeriodicConfig.from_function(
+    c = periodic_from_function(
         3, [(2, 0, 0), (0, 3, 0), (0, 0, 1)],
         lambda r: (r[0] % 2) + 2 * (r[1] % 3))
     return decompose_product([difference_poly((2, 0, 0)),
@@ -414,8 +415,8 @@ def _three_dim_input():
 
 
 def _two_factor_input():
-    c = PeriodicConfig.from_function(2, [(6, 0), (0, 6)],
-                                     lambda r: (r[0] % 2) + (r[1] % 3))
+    c = periodic_from_function(2, [(6, 0), (0, 6)],
+                               lambda r: (r[0] % 2) + (r[1] % 3))
     return decompose_product([difference_poly((2, 0)),
                               difference_poly((0, 3))], c, TRIVIAL2)
 
@@ -497,8 +498,8 @@ def test_verify_on_window_perturbed_component_matches_reference(name, bump):
 
 
 def test_decompose_product_precondition_failure():
-    c = PeriodicConfig.from_function(2, [(4, 0), (0, 2)],
-                                     lambda r: (r[0] + 2 * r[1]) % 4)
+    c = periodic_from_function(2, [(4, 0), (0, 2)],
+                               lambda r: (r[0] + 2 * r[1]) % 4)
     with pytest.raises(PreconditionError):
         decompose_product([difference_poly((1, 0)),
                            difference_poly((0, 1))], c,
@@ -527,7 +528,7 @@ def test_reduce_span_collision():
     # e = (y mod 2) + ((x - y) mod 3) is annihilated by
     # (X^{(1,0)}-1)(X^{(1,1)}-1) and is span{(0,1)}-periodic; the collision
     # rewrite lands on the single factor X^{(3,0)}-1.
-    e = PeriodicConfig.from_function(
+    e = periodic_from_function(
         2, [(6, 0), (0, 6)], lambda r: (r[1] % 2) + ((r[0] - r[1]) % 3))
     V = SubspaceBasis(2, [(0, 1)])
     red = reduce_annihilator(DifferenceProduct(((1, 0), (1, 1))), e, V, BOUNDS)
@@ -553,7 +554,7 @@ def test_reduce_randomized_collapse_with_rank_one_subspace():
         fa = [rng.randint(-3, 3) for _ in range(pa)]
         gb = [rng.randint(-3, 3) for _ in range(pb)]
         lcm_x = pa * pb // __import__("math").gcd(pa, pb)
-        e = PeriodicConfig.from_function(
+        e = periodic_from_function(
             2, [(lcm_x, 0), (0, pb)],
             lambda r: fa[r[0] % pa] + gb[(r[0] - r[1]) % pb])
         dp = DifferenceProduct(((pa, 0), (2 * pa, 0), (pb, pb)))
@@ -571,7 +572,7 @@ def test_reduce_randomized_collapse_with_rank_one_subspace():
 def test_reduce_output_transversality_property():
     rng = random.Random(29)
     V = SubspaceBasis(2, [(0, 1)])
-    e = PeriodicConfig.from_function(
+    e = periodic_from_function(
         2, [(4, 0), (0, 2)], lambda r: (r[0] % 4) * (r[1] % 2 + 1))
     dp = DifferenceProduct(((4, 0), (8, 0), (4, 2)))
     red = reduce_annihilator(dp, e, V, BOUNDS)
@@ -886,8 +887,8 @@ def test_k2_checkerboard_strongly_periodic_components():
 def test_k2_already_strongly_periodic_single_component_ok():
     # a strongly periodic input may come back as one component; the
     # properties (sum and periods), not the shape, are the contract
-    c = PeriodicConfig.from_function(2, [(3, 0), (0, 2)],
-                                     lambda r: r[0] + 2 * r[1])
+    c = periodic_from_function(2, [(3, 0), (0, 2)],
+                               lambda r: r[0] + 2 * r[1])
 
     def oracle(V):
         rows = period_lattice(c)
@@ -911,10 +912,10 @@ def test_k_out_of_range():
 
 def test_merge_components_sharing_a_subspace():
     from perdec.decompose import Component, _merge_by_subspace
-    a = PeriodicConfig.from_function(2, [(2, 0), (0, 2)],
-                                     lambda r: r[0] + r[1])
-    b = PeriodicConfig.from_function(2, [(1, 1), (1, -1)],
-                                     lambda r: 3 * r[0])
+    a = periodic_from_function(2, [(2, 0), (0, 2)],
+                               lambda r: r[0] + r[1])
+    b = periodic_from_function(2, [(1, 1), (1, -1)],
+                               lambda r: 3 * r[0])
     full = SubspaceBasis(2, [(1, 0), (0, 1)])
     comps = [
         Component(view=a, line_poly=difference_poly((2, 0)),
@@ -940,7 +941,7 @@ def test_merge_components_sharing_a_subspace():
 
 def test_k3_three_dimensional_pipeline():
     # (x + y + z) mod 2 is a common co-tiler of the three axis dominoes
-    c = PeriodicConfig.from_function(
+    c = periodic_from_function(
         3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
         lambda r: (r[0] + r[1] + r[2]) % 2)
     fams = [LaurentPoly(3, {(0, 0, 0): 1, tuple(-int(i == j) for j in
@@ -975,18 +976,18 @@ def _box_transfer_cases():
     cases.append((difference_poly((1, 1)), difference_poly((0, 2)), fibers,
                   TRIVIAL2))
     cases.append((difference_poly((1, -2)), difference_poly((1, 1)),
-                  PeriodicConfig.from_function(2, [(1, 1), (3, 0)],
-                                               lambda r: 2 * r[0] - 1),
+                  periodic_from_function(2, [(1, 1), (3, 0)],
+                                         lambda r: 2 * r[0] - 1),
                   TRIVIAL2))
     cases.append((difference_poly((1, 0)), difference_poly((0, 1)),
-                  rasterize(PeriodicConfig.from_function(
+                  rasterize(periodic_from_function(
                       2, [(3, 0), (0, 1)], lambda r: r[0] - 1),
                       (-30, -30), (30, 30)), TRIVIAL2))
-    src3 = PeriodicConfig.from_function(
+    src3 = periodic_from_function(
         3, [(0, 1, 0), (2, 0, 0), (0, 0, 3)], lambda r: r[0] + 2 * r[2] + 1)
     cases.append((LaurentPoly(3, {(0, 0, 0): 2, (1, 0, 1): 1, (2, 0, 2): -3}),
                   difference_poly((0, 1, 0)), src3, TRIVIAL3))
-    src3b = PeriodicConfig.from_function(
+    src3b = periodic_from_function(
         3, [(0, 0, 1), (2, 0, 0), (0, 3, 0)], lambda r: r[0] - r[1])
     cases.append((LaurentPoly(3, {(0, 0, 0): -1, (1, -1, 0): 3}),
                   difference_poly((0, 0, 1)), src3b,
@@ -1089,7 +1090,7 @@ def _torus_family_input(family):
     parts = []
     for k, (a, b) in enumerate(family):
         table = [(5 * j + 3 * k) % 7 - 3 for j in range(12)]
-        parts.append(PeriodicConfig.from_function(
+        parts.append(periodic_from_function(
             2, [(12, 0), (0, 12)],
             lambda r, a=a, b=b, t=table: t[(b * r[0] - a * r[1]) % 12]))
     return add_views(parts)
@@ -1302,8 +1303,8 @@ def test_shifted_and_convolved_transfer_views_read_natively(monkeypatch,
         point_reads.append(x)
         return value_at(self, x)
     monkeypatch.setattr(LazyConfig, "value_at", counted_value_at)
-    for view, want in ((translate(solve_transfer(phi, psi, source, V).view,
-                                  t), shifted),
+    for view, want in ((solve_transfer(phi, psi, source, V).view.convolve(
+                            [(t, 1)]), shifted),
                        (apply_poly(f, solve_transfer(phi, psi, source,
                                                      V).view), convolved)):
         assert isinstance(view, LazyConfig)
@@ -1325,11 +1326,11 @@ def _integer_transfer_cases():
     _box_transfer_cases in dim 2 and two in dim 3."""
     cases = [case for i, case in enumerate(_box_transfer_cases())
              if i not in (2, 3, 7, 8)]
-    src3 = PeriodicConfig.from_function(
+    src3 = periodic_from_function(
         3, [(0, 1, 0), (2, 0, 0), (0, 0, 3)], lambda r: r[0] + 2 * r[2] + 1)
     cases.append((difference_poly((1, 0, 1)), difference_poly((0, 1, 0)),
                   src3, TRIVIAL3))
-    src3b = PeriodicConfig.from_function(
+    src3b = periodic_from_function(
         3, [(0, 0, 1), (2, 0, 0), (0, 3, 0)], lambda r: r[0] - r[1])
     cases.append((difference_poly((1, -1, 0)), difference_poly((0, 0, 1)),
                   src3b, SubspaceBasis(3, [(1, 0, 0)])))
@@ -1412,7 +1413,7 @@ def _seeded_torus_input(seed, family):
     parts = []
     for a, b in family:
         table = [rng.randint(-3, 3) for _ in range(12)]
-        parts.append(PeriodicConfig.from_function(
+        parts.append(periodic_from_function(
             2, [(12, 0), (0, 12)],
             lambda r, a=a, b=b, t=table: t[(b * r[0] - a * r[1]) % 12]))
     return add_views(parts)
@@ -1458,7 +1459,7 @@ def _combination_pool(dim):
     the boxes read, a periodic input, a fiber sum and a Fraction-valued
     function view; in dim 2 an integer and a Fraction transfer view, in
     dim 3 two Fraction ones, and a combination of a transfer view."""
-    periodic = PeriodicConfig.from_function(
+    periodic = periodic_from_function(
         dim, [(3,) + (0,) * (dim - 1)] + [
             tuple(int(i == j) * (2 + i) for j in range(dim))
             for i in range(1, dim)], lambda r: r[0] - 2 * r[-1] + 1)
@@ -1515,7 +1516,8 @@ def test_combination_reads_a_transfer_view_once_per_box(monkeypatch):
 
 
 def _old_translate(c, t):
-    """The per-class translation rules that `translate` replaced."""
+    """The per-class translation rules that the monomial convolution
+    replaced."""
     if isinstance(c, WindowConfig):
         return WindowConfig(vadd(c.lo, t), vadd(c.hi, t), c.values)
     if isinstance(c, PeriodicConfig):
@@ -1534,7 +1536,7 @@ def _old_translate(c, t):
 def test_translate_is_the_monomial_convolution(kind):
     c = _protocol_views()[kind]
     for t in ((0, 0), (3, -2), (-5, 7), (1, 1)):
-        got, old = translate(c, t), _old_translate(c, t)
+        got, old = c.convolve([(t, 1)]), _old_translate(c, t)
         assert type(got) is type(old)
         if isinstance(c, LazyConfig):
             assert got.parts == old.parts == [(c, 1, t)]

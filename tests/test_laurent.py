@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perdec.config import PeriodicConfig, is_annihilated
+from perdec.config import is_annihilated
 from perdec.errors import DimensionMismatch, LatticeError
 from perdec.laurent import (LaurentPoly, difference_poly, line_direction,
                             poly_product, support_in_subspace)
 from perdec.lattice import SubspaceBasis, primitive
 
-from helpers import random_hnf_basis
+from helpers import periodic_from_function, random_hnf_basis
 
 
 def P(dim, terms):
@@ -67,7 +67,7 @@ def test_difference_poly_annihilates_periodic():
     rng = random.Random(5)
     for _ in range(40):
         basis = random_hnf_basis(rng, 2, 24)
-        c = PeriodicConfig.from_function(
+        c = periodic_from_function(
             2, basis, lambda r: rng.randint(-3, 3))
         v = basis[rng.randrange(2)]
         assert is_annihilated(difference_poly(v), c).holds

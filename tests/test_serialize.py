@@ -89,6 +89,16 @@ def test_periodic_rejects_huge_lattice_with_few_values_quickly():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_periodic_counts_its_values_before_enumerating_the_lattice():
+    # 10**20 residues cannot be enumerated at all: the count decides
+    doc = {"kind": "periodic", "dim": 2, "basis": [[10 ** 20, 0], [0, 1]],
+           "values": [{"res": [0, 0], "val": 1}]}
+    with pytest.raises(SchemaError, match=r"^invalid periodic configuration: "
+                       r"periodic values must be keyed by exactly the "
+                       r"canonical residues$"):
+        config_from_obj(doc)
+
+
 def test_periodic_rejects_wrong_or_missing_key():
     good = {"kind": "periodic", "dim": 2, "basis": [[3, 1], [0, 2]],
             "values": [{"res": [a, b], "val": a + b}

@@ -7,19 +7,19 @@ from hypothesis import given, settings, strategies as st
 from perdec import sparse
 from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                            box_points, box_size, is_annihilated,
-                           make_fiber, rasterize, translate)
+                           make_fiber, rasterize)
 from perdec.decompose import Bounds
 from perdec.errors import (InconclusiveError, PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import primitive, vscale
 from perdec.sparse import (check_sparseness, fiber_closed_form_constant,
                            fiber_extract, sparse_decompose, sparse_full,
-                           sparse_split2, stabilized_translate_limit,
-                           subsequence_limit)
+                           sparse_split2, stabilized_translate_limit)
 
-from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, random_fiber_family,
-                     random_hnf_basis, reference_sparse_decompose,
-                     reference_sparseness, window_from_function)
+from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, periodic_from_function,
+                     random_fiber_family, random_hnf_basis,
+                     reference_sparse_decompose, reference_sparseness,
+                     reference_translate_limit, window_from_function)
 
 BOUNDS = Bounds()
 
@@ -127,8 +127,8 @@ def test_window_violation_on_the_low_edge():
 ])
 def test_periodic_counter_matches_reference_on_sheared_lattices(
         rows, hot, a, m_max, ok):
-    c = PeriodicConfig.from_function(len(rows), rows,
-                                     lambda r: 7 if r in hot else 0)
+    c = periodic_from_function(len(rows), rows,
+                               lambda r: 7 if r in hot else 0)
     rep = _same_report(c, a, m_max)
     assert rep.ok == ok and rep.exact == (not ok)
 
@@ -175,7 +175,7 @@ def test_fiber_counter_matches_reference_with_violation():
 
 def test_zero_inputs_match_reference():
     for c in (FiberSum.zero(1), FiberSum.zero(3),
-              PeriodicConfig.from_function(2, [(2, 1), (0, 3)], lambda r: 0),
+              periodic_from_function(2, [(2, 1), (0, 3)], lambda r: 0),
               WindowConfig((-2, -2, -2), (2, 2, 2), [0] * 125)):
         rep = _same_report(c, 1, 3)
         assert rep.ok and rep.violation is None
@@ -197,7 +197,7 @@ def test_random_periodic_match_reference():
         dim = rng.randint(1, 3)
         rows = random_hnf_basis(rng, dim, 12)
         density = rng.random() / 2
-        c = PeriodicConfig.from_function(
+        c = periodic_from_function(
             dim, rows,
             lambda r: rng.randint(1, 3) if rng.random() < density else 0)
         _same_report(c, rng.randint(1, 3 ** dim), rng.randint(1, 4))
@@ -223,7 +223,7 @@ def _random_sparseness_case(rng, kind, dim):
                 rng.randint(1, 5))
     if kind == "periodic":
         density = rng.random() / 2
-        c = PeriodicConfig.from_function(
+        c = periodic_from_function(
             dim, random_hnf_basis(rng, dim, 16),
             lambda r: rng.randint(1, 3) if rng.random() < density else 0)
         return c, rng.randint(1, 3 ** dim), rng.randint(1, 4)
@@ -314,9 +314,9 @@ def test_extract_period_bound():
 
 
 def test_extract_periodic_cases():
-    zero = PeriodicConfig.from_function(2, [(2, 0), (0, 2)], lambda r: 0)
+    zero = periodic_from_function(2, [(2, 0), (0, 2)], lambda r: 0)
     assert fiber_extract(zero, (1, 0), 8).is_zero()
-    one_d = PeriodicConfig.from_function(1, [(3,)], lambda r: r[0])
+    one_d = periodic_from_function(1, [(3,)], lambda r: r[0])
     fs = fiber_extract(one_d, (1,), 8)
     assert [fs.value_at((j,)) for j in range(-3, 6)] == \
         [(j % 3) for j in range(-3, 6)]
@@ -416,14 +416,61 @@ def test_fiber_limit_matches_subsequence_limit(seed, dim):
     window = ((-3,) * dim, (3,) * dim)
     got = stabilized_translate_limit(c, step, window, 200,
                                      len(c.fibers) + 1)
-    assert got == rasterize(subsequence_limit(c, step), *window)
+    assert got == rasterize(c.parallel_part(step), *window)
 
 
 def test_subsequence_limit_is_parallel_part():
     c = add_views([HORIZ, VERT])
-    assert subsequence_limit(c, (3, 0)) == HORIZ
-    assert subsequence_limit(c, (0, -2)) == VERT
-    assert subsequence_limit(c, (1, 1)).is_zero()
+    assert c.parallel_part((3, 0)) == HORIZ
+    assert c.parallel_part((0, -2)) == VERT
+    assert c.parallel_part((1, 1)).is_zero()
+
+
+def test_limit_on_a_window_that_runs_out_is_inconclusive():
+    # the translates k = 0..4 of the 5-wide check window by (-2, 0) read
+    # [-2 + 2k, 2 + 2k] of the 21-wide window; k = 5 leaves it before
+    # patience 6 is reached, and patience 5 is reached at k = 4
+    w = rasterize(HORIZ, (-10, -2), (10, 2))
+    with pytest.raises(InconclusiveError,
+                       match=r"^no stabilization within the 5 translates "
+                             r"that the domain of WindowConfig") as info:
+        stabilized_translate_limit(w, (-2, 0), ((-2, -2), (2, 2)), 64, 6)
+    assert info.value.bound == 5
+    assert stabilized_translate_limit(w, (-2, 0), ((-2, -2), (2, 2)), 64, 5
+                                      ) == rasterize(HORIZ, (-2, -2), (2, 2))
+
+
+def _limit_outcome(c, step, window, k_max, patience):
+    try:
+        return "limit", stabilized_translate_limit(c, step, window, k_max,
+                                                   patience)
+    except InconclusiveError as exc:
+        return "inconclusive", exc.bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((1, 2, 3)),
+       st.booleans())
+def test_box_read_limit_matches_convolve_then_rasterize(seed, dim, window):
+    rng = random.Random(seed)
+    dirs = {1: [(1,)], 2: DIRECTIONS_2D, 3: DIRECTIONS_3D}[dim]
+    c = add_views([random_fiber_family(rng, dim, d, max_fibers=2,
+                                       max_period=3, anchor_range=3)
+                   for d in rng.sample(dirs, min(2, len(dirs)))])
+    if window:  # the fiber sum on a random box, or random values on it
+        lo = tuple(rng.randint(-9, -2) for _ in range(dim))
+        hi = tuple(rng.randint(2, 9) for _ in range(dim))
+        c = (rasterize(c, lo, hi) if rng.random() < 0.7 else
+             WindowConfig(lo, hi, [rng.randint(0, 1)
+                                   for _ in box_points(lo, hi)]))
+    step = tuple(rng.randint(-3, 3) for _ in range(dim))
+    if not any(step):
+        step = (1,) + step[1:]
+    check = (tuple(rng.randint(-2, 0) for _ in range(dim)),
+             tuple(rng.randint(0, 2) for _ in range(dim)))
+    k_max, patience = rng.randint(1, 12), rng.randint(1, 4)
+    got = _limit_outcome(c, step, check, k_max, patience)
+    assert got == reference_translate_limit(c, step, check, k_max, patience)
 
 
 def test_limit_as_orbit_stays_sparse():

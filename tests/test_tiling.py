@@ -15,7 +15,8 @@ from perdec.lattice import SubspaceBasis, primitive, rank_rational
 from perdec.tiling import (Tile, cotiler_decompose, independent,
                            select_periodizer, tile_polynomial, verify_cotiler)
 
-from helpers import random_hnf_basis, reference_verify_cotiler
+from helpers import (periodic_from_function, random_hnf_basis,
+                     reference_verify_cotiler)
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 DOMINO_X = Tile(2, [(0, 0), (1, 0)])
@@ -42,15 +43,15 @@ def test_tile_rejects_duplicates_and_empty():
 
 
 def test_verify_cotiler_parity():
-    xm2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
+    xm2 = periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
     verdict = verify_cotiler(DOMINO_X, xm2)
     assert verdict.holds and verdict.exact
 
 
 def test_verify_cotiler_interval():
     interval = Tile(1, [(0,), (1,), (2,)])
-    c = PeriodicConfig.from_function(1, [(3,)],
-                                     lambda r: 1 if r[0] == 0 else 0)
+    c = periodic_from_function(1, [(3,)],
+                               lambda r: 1 if r[0] == 0 else 0)
     verdict = verify_cotiler(interval, c)
     assert verdict.holds and verdict.exact
 
@@ -60,7 +61,7 @@ def test_verify_cotiler_constant_one_fails():
 
 
 def test_verify_cotiler_window_evidence():
-    xm2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
+    xm2 = periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
     w = rasterize(xm2, (-5, -5), (5, 5))
     verdict = verify_cotiler(DOMINO_X, w)
     assert verdict.holds and not verdict.exact and verdict.region is not None
@@ -108,7 +109,7 @@ def _cotiling_case(rng, dim):
                  for row in random_hnf_basis(rng, dim, 2 ** dim)]
     r = rng.randrange(L)
     noise = rng.random() < 0.2
-    c = PeriodicConfig.from_function(
+    c = periodic_from_function(
         dim, basis, lambda x: rng.randint(0, 1) if noise
         else int(sum(map(mul, lam, x)) % L == r))
     if rng.random() < 0.3:
@@ -185,7 +186,7 @@ def test_verify_cotiler_nonbinary_message_keeps_its_text():
 def test_cotiler_polynomial_periodizes():
     # the tile polynomial of a co-tiler is a periodizer: the product is the
     # constant-1 configuration, which is strongly periodic
-    xm2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
+    xm2 = periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
     out = apply_poly(tile_polynomial(DOMINO_X), xm2)
     assert all(v == 1 for v in out.values)
     assert period_lattice(out) == ((1, 0), (0, 1))
@@ -251,7 +252,7 @@ def test_cotiler_decompose_checkerboard():
 
 
 def test_cotiler_decompose_single_tile_reduces_to_level_one():
-    xm2 = PeriodicConfig.from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
+    xm2 = periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2)
     dec = cotiler_decompose([DOMINO_X], xm2)
     assert dec.verify_on_window((-8, -8), (8, 8))["ok"]
     for comp in dec.components:

@@ -13,10 +13,10 @@ from .config import (FiberSum, LazyConfig, PeriodicConfig, PeriodicFiber,
                      detect_period_multiple, is_annihilated,
                      make_fiber, period_lattice, rasterize)
 from .decompose import (Bounds, Component, Decomposition, DifferenceProduct,
-                        TransferSolution, annihilator_from_periodizer,
-                        decompose_product, k_periodic_decompose,
-                        reduce_annihilator, search_difference_annihilator,
-                        solve_transfer, verify_transfer)
+                        annihilator_from_periodizer, decompose_product,
+                        k_periodic_decompose, reduce_annihilator,
+                        search_difference_annihilator, solve_transfer,
+                        verify_transfer)
 from .errors import (DimensionMismatch, EmptyRegionError, InconclusiveError,
                      LatticeError, OutOfDomainError, PerdecError,
                      PreconditionError, SchemaError, VerificationError)

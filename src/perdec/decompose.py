@@ -101,29 +101,14 @@ def _exact_div(s, a):
 # ---------------------------------------------------------------------------
 # transfer solver
 
-@dataclass
-class TransferSolution:
-    """Constructed solution of phi*c = c', psi*c = 0.
-
-    `view` evaluates the construction; its values are integers whenever phi
-    is a difference polynomial and the source is integer-valued, rationals
-    otherwise.  The gauge is recorded: c vanishes on the band where the
-    recurrence coordinate lies in [0, band_width).
-    """
-    source: object
-    phi: LaurentPoly
-    psi: LaurentPoly
-    subspace: SubspaceBasis
-    cosets: CosetSystem
-    view: LazyConfig
-    step: tuple
-    band_width: int
-    anchor_shift: tuple
-
-
 class _TransferEvaluator(LazyConfig):
-    """The lazy view of a transfer component: per-line memoized evaluation
-    of the coset recurrence.
+    """A transfer summand: the solution c of phi*c = source, psi*c = 0 as
+    a lazy view, per-line memoized evaluation of the coset recurrence.
+
+    The view is the whole record of the summand: `phi`, `psi` and `source`
+    state its equation, and `gauge` how it was pinned down, built once: the
+    coset generators, the recurrence step w, the width n of the zero band
+    and the monomial shift that starts supp(phi) at the origin.
 
     Every value is computed once.  A line is keyed by its point at
     recurrence coordinate 0 and the sweep direction; its list holds the n
@@ -151,20 +136,24 @@ class _TransferEvaluator(LazyConfig):
     each lazy component is evaluated once per job.
     """
 
-    __slots__ = ("w", "n", "source", "lam", "den", "cosets", "lines",
-                 "sweeps", "box")
+    __slots__ = ("phi", "psi", "source", "gauge", "w", "n", "lam", "den",
+                 "cosets", "lines", "sweeps", "box")
 
-    def __init__(self, w, alphas, n, source, shift, lam, den, cosets):
-        self.dim = len(w)
-        self.w = w
-        self.n = n
-        self.source = source
-        self.lam = lam
-        self.den = den
-        self.cosets = cosets
+    def __init__(self, phi, psi, source, line, generators):
+        (desc, offsets), dim = line, phi.dim
+        w, shift, n = desc.direction, desc.anchor, offsets[-1]
+        self.dim, self.phi, self.psi, self.source = dim, phi, psi, source
+        self.w, self.n = w, n
+        self.cosets = CosetSystem(dim, generators)
+        self.lam, self.den = _first_coordinate_functional(generators, dim)
+        self.gauge = {"generators": [list(g) for g in self.cosets.generators],
+                      "step": list(w), "band_width": n,
+                      "anchor_shift": list(shift)}
         self.lines = {}  # (line base, upward?) -> values from the band out
         self.box = None  # (lo, hi, values) of the last box computed
-        alphas = sorted(alphas.items())  # (offset, coefficient)
+        # (offset, coefficient) along w, offsets ascending from 0 to n
+        alphas = [(t, phi.coefficient(vadd(shift, vscale(t, w))))
+                  for t in offsets]
         # upward, c(t) = (c'(p + shift) - sum a_off c(t - off)) / a_0;
         # downward, the equation at t + n gives c(t) through a_n.  Both are
         # (list positions back, coefficient) terms over the line's list.
@@ -353,64 +342,56 @@ def _first_coordinate_functional(generators, dim):
 
 def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
                    V: SubspaceBasis, bounds: Bounds | None = None
-                   ) -> TransferSolution:
-    """Solve phi*c = cprime with psi*c = 0 and c V-periodic.
+                   ) -> _TransferEvaluator:
+    """Solve phi*c = cprime with psi*c = 0 and c V-periodic; returns the
+    view of c, which carries phi, psi, cprime as `source` and its gauge.
 
     phi and psi must be line polynomials in non-parallel directions whose
     span meets V trivially, and psi must annihilate cprime.  phi is first
     normalized by a monomial shift so its support starts at the origin;
     the constructed c is zero on the initialization band and extends by the
     coset recurrence, dividing by the extreme coefficients (exact integer
-    arithmetic when those are +-1, rationals otherwise).
+    arithmetic when those are +-1, rationals otherwise).  Its values are
+    integers whenever phi is a difference polynomial and the source is
+    integer-valued.
     """
     bounds = bounds or Bounds()
-    dim = phi.dim
-    dphi = line_degree(phi)
+    line = line_degree(phi)
     dpsi = line_direction(psi)
-    if dphi is None:
+    if line is None:
         raise PreconditionError(f"phi is not a line polynomial: {phi!r}")
     if dpsi is None:
         raise PreconditionError(f"psi is not a line polynomial: {psi!r}")
-    desc, offsets = dphi
-    w1, w2 = desc.direction, dpsi.direction
+    w1, w2 = line[0].direction, dpsi.direction
     if parallel(w1, w2):
         raise PreconditionError(f"parallel directions {w1} and {w2}")
     if not span_meets_trivially(w1, w2, V):
         raise PreconditionError(
             "the span of the two directions meets the subspace nontrivially")
-    if cprime.dim != dim:
+    if cprime.dim != phi.dim:
         raise PreconditionError("source of wrong dimension")
     _require_annihilation(psi, cprime, bounds,
                           "psi does not annihilate the source")
     _require_v_periodic(cprime, V, bounds, "source")
-
-    u0 = desc.anchor
-    n = offsets[-1]
-    alphas = {t: phi.coefficient(vadd(u0, vscale(t, w1))) for t in offsets}
-    generators = (w1, w2) + V.integer_rows()
-    cosets = CosetSystem(dim, generators)
-    lam, den = _first_coordinate_functional(generators, dim)
-
-    view = _TransferEvaluator(w1, alphas, n, cprime, u0, lam, den, cosets)
-    return TransferSolution(source=cprime, phi=phi, psi=psi, subspace=V,
-                            cosets=cosets, view=view, step=w1,
-                            band_width=n, anchor_shift=u0)
+    return _TransferEvaluator(phi, psi, cprime, line,
+                              (w1, w2) + V.integer_rows())
 
 
-def verify_transfer(sol: TransferSolution, lo, hi):
-    """Residuals of the defining identities over a box, all zero when they
-    hold, from one read of the view grown by supp(phi), supp(psi) and 0."""
-    glo, ghi = grow_box(lo, hi, [zero_vector(len(lo)), *sol.phi.support(),
-                                 *sol.psi.support()])
-    grid = sol.view.values_on_box(glo, ghi)
+def verify_transfer(view: _TransferEvaluator, lo, hi):
+    """Residuals of the defining identities of a transfer view over a box:
+    phi*c = source, psi*c = 0 and c = 0 on the band, from one read of the
+    view grown by supp(phi), supp(psi) and 0."""
+    glo, ghi = grow_box(lo, hi, [zero_vector(len(lo)), *view.phi.support(),
+                                 *view.psi.support()])
+    grid = view.values_on_box(glo, ghi)
     strides = box_strides(glo, ghi)
     phic, psic = (_convolve_rows(f.terms(), grid, glo, strides, lo, hi)
-                  for f in (sol.phi, sol.psi))
+                  for f in (view.phi, view.psi))
     own = sub_box(grid, glo, strides, lo, hi)
-    product_ok = phic == sol.source.values_on_box(lo, hi)
+    product_ok = phic == view.source.values_on_box(lo, hi)
     annihilation_ok = not any(psic)
-    band = max(sol.band_width, 1)
-    band_ok = not any(v for v, a in zip(own, sol.view.a1_on_box(lo, hi))
+    band = max(view.n, 1)
+    band_ok = not any(v for v, a in zip(own, view.a1_on_box(lo, hi))
                       if 0 <= a < band)
     return {"product": product_ok, "annihilation": annihilation_ok,
             "band": band_ok,
@@ -425,13 +406,12 @@ class Component:
     """One summand of a decomposition with its annihilation witness.
 
     `gauge` describes how the summand was pinned down when it came out of
-    a transfer construction: the coset generators, the recurrence step and
-    the width of the zero-initialized band.  Residual and base-case
-    components carry no gauge (they are determined by the others).
+    a transfer construction: it is the transfer view's own `gauge`.
+    Residual and base-case components carry no gauge (they are determined
+    by the others).
     """
     view: object
     line_poly: LaurentPoly
-    direction: tuple
     subspace: SubspaceBasis
     periods: tuple = ()
     exact_periods: bool = True
@@ -441,7 +421,6 @@ class Component:
 @dataclass
 class Decomposition:
     source: object
-    subspace: SubspaceBasis | None
     components: list
 
     def verify_on_window(self, lo, hi):
@@ -481,12 +460,10 @@ class Decomposition:
 
 
 def _validate_line_family(phis, V):
-    dirs = non_parallel_directions(phis)
-    for i, j in combinations(range(len(dirs)), 2):
-        if not span_meets_trivially(dirs[i], dirs[j], V):
+    for u, v in combinations(non_parallel_directions(phis), 2):
+        if not span_meets_trivially(u, v, V):
             raise PreconditionError(
-                f"directions {dirs[i]}, {dirs[j]} collide with the subspace")
-    return dirs
+                f"directions {u}, {v} collide with the subspace")
 
 
 def decompose_product(phis, c, V: SubspaceBasis, bounds: Bounds | None = None
@@ -502,34 +479,27 @@ def decompose_product(phis, c, V: SubspaceBasis, bounds: Bounds | None = None
     phis = list(phis)
     if not phis:
         raise PreconditionError("need at least one line polynomial")
-    dirs = _validate_line_family(phis, V)
+    _validate_line_family(phis, V)
     _require_annihilation(poly_product(phis), c, bounds,
                           "the product does not annihilate the input")
     _require_v_periodic(c, V, bounds, "input")
-    comps = _decompose_rec(phis, dirs, c, V, bounds)
-    return Decomposition(source=c, subspace=V, components=comps)
+    return Decomposition(source=c,
+                         components=_decompose_rec(phis, c, V, bounds))
 
 
-def _decompose_rec(phis, dirs, c, V, bounds):
+def _decompose_rec(phis, c, V, bounds):
     if len(phis) == 1:
-        return [Component(view=c, line_poly=phis[0], direction=dirs[0],
-                          subspace=V)]
+        return [Component(view=c, line_poly=phis[0], subspace=V)]
     last = phis[-1]
     rest = apply_poly(last, c)
-    prev = _decompose_rec(phis[:-1], dirs[:-1], rest, V, bounds)
     lifted = []
-    for comp in prev:
-        sol = solve_transfer(last, comp.line_poly, comp.view, V, bounds)
-        gauge = {"generators": [list(g) for g in sol.cosets.generators],
-                 "step": list(sol.step), "band_width": sol.band_width,
-                 "anchor_shift": list(sol.anchor_shift)}
-        lifted.append(Component(view=sol.view, line_poly=comp.line_poly,
-                                direction=comp.direction, subspace=V,
-                                gauge=gauge))
+    for comp in _decompose_rec(phis[:-1], rest, V, bounds):
+        view = solve_transfer(last, comp.line_poly, comp.view, V, bounds)
+        lifted.append(Component(view=view, line_poly=comp.line_poly,
+                                subspace=V, gauge=view.gauge))
     residual = add_views([c] + [l.view for l in lifted],
                          [1] + [-1] * len(lifted))
-    lifted.append(Component(view=residual, line_poly=last,
-                            direction=dirs[-1], subspace=V))
+    lifted.append(Component(view=residual, line_poly=last, subspace=V))
     return lifted
 
 
@@ -826,13 +796,6 @@ def _compositions(total, size, bound):
 # ---------------------------------------------------------------------------
 # k-periodic pipeline
 
-def _difference_vector(poly: LaurentPoly):
-    nonzero = [e for e in poly.support() if not is_zero_vector(e)]
-    if len(nonzero) != 1 or len(poly.support()) != 2:
-        raise PerdecError("not a difference polynomial (internal)")
-    return nonzero[0]
-
-
 def _merge_by_subspace(comps, bounds):
     groups = {}
     for comp in comps:
@@ -852,7 +815,6 @@ def _merge_by_subspace(comps, bounds):
         merged.append(Component(view=view,
                                 line_poly=poly_product(
                                     [m.line_poly for m in members]),
-                                direction=members[0].direction,
                                 subspace=members[0].subspace,
                                 periods=tuple(periods), exact_periods=exact))
     return merged
@@ -903,7 +865,7 @@ def k_periodic_decompose(c, k: int, periodizer_oracle, bounds: Bounds | None = N
     if not 1 <= k <= dim:
         raise PreconditionError(f"k must lie in [1, {dim}]")
 
-    comps = [Component(view=c, line_poly=None, direction=None,
+    comps = [Component(view=c, line_poly=None,
                        subspace=SubspaceBasis.trivial(dim))]
     for level in range(1, k + 1):
         comps = _merge_by_subspace(comps, bounds)
@@ -920,20 +882,20 @@ def k_periodic_decompose(c, k: int, periodizer_oracle, bounds: Bounds | None = N
             full = DifferenceProduct(dp.vectors + extra)
             red = reduce_annihilator(full, comp.view, Vi, bounds)
             dec = decompose_product(red.polys(), comp.view, Vi, bounds)
-            for sub in dec.components:
+            # component j of dec is annihilated by the factor of red.vectors[j]
+            for v, sub in zip(red.vectors, dec.components):
                 periods, exact = _rescaled_periods(
                     sub.view, comp.periods, comp.exact_periods, bounds,
                     f"level {level}")
-                periods.insert(0, _difference_vector(sub.line_poly))
+                periods.insert(0, v)
                 if rank_rational(periods) != level:
                     raise VerificationError(
                         "component period directions are dependent (internal)")
                 next_comps.append(Component(
                     view=sub.view, line_poly=sub.line_poly,
-                    direction=sub.direction,
                     subspace=SubspaceBasis(dim, periods),
                     periods=tuple(periods), exact_periods=exact,
                     gauge=sub.gauge))
         comps = next_comps
 
-    return Decomposition(source=c, subspace=None, components=comps)
+    return Decomposition(source=c, components=comps)

@@ -144,7 +144,7 @@ def test_criterion_3_transfer_equation(capfd):
         report = verify_transfer(sol, lo, hi)
         assert report["ok"], report
         for x in box_points(lo, hi):
-            assert isinstance(sol.view.value_at(x), int)
+            assert isinstance(sol.value_at(x), int)
     _report(capfd, 3, "transfer identities + integrality on 100 instances "
             "(41x41 windows)", t0, 30)
 

@@ -49,14 +49,14 @@ def test_transfer_constant_source():
     sol = solve_transfer(difference_poly((1, 0)), difference_poly((0, 1)),
                          PeriodicConfig.constant(2, 1), TRIVIAL2)
     for x in box_points((-6, -6), (6, 6)):
-        assert sol.view.value_at(x) == -x[0]
+        assert sol.value_at(x) == -x[0]
     assert verify_transfer(sol, (-6, -6), (6, 6))["ok"]
 
 
 def test_transfer_zero_source():
     sol = solve_transfer(difference_poly((1, 0)), difference_poly((0, 1)),
                          FiberSum.zero(2), TRIVIAL2)
-    assert all(sol.view.value_at(x) == 0
+    assert all(sol.value_at(x) == 0
                for x in box_points((-5, -5), (5, 5)))
 
 
@@ -74,7 +74,7 @@ def test_transfer_integrality_with_difference_polynomials():
             2, basis, lambda r: rng.randint(-5, 5))
         sol = solve_transfer(phi, psi, cprime, TRIVIAL2)
         for x in box_points((-8, -8), (8, 8)):
-            assert isinstance(sol.view.value_at(x), int)
+            assert isinstance(sol.value_at(x), int)
         assert verify_transfer(sol, (-5, -5), (5, 5))["ok"]
 
 
@@ -83,11 +83,11 @@ def test_transfer_rational_values_with_non_unit_extremes():
     phi = LaurentPoly(2, {(1, 0): 2, (0, 0): -1})
     psi = difference_poly((0, 1))
     sol = solve_transfer(phi, psi, PeriodicConfig.constant(2, 1), TRIVIAL2)
-    vals = [sol.view.value_at((x, 0)) for x in range(-4, 5)]
+    vals = [sol.value_at((x, 0)) for x in range(-4, 5)]
     assert any(isinstance(v, Fraction) for v in vals)
     assert verify_transfer(sol, (-4, -4), (4, 4))["ok"]
     with pytest.raises(PreconditionError):
-        rasterize(sol.view, (-4, -4), (0, 0))  # non-integer values
+        rasterize(sol, (-4, -4), (0, 0))  # non-integer values
 
 
 def test_transfer_preconditions():
@@ -111,9 +111,9 @@ def test_transfer_window_source_limits_queries():
     w = rasterize(PeriodicConfig.constant(2, 1), (-10, -10), (10, 10))
     sol = solve_transfer(difference_poly((1, 0)), difference_poly((0, 1)),
                          w, TRIVIAL2)
-    assert sol.view.value_at((3, 0)) == -3  # reachable from the band
+    assert sol.value_at((3, 0)) == -3  # reachable from the band
     with pytest.raises(OutOfDomainError):
-        sol.view.value_at((40, 0))  # source window too small for this query
+        sol.value_at((40, 0))  # source window too small for this query
 
 
 def _transfer_cases():
@@ -139,7 +139,7 @@ def _transfer_cases():
 def test_transfer_values_do_not_depend_on_query_order(case):
     phi, psi, source = _transfer_cases()[case]
     points = list(box_points((-6, -6), (6, 6)))
-    ref_view = solve_transfer(phi, psi, source, TRIVIAL2).view
+    ref_view = solve_transfer(phi, psi, source, TRIVIAL2)
     ref = {x: reference_transfer_value(ref_view, x) for x in points}
     if case >= 2:
         assert any(isinstance(v, Fraction) for v in ref.values())
@@ -147,7 +147,7 @@ def test_transfer_values_do_not_depend_on_query_order(case):
     random.Random(case).shuffle(shuffled)
     far = [(40, 3), (-40, -3), (3, 40), (-3, -40)]
     for order in (shuffled, points[::-1], far + points):
-        view = solve_transfer(phi, psi, source, TRIVIAL2).view
+        view = solve_transfer(phi, psi, source, TRIVIAL2)
         got = {x: view.value_at(x) for x in order}
         assert {x: got[x] for x in points} == ref
 
@@ -181,7 +181,7 @@ def _protocol_views():
         "_Combination": add_views([fs, CHECKER]),
         "_TransferEvaluator": solve_transfer(difference_poly((1, 0)),
                                              difference_poly((0, 3)), source,
-                                             TRIVIAL2).view,
+                                             TRIVIAL2),
         "FunctionView": FunctionView(2, lambda x: (x[0] + x[1]) % 2),
     }
 
@@ -257,10 +257,48 @@ def test_transfer_band_gauge():
     phi = difference_poly((2, 0))  # offsets {0, 2} along (1, 0)
     sol = solve_transfer(phi, difference_poly((0, 1)),
                          PeriodicConfig.constant(2, 3), TRIVIAL2)
-    assert sol.band_width == 2
+    assert sol.gauge["band_width"] == 2
     for y in range(-3, 4):
-        assert sol.view.value_at((0, y)) == 0
-        assert sol.view.value_at((1, y)) == 0
+        assert sol.value_at((0, y)) == 0
+        assert sol.value_at((1, y)) == 0
+
+
+def test_a_transfer_view_is_the_whole_record_of_its_summand():
+    # the view returned by solve_transfer carries its equation and gauge,
+    # and verify_transfer reads them from the view alone
+    source = periodic_from_function(2, [(4, 0), (0, 3)],
+                                    lambda r: r[0] * r[0] - r[1])
+    psi = difference_poly((0, 3))
+    for phi, gauge in (
+            (difference_poly((2, 1)) * LaurentPoly(2, {(-1, 0): 1}),
+             {"generators": [[2, 1], [0, 1]], "step": [2, 1],
+              "band_width": 1, "anchor_shift": [-1, 0]}),
+            (poly_product([difference_poly((2, 1)), difference_poly((4, 2))]),
+             {"generators": [[2, 1], [0, 1]], "step": [2, 1],
+              "band_width": 3, "anchor_shift": [0, 0]})):
+        view = solve_transfer(phi, psi, source, TRIVIAL2)
+        assert (view.phi, view.psi, view.source) == (phi, psi, source)
+        assert view.gauge == gauge
+        assert verify_transfer(view, (-6, -6), (6, 6))["ok"]
+
+
+@pytest.mark.parametrize("nfactors", [2, 3])
+def test_a_lifted_component_records_its_views_gauge(nfactors):
+    # a sum of one periodic part per factor: one transfer summand per
+    # lifted component, n - 1 of them at the top level
+    factors = [(2, 0), (0, 3), (1, 1)][:nfactors]
+    c = add_views([
+        periodic_from_function(2, [(2, 0), (0, 1)], lambda r: r[0] % 2),
+        periodic_from_function(2, [(1, 0), (0, 3)], lambda r: r[1] % 3),
+        periodic_from_function(2, [(1, 1), (0, 2)],
+                               lambda r: (r[0] + r[1]) % 2)][:nfactors])
+    dec = decompose_product([difference_poly(v) for v in factors], c,
+                            TRIVIAL2)
+    lifted = [isinstance(comp.view, _TransferEvaluator)
+              for comp in dec.components]
+    assert sum(lifted) == nfactors - 1
+    for comp, transfer in zip(dec.components, lifted):
+        assert comp.gauge is (comp.view.gauge if transfer else None)
 
 
 # ---------------------------------------------------------------------------
@@ -919,11 +957,9 @@ def test_merge_components_sharing_a_subspace():
     full = SubspaceBasis(2, [(1, 0), (0, 1)])
     comps = [
         Component(view=a, line_poly=difference_poly((2, 0)),
-                  direction=(1, 0), subspace=full,
-                  periods=((2, 0), (0, 2))),
+                  subspace=full, periods=((2, 0), (0, 2))),
         Component(view=b, line_poly=difference_poly((1, 1)),
-                  direction=(1, 1), subspace=full,
-                  periods=((1, 1), (1, -1))),
+                  subspace=full, periods=((1, 1), (1, -1))),
     ]
     merged = _merge_by_subspace(comps, BOUNDS)
     assert len(merged) == 1
@@ -1012,7 +1048,7 @@ def test_transfer_values_on_box_match_points(case):
     fractions = False
     for lo, hi in _box_cases(dim):
         # a fresh view per box: no line is shared
-        view = solve_transfer(phi, psi, source, V).view
+        view = solve_transfer(phi, psi, source, V)
         want = [reference_transfer_value(view, x) for x in box_points(lo, hi)]
         got = view.values_on_box(lo, hi)
         assert got == want
@@ -1026,7 +1062,7 @@ def test_transfer_point_and_box_queries_share_lines(case):
     phi, psi, source, V = _box_transfer_cases()[case]
     dim = phi.dim
     boxes = _box_cases(dim)
-    view = solve_transfer(phi, psi, source, V).view
+    view = solve_transfer(phi, psi, source, V)
     want = {box: [reference_transfer_value(view, x) for x in box_points(*box)]
             for box in boxes}
     rng = random.Random(case)
@@ -1044,13 +1080,13 @@ def test_transfer_point_and_box_queries_share_lines(case):
 def test_transfer_window_source_box_errors_like_points():
     w = rasterize(PeriodicConfig.constant(2, 1), (-10, -10), (10, 10))
     args = (difference_poly((1, 0)), difference_poly((0, 1)), w, TRIVIAL2)
-    assert solve_transfer(*args).view.values_on_box((-4, -4), (9, 4)) == [
+    assert solve_transfer(*args).values_on_box((-4, -4), (9, 4)) == [
         -x for x, _ in box_points((-4, -4), (9, 4))]
     for lo, hi in [((30, 0), (32, 1)), ((-12, -3), (-9, 3))]:
         with pytest.raises(OutOfDomainError):
-            solve_transfer(*args).view.values_on_box(lo, hi)
+            solve_transfer(*args).values_on_box(lo, hi)
         with pytest.raises(OutOfDomainError):
-            [solve_transfer(*args).view.value_at(x)
+            [solve_transfer(*args).value_at(x)
              for x in box_points(lo, hi)]
 
 
@@ -1058,7 +1094,7 @@ def test_transfer_window_source_box_errors_like_points():
 def test_transfer_values_on_segments_match_points(case):
     phi, psi, source, V = _box_transfer_cases()[case]
     dim = phi.dim
-    w = solve_transfer(phi, psi, source, V).step
+    w = solve_transfer(phi, psi, source, V).w
     rng = random.Random(97 + case)
     segments = [(tuple(rng.randint(-8, 8) for _ in range(dim)),
                  tuple(rng.randint(-2, 2) for _ in range(dim)),
@@ -1068,7 +1104,7 @@ def test_transfer_values_on_segments_match_points(case):
     segments += [(one, w, 9), (one, vscale(-1, w), 9),
                  (vscale(3, one), (0,) * dim, 3), (one, w, 0)]
     assert sum(any(s < 0 for s in step) for _, step, _ in segments) >= 5
-    view = solve_transfer(phi, psi, source, V).view
+    view = solve_transfer(phi, psi, source, V)
     want = assert_segments_match_points(
         view, segments, lambda x: reference_transfer_value(view, x))
     fractions = any(isinstance(v, Fraction) for vals in want for v in vals)
@@ -1078,10 +1114,10 @@ def test_transfer_values_on_segments_match_points(case):
 def test_transfer_window_source_segments_error_like_points():
     w = rasterize(PeriodicConfig.constant(2, 1), (-10, -10), (10, 10))
     args = (difference_poly((1, 0)), difference_poly((0, 1)), w, TRIVIAL2)
-    assert solve_transfer(*args).view.values_on_segments(
+    assert solve_transfer(*args).values_on_segments(
         [((-4, 2), (1, -1), 6)]) == [[4, 3, 2, 1, 0, -1]]
     with pytest.raises(OutOfDomainError):
-        solve_transfer(*args).view.values_on_segments(
+        solve_transfer(*args).values_on_segments(
             [((0, 0), (1, 0), 3), ((25, 0), (1, 1), 2)])
 
 
@@ -1263,7 +1299,7 @@ def test_nested_transfer_segments_match_points(family):
 
 def test_transfer_point_read_after_box_read_extends_no_line():
     phi, psi, source, V = _box_transfer_cases()[1]
-    view = solve_transfer(phi, psi, source, V).view
+    view = solve_transfer(phi, psi, source, V)
     lo, hi = (-9, -7), (8, 6)
     box = view.values_on_box(lo, hi)
     work = sum(map(len, view.lines.values()))
@@ -1282,7 +1318,7 @@ def test_shifted_and_convolved_transfer_views_read_natively(monkeypatch,
     t = (3, -2, 1)[:dim]
     f = LaurentPoly(dim, {(0,) * dim: 2, (1,) + (0,) * (dim - 1): -1,
                           (0,) * (dim - 1) + (-2,): 3})
-    ref_view = solve_transfer(phi, psi, source, V).view
+    ref_view = solve_transfer(phi, psi, source, V)
 
     def shifted(x):
         return reference_transfer_value(ref_view, vsub(x, t))
@@ -1303,10 +1339,10 @@ def test_shifted_and_convolved_transfer_views_read_natively(monkeypatch,
         point_reads.append(x)
         return value_at(self, x)
     monkeypatch.setattr(LazyConfig, "value_at", counted_value_at)
-    for view, want in ((solve_transfer(phi, psi, source, V).view.convolve(
+    for view, want in ((solve_transfer(phi, psi, source, V).convolve(
                             [(t, 1)]), shifted),
                        (apply_poly(f, solve_transfer(phi, psi, source,
-                                                     V).view), convolved)):
+                                                     V)), convolved)):
         assert isinstance(view, LazyConfig)
         box = view.values_on_box(lo, hi)
         lines = view.values_on_segments(segments)
@@ -1382,8 +1418,8 @@ def _box_sequences(draw, dim):
 def test_transfer_box_reads_through_the_kept_box_match_points(data):
     cases = _integer_transfer_cases()
     phi, psi, source, V = cases[data.draw(st.integers(0, len(cases) - 1))]
-    view = solve_transfer(phi, psi, source, V).view
-    ref = solve_transfer(phi, psi, source, V).view
+    view = solve_transfer(phi, psi, source, V)
+    ref = solve_transfer(phi, psi, source, V)
     for lo, hi in data.draw(_box_sequences(phi.dim)):
         want = pointwise_rasterize(ref, lo, hi).values
         got = view.values_on_box(lo, hi)
@@ -1399,7 +1435,7 @@ def test_transfer_box_reads_through_the_kept_box_match_points(data):
 
 def test_transfer_box_read_of_an_empty_box_keeps_the_box():
     phi, psi, source, V = _box_transfer_cases()[0]
-    view = solve_transfer(phi, psi, source, V).view
+    view = solve_transfer(phi, psi, source, V)
     kept = view.values_on_box((-3, -3), (3, 3))
     assert view.values_on_box((2, 2), (1, 1)) == []
     assert view.box[:2] == ((-3, -3), (3, 3))
@@ -1471,7 +1507,7 @@ def _combination_pool(dim):
     if dim == 1:
         return pool
     cases = _box_transfer_cases()
-    views = [solve_transfer(*cases[i]).view
+    views = [solve_transfer(*cases[i])
              for i in ((1, 2) if dim == 2 else (7, 8))]
     return pool + views + [add_views([views[0], pool[2]])]
 
@@ -1496,7 +1532,7 @@ def test_combination_box_read_matches_per_part_reference(data):
 
 def test_combination_reads_a_transfer_view_once_per_box(monkeypatch):
     phi, psi, source, V = _box_transfer_cases()[1]
-    view = solve_transfer(phi, psi, source, V).view
+    view = solve_transfer(phi, psi, source, V)
     f = LaurentPoly(2, {(0, 0): 2, (1, 0): -1, (0, -2): 3})
     computed = []
     compute_box = _TransferEvaluator._compute_box
@@ -1510,7 +1546,7 @@ def test_combination_reads_a_transfer_view_once_per_box(monkeypatch):
     got = apply_poly(f, view).values_on_box(lo, hi)
     assert computed == [((-5, -3), (5, 8))]  # [lo, hi] grown by supp(f)
     monkeypatch.undo()
-    ref = solve_transfer(phi, psi, source, V).view
+    ref = solve_transfer(phi, psi, source, V)
     assert got == reference_combination_values(
         [(ref, k, e) for e, k in f.terms()], lo, hi)
 

@@ -15,6 +15,7 @@ import functools
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .config import FiberSum, WindowConfig, apply_poly, rasterize
 from .decompose import (Bounds, decompose_product, k_periodic_decompose,
@@ -42,6 +43,9 @@ class RunContext:
 
     def __init__(self, args):
         self.args = args
+        self.bounds = Bounds(search=args.bound_search,
+                             period=args.bound_period, k_max=args.kmax,
+                             patience=args.patience)
         self.out_dir = args.out
         os.makedirs(self.out_dir, exist_ok=True)
         self.t0 = time.monotonic()
@@ -96,12 +100,6 @@ class RunContext:
             self.outputs.append(gname)
         return path
 
-    def bounds(self):
-        return Bounds(search=self.args.bound_search,
-                      period=self.args.bound_period,
-                      k_max=self.args.kmax,
-                      patience=self.args.patience)
-
     def window(self, dim):
         if self.args.window is None:
             r = 10
@@ -114,10 +112,7 @@ class RunContext:
         manifest = {
             "command": command,
             "inputs": self.inputs,
-            "bounds": {"search": self.args.bound_search,
-                       "period": self.args.bound_period,
-                       "k_max": self.args.kmax,
-                       "patience": self.args.patience},
+            "bounds": asdict(self.bounds),
             "verdicts": self.verdicts,
             "results": self.results,
             "outputs": sorted(self.outputs),
@@ -177,14 +172,13 @@ def _cmd_poly(ctx):
             ctx.results["line"] = {"direction": list(desc.direction),
                                    "anchor": list(desc.anchor)}
         ctx.write_json("line-dir.json", ctx.results["line"])
-        return ctx.finish(["poly", args.op] + args.inputs)
+        return
     if len(args.inputs) != 2:
         raise PerdecError(f"poly {args.op} needs exactly two input files")
     f = ctx.load_poly(args.inputs[0])
     g = ctx.load_poly(args.inputs[1])
     result = f + g if args.op == "add" else f * g
     ctx.write_json("result.json", poly_to_obj(result))
-    return ctx.finish(["poly", args.op] + args.inputs)
 
 
 def _cmd_act(ctx):
@@ -195,13 +189,12 @@ def _cmd_act(ctx):
     ctx.write_config("result.json", out)
     if isinstance(out, WindowConfig):
         ctx.results["eroded"] = {"lo": list(out.lo), "hi": list(out.hi)}
-    return ctx.finish(["act", args.poly, args.config])
 
 
 def _cmd_decompose(ctx):
     args = ctx.args
     c = ctx.load_config(args.config)
-    bounds = ctx.bounds()
+    bounds = ctx.bounds
     lo, hi = ctx.window(c.dim)
 
     if args.k is not None:
@@ -225,7 +218,6 @@ def _cmd_decompose(ctx):
         raise PerdecError(
             "decompose needs --factors, --annihilator or --k/--periodizers")
     _write_decomposition(ctx, dec, lo, hi)
-    return ctx.finish(["decompose", args.config])
 
 
 def _write_decomposition(ctx, dec, lo, hi):
@@ -251,7 +243,7 @@ def _cmd_sparse(ctx):
     args = ctx.args
     polys = _positional(f"sparse {args.subcommand}", args.polys,
                         _SPARSE_FILES[args.subcommand])
-    bounds = ctx.bounds()
+    bounds = ctx.bounds
     c = ctx.load_config(args.config)
 
     if args.subcommand == "fibers":
@@ -263,7 +255,7 @@ def _cmd_sparse(ctx):
         consistent = out == c if isinstance(c, FiberSum) \
             else _agree_on(out, c, ctx.window(c.dim))
         ctx.verdicts["extraction_consistent"] = consistent
-        return ctx.finish(["sparse", "fibers", args.config])
+        return
 
     if args.subcommand == "split":
         phi = ctx.load_poly(polys[0])
@@ -273,14 +265,14 @@ def _cmd_sparse(ctx):
                        ["phi*c1 = 0", "psi*c1 = psi*c", "psi*c2 = 0",
                         "phi*c2 = phi*c", "c = c1 + c2"],
                        lambda: split_identities(c, phi, psi, c1, c2, bounds))
-        return ctx.finish(["sparse", "split", args.config])
+        return
 
     if args.subcommand == "decompose":
         phis = ctx.load_poly_list(polys[0])
         fams = sparse_decompose(c, phis, bounds)
         _sparse_report(ctx, c, fams,
                        ["per-family annihilation", "family sum = input"])
-        return ctx.finish(["sparse", "decompose", args.config])
+        return
 
     # "full", the last choice argparse allows
     f = ctx.load_poly(polys[0])
@@ -288,7 +280,6 @@ def _cmd_sparse(ctx):
     _sparse_report(ctx, c, fams,
                    ["certificate annihilates", "per-family annihilation",
                     "family sum = input"])
-    return ctx.finish(["sparse", "full", args.config])
 
 
 def _sparse_report(ctx, source, families, identities, on_window=None):
@@ -325,7 +316,6 @@ def _cmd_sparseness(ctx):
                             "t": list(report.violation[1])}),
     }
     ctx.write_json("certificate.json", ctx.results["certificate"])
-    return ctx.finish(["sparseness", args.config])
 
 
 def _cmd_tiling(ctx):
@@ -333,7 +323,6 @@ def _cmd_tiling(ctx):
     _positional(f"tiling {args.subcommand}",
                 [] if args.config is None else [args.config],
                 () if args.subcommand == "independent" else ("configuration",))
-    bounds = ctx.bounds()
 
     if args.subcommand == "independent":
         tiles = ctx.load_tiles(args.tiles)
@@ -343,7 +332,7 @@ def _cmd_tiling(ctx):
                                   else [list(v) for v in witness])
         ctx.write_json("report.json",
                        {"independent": ok, "witness": ctx.results["witness"]})
-        return ctx.finish(["tiling", "independent", args.tiles])
+        return
 
     if args.subcommand == "verify":
         tiles = ctx.load_tiles(args.tiles)
@@ -358,14 +347,13 @@ def _cmd_tiling(ctx):
                            else [list(verdict.region[0]),
                                  list(verdict.region[1])])}
         ctx.write_json("report.json", report)
-        return ctx.finish(["tiling", "verify", args.tiles, args.config])
+        return
 
     # "decompose", the last choice argparse allows
     tiles = ctx.load_tiles(args.tiles)
     c = ctx.load_config(args.config)
     lo, hi = ctx.window(c.dim)
-    _write_decomposition(ctx, cotiler_decompose(tiles, c, bounds), lo, hi)
-    return ctx.finish(["tiling", "decompose", args.tiles, args.config])
+    _write_decomposition(ctx, cotiler_decompose(tiles, c, ctx.bounds), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +437,28 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     ctx = RunContext(args)
+    error = None
     try:
-        return args.handler(ctx)
+        args.handler(ctx)
     except PerdecError as exc:
         inconclusive = isinstance(exc, InconclusiveError)
         print(f"perdec: {'inconclusive' if inconclusive else 'error'}: {exc}",
               file=sys.stderr)
-        ctx.finish([args.command], {"type": type(exc).__name__,
-                                    "message": str(exc),
-                                    "bound": getattr(exc, "bound", None)})
-        return 2 if inconclusive else 1
+        error = {"type": type(exc).__name__, "message": str(exc),
+                 "bound": getattr(exc, "bound", None)}
+    code = ctx.finish(_command(args), error)
+    return code if error is None else 2 if inconclusive else 1
+
+
+def _command(args):
+    """The manifest's `command`: the command, then its positional arguments
+    as parsed, in the order it takes them (sub-command or op, files)."""
+    words = [args.command]
+    for name in ("op", "subcommand", "poly", "tiles", "config", "inputs",
+                 "polys"):
+        value = getattr(args, name, None)
+        words += value if isinstance(value, list) else [value] * bool(value)
+    return words
 
 
 if __name__ == "__main__":

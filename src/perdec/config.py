@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import (DimensionMismatch, EmptyRegionError, LatticeError,
@@ -467,12 +467,19 @@ class PeriodicConfig:
     def is_zero(self):
         return not any(self.values)
 
+    def centered(self, e):
+        """e moved by a lattice vector into the residue box shifted back by
+        half its sides: c(x - e) is unchanged, and the residue box grown by
+        centered shifts is under twice as wide."""
+        half = tuple(p // 2 for p in self._diag)
+        return vsub(hnf_reduce(vadd(e, half), self._hnf), half)
+
     def convolve(self, terms):
         """f*c on the same lattice, from one read of c on the residue box
-        grown by supp(f)."""
+        grown by the centered supp(f)."""
         return self._on(self._lattice, _Combination(
-            self.dim, [(self, k, e) for e, k in terms]).values_on_box(
-                *self.residue_box))
+            self.dim, [(self, k, self.centered(e)) for e, k in terms]
+        ).values_on_box(*self.residue_box))
 
     def annihilated_by(self, f, window):
         return Verdict.exactly(apply_poly(f, self).is_zero())
@@ -797,16 +804,17 @@ class FiberSum:
         return Verdict.exactly(apply_poly(f, self).is_zero())
 
     def period_multiple(self, w, bound, window):
-        """Exact, by structural comparison of the translates."""
+        """Exact, in closed form: for w = s * primitive(w), k*w keeps a
+        fiber of period p exactly when p divides k*s, and canonical fibers
+        lie on distinct lines, so k is the lcm of p / gcd(p, |s|)."""
         if self.is_zero():
             return 1, True
         wp = primitive(w)
         if any(f.direction != wp for f in self.fibers):
             return None, True  # some line drifts under every multiple
-        for k in range(1, bound + 1):
-            if self.convolve([(vscale(k, w), 1)]) == self:
-                return k, True
-        return None, True
+        s = next(a // b for a, b in zip(w, wp) if b)
+        k = lcm(*(f.period // gcd(f.period, s) for f in self.fibers))
+        return (k if k <= bound else None), True
 
     def __eq__(self, other):
         return (isinstance(other, FiberSum) and self.dim == other.dim

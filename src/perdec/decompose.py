@@ -151,9 +151,8 @@ class _TransferEvaluator(LazyConfig):
                       "anchor_shift": list(shift)}
         self.lines = {}  # (line base, upward?) -> values from the band out
         self.box = None  # (lo, hi, values) of the last box computed
-        # (offset, coefficient) along w, offsets ascending from 0 to n
         alphas = [(t, phi.coefficient(vadd(shift, vscale(t, w))))
-                  for t in offsets]
+                  for t in offsets]  # offsets ascend from 0 to n
         # upward, c(t) = (c'(p + shift) - sum a_off c(t - off)) / a_0;
         # downward, the equation at t + n gives c(t) through a_n.  Both are
         # (list positions back, coefficient) terms over the line's list.

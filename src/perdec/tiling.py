@@ -96,7 +96,8 @@ def verify_cotiler(tile: Tile, c) -> Verdict:
     Exact for periodic and fiber views; window views give a verdict on the
     eroded region only, never extrapolated beyond it.  Windows and periodic
     views are decided row by row from packed values (`_covers`): a window
-    on its own box, a periodic view on its residue box grown by the tile.
+    on its own box, a periodic view on its residue box grown by the tile's
+    centered residues.
     """
     f = tile_polynomial(tile)
     if isinstance(c, FiberSum):
@@ -111,13 +112,13 @@ def verify_cotiler(tile: Tile, c) -> Verdict:
     _require_binary(c.values)
     if f.dim != c.dim:
         raise DimensionMismatch("polynomial/configuration dimension mismatch")
-    terms, exps = f.terms(), f.support()
     if isinstance(c, WindowConfig):
-        lo, hi = erode_box(c.lo, c.hi, exps)
+        lo, hi = erode_box(c.lo, c.hi, f.support())
         return Verdict.on_window(
-            _covers(terms, c.values, c.lo, c.strides, lo, hi), lo, hi)
+            _covers(f.terms(), c.values, c.lo, c.strides, lo, hi), lo, hi)
+    terms = [(c.centered(e), k) for e, k in f.terms()]
     lo, hi = c.residue_box
-    glo, ghi = grow_box(lo, hi, exps)
+    glo, ghi = grow_box(lo, hi, [e for e, _ in terms])
     return Verdict.exactly(_covers(terms, c.values_on_box(glo, ghi), glo,
                                    box_strides(glo, ghi), lo, hi))
 

@@ -432,6 +432,15 @@ def reference_translate_limit(c, step, window, k_max, patience):
     return "inconclusive", k_max
 
 
+def reference_period_multiple(c: FiberSum, w, bound):
+    """The least k in [1, bound] whose translate of c by k*w is c, found by
+    comparing the translates one k at a time, or None."""
+    for k in range(1, bound + 1):
+        if c.convolve([(vscale(k, w), 1)]) == c:
+            return k
+    return None
+
+
 def fiber_parts(c: FiberSum):
     """The certificate test's parts of a fiber sum: (w, fibers along w)
     for each fiber direction w."""
@@ -611,6 +620,19 @@ class ResidueDict:
 
     def __call__(self, x):
         return self.table[hnf_reduce(x, self.rows)]
+
+
+def guard_periodic_reads(monkeypatch):
+    """Fail every PeriodicConfig box read that is at least twice as wide as
+    the residue box on some axis, before it reads, so that a read grown by
+    a far support fails fast rather than exhausting memory."""
+    values_on_box = PeriodicConfig.values_on_box
+
+    def guarded(self, lo, hi):
+        assert all(b - a + 1 < 2 * (t + 1) for a, b, t
+                   in zip(lo, hi, self.residue_box[1])), (lo, hi)
+        return values_on_box(self, lo, hi)
+    monkeypatch.setattr(PeriodicConfig, "values_on_box", guarded)
 
 
 def random_poly(rng: random.Random, dim, max_terms=5, exp_range=4,

@@ -11,7 +11,7 @@ from perdec.config import (FiberSum, PeriodicConfig, box_points, make_fiber,
 from perdec.serialize import config_from_obj, config_to_obj, dumps, poly_to_obj
 from perdec.laurent import LaurentPoly, difference_poly
 
-from helpers import periodic_from_function
+from helpers import guard_periodic_reads, periodic_from_function
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 
@@ -92,6 +92,22 @@ def test_act_identity(files):
     assert main(["--out", out, "act", one, fx["cb"]]) == 0
     with open(os.path.join(out, "result.json")) as fh:
         assert config_from_obj(json.load(fh)) == CHECKER
+
+
+def test_act_by_a_far_period_reads_only_the_table(files, monkeypatch):
+    # X^(10**6, 10**6) is a period of the checkerboard: the result is the
+    # input doubled, from a read under twice the table, not of 10**12 points
+    guard_periodic_reads(monkeypatch)
+    tmp, fx = files
+    far = write(tmp / "far.json", poly_to_obj(
+        LaurentPoly(2, {(10 ** 6, 10 ** 6): 1, (0, 0): 1})))
+    two = write(tmp / "two.json", poly_to_obj(LaurentPoly.constant(2, 2)))
+    outs = [str(tmp / "out_far"), str(tmp / "out_two")]
+    for out, poly in zip(outs, (far, two)):
+        assert main(["--out", out, "act", poly, fx["cb"]]) == 0
+    far_bytes, two_bytes = (open(os.path.join(out, "result.json"), "rb").read()
+                            for out in outs)
+    assert far_bytes == two_bytes
 
 
 def test_act_empty_erosion_fails(files):
@@ -535,6 +551,27 @@ def test_failed_runs_leave_a_manifest_naming_the_error(tmp_path):
         m = manifest(out)
         assert m["outputs"] == [] and m["verdicts"] == {}
         assert m["error"] == dict(zip(("type", "message", "bound"), error))
+
+
+def test_a_success_and_a_failure_record_the_same_command(tmp_path):
+    # main writes every manifest, with the command, sub-command and
+    # positional files as parsed, and the bounds of the run's Bounds
+    fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
+                          make_fiber((0, 0), (0, 1), [1, 1, 0])])
+    cfg = write(tmp_path / "fs.json", config_to_obj(fibers))
+    phi = write(tmp_path / "phi.json", poly_to_obj(difference_poly((2, 0))))
+    psi = write(tmp_path / "psi.json", poly_to_obj(difference_poly((0, 3))))
+    argv = ["sparse", "split", cfg, phi, psi]
+    assert main(["--out", str(tmp_path / "ok")] + argv) == 0
+    (tmp_path / "psi.json").write_text(
+        '{"dim": 2, "terms": [{"exp": [0, 0], "coef": 0}]}')
+    assert main(["--out", str(tmp_path / "bad")] + argv) == 1
+    ok, bad = manifest(tmp_path / "ok"), manifest(tmp_path / "bad")
+    assert "error" not in ok and bad["error"]["type"] == "SchemaError"
+    assert ok["command"] == bad["command"] == argv
+    assert ok["bounds"] == bad["bounds"] == {
+        "search": 32, "period": 64, "k_max": 256, "patience": 8,
+        "check_radius": 8}
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,14 +11,17 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
 from perdec.errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                            OutOfDomainError, PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
-from perdec.lattice import in_lattice, lattice_determinant, vadd, vsub
+from perdec.lattice import (in_lattice, lattice_determinant, vadd, vscale,
+                            vsub)
 
-from helpers import (DIRECTIONS_2D, FunctionView, ResidueDict,
+from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView, ResidueDict,
                      periodic_from_function,
                      assert_canonical_fibers,
-                     assert_segments_match_points, naive_convolution,
+                     assert_segments_match_points, guard_periodic_reads,
+                     naive_convolution,
                      random_fiber_family, random_periodic, random_poly,
                      reference_add_views_fibers, reference_apply_poly_fibers,
+                     reference_period_multiple,
                      reference_parallel_part_fibers, reference_scaled_fibers,
                      reference_translate_fibers, segment_points,
                      window_from_function)
@@ -205,6 +208,24 @@ def test_apply_poly_kernels_match_pointwise_sum_random():
             continue
         out = apply_poly(f, w)
         assert (out.lo, out.hi, out.values) == (elo, ehi, values)
+
+
+def test_periodic_convolution_reads_under_twice_the_table(monkeypatch):
+    # shifts far beyond the periods are centered first: the result matches
+    # the per-residue sum, and every read of c stays under twice its
+    # residue box per axis
+    rng = random.Random(53)
+    for _ in range(80):
+        dim = rng.randint(1, 3)
+        f = random_poly(rng, dim, max_terms=4,
+                        exp_range=rng.choice((2, 40, 10 ** 6)))
+        if f.is_zero():
+            continue
+        c = random_periodic(rng, dim, 40)
+        with monkeypatch.context() as m:
+            guard_periodic_reads(m)
+            out = apply_poly(f, c)
+        assert out.values == _pointwise(f.terms(), c)
 
 
 def test_apply_zero_poly_gives_zero():
@@ -578,6 +599,26 @@ def test_periodic_refuses_non_integral_values():
         periodic_from_function(2, [(3, 1), (0, 4)],
                                lambda r: Fraction(1, 3) if r == (1, 2)
                                else 0)
+
+
+def test_fiber_sum_period_multiple_matches_the_translate_loop():
+    # w = s * primitive(w) with s in +-1..+-6 and bounds 1..64; some sums
+    # hold a fiber off the direction, some are zero
+    rng = random.Random(29)
+    for _ in range(400):
+        dim = rng.choice((2, 3))
+        dirs = DIRECTIONS_2D if dim == 2 else DIRECTIONS_3D
+        d = rng.choice(dirs)
+        c = random_fiber_family(rng, dim, d, max_fibers=4, max_period=12)
+        if rng.random() < 0.15:
+            c = add_views([c, random_fiber_family(rng, dim, rng.choice(dirs),
+                                                  max_fibers=1)])
+        if rng.random() < 0.05:
+            c = add_views([c, c], [1, -1])
+        w = vscale(rng.choice((-1, 1)) * rng.randint(1, 6), d)
+        bound = rng.randint(1, 64)
+        assert c.period_multiple(w, bound, None) == \
+            (reference_period_multiple(c, w, bound), True)
 
 
 def test_detect_period_multiple():

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +15,8 @@ from perdec.lattice import SubspaceBasis, primitive, rank_rational
 from perdec.tiling import (Tile, cotiler_decompose, independent,
                            select_periodizer, tile_polynomial, verify_cotiler)
 
-from helpers import (periodic_from_function, random_hnf_basis,
-                     reference_verify_cotiler)
+from helpers import (guard_periodic_reads, periodic_from_function,
+                     random_hnf_basis, reference_verify_cotiler)
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 DOMINO_X = Tile(2, [(0, 0), (1, 0)])
@@ -157,6 +157,29 @@ def test_cotiling_cases_cover_every_outcome():
             seen[out[0]] += 1
     assert all(seen[key] for key in product((True, False), repeat=3))
     assert seen[EmptyRegionError]
+
+
+def test_a_tile_cell_moved_by_a_far_period_keeps_its_verdict(monkeypatch):
+    # a periodic input is read on its residue box grown by the centered
+    # residues of the cells, so a cell 10**6 periods away reads what its
+    # residue does
+    cases = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        tile, c = _cotiling_case(rng, rng.randint(1, 3))
+        if not isinstance(c, PeriodicConfig):
+            continue
+        cells = tile.sorted_cells()
+        i = rng.randrange(len(cells))
+        far = [rng.choice((-1, 1)) * 10 ** 6 * sum(col)
+               for col in zip(*c.lattice_rows)]
+        cells[i] = tuple(map(add, cells[i], far))
+        with monkeypatch.context() as m:
+            guard_periodic_reads(m)
+            assert verify_cotiler(Tile(tile.dim, cells), c) == \
+                verify_cotiler(tile, c)
+        cases += 1
+    assert cases >= 40
 
 
 def test_verify_cotiler_digit_sums_do_not_carry():

@@ -6,7 +6,9 @@ V-periodic right-hand side c', it builds c with phi*c = c', psi*c = 0 and c
 V-periodic.  The grid is partitioned into cosets modulo the integer span of
 the two directions and an integer basis of V; inside each coset the product
 equation becomes a one-dimensional linear recurrence along the phi
-direction, seeded with a zero band, and is extended both ways.
+direction, seeded with a zero band, and is extended both ways.  The
+solution is one object, its lazy view: the view carries phi, psi, c' and
+the gauge that pins c down, and `verify_transfer` checks it from those.
 
 On top of the transfer solver sit: the inductive product decomposition, the
 annihilator rewriting rules, periodizer/annihilator conversions, the
@@ -19,9 +21,9 @@ Components are evaluated a box at a time: a transfer component walks its
 recurrence lines through the box and a residual sums the boxes of its parts;
 a point read of a transfer component is a one-point segment.  A transfer
 component keeps the last box it computed, and verification reads every lazy
-component on one shared grid box, so each is evaluated once per job.  All searches take
-caller-supplied bounds and report exhaustion as inconclusive rather than
-fabricating verdicts.
+component on one shared grid box, so each is evaluated once per job.  All
+searches take caller-supplied bounds and report exhaustion as inconclusive
+rather than fabricating verdicts.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import functools
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from .config import FiberSum, WindowConfig, apply_poly, rasterize
 from .decompose import (Bounds, decompose_product, k_periodic_decompose,
@@ -112,7 +111,7 @@ class RunContext:
         manifest = {
             "command": command,
             "inputs": self.inputs,
-            "bounds": asdict(self.bounds),
+            "bounds": vars(self.bounds),
             "verdicts": self.verdicts,
             "results": self.results,
             "outputs": sorted(self.outputs),

@@ -102,12 +102,10 @@ def test_act_by_a_far_period_reads_only_the_table(files, monkeypatch):
     far = write(tmp / "far.json", poly_to_obj(
         LaurentPoly(2, {(10 ** 6, 10 ** 6): 1, (0, 0): 1})))
     two = write(tmp / "two.json", poly_to_obj(LaurentPoly.constant(2, 2)))
-    outs = [str(tmp / "out_far"), str(tmp / "out_two")]
+    outs = [tmp / "out_far", tmp / "out_two"]
     for out, poly in zip(outs, (far, two)):
-        assert main(["--out", out, "act", poly, fx["cb"]]) == 0
-    far_bytes, two_bytes = (open(os.path.join(out, "result.json"), "rb").read()
-                            for out in outs)
-    assert far_bytes == two_bytes
+        assert main(["--out", str(out), "act", poly, fx["cb"]]) == 0
+    assert len({(out / "result.json").read_bytes() for out in outs}) == 1
 
 
 def test_act_empty_erosion_fails(files):

@@ -171,8 +171,8 @@ def test_a_tile_cell_moved_by_a_far_period_keeps_its_verdict(monkeypatch):
             continue
         cells = tile.sorted_cells()
         i = rng.randrange(len(cells))
-        far = [rng.choice((-1, 1)) * 10 ** 6 * sum(col)
-               for col in zip(*c.lattice_rows)]
+        k = rng.choice((-1, 1)) * 10 ** 6
+        far = [k * sum(col) for col in zip(*c.lattice_rows)]
         cells[i] = tuple(map(add, cells[i], far))
         with monkeypatch.context() as m:
             guard_periodic_reads(m)

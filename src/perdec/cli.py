@@ -142,6 +142,17 @@ def _parse_window(spec, dim):
     return tuple(lo), tuple(hi)
 
 
+def _parse_direction(spec, dim):
+    try:
+        v = tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        v = ()
+    if len(v) != dim:
+        raise PerdecError(
+            f"--direction needs {dim} comma-separated integers, got {spec!r}")
+    return v
+
+
 def _positional(command, paths, names):
     """`paths`, one per entry of `names`; a missing or an extra file is an
     error that names it."""
@@ -162,8 +173,11 @@ _SPARSE_FILES = {"fibers": (), "split": ("phi polynomial", "psi polynomial"),
 
 def _cmd_poly(ctx):
     args = ctx.args
+    paths = _positional(f"poly {args.op}", args.inputs,
+                        ("polynomial",) if args.op == "line-dir"
+                        else ("first polynomial", "second polynomial"))
     if args.op == "line-dir":
-        f = ctx.load_poly(args.inputs[0])
+        f = ctx.load_poly(paths[0])
         desc = line_direction(f)
         if desc is None:
             ctx.results["line"] = "absent"
@@ -172,10 +186,7 @@ def _cmd_poly(ctx):
                                    "anchor": list(desc.anchor)}
         ctx.write_json("line-dir.json", ctx.results["line"])
         return
-    if len(args.inputs) != 2:
-        raise PerdecError(f"poly {args.op} needs exactly two input files")
-    f = ctx.load_poly(args.inputs[0])
-    g = ctx.load_poly(args.inputs[1])
+    f, g = map(ctx.load_poly, paths)
     result = f + g if args.op == "add" else f * g
     ctx.write_json("result.json", poly_to_obj(result))
 
@@ -248,8 +259,8 @@ def _cmd_sparse(ctx):
     if args.subcommand == "fibers":
         if not args.direction:
             raise PerdecError("sparse fibers needs --direction")
-        v = tuple(int(x) for x in args.direction.split(","))
-        out = fiber_extract(c, v, bounds.period)
+        out = fiber_extract(c, _parse_direction(args.direction, c.dim),
+                            bounds.period)
         ctx.write_config("fibers.json", out)
         consistent = out == c if isinstance(c, FiberSum) \
             else _agree_on(out, c, ctx.window(c.dim))

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import add, mul
 
 from .config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
@@ -45,10 +44,10 @@ from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
 from .laurent import (LaurentPoly, difference_poly, line_degree,
                       line_direction, non_parallel_directions, poly_product,
                       support_in_subspace)
-from .lattice import (CosetSystem, SubspaceBasis, is_zero_vector, parallel,
-                      primitive, rank_rational, rational_nullspace_vector,
-                      solve_rational, span_meets_trivially, vadd, vscale,
-                      vsub, zero_vector)
+from .lattice import (CosetSystem, SubspaceBasis, hnf_with_coordinates,
+                      is_zero_vector, parallel, primitive, rank_rational,
+                      span_meets_trivially, vadd, vneg, vscale, vsub,
+                      zero_vector)
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,8 @@ class _TransferEvaluator(LazyConfig):
     each lazy component is evaluated once per job.
     """
 
-    __slots__ = ("phi", "psi", "source", "gauge", "w", "n", "lam", "den",
-                 "cosets", "lines", "sweeps", "box")
+    __slots__ = ("phi", "psi", "source", "gauge", "w", "n", "cosets",
+                 "lines", "sweeps", "box")
 
     def __init__(self, phi, psi, source, line, generators):
         (desc, offsets), dim = line, phi.dim
@@ -147,7 +146,6 @@ class _TransferEvaluator(LazyConfig):
         self.dim, self.phi, self.psi, self.source = dim, phi, psi, source
         self.w, self.n = w, n
         self.cosets = CosetSystem(dim, generators)
-        self.lam, self.den = _first_coordinate_functional(generators, dim)
         self.gauge = {"generators": [list(g) for g in self.cosets.generators],
                       "step": list(w), "band_width": n,
                       "anchor_shift": list(shift)}
@@ -166,29 +164,26 @@ class _TransferEvaluator(LazyConfig):
         }
 
     def a1_line(self, q, step, count):
-        """The recurrence coordinate a1 at q + k*step for k in range(count).
+        """The recurrence coordinate a1 at q + k*step for k in range(count):
+        the first coset coordinate of the point, the weight of w1.
 
         The coset representative first comes back to that of q after m
         steps, m the order of step modulo the coset lattice (never when
-        step leaves its span); from there on a1 rises by lam.(m*step)/den
-        every m steps, so only the first m points are reduced.
+        step leaves its span); m*step is then a lattice vector, so from
+        there on a1 rises every m steps by the difference of the two
+        coordinates, and only the first m points are reduced.
         """
-        rep, lam, den = self.cosets.representative, self.lam, self.den
-        x = q
-        z = z0 = rep(q)
-        out = []
+        reduce = self.cosets.reduce
+        x, out = q, []
         for k in range(count):
-            if k:
-                x = vadd(x, step)
-                z = rep(x)
-                if z == z0:
-                    rise = sum(map(mul, lam, vsub(x, q))) // den
-                    return [out[j % k] + j // k * rise for j in range(count)]
-            a, r = divmod(sum(l * (b - c) for l, b, c in zip(lam, x, z)), den)
-            if r:
-                raise PerdecError(
-                    "non-integer recurrence coordinate (internal)")
-            out.append(a)
+            z, coords = reduce(x)
+            if not k:
+                z0 = z
+            elif z == z0:
+                rise = coords[0] - out[0]
+                return [out[j % k] + j // k * rise for j in range(count)]
+            out.append(coords[0])
+            x = vadd(x, step)
         return out
 
     def a1_on_box(self, lo, hi):
@@ -324,21 +319,6 @@ class _TransferEvaluator(LazyConfig):
                 part += [0] * (e + 1)
             out[line_slice(start, di, e - a + 1)] = part
         return out
-
-
-def _first_coordinate_functional(generators, dim):
-    """Integer functional lam/den with lam.g0/den = 1 and lam.gj/den = 0."""
-    n = len(generators)
-    rhs = tuple(1 if j == 0 else 0 for j in range(n))
-    # solve generators^T * lam = e0 over Q; generators have full row rank n
-    cols = [tuple(g[i] for g in generators) for i in range(dim)]
-    sol = solve_rational(cols, rhs)
-    if sol is None:
-        # dependent-looking transpose cannot happen for independent generators
-        raise PerdecError("no coordinate functional (internal)")
-    den = lcm(*(a.denominator for a in sol))
-    lam = tuple(int(a * den) for a in sol)
-    return lam, den
 
 
 def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
@@ -551,10 +531,10 @@ def reduce_annihilator(dp: DifferenceProduct, e, V: SubspaceBasis,
     * parallel pair: the product of the remaining factors applied to e is
       periodic along the shared direction; both factors merge into a single
       X^{p w} - 1 with p detected within bounds.period.
-    * span collision: when span{v_j, v_j'} meets V, an exact rational solve
-      produces p'*v_j' = p*v_j + v0 with v0 in V; scaling by e's detected
-      period multiple along v0 replaces v_j' by a multiple of v_j, and the
-      now-parallel pair merges by the first rule.
+    * span collision: when span{v_j, v_j'} meets V, the integer relation
+      among v_j, v_j' and V's basis gives p'*v_j' = p*v_j + v0 with v0 in
+      V; scaling by e's detected period multiple along v0 replaces v_j' by
+      a multiple of v_j, and the now-parallel pair merges by the first rule.
     """
     bounds = bounds or Bounds()
     vecs = list(dp.vectors)
@@ -594,19 +574,26 @@ def _merge_parallel(vecs, j, jp, e, bounds):
     return new
 
 
+def _span_relation(vj, vjp, V):
+    """The integer relation a*vj + b*vjp + (a vector of V) = 0 as weights of
+    (vj, vjp, *V.integer_rows()): the HNF row of [vj; vjp; V | I] with a
+    zero left part, primitive, signed so its last nonzero weight is
+    positive."""
+    dim = len(vj)
+    for row in hnf_with_coordinates([vj, vjp, *V.integer_rows()], dim):
+        if is_zero_vector(row[:dim]):
+            rel = row[dim:]
+            return rel if [a for a in rel if a][-1] > 0 else vneg(rel)
+    raise PerdecError("span collision without a dependency (internal)")
+
+
 def _rewrite_span_collision(vecs, j, jp, e, V, bounds):
     vj, vjp = vecs[j], vecs[jp]
-    columns = [vj, vjp] + list(V.integer_rows())
-    null = rational_nullspace_vector(columns)
-    if null is None:
-        raise PerdecError("span collision without a dependency (internal)")
-    a, b = null[0], null[1]
+    a, b = _span_relation(vj, vjp, V)[:2]
     if a == 0 or b == 0:
         # a zero weight would put one of the factors inside V
         raise PerdecError("degenerate span dependency (internal)")
-    den = lcm(*(x.denominator for x in null))
-    pprime = int(b * den)
-    p = -int(a * den)
+    p, pprime = -a, b
     v0 = vsub(vscale(pprime, vjp), vscale(p, vj))
     if is_zero_vector(v0) or not V.contains(v0):
         raise PerdecError("span dependency left the subspace (internal)")

@@ -4,14 +4,18 @@ Everything here is computed over Python ints and fractions.Fraction, so
 membership, rank and coset decisions are error-free.  Integer lattices are
 canonicalized through a row-style Hermite normal form: rows are echelonized,
 pivots are positive, and entries above a pivot are reduced into [0, pivot).
+Every lattice coordinate comes from one integer elimination, the HNF of
+[G | I] (`hnf_with_coordinates`): coset coordinates, integer relations
+among generators and lattice intersections.  Rational elimination only
+decides rank, subspace membership and the canonical key of a subspace.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
-from operator import add, sub
+from math import gcd
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch, LatticeError
 
@@ -119,46 +123,6 @@ def rank_rational(vectors) -> int:
     return len(reduced)
 
 
-def rational_nullspace_vector(columns):
-    """A nonzero rational kernel vector of the matrix with given columns.
-
-    Returns a tuple of Fractions x with sum_j x_j * columns[j] = 0, or None
-    when the columns are independent.
-    """
-    n = len(columns)
-    dim = len(columns[0])
-    rows = [[Fraction(columns[j][i]) for j in range(n)] for i in range(dim)]
-    reduced, pivots = _rref(rows)
-    free = [j for j in range(n) if j not in pivots]
-    if not free:
-        return None
-    j0 = free[0]
-    sol = [Fraction(0)] * n
-    sol[j0] = Fraction(1)
-    for row, col in zip(reduced, pivots):
-        sol[col] = -row[j0]
-    return tuple(sol)
-
-
-def solve_rational(columns, rhs):
-    """Solve sum_i a_i * columns[i] = rhs over the rationals.
-
-    Returns a tuple of Fractions or None when the system is inconsistent.
-    The columns must be linearly independent (unique solution on success).
-    """
-    n = len(columns)
-    dim = len(rhs)
-    aug = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(dim)]
-    reduced, pivots = _rref(aug)
-    sol = [Fraction(0)] * n
-    for row, col in zip(reduced, pivots):
-        if col == n:
-            return None  # pivot in the rhs column: inconsistent
-        sol[col] = row[n]
-    return tuple(sol)
-
-
 # ---------------------------------------------------------------------------
 # integer elimination (Hermite normal form)
 
@@ -243,47 +207,37 @@ def order_modulo(v, rows, bound):
     return None
 
 
+def hnf_with_coordinates(gens, dim):
+    """The HNF rows of [G | I], G the matrix with rows `gens`.
+
+    The left dim entries of the rows with a nonzero left part are
+    hnf_rows(gens, dim), as every pivot of those rows lies there; the right
+    entries give each row as an integer combination of the generators, and
+    the rows with a zero left part span the integer relations among them
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+    """
+    n = len(gens)
+    return hnf_rows([tuple(g) + tuple(int(i == j) for j in range(n))
+                     for i, g in enumerate(gens)], dim + n)
+
+
 def lattice_intersection(gens1, gens2, dim):
     """HNF basis of the intersection of two integer lattices.
 
-    The HNF rows of [G1; -G2 | I] that vanish on the first dim columns
-    span the integer solutions (a, b) of a*G1 = b*G2; the points a*G1 span
-    the intersection.
+    The integer relations a*G1 - b*G2 = 0 among the rows of G1 and -G2 give
+    the points a*G1, which span the intersection.
     """
     gens1 = list(gens1)
-    rows = gens1 + [vneg(h) for h in gens2]
-    m = len(rows)
-    aug = [tuple(g) + tuple(int(i == j) for j in range(m))
-           for i, g in enumerate(rows)]
-    inter = []
-    for row in hnf_rows(aug, dim + m):
-        if is_zero_vector(row[:dim]):
-            vec = zero_vector(dim)
-            for a, g in zip(row[dim:], gens1):
-                if a:
-                    vec = vadd(vec, vscale(a, g))
-            inter.append(vec)
-    return hnf_rows(inter, dim)
+    rows = hnf_with_coordinates(gens1 + [vneg(h) for h in gens2], dim)
+    return hnf_rows([[sum(map(mul, row[dim:], col)) for col in zip(*gens1)]
+                     for row in rows if is_zero_vector(row[:dim])], dim)
 
 
 # ---------------------------------------------------------------------------
 # rational subspaces
 
-def _parse_rational(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if "/" in x:
-            p, q = x.split("/", 1)
-            return Fraction(int(p), int(q))
-        return Fraction(int(x))
-    raise LatticeError(f"not a rational scalar: {x!r}")
-
-
 class SubspaceBasis:
-    """A linear subspace of Q^d given by an independent rational basis.
+    """A linear subspace of Q^d given by an independent integer basis.
 
     The empty basis denotes the trivial subspace {0}.  Membership tests and
     rank computations are exact.
@@ -293,10 +247,12 @@ class SubspaceBasis:
 
     def __init__(self, dim, basis=()):
         self.dim = int(dim)
-        rows = [tuple(_parse_rational(x) for x in row) for row in basis]
+        rows = [tuple(row) for row in basis]
         for row in rows:
             if len(row) != self.dim:
                 raise DimensionMismatch("basis vector of wrong dimension")
+            if not all(isinstance(x, int) for x in row):
+                raise LatticeError(f"basis vector is not integer: {row!r}")
         reduced, pivots = _rref(rows)
         if len(reduced) != len(rows):
             raise LatticeError("subspace basis is linearly dependent")
@@ -337,13 +293,8 @@ class SubspaceBasis:
         return all(a == 0 for a in res)
 
     def integer_rows(self):
-        """The basis rescaled to primitive integer vectors (same span)."""
-        out = []
-        for row in self.basis:
-            denom = lcm(*(x.denominator for x in row))
-            vec = tuple(int(x * denom) for x in row)
-            out.append(primitive(vec))
-        return tuple(out)
+        """The basis as primitive integer vectors (same span)."""
+        return tuple(map(primitive, self.basis))
 
 
 def span_meets_trivially(u, v, V: SubspaceBasis) -> bool:
@@ -354,8 +305,7 @@ def span_meets_trivially(u, v, V: SubspaceBasis) -> bool:
     if is_zero_vector(u) or is_zero_vector(v):
         raise LatticeError("span_meets_trivially needs nonzero vectors")
     pair_rank = rank_rational([u, v])
-    total = rank_rational(list(V.basis) + [tuple(Fraction(x) for x in u),
-                                           tuple(Fraction(x) for x in v)])
+    total = rank_rational(list(V.basis) + [u, v])
     return total == V.rank + pair_rank
 
 
@@ -366,12 +316,13 @@ class CosetSystem:
     """Cosets of Z^d modulo the integer span of a generator tuple.
 
     Construction checks the unique-expression property (the generators must
-    be independent over Q).  The representative of a point is its HNF
-    residue, which is idempotent and independent of query order; points
-    outside the span form their own cosets keyed by that residue.
+    be independent over Q: no HNF row of [G | I] has a zero left part).
+    `reduce` gives a point's representative, its HNF residue, which is
+    idempotent and independent of query order, and its coset coordinates;
+    points outside the span form their own cosets keyed by that residue.
     """
 
-    __slots__ = ("dim", "generators", "_hnf")
+    __slots__ = ("dim", "generators", "_rows", "_pad")
 
     def __init__(self, dim, generators):
         self.dim = int(dim)
@@ -381,13 +332,18 @@ class CosetSystem:
         for g in gens:
             if len(g) != self.dim:
                 raise DimensionMismatch("generator of wrong dimension")
-            if is_zero_vector(g):
-                raise LatticeError("zero generator")
-        if rank_rational(gens) != len(gens):
+        # the HNF rows (h, u) of [G | I] kept as (h, -u), so that reducing
+        # (x, 0) leaves (representative, coordinates)
+        self._rows = tuple(r[:self.dim] + vneg(r[self.dim:])
+                           for r in hnf_with_coordinates(gens, self.dim))
+        if any(is_zero_vector(row[:self.dim]) for row in self._rows):
             raise LatticeError(
                 "generators are dependent: coset coordinates would not be unique")
         self.generators = gens
-        self._hnf = hnf_rows(gens, self.dim)
+        self._pad = (0,) * len(gens)
 
-    def representative(self, x) -> IntVector:
-        return hnf_reduce(x, self._hnf)
+    def reduce(self, x):
+        """(representative, coordinates) of x from one hnf_reduce of (x, 0):
+        x = representative + sum_j coordinates[j] * generators[j] exactly."""
+        res = hnf_reduce([*x, *self._pad], self._rows)
+        return res[:self.dim], res[self.dim:]

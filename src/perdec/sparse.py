@@ -209,6 +209,7 @@ def fiber_extract(c, v, period_bound: int) -> FiberSum:
     zero and one-dimensional periodic cases; window inputs yield the
     minimal in-window-consistent period per line, which is evidence only.
     """
+    check_same_dim(v, zero_vector(c.dim))
     w = primitive(v)
     if isinstance(c, FiberSum):
         for f in c.fibers:

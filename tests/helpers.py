@@ -13,14 +13,17 @@ product to the whole view, the periodic reference keys every value by its
 residue and reads each point through one hnf_reduce, and the sparse
 decomposition reference replays the inductive proof with translate limits
 and a two-factor split at every level, and the translate-limit reference
-convolves by a monomial and rasterizes at every step.
+convolves by a monomial and rasterizes at every step.  The transfer
+reference finds its recurrence coordinate, and the span-relation reference
+its integer relation, by Fraction elimination, apart from the HNF
+coordinates the library uses.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
@@ -121,21 +124,74 @@ def reference_source_values(evaluator, segments):
             for seg in segments]
 
 
+def _fraction_rref(rows):
+    """Reduced row echelon form over Fractions: (nonzero rows, pivots)."""
+    mat = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [a / mat[r][col] for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def rational_coordinates(gens, x):
+    """The Fractions a with sum_j a_j * gens[j] = x, by Fraction elimination
+    of [G^T | x]; gens are independent and x lies in their span."""
+    n = len(gens)
+    reduced, pivots = _fraction_rref(
+        [[g[i] for g in gens] + [x[i]] for i in range(len(x))])
+    assert n not in pivots, f"{x} is outside the span of {gens}"
+    sol = [Fraction(0)] * n
+    for row, col in zip(reduced, pivots):
+        sol[col] = row[n]
+    return sol
+
+
+def rational_relation(vectors):
+    """The integer relation sum_j r_j * vectors[j] = 0 from the rational
+    nullspace: its first free column set to 1, the rest solved by Fraction
+    elimination, scaled by the lcm of the denominators, which leaves it
+    primitive with its last nonzero weight positive; the vectors are
+    dependent."""
+    n = len(vectors)
+    reduced, pivots = _fraction_rref(
+        [[v[i] for v in vectors] for i in range(len(vectors[0]))])
+    free = [j for j in range(n) if j not in pivots]
+    sol = [Fraction(0)] * n
+    sol[free[0]] = Fraction(1)
+    for row, col in zip(reduced, pivots):
+        sol[col] = -row[free[0]]
+    den = lcm(*(a.denominator for a in sol))
+    return tuple(int(a * den) for a in sol)
+
+
 def reference_transfer_value(view, x):
     """A transfer view's value at x from the one-point recurrence: the
     oracle for its box, segment and point reads.
 
-    The recurrence coordinate a1 comes from the coset representative of x.
-    Off the band, the line through x is walked from the band out to x, one
-    step of w at a time, reading every source point through
-    view.source.value_at; nothing is kept between calls.  A quotient is an
-    int only when an int source term divides exactly, as in the view.
+    The recurrence coordinate a1 is the weight of the first coset generator
+    in x - z, z the HNF residue of x modulo the generators, solved for by
+    Fraction elimination.  Off the band, the line through x is walked from
+    the band out to x, one step of w at a time, reading every source point
+    through view.source.value_at; nothing is kept between calls.  A
+    quotient is an int only when an int source term divides exactly, as in
+    the view.
     """
     x = tuple(x)
-    z = view.cosets.representative(x)
-    a, r = divmod(sum(l * (b - c) for l, b, c in zip(view.lam, x, z)),
-                  view.den)
-    assert r == 0, "non-integer recurrence coordinate"
+    gens = view.cosets.generators
+    z = hnf_reduce(x, hnf_rows(gens, len(x)))
+    a = rational_coordinates(gens, vsub(x, z))[0]
+    assert a.denominator == 1, "non-integer recurrence coordinate"
+    a = int(a)
     n, w = view.n, view.w
     if 0 <= a < n:
         return 0

@@ -605,7 +605,12 @@ def test_missing_input_exits_one(files, capsys, argv):
     (["tiling", "decompose", "{tiles}"],
      "tiling decompose: missing the configuration file"),
     (["tiling", "independent", "{tiles}", "{cb}"],
-     "tiling independent: unexpected file '{cb}'")])
+     "tiling independent: unexpected file '{cb}'"),
+    (["poly", "line-dir", "{f}", "{cb}"],
+     "poly line-dir: unexpected file '{cb}'"),
+    (["poly", "add", "{f}"], "poly add: missing the second polynomial file"),
+    (["poly", "mul", "{f}", "{g}", "{f}"],
+     "poly mul: unexpected file '{f}'")])
 def test_missing_or_extra_positional_file_exits_one(files, capsys, argv,
                                                     message):
     tmp, fx = files
@@ -614,6 +619,27 @@ def test_missing_or_extra_positional_file_exits_one(files, capsys, argv,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == f"perdec: error: {message.format(**fx)}\n"
+    assert manifest(out)["error"]["message"] == message.format(**fx)
+
+
+@pytest.mark.parametrize("config,direction", [
+    ("cb", "1,x"), ("window", "0,1,5"), ("window", "1")])
+def test_sparse_fibers_bad_direction_exits_one(files, capsys, config,
+                                               direction):
+    # a direction that is not dim comma-separated integers is a usage
+    # error naming the flag, with a manifest, not a traceback
+    tmp, fx = files
+    fx["window"] = write(tmp / "w.json",
+                         config_to_obj(rasterize(CHECKER, (0, 0), (3, 3))))
+    out = str(tmp / "out_direction")
+    assert main(["--out", out, "sparse", "fibers", fx[config],
+                 f"--direction={direction}"]) == 1
+    message = ("--direction needs 2 comma-separated integers, "
+               f"got {direction!r}")
+    assert capsys.readouterr().err == f"perdec: error: {message}\n"
+    assert os.listdir(out) == ["manifest.json"]
+    assert manifest(out)["error"] == {"type": "PerdecError",
+                                      "message": message, "bound": None}
 
 
 def test_manifest_hashes_the_input_bytes(files):

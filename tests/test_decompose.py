@@ -13,6 +13,7 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                            period_lattice, rasterize)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               _period_multiple, _require_annihilation,
+                              _span_relation,
                               _test_product,
                               annihilator_from_periodizer,
                               decompose_product, k_periodic_decompose,
@@ -27,7 +28,7 @@ from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vadd,
                             vscale, vsub)
 
 from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView,
-                     periodic_from_function,
+                     periodic_from_function, rational_relation,
                      assert_segments_match_points, fiber_parts,
                      pointwise_rasterize, random_fiber_family,
                      reference_combination_values,
@@ -572,6 +573,48 @@ def test_reduce_span_collision():
     red = reduce_annihilator(DifferenceProduct(((1, 0), (1, 1))), e, V, BOUNDS)
     assert red.vectors == ((3, 0),)
     assert is_annihilated(difference_poly((3, 0)), e).holds
+
+
+def _random_independent(rng, dim, count, bound=4):
+    vecs = []
+    while len(vecs) < count:
+        v = tuple(rng.randint(-bound, bound) for _ in range(dim))
+        if any(v) and rank_rational(vecs + [v]) == len(vecs) + 1:
+            vecs.append(v)
+    return vecs
+
+
+def test_span_relation_matches_the_rational_nullspace():
+    # v_j' is a rational combination s*v_j + t*v0 with v0 in V, divided by
+    # the gcd of its coordinates, so the relation needs more than integer
+    # weights of 1; the HNF relation equals the rational nullspace vector
+    # scaled to a primitive integer one
+    rng = random.Random(97)
+    cases = 0
+    while cases < 2000:
+        dim = rng.choice((2, 3, 4))
+        V = SubspaceBasis(dim, _random_independent(
+            rng, dim, rng.randint(1, dim - 1)))
+        vj = tuple(rng.randint(-6, 6) for _ in range(dim))
+        if not any(vj) or V.contains(vj):
+            continue
+        v0 = (0,) * dim
+        for b in V.integer_rows():
+            v0 = vadd(v0, vscale(rng.randint(-3, 3), b))
+        s, t = rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3)
+        if not t or not any(v0):
+            continue
+        vjp = primitive(vadd(vscale(s, vj), vscale(t, v0)))
+        rel = _span_relation(vj, vjp, V)
+        want = rational_relation([vj, vjp, *V.integer_rows()])
+        assert rel == want, (vj, vjp, V.basis)
+        # primitive, last nonzero weight positive, and a relation
+        assert gcd(*rel) == 1 and [a for a in rel if a][-1] > 0
+        total = (0,) * dim
+        for a, v in zip(rel, [vj, vjp, *V.integer_rows()]):
+            total = vadd(total, vscale(a, v))
+        assert not any(total)
+        cases += 1
 
 
 def test_reduce_rejects_factor_inside_subspace():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from perdec.errors import DimensionMismatch, LatticeError
 from perdec.lattice import (CosetSystem, SubspaceBasis, hnf_reduce, hnf_rows,
-                            in_lattice, lattice_intersection, primitive,
-                            rank_rational, span_meets_trivially, vadd, vscale,
-                            vsub)
+                            hnf_with_coordinates, in_lattice,
+                            lattice_intersection, primitive, rank_rational,
+                            span_meets_trivially, vadd, vscale, vsub)
 
 vectors = st.lists(st.integers(-9, 9), min_size=2, max_size=3).map(tuple)
 
@@ -68,6 +69,14 @@ def test_subspace_membership():
         SubspaceBasis(2, [(1, 1), (2, 2)])
 
 
+def test_subspace_basis_takes_integer_vectors_only():
+    with pytest.raises(LatticeError):
+        SubspaceBasis(2, [(Fraction(1, 2), 1)])
+    with pytest.raises(LatticeError):
+        SubspaceBasis(2, [("1/2", 1)])
+    assert SubspaceBasis(2, [(2, 4)]).integer_rows() == ((1, 2),)
+
+
 def test_subspace_canonical_key_ignores_basis_choice():
     a = SubspaceBasis(3, [(1, 1, 0), (0, 0, 1)])
     b = SubspaceBasis(3, [(2, 2, 2), (0, 0, 5)])
@@ -88,9 +97,9 @@ def test_hnf_reduce_idempotent_and_in_span():
 
 def test_coset_roundtrip_random():
     rng = random.Random(11)
-    for _ in range(60):
-        dim = rng.choice((2, 3))
-        count = rng.randint(1, dim)
+    for _ in range(200):
+        dim = rng.choice((2, 3, 4))
+        count = rng.randint(1, dim)  # partial rank included
         gens = []
         while len(gens) < count:
             g = tuple(rng.randint(-4, 4) for _ in range(dim))
@@ -98,13 +107,18 @@ def test_coset_roundtrip_random():
                 gens.append(g)
         cs = CosetSystem(dim, gens)
         x = tuple(rng.randint(-15, 15) for _ in range(dim))
-        z = cs.representative(x)
-        # x differs from its representative by a point of the span
-        assert in_lattice(vsub(x, z), hnf_rows(gens, dim))
-        # representative is idempotent and constant on the coset
-        assert cs.representative(z) == z
-        shifted = vadd(x, gens[0])
-        assert cs.representative(shifted) == z
+        z, coords = cs.reduce(x)
+        # the coordinates rebuild x from its representative exactly
+        rebuilt = z
+        for c, g in zip(coords, gens):
+            rebuilt = vadd(rebuilt, vscale(c, g))
+        assert rebuilt == x
+        assert z == hnf_reduce(x, hnf_rows(gens, dim))
+        # the representative is idempotent, with zero coordinates, and
+        # constant on the coset, where the coordinates move with the shift
+        assert cs.reduce(z) == (z, (0,) * count)
+        shifted = vadd(x, vscale(3, gens[0]))
+        assert cs.reduce(shifted) == (z, (coords[0] + 3,) + coords[1:])
 
 
 def test_coset_dependent_generators_rejected():
@@ -115,8 +129,28 @@ def test_coset_dependent_generators_rejected():
 def test_coset_partial_rank_points_outside_span():
     cs = CosetSystem(3, [(1, 0, 0), (0, 1, 0)])
     # points outside the span form their own cosets keyed by the residue
-    assert cs.representative((0, 0, 5)) == (0, 0, 5)
-    assert cs.representative((4, -1, 5)) == (0, 0, 5)
+    assert cs.reduce((0, 0, 5)) == ((0, 0, 5), (0, 0))
+    assert cs.reduce((4, -1, 5)) == ((0, 0, 5), (4, -1))
+
+
+def test_hnf_with_coordinates_left_part_and_coordinates():
+    rng = random.Random(5)
+    for _ in range(200):
+        dim = rng.choice((2, 3, 4))
+        gens = [tuple(rng.randint(-5, 5) for _ in range(dim))
+                for _ in range(rng.randint(1, dim + 1))]
+        rows = hnf_with_coordinates(gens, dim)
+        # the left parts are the HNF of the span, the zero rows the
+        # integer relations; every row is its coordinates applied to gens
+        assert tuple(r[:dim] for r in rows if any(r[:dim])) == \
+            hnf_rows(gens, dim)
+        assert sum(not any(r[:dim]) for r in rows) == \
+            len(gens) - rank_rational(gens)
+        for row in rows:
+            combo = (0,) * dim
+            for a, g in zip(row[dim:], gens):
+                combo = vadd(combo, vscale(a, g))
+            assert combo == row[:dim]
 
 
 def test_lattice_intersection():

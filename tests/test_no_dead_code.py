@@ -5,7 +5,8 @@ A top-level function or class counts as used when its name is referenced
 a method counts as used only through an attribute reference (`x.method`),
 so a local variable or a function of the same name does not hide it.
 Imports and the re-exports in __init__.py do not count.  Code reached only
-from tests is dead code.
+from tests is dead code.  Every name a module imports is referenced in that
+module, apart from `from __future__ import annotations`.
 """
 
 import ast
@@ -77,6 +78,39 @@ def test_every_definition_is_referenced_in_the_package():
     unused = _unused(trees)
     assert not unused, "defined but never used in src/perdec: " + \
         ", ".join(unused)
+
+
+def _unused_imports(tree):
+    """The names a module imports and never references."""
+    names = _references(tree)[0]
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if not names[name]:
+                    unused.append(f"{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_referenced_in_its_module():
+    unused = [f"{path.name}:{entry}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for entry in _unused_imports(
+                  ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "from math import gcd, lcm\n"
+                     "from . import x as y\n"
+                     "print(os.sep, gcd(4, 6))\n")
+    assert _unused_imports(tree) == ["3 lcm", "4 y"]
 
 
 def test_a_method_is_not_used_through_a_name():

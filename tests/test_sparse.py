@@ -9,7 +9,8 @@ from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                            box_points, box_size, is_annihilated,
                            make_fiber, rasterize)
 from perdec.decompose import Bounds
-from perdec.errors import (InconclusiveError, PreconditionError)
+from perdec.errors import (DimensionMismatch, InconclusiveError,
+                           PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
 from perdec.lattice import primitive, vscale
 from perdec.sparse import (check_sparseness, fiber_closed_form_constant,
@@ -305,6 +306,14 @@ def test_extract_fixpoint_on_fiber_sum():
 def test_extract_rejects_nonparallel_fiber():
     with pytest.raises(PreconditionError):
         fiber_extract(add_views([HORIZ, VERT]), (1, 0), 8)
+
+
+def test_extract_rejects_a_direction_of_another_dimension():
+    w = rasterize(HORIZ, (-3, -3), (3, 3))
+    for c in (HORIZ, w, PeriodicConfig.constant(2, 1)):
+        for v in ((1,), (0, 1, 5)):
+            with pytest.raises(DimensionMismatch):
+                fiber_extract(c, v, 8)
 
 
 def test_extract_period_bound():

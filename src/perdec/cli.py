@@ -16,7 +16,8 @@ import os
 import sys
 import time
 
-from .config import FiberSum, WindowConfig, apply_poly, rasterize
+from .config import (FiberSum, WindowConfig, add_views, apply_poly,
+                     rasterize)
 from .decompose import (Bounds, decompose_product, k_periodic_decompose,
                         search_difference_annihilator)
 from .errors import InconclusiveError, PerdecError
@@ -203,6 +204,15 @@ def _cmd_act(ctx):
 
 def _cmd_decompose(ctx):
     args = ctx.args
+    # --periodizers belongs to --k; without it, it is a mode of its own
+    given = [flag for flag, value in (
+        ("--k", args.k), ("--factors", args.factors),
+        ("--annihilator", args.annihilator),
+        ("--periodizers", None if args.k is not None else args.periodizers))
+        if value is not None]
+    if len(given) > 1:
+        raise PerdecError(f"decompose takes one of --factors, --annihilator "
+                          f"or --k/--periodizers, not {' and '.join(given)}")
     c = ctx.load_config(args.config)
     bounds = ctx.bounds
     lo, hi = ctx.window(c.dim)
@@ -296,7 +306,9 @@ def _sparse_report(ctx, source, families, identities, on_window=None):
     """Record the families, their detected periods and the identity log.
     On fiber sums per-family annihilation and the family sum are checked
     exactly and imply the other split identities (psi*c1 = psi*c - psi*c2);
-    elsewhere `on_window`, where given, evaluates them (name -> verdict)."""
+    elsewhere `on_window`, where given, evaluates them (name -> verdict),
+    else the family sum is evaluated on the check window cut to the input's
+    box, and per-family annihilation was checked exactly."""
     for i, fam in enumerate(families):
         ctx.write_config(f"family_{i:02d}.json", fam)
         ctx.results[f"family_{i:02d}_periods"] = \
@@ -308,6 +320,9 @@ def _sparse_report(ctx, source, families, identities, on_window=None):
             max(fiber_closed_form_constant(source), 1)
     elif on_window is not None:
         verdicts = on_window()
+    elif families:
+        verdicts["family sum = input"] = _agree_on(
+            add_views(families), source, ctx.bounds.check_window(source.dim))
     for name, holds in verdicts.items():
         ctx.verdicts[f"identity: {name}"] = holds
 

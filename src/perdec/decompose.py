@@ -787,10 +787,9 @@ def _compositions(total, size, bound):
 def _merge_by_subspace(comps, bounds):
     groups = {}
     for comp in comps:
-        groups.setdefault(comp.subspace.canonical_key(), []).append(comp)
+        groups.setdefault(comp.subspace, []).append(comp)
     merged = []
-    for key in sorted(groups, key=repr):
-        members = groups[key]
+    for members in groups.values():
         if len(members) == 1:
             merged.append(members[0])
             continue

@@ -1,18 +1,17 @@
-"""Exact integer/rational lattice arithmetic.
+"""Exact integer lattice arithmetic.
 
-Everything here is computed over Python ints and fractions.Fraction, so
-membership, rank and coset decisions are error-free.  Integer lattices are
-canonicalized through a row-style Hermite normal form: rows are echelonized,
-pivots are positive, and entries above a pivot are reduced into [0, pivot).
-Every lattice coordinate comes from one integer elimination, the HNF of
-[G | I] (`hnf_with_coordinates`): coset coordinates, integer relations
-among generators and lattice intersections.  Rational elimination only
-decides rank, subspace membership and the canonical key of a subspace.
+Everything here is computed over Python ints, so membership, rank and coset
+decisions are error-free.  Integer lattices are canonicalized through a
+row-style Hermite normal form: rows are echelonized, pivots are positive,
+and entries above a pivot are reduced into [0, pivot).  Every question is
+answered by one integer elimination, the HNF of [G | I]
+(`hnf_with_coordinates`): rank, coset coordinates, integer relations among
+generators, lattice intersections, and a subspace's integer normals, which
+decide its membership and key it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import add, mul, sub
@@ -79,51 +78,6 @@ def parallel(u, v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
-
-def _rref(rows):
-    """Reduced row echelon form over the rationals.
-
-    Returns (reduced nonzero rows, pivot column indices).  Input rows are a
-    list of sequences of Fractions/ints; they are not modified.
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat[:r], pivots
-
-
-def rank_rational(vectors) -> int:
-    """Rank over the rationals of a family of equal-dimension vectors."""
-    vecs = list(vectors)
-    if not vecs:
-        return 0
-    check_same_dim(*vecs)
-    reduced, _ = _rref(vecs)
-    return len(reduced)
-
-
-# ---------------------------------------------------------------------------
 # integer elimination (Hermite normal form)
 
 def hnf_rows(vectors, dim):
@@ -158,6 +112,18 @@ def hnf_rows(vectors, dim):
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
         r += 1
     return tuple(tuple(row) for row in mat[:r])
+
+
+def rank_rational(vectors) -> int:
+    """Rank over the rationals of a family of equal-dimension integer
+    vectors."""
+    vecs = list(vectors)
+    if not vecs:
+        return 0
+    check_same_dim(*vecs)
+    if not all(isinstance(x, int) for v in vecs for x in v):
+        raise LatticeError("rank_rational takes integer vectors")
+    return len(hnf_rows(vecs, len(vecs[0])))
 
 
 def hnf_reduce(x, rows):
@@ -234,16 +200,18 @@ def lattice_intersection(gens1, gens2, dim):
 
 
 # ---------------------------------------------------------------------------
-# rational subspaces
+# subspaces
 
 class SubspaceBasis:
-    """A linear subspace of Q^d given by an independent integer basis.
+    """A linear subspace V of Q^d given by an independent integer basis.
 
-    The empty basis denotes the trivial subspace {0}.  Membership tests and
-    rank computations are exact.
+    The empty basis denotes the trivial subspace {0}.  V is kept as its
+    normals, the HNF basis of the integer vectors orthogonal to V: the right
+    parts of the zero-left rows of [B^T | I], already in HNF.  They depend
+    on V only, so they key it, and membership is exact.
     """
 
-    __slots__ = ("dim", "basis", "_rref")
+    __slots__ = ("dim", "basis", "_normals")
 
     def __init__(self, dim, basis=()):
         self.dim = int(dim)
@@ -253,11 +221,14 @@ class SubspaceBasis:
                 raise DimensionMismatch("basis vector of wrong dimension")
             if not all(isinstance(x, int) for x in row):
                 raise LatticeError(f"basis vector is not integer: {row!r}")
-        reduced, pivots = _rref(rows)
-        if len(reduced) != len(rows):
+        r = len(rows)
+        self._normals = tuple(
+            row[r:] for row in hnf_with_coordinates(
+                list(zip(*rows)) or [()] * self.dim, r)
+            if is_zero_vector(row[:r]))
+        if len(self._normals) != self.dim - r:
             raise LatticeError("subspace basis is linearly dependent")
         self.basis = tuple(rows)
-        self._rref = tuple(tuple(r) for r in reduced)
 
     @classmethod
     def trivial(cls, dim):
@@ -268,7 +239,7 @@ class SubspaceBasis:
         return len(self.basis)
 
     def canonical_key(self):
-        return (self.dim, self._rref)
+        return (self.dim, self._normals)
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis)
@@ -284,13 +255,7 @@ class SubspaceBasis:
         """Exact membership of an integer or rational vector."""
         if len(v) != self.dim:
             raise DimensionMismatch("vector/subspace dimension mismatch")
-        res = [Fraction(x) for x in v]
-        for row in self._rref:
-            piv = next(i for i, a in enumerate(row) if a)
-            if res[piv]:
-                f = res[piv] / row[piv]
-                res = [a - f * b for a, b in zip(res, row)]
-        return all(a == 0 for a in res)
+        return not any(sum(map(mul, n, v)) for n in self._normals)
 
     def integer_rows(self):
         """The basis as primitive integer vectors (same span)."""

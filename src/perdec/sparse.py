@@ -387,8 +387,8 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
     reaches a line that no other term and line reach.
 
     Any other view is checked against the multiplied-out product; one
-    factor then gives one family by extraction, and several need a fiber
-    sum.
+    factor then gives one family by extraction, which the factor must
+    annihilate exactly, and several need a fiber sum.
     """
     bounds = bounds or Bounds()
     phis = list(phis)
@@ -413,7 +413,11 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
         raise PreconditionError(
             "multi-factor sparse decomposition needs a fiber-sum view; "
             "extract fibers or rasterize first")
-    return [fiber_extract(c, dirs[0], bounds.period)]
+    family = fiber_extract(c, dirs[0], bounds.period)
+    if not apply_poly(phis[0], family).is_zero():
+        raise VerificationError(
+            "the extracted family is not annihilated by its factor")
+    return [family]
 
 
 def sparse_full(c, f: LaurentPoly, bounds: Bounds | None = None):

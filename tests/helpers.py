@@ -16,7 +16,8 @@ and a two-factor split at every level, and the translate-limit reference
 convolves by a monomial and rasterizes at every step.  The transfer
 reference finds its recurrence coordinate, and the span-relation reference
 its integer relation, by Fraction elimination, apart from the HNF
-coordinates the library uses.
+coordinates the library uses; the same elimination is the reference for
+rank, subspace membership and subspace keys.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ import pytest
 
 from perdec import cli
 from perdec.cli import main
-from perdec.config import (FiberSum, PeriodicConfig, box_points, make_fiber,
-                           rasterize)
+from perdec.config import (FiberSum, PeriodicConfig, WindowConfig,
+                           box_points, make_fiber, rasterize)
 from perdec.serialize import config_from_obj, config_to_obj, dumps, poly_to_obj
 from perdec.laurent import LaurentPoly, difference_poly
 
@@ -139,6 +139,21 @@ def test_decompose_with_search(files):
     assert m["results"]["certificate"] == [[2, 0]]
 
 
+@pytest.mark.parametrize("second, flags", [
+    ("--annihilator", "--factors and --annihilator"),
+    ("--periodizers", "--factors and --periodizers")])
+def test_decompose_rejects_a_second_mode(files, second, flags):
+    # a second mode is an error naming both flags, not silently ignored
+    tmp, fx = files
+    out = str(tmp / "out_two_modes")
+    assert main(["--out", out, "decompose", fx["cb"], "--factors",
+                 fx["factors"], second, fx["tilepoly"]]) == 1
+    m = manifest(out)
+    assert os.listdir(out) == ["manifest.json"]
+    assert m["error"]["type"] == "PerdecError"
+    assert m["error"]["message"].endswith(f"not {flags}")
+
+
 def test_decompose_k_periodizers(files):
     tmp, fx = files
     t2 = write(tmp / "t2.json",
@@ -263,6 +278,48 @@ def test_sparse_fibers_checks_a_periodic_extraction_on_the_window(tmp_path):
 
     assert run("out") == (0, True)
     assert run("out_empty", "--window=3..1") == (1, False)
+
+
+def test_sparse_decompose_checks_a_window_family(tmp_path, monkeypatch):
+    # off fiber sums the family must be annihilated exactly and the family
+    # sum is evaluated on the check window cut to the input's box
+    geometric = write(tmp_path / "geo.json", config_to_obj(
+        WindowConfig((0, 0), (2, 7), [2 ** j for _ in range(3)
+                                      for j in range(8)])))
+    halving = write(tmp_path / "halving.json",
+                    [poly_to_obj(LaurentPoly(2, {(0, 1): 2, (0, 0): -1}))])
+    out = str(tmp_path / "out_geo")
+    assert main(["--out", out, "sparse", "decompose", geometric,
+                 halving]) == 1
+    assert manifest(out)["error"]["type"] == "VerificationError"
+
+    fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
+                          make_fiber((0, 2), (1, 0), [1, 0, 2])])
+    cfg = write(tmp_path / "w.json",
+                config_to_obj(rasterize(fibers, (-6, -3), (8, 5))))
+    factor = write(tmp_path / "factor.json",
+                   [poly_to_obj(difference_poly((6, 0)))])
+    full = write(tmp_path / "f.json", poly_to_obj(difference_poly((6, 0))))
+
+    def run(label, *argv):
+        out = str(tmp_path / label)
+        code = main(["--out", out, "sparse", *argv])
+        return code, {name: holds for name, holds
+                      in manifest(out)["verdicts"].items()}
+
+    assert run("out_sd", "decompose", cfg, factor) == (0, {
+        "identity: per-family annihilation": True,
+        "identity: family sum = input": True})
+    assert run("out_full", "full", cfg, full) == (0, {
+        "identity: certificate annihilates": True,
+        "identity: per-family annihilation": True,
+        "identity: family sum = input": True})
+    decompose = cli.sparse_decompose
+    monkeypatch.setattr(cli, "sparse_decompose", lambda *args: [
+        fam.convolve([((0, 1), 1)]) for fam in decompose(*args)])
+    assert run("out_shifted", "decompose", cfg, factor) == (1, {
+        "identity: per-family annihilation": True,
+        "identity: family sum = input": False})
 
 
 def test_sparse_full_inconclusive_exit_code(files):

@@ -1018,6 +1018,26 @@ def test_merge_components_sharing_a_subspace():
     assert is_annihilated(merged[0].line_poly, add_views([a, b])).holds
 
 
+def test_merge_keeps_first_appearance_order():
+    # five distinct lines keep their input order, and [(2, 4)] merges with
+    # the later [(1, 2)] at its own first place
+    from perdec.decompose import Component, _merge_by_subspace
+    b = periodic_from_function(2, [(1, 1), (1, -1)], lambda r: 3 * r[0])
+    lines = [(1, 1), (2, 4), (2, 1), (0, 1), (1, 0), (1, -1), (1, 2)]
+    comps = [Component(view=b if line == (1, 2) else CHECKER,
+                       line_poly=difference_poly(line),
+                       subspace=SubspaceBasis(2, [line]), periods=(line,))
+             for line in lines]
+    merged = _merge_by_subspace(comps, BOUNDS)
+    assert [m.subspace.basis for m in merged] == \
+        [((1, 1),), ((2, 4),), ((2, 1),), ((0, 1),), ((1, 0),), ((1, -1),)]
+    pair = merged[1]
+    assert pair.line_poly == difference_poly((2, 4)) * difference_poly((1, 2))
+    assert pair.periods == ((2, 4),)
+    for x in box_points((-4, -4), (4, 4)):
+        assert pair.view.value_at(x) == CHECKER.value_at(x) + b.value_at(x)
+
+
 def test_k3_three_dimensional_pipeline():
     # (x + y + z) mod 2 is a common co-tiler of the three axis dominoes
     c = periodic_from_function(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,8 @@ from perdec.lattice import (CosetSystem, SubspaceBasis, hnf_reduce, hnf_rows,
                             hnf_with_coordinates, in_lattice,
                             lattice_intersection, primitive, rank_rational,
                             span_meets_trivially, vadd, vscale, vsub)
+
+from helpers import _fraction_rref
 
 vectors = st.lists(st.integers(-9, 9), min_size=2, max_size=3).map(tuple)
 
@@ -23,6 +26,12 @@ def test_rank_examples():
 def test_rank_mixed_dimension_rejected():
     with pytest.raises(DimensionMismatch):
         rank_rational([(1, 0), (1, 0, 0)])
+
+
+def test_rank_rational_entries_rejected():
+    # a Fraction is not truncated into the integer elimination
+    with pytest.raises(LatticeError):
+        rank_rational([(Fraction(1, 2), 0), (0, Fraction(1, 3))])
 
 
 def test_primitive_examples():
@@ -82,6 +91,105 @@ def test_subspace_canonical_key_ignores_basis_choice():
     b = SubspaceBasis(3, [(2, 2, 2), (0, 0, 5)])
     assert a == b
     assert hash(a) == hash(b)
+
+
+def _random_family(rng, dim):
+    """Up to dim + 2 vectors, zero vectors and integer combinations of
+    earlier ones mixed in."""
+    vecs = []
+    for _ in range(rng.randint(0, dim + 2)):
+        kind = rng.random()
+        if kind < 0.15:
+            vecs.append((0,) * dim)
+        elif kind < 0.4 and vecs:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            u, v = rng.choice(vecs), rng.choice(vecs)
+            vecs.append(vadd(vscale(a, u), vscale(b, v)))
+        else:
+            vecs.append(tuple(rng.randint(-4, 4) for _ in range(dim)))
+    return vecs
+
+
+def _rref_rank(vecs):
+    return len(_fraction_rref(vecs)[0])
+
+
+def _random_subspace(rng, dim, count):
+    """An independent basis of `count` vectors, kept by the RREF rank."""
+    basis = []
+    while len(basis) < count:
+        v = tuple(rng.randint(-3, 3) for _ in range(dim))
+        if _rref_rank(basis + [v]) == len(basis) + 1:
+            basis.append(v)
+    return basis
+
+
+def test_rank_matches_rational_elimination():
+    rng = random.Random(24)
+    dependent = 0
+    for _ in range(2000):
+        vecs = _random_family(rng, rng.randint(1, 4))
+        assert rank_rational(vecs) == _rref_rank(vecs), vecs
+        dependent += _rref_rank(vecs) < len(vecs)
+    assert dependent > 500
+
+
+def test_subspace_membership_matches_rational_elimination():
+    rng = random.Random(25)
+    for _ in range(1500):
+        dim = rng.randint(1, 4)
+        basis = _random_subspace(rng, dim, rng.randint(0, dim))
+        V = SubspaceBasis(dim, basis)
+        if rng.random() < 0.4 and basis:  # an integer point of V
+            v = (0,) * dim
+            for b in basis:
+                v = vadd(v, vscale(rng.randint(-3, 3), b))
+        else:
+            v = tuple(rng.randint(-3, 3) for _ in range(dim))
+        member = _rref_rank(basis + [v]) == len(basis)
+        assert V.contains(v) == member, (basis, v)
+        assert V.contains([Fraction(x, 3) for x in v]) == member
+        # a dependent basis is rejected, as by the rank
+        if basis:
+            with pytest.raises(LatticeError):
+                SubspaceBasis(dim, basis + [rng.choice(basis)])
+
+
+def test_subspace_keys_equal_exactly_when_rrefs_do():
+    rng = random.Random(26)
+    equal = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 3)
+        count = rng.randint(0, dim)
+        a = _random_subspace(rng, dim, count)
+        if rng.random() < 0.5:  # another basis of the same span
+            b = []
+            while _rref_rank(b) < count:
+                b = [tuple(map(sum, zip(*(vscale(rng.randint(-2, 2), v)
+                                          for v in a))))
+                     for _ in range(count)]
+        else:
+            b = _random_subspace(rng, dim, count)
+        same = _fraction_rref(a) == _fraction_rref(b)
+        Va, Vb = SubspaceBasis(dim, a), SubspaceBasis(dim, b)
+        assert (Va.canonical_key() == Vb.canonical_key()) == same, (a, b)
+        assert (Va == Vb) == same
+        if same:
+            assert hash(Va) == hash(Vb)
+        equal += same
+    assert equal > 500
+
+
+def test_subspace_normals_are_hnf_and_orthogonal():
+    rng = random.Random(27)
+    for _ in range(1000):
+        dim = rng.randint(1, 4)
+        basis = _random_subspace(rng, dim, rng.randint(0, dim))
+        normals = SubspaceBasis(dim, basis)._normals
+        assert normals == hnf_rows(normals, dim)
+        assert len(normals) == dim - len(basis)
+        for n in normals:
+            assert not any(sum(map(mul, n, b)) for b in basis)
 
 
 def test_hnf_reduce_idempotent_and_in_span():

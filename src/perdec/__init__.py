@@ -15,8 +15,8 @@ from .config import (FiberSum, LazyConfig, PeriodicConfig, PeriodicFiber,
 from .decompose import (Bounds, Component, Decomposition, DifferenceProduct,
                         annihilator_from_periodizer, decompose_product,
                         k_periodic_decompose, reduce_annihilator,
-                        search_difference_annihilator, solve_transfer,
-                        verify_transfer)
+                        search_difference_annihilator, select_periodizer,
+                        solve_transfer, verify_transfer)
 from .errors import (DimensionMismatch, EmptyRegionError, InconclusiveError,
                      LatticeError, OutOfDomainError, PerdecError,
                      PreconditionError, SchemaError, VerificationError)
@@ -28,7 +28,7 @@ from .lattice import (CosetSystem, SubspaceBasis, hnf_reduce, hnf_rows,
 from .sparse import (SparsenessReport, check_sparseness,
                      fiber_closed_form_constant, fiber_extract, sparse_decompose,
                      sparse_full, sparse_split2, stabilized_translate_limit)
-from .tiling import (Tile, cotiler_decompose, independent, select_periodizer,
-                     tile_polynomial, verify_cotiler)
+from .tiling import (Tile, cotiler_decompose, independent, tile_polynomial,
+                     verify_cotiler)
 
 __version__ = "0.1.0"

@@ -28,8 +28,7 @@ from .serialize import (config_from_obj, config_to_obj, dumps, load_json,
 from .sparse import (_agree_on, check_sparseness, fiber_closed_form_constant,
                      fiber_extract, sparse_decompose, sparse_full,
                      sparse_split2, split_identities)
-from .tiling import (cotiler_decompose, independent, select_periodizer,
-                     verify_cotiler)
+from .tiling import cotiler_decompose, independent, verify_cotiler
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,9 +42,11 @@ class RunContext:
 
     def __init__(self, args):
         self.args = args
-        self.bounds = Bounds(search=args.bound_search,
-                             period=args.bound_period, k_max=args.kmax,
-                             patience=args.patience)
+        # `main` builds `bounds` from these, so that a bad bound is reported
+        self.given_bounds = dict(vars(Bounds()), search=args.bound_search,
+                                 period=args.bound_period, k_max=args.kmax,
+                                 patience=args.patience)
+        self.bounds = None
         self.out_dir = args.out
         os.makedirs(self.out_dir, exist_ok=True)
         self.t0 = time.monotonic()
@@ -112,7 +113,7 @@ class RunContext:
         manifest = {
             "command": command,
             "inputs": self.inputs,
-            "bounds": vars(self.bounds),
+            "bounds": self.given_bounds,
             "verdicts": self.verdicts,
             "results": self.results,
             "outputs": sorted(self.outputs),
@@ -223,8 +224,7 @@ def _cmd_decompose(ctx):
         family = []
         for path in args.periodizers:
             family.extend(ctx.load_poly_list(path))
-        dec = k_periodic_decompose(
-            c, args.k, lambda V: select_periodizer(family, V), bounds)
+        dec = k_periodic_decompose(c, args.k, family, bounds)
     elif args.factors:
         phis = ctx.load_poly_list(args.factors)
         dec = decompose_product(phis, c, SubspaceBasis.trivial(c.dim), bounds)
@@ -391,14 +391,16 @@ def build_parser():
                         help="output directory (default: perdec-out)")
     parser.add_argument("--dim", type=int, default=None,
                         help="assert the dimension of every input")
-    parser.add_argument("--bound-search", type=int, default=32,
-                        help="certificate search budget (default 32)")
-    parser.add_argument("--bound-period", type=int, default=64,
-                        help="largest period probed (default 64)")
-    parser.add_argument("--kmax", type=int, default=256,
-                        help="translate sequence length bound (default 256)")
-    parser.add_argument("--patience", type=int, default=8,
-                        help="stabilization patience (default 8)")
+    defaults = Bounds()
+    parser.add_argument("--bound-search", type=int, default=defaults.search,
+                        help="certificate search budget (default %(default)s)")
+    parser.add_argument("--bound-period", type=int, default=defaults.period,
+                        help="largest period probed (default %(default)s)")
+    parser.add_argument("--kmax", type=int, default=defaults.k_max,
+                        help="translate sequence length bound "
+                             "(default %(default)s)")
+    parser.add_argument("--patience", type=int, default=defaults.patience,
+                        help="stabilization patience (default %(default)s)")
     parser.add_argument("--window", default=None,
                         help="evaluation box; use the = form for negative "
                              "corners, e.g. --window=-20..20,-20..20")
@@ -424,7 +426,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=None,
                    help="target periodicity level (needs --periodizers)")
     p.add_argument("--periodizers", nargs="+", default=None,
-                   help="periodizer family files for the oracle")
+                   help="periodizer family files")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("sparse", help="sparse fiber decompositions")
@@ -464,6 +466,7 @@ def main(argv=None):
     ctx = RunContext(args)
     error = None
     try:
+        ctx.bounds = Bounds(**ctx.given_bounds)
         args.handler(ctx)
     except PerdecError as exc:
         inconclusive = isinstance(exc, InconclusiveError)

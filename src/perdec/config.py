@@ -23,7 +23,9 @@ representation reads boxes (`values_on_box`) and lists of line segments
 (`values_on_segments`) at once, not a point at a time; an empty box reads
 as [].  Each also answers the queries of the decomposition theorems itself:
 `convolve(terms)`, `annihilated_by(f, window) -> Verdict` and
-`period_multiple(w, bound, window) -> (k, exact)`.  The module functions
+`period_multiple(w, bound, window) -> (k, exact)`.  A window and a periodic
+configuration share one period rule: the least k whose X^{kw} - 1
+annihilates them.  The module functions
 apply_poly, is_annihilated and detect_period_multiple check dimensions,
 normalise their arguments and delegate.  Translation by t is the
 convolution by the monomial X^t, and on a box it is a read: c on the box
@@ -43,10 +45,11 @@ from operator import add, mul, sub
 
 from .errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                      OutOfDomainError, PreconditionError)
-from .laurent import LaurentPoly
-from .lattice import (hnf_diagonal, hnf_reduce, hnf_rows, is_zero_vector,
-                      lattice_determinant, lattice_intersection, order_modulo,
-                      primitive, vadd, vscale, vsub, zero_vector)
+from .laurent import LaurentPoly, difference_poly
+from .lattice import (as_int, hnf_diagonal, hnf_reduce, hnf_rows,
+                      is_zero_vector, lattice_determinant,
+                      lattice_intersection, primitive, vadd, vscale, vsub,
+                      zero_vector)
 
 # ---------------------------------------------------------------------------
 # boxes
@@ -144,6 +147,20 @@ def line_points(q, step, count):
 def _line_by_line(c, segments):
     """values_on_segments of a representation that reads each line alone."""
     return [c.values_on_line(q, step, count) for q, step, count in segments]
+
+
+def _least_period(c, w, bound, window):
+    """(least k <= bound with X^{kw} - 1 annihilating c, exact flag); a
+    window's erosion by {0, kw}, its overlap with its translate, ends the
+    search once it is empty."""
+    for k in range(1, bound + 1):
+        try:
+            verdict = c.annihilated_by(difference_poly(vscale(k, w)), None)
+        except EmptyRegionError:
+            return None, False
+        if verdict.holds:
+            return k, verdict.exact
+    return None, verdict.exact
 
 
 def _cyclic(vals, start, n):
@@ -323,21 +340,7 @@ class WindowConfig:
         out = apply_poly(f, self)  # raises EmptyRegionError when eroded away
         return Verdict.on_window(not any(out.values), out.lo, out.hi)
 
-    def period_multiple(self, w, bound, window):
-        """Evidence on the overlap of the box with each translate, read
-        once there and once shifted back by the step; `window` is not
-        used."""
-        for k in range(1, bound + 1):
-            step = vscale(k, w)
-            ov = box_intersect(self.box, (vadd(self.lo, step),
-                                          vadd(self.hi, step)))
-            if ov is None:
-                return None, False
-            lo, hi = ov
-            if self.values_on_box(lo, hi) == self.values_on_box(
-                    vsub(lo, step), vsub(hi, step)):
-                return k, False
-        return None, False
+    period_multiple = _least_period
 
     def __eq__(self, other):
         return (isinstance(other, WindowConfig) and self.lo == other.lo
@@ -484,9 +487,7 @@ class PeriodicConfig:
     def annihilated_by(self, f, window):
         return Verdict.exactly(apply_poly(f, self).is_zero())
 
-    def period_multiple(self, w, bound, window):
-        """Exact, by membership in the full period lattice."""
-        return order_modulo(w, period_lattice(self), bound), True
+    period_multiple = _least_period
 
     def __eq__(self, other):
         return (isinstance(other, PeriodicConfig) and self.dim == other.dim
@@ -500,7 +501,7 @@ def _declared_lattice(dim, basis):
     """(dim, basis, HNF rows, pivots, residue strides) of a period basis,
     the basis as int tuples; a singular basis raises LatticeError."""
     dim = int(dim)
-    basis = tuple(tuple(int(x) for x in g) for g in basis)
+    basis = tuple(tuple(map(as_int, g)) for g in basis)
     for g in basis:
         if len(g) != dim:
             raise DimensionMismatch("period generator of wrong dimension")
@@ -1068,11 +1069,13 @@ class _Combination(LazyConfig):
 def detect_period_multiple(c, direction, bound, window=None):
     """Smallest k in [1, bound] with c invariant under k*direction.
 
-    Exact for PeriodicConfig (lattice membership) and FiberSum (structural
-    comparison); evidence on a window's own box, and on the rasterized
-    `window` for lazy views, which need one.  Returns (k, exact_flag) or
-    (None, exact_flag) when no such multiple exists within the bound.
+    Exact for PeriodicConfig and, in closed form, FiberSum; evidence on a
+    window's own box, and on the rasterized `window` for lazy views, which
+    need one.  Returns (k, exact_flag) or (None, exact_flag) when no such
+    multiple exists within the bound, which must be at least 1.
     """
+    if bound < 1:
+        raise PreconditionError(f"the period bound {bound} is below 1")
     w = tuple(int(x) for x in direction)
     if len(w) != c.dim:
         raise DimensionMismatch("direction of wrong dimension")

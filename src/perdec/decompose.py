@@ -60,9 +60,10 @@ class Bounds:
     check_radius: int = 8   # half-width of evidence windows for evaluators
 
     def __post_init__(self):
-        if self.check_radius < 1:
-            raise PreconditionError(
-                f"check_radius must be at least 1, got {self.check_radius}")
+        for name, value in vars(self).items():
+            if value < 1:
+                raise PreconditionError(
+                    f"bound {name} must be at least 1, got {value}")
 
     def check_window(self, dim):
         r = self.check_radius
@@ -823,34 +824,51 @@ def _period_outside(comp, V):
         "component shares every period direction with the subspace (internal)")
 
 
-def _oracle_periodizer(oracle, V):
-    f = oracle(V)
-    if not isinstance(f, LaurentPoly) or f.is_zero():
-        raise PreconditionError("oracle returned no usable periodizer")
-    if support_in_subspace(f, V) != {zero_vector(f.dim)}:
-        raise PreconditionError(
-            "oracle periodizer support does not meet the subspace at the "
-            "origin only")
-    return f
+def select_periodizer(fs, V: SubspaceBasis) -> LaurentPoly:
+    """First polynomial whose support meets V exactly at the origin.
+
+    For an independent family with 0 in every support such a member exists
+    whenever dim V < family size.  When none does, the error names V by
+    its integer rows and, for each member, a nonzero support point in V.
+    """
+    inside = []
+    for i, f in enumerate(fs):
+        origin = zero_vector(f.dim)
+        if f.coefficient(origin) == 0:
+            raise PreconditionError("periodizer without the origin in support")
+        met = support_in_subspace(f, V) - {origin}
+        if not met:
+            return f
+        inside.append(f"member {i} has the support point {min(met)} in it")
+    raise PreconditionError(
+        "no periodizer meets the subspace spanned by "
+        f"{[list(r) for r in V.integer_rows()]} only at the origin: "
+        + "; ".join(inside))
 
 
-def k_periodic_decompose(c, k: int, periodizer_oracle, bounds: Bounds | None = None
+def k_periodic_decompose(c, k: int, periodizers, bounds: Bounds | None = None
                          ) -> Decomposition:
     """Decompose c into finitely many k-periodic summands.
 
-    The oracle must return, for each queried subspace V of dimension
-    level-1, a periodizer of c whose support meets V exactly at the origin.
-    It starts from c as one component with the trivial subspace and no
-    periods.  Each level upgrades the oracle's periodizer to an
-    annihilator, extracts a transversal difference product, appends the
-    other components' period factors, rewrites it into reduced form and
-    splits each component again, accumulating one new independent period
-    direction per level.  Only finitely many subspaces are ever queried.
+    For each subspace V of dimension level-1 it asks the family
+    `periodizers` (LaurentPoly of c's dimension) for its first member whose
+    support meets V exactly at the origin (`select_periodizer`).  It starts
+    from c as one component with the trivial subspace and no periods.
+    Each level upgrades that periodizer to an annihilator, extracts a
+    transversal difference product, appends the other components' period
+    factors, rewrites it into reduced form and splits each component
+    again, accumulating one new independent period direction per level.
+    Only finitely many subspaces are ever queried.
     """
     bounds = bounds or Bounds()
     dim = c.dim
     if not 1 <= k <= dim:
         raise PreconditionError(f"k must lie in [1, {dim}]")
+    periodizers = list(periodizers)
+    for i, f in enumerate(periodizers):
+        if not isinstance(f, LaurentPoly) or f.dim != dim:
+            raise PreconditionError(
+                f"periodizer {i} is not a LaurentPoly of dimension {dim}")
 
     comps = [Component(view=c, line_poly=None,
                        subspace=SubspaceBasis.trivial(dim))]
@@ -859,7 +877,7 @@ def k_periodic_decompose(c, k: int, periodizer_oracle, bounds: Bounds | None = N
         next_comps = []
         for i, comp in enumerate(comps):
             Vi = comp.subspace
-            f = _oracle_periodizer(periodizer_oracle, Vi)
+            f = select_periodizer(periodizers, Vi)
             fstar = annihilator_from_periodizer(f, c, Vi, bounds.search,
                                                 bounds)
             dp = search_difference_annihilator(c, fstar, bounds.search,

@@ -21,8 +21,17 @@ from .errors import DimensionMismatch, LatticeError
 IntVector = tuple  # d-tuple of ints
 
 
+def as_int(x) -> int:
+    """x as an int when it is integral; any other value raises LatticeError
+    naming it instead of being truncated."""
+    n = int(x)
+    if n != x:
+        raise LatticeError(f"non-integer entry {x}: lattices are integer")
+    return n
+
+
 def as_vector(coords) -> IntVector:
-    v = tuple(int(x) for x in coords)
+    v = tuple(map(as_int, coords))
     if not v:
         raise LatticeError("vectors must have dimension >= 1")
     return v
@@ -87,7 +96,7 @@ def hnf_rows(vectors, dim):
     pivot lie in [0, pivot).  Zero rows are dropped, so the result is a
     canonical basis of the (possibly non-full-rank) lattice.
     """
-    mat = [list(map(int, v)) for v in vectors if not is_zero_vector(v)]
+    mat = [list(map(as_int, v)) for v in vectors if not is_zero_vector(v)]
     r = 0
     for col in range(dim):
         piv = None
@@ -121,8 +130,6 @@ def rank_rational(vectors) -> int:
     if not vecs:
         return 0
     check_same_dim(*vecs)
-    if not all(isinstance(x, int) for v in vecs for x in v):
-        raise LatticeError("rank_rational takes integer vectors")
     return len(hnf_rows(vecs, len(vecs[0])))
 
 
@@ -137,10 +144,6 @@ def hnf_reduce(x, rows):
         if q:
             res = [a - q * b for a, b in zip(res, row)]
     return tuple(res)
-
-
-def in_lattice(x, rows) -> bool:
-    return is_zero_vector(hnf_reduce(x, rows))
 
 
 def hnf_diagonal(rows, dim):
@@ -161,16 +164,6 @@ def fundamental_residues(rows, dim):
     """All canonical residues of a full-rank lattice, in lexicographic order."""
     diag = hnf_diagonal(rows, dim)
     return product(*(range(p) for p in diag))
-
-
-def order_modulo(v, rows, bound):
-    """Smallest k in [1, bound] with k*v inside the lattice, else None."""
-    acc = zero_vector(len(v))
-    for k in range(1, bound + 1):
-        acc = vadd(acc, v)
-        if in_lattice(acc, rows):
-            return k
-    return None
 
 
 def hnf_with_coordinates(gens, dim):

@@ -17,8 +17,8 @@ from .config import (FiberSum, PeriodicConfig, Verdict, WindowConfig,
                      row_sources)
 from .decompose import Bounds, Decomposition, k_periodic_decompose
 from .errors import DimensionMismatch, PreconditionError
-from .laurent import LaurentPoly, support_in_subspace
-from .lattice import (SubspaceBasis, rank_rational, vneg, zero_vector)
+from .laurent import LaurentPoly
+from .lattice import rank_rational, vneg, zero_vector
 
 
 @dataclass(frozen=True)
@@ -153,28 +153,6 @@ def independent(tiles) -> tuple:
     return True, None
 
 
-def select_periodizer(fs, V: SubspaceBasis) -> LaurentPoly:
-    """First polynomial whose support meets V exactly at the origin.
-
-    For an independent family with 0 in every support such a member exists
-    whenever dim V < family size.  When none does, the error names V by
-    its integer rows and, for each member, a nonzero support point in V.
-    """
-    inside = []
-    for i, f in enumerate(fs):
-        origin = zero_vector(f.dim)
-        if f.coefficient(origin) == 0:
-            raise PreconditionError("periodizer without the origin in support")
-        met = support_in_subspace(f, V) - {origin}
-        if not met:
-            return f
-        inside.append(f"member {i} has the support point {min(met)} in it")
-    raise PreconditionError(
-        "no periodizer meets the subspace spanned by "
-        f"{[list(r) for r in V.integer_rows()]} only at the origin: "
-        + "; ".join(inside))
-
-
 def cotiler_decompose(tiles, c, bounds: Bounds | None = None) -> Decomposition:
     """Decompose a common co-tiler of independent tiles into k-periodic parts.
 
@@ -193,5 +171,4 @@ def cotiler_decompose(tiles, c, bounds: Bounds | None = None) -> Decomposition:
             raise PreconditionError(
                 f"input is not a co-tiler of the tile with cells "
                 f"{tile.sorted_cells()}")
-    return k_periodic_decompose(
-        c, len(tiles), lambda V: select_periodizer(polys, V), bounds)
+    return k_periodic_decompose(c, len(tiles), polys, bounds)

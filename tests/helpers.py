@@ -17,7 +17,10 @@ convolves by a monomial and rasterizes at every step.  The transfer
 reference finds its recurrence coordinate, and the span-relation reference
 its integer relation, by Fraction elimination, apart from the HNF
 coordinates the library uses; the same elimination is the reference for
-rank, subspace membership and subspace keys.
+rank, subspace membership and subspace keys.  The period-multiple
+references are the two rules the library replaced by its least annihilating
+X^{kw} - 1: a window's overlap with its translate compared point by point,
+and the order of w modulo the brute-force full period lattice.
 """
 
 from __future__ import annotations
@@ -30,14 +33,16 @@ from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
                     make_fiber)
 from perdec.config import (LazyConfig, PeriodicFiber, Verdict,
                            _minimal_period, add_views, apply_poly, box_points,
-                           box_size, is_annihilated, rasterize)
+                           box_size, is_annihilated, period_lattice,
+                           rasterize)
 from perdec.decompose import _require_annihilation
 from perdec.errors import (EmptyRegionError, OutOfDomainError,
                            PreconditionError, SchemaError, VerificationError)
 from perdec.laurent import (difference_poly, non_parallel_directions,
                             poly_product)
 from perdec.lattice import (fundamental_residues, hnf_reduce, hnf_rows,
-                            lattice_determinant, primitive, vadd, vscale, vsub)
+                            is_zero_vector, lattice_determinant, primitive,
+                            vadd, vscale, vsub)
 from perdec.serialize import _dim_of, _int, _int_vector
 from perdec.sparse import (SparsenessReport, fiber_closed_form_constant,
                            fiber_extract)
@@ -496,6 +501,39 @@ def reference_period_multiple(c: FiberSum, w, bound):
         if c.convolve([(vscale(k, w), 1)]) == c:
             return k
     return None
+
+
+def in_lattice(x, rows) -> bool:
+    """Whether x lies in the lattice with HNF basis `rows`."""
+    return is_zero_vector(hnf_reduce(x, rows))
+
+
+def reference_window_period_multiple(c: WindowConfig, w, bound):
+    """The least k in [1, bound] with c(x) = c(x - k*w) on the overlap of
+    c's box with its translate by k*w, point by point, as (k, False);
+    (None, False) once that overlap is empty or when no k holds."""
+    for k in range(1, bound + 1):
+        step = vscale(k, w)
+        lo = tuple(map(max, c.lo, vadd(c.lo, step)))
+        hi = tuple(map(min, c.hi, vadd(c.hi, step)))
+        if any(a > b for a, b in zip(lo, hi)):
+            return None, False
+        if all(c.value_at(x) == c.value_at(vsub(x, step))
+               for x in box_points(lo, hi)):
+            return k, False
+    return None, False
+
+
+def reference_periodic_period_multiple(c: PeriodicConfig, w, bound):
+    """The order of w modulo the full period lattice of c, when at most
+    `bound`, as (k, True); else (None, True)."""
+    rows = period_lattice(c)
+    acc = tuple(0 for _ in w)
+    for k in range(1, bound + 1):
+        acc = vadd(acc, w)
+        if in_lattice(acc, rows):
+            return k, True
+    return None, True
 
 
 def fiber_parts(c: FiberSum):

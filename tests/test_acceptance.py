@@ -19,15 +19,14 @@ from perdec.decompose import (Bounds, decompose_product,
                               verify_transfer)
 from perdec.errors import EmptyRegionError
 from perdec.laurent import difference_poly, poly_product
-from perdec.lattice import (SubspaceBasis, hnf_rows, in_lattice,
-                            lattice_determinant, primitive, rank_rational,
-                            vscale)
+from perdec.lattice import (SubspaceBasis, hnf_rows, lattice_determinant,
+                            primitive, rank_rational, vscale)
 from perdec.sparse import (check_sparseness, fiber_closed_form_constant,
                            sparse_full)
 from perdec.tiling import (Tile, cotiler_decompose, independent,
                            verify_cotiler)
 
-from helpers import (naive_convolution, periodic_from_function,
+from helpers import (in_lattice, naive_convolution, periodic_from_function,
                      random_fiber_family, random_periodic, random_poly,
                      window_from_function)
 

@@ -8,6 +8,7 @@ from perdec import cli
 from perdec.cli import main
 from perdec.config import (FiberSum, PeriodicConfig, WindowConfig,
                            box_points, make_fiber, rasterize)
+from perdec.decompose import Bounds
 from perdec.serialize import config_from_obj, config_to_obj, dumps, poly_to_obj
 from perdec.laurent import LaurentPoly, difference_poly
 
@@ -796,3 +797,35 @@ def test_consecutive_main_calls_share_no_state(files):
     assert shared == fresh
     assert cli._shared_parser() is cli._shared_parser()
     assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--bound-search", "0", "search"), ("--bound-period", "-3", "period"),
+    ("--kmax", "0", "k_max"), ("--patience", "-1", "patience")])
+def test_nonpositive_bounds_are_bad_input(files, flag, value, field):
+    # the bounds are built where main reports errors: exit 1, an error
+    # manifest naming the field, and the bounds recorded as given
+    tmp, fx = files
+    out = str(tmp / f"out_{field}")
+    argv = ["--out", out, flag, value, "decompose", fx["cb"],
+            "--annihilator", fx["tilepoly"]]
+    assert main(argv) == 1
+    assert os.listdir(out) == ["manifest.json"]
+    m = manifest(out)
+    assert m["error"] == {
+        "type": "PreconditionError", "bound": None,
+        "message": f"bound {field} must be at least 1, got {value}"}
+    assert m["bounds"] == dict(vars(Bounds()), **{field: int(value)})
+
+
+def test_bound_defaults_come_from_bounds(files):
+    # no bound flag: the manifest records Bounds() and the help text quotes
+    # its numbers
+    tmp, fx = files
+    out = str(tmp / "out_defaults")
+    assert main(["--out", out, "act", fx["f"], fx["cb"]]) == 0
+    assert manifest(out)["bounds"] == vars(Bounds())
+    text = " ".join(cli.build_parser().format_help().split())
+    for number in (Bounds().search, Bounds().period, Bounds().k_max,
+                   Bounds().patience):
+        assert f"(default {number})" in text

@@ -11,17 +11,18 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
 from perdec.errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                            OutOfDomainError, PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
-from perdec.lattice import (in_lattice, lattice_determinant, vadd, vscale,
-                            vsub)
+from perdec.lattice import lattice_determinant, vadd, vscale, vsub
 
 from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView, ResidueDict,
-                     periodic_from_function,
+                     in_lattice, periodic_from_function,
                      assert_canonical_fibers,
                      assert_segments_match_points, guard_periodic_reads,
                      naive_convolution,
                      random_fiber_family, random_periodic, random_poly,
                      reference_add_views_fibers, reference_apply_poly_fibers,
                      reference_period_multiple,
+                     reference_periodic_period_multiple,
+                     reference_window_period_multiple,
                      reference_parallel_part_fibers, reference_scaled_fibers,
                      reference_translate_fibers, segment_points,
                      window_from_function)
@@ -584,6 +585,15 @@ def test_periodic_constructor_validation():
         PeriodicConfig(2, [(1, 0), (0, 1)], [1, 1])  # a value too many
 
 
+def test_periodic_refuses_a_non_integral_basis():
+    # a basis entry int() would change is refused, never truncated
+    with pytest.raises(LatticeError, match="non-integer entry 5/2"):
+        PeriodicConfig(2, [(Fraction(5, 2), 0), (0, 2)], [1, 2, 3, 4])
+    c = PeriodicConfig(2, [(Fraction(4, 2), 0), (0, 2)], [1, 2, 3, 4])
+    assert c.basis == ((2, 0), (0, 2))
+    assert c == PeriodicConfig(2, [(2, 0), (0, 2)], [1, 2, 3, 4])
+
+
 def test_periodic_refuses_non_integral_values():
     # a value that int() would change is refused at its residue, never
     # truncated; integral Fractions and floats are stored as ints
@@ -629,6 +639,47 @@ def test_detect_period_multiple():
     w = rasterize(CHECKER, (-6, -6), (6, 6))
     k, exact = detect_period_multiple(w, (1, 1), 8)
     assert k == 1 and not exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_period_multiple_matches_the_overlap_and_lattice_rules(data):
+    # windows and periodic tables share the least annihilating X^{kw} - 1;
+    # it answers as the overlap compare and the order of w modulo the full
+    # period lattice did, on tables in dims 1-3 (a small value range makes
+    # the period lattice larger than the declared one), windows rasterized
+    # from them or random, directions with negative and non-primitive
+    # entries, and bounds 1-12
+    dim = data.draw(st.integers(1, 3), label="dim")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    c = random_periodic(rng, dim, 12,
+                        data.draw(st.sampled_from((0, 1, 4)), label="range"))
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+                  .filter(any).map(tuple), label="w")
+    bound = data.draw(st.integers(1, 12), label="bound")
+    want = reference_periodic_period_multiple(c, w, bound)
+    assert c.period_multiple(w, bound, None) == want
+    assert detect_period_multiple(c, w, bound) == want
+    lo = tuple(data.draw(st.integers(-4, 2)) for _ in range(dim))
+    hi = tuple(a + data.draw(st.integers(0, 9)) for a in lo)
+    if data.draw(st.booleans(), label="rasterized"):
+        win = rasterize(c, lo, hi)
+    else:
+        win = window_from_function(lo, hi, lambda x: rng.randint(-1, 1))
+    want = reference_window_period_multiple(win, w, bound)
+    assert win.period_multiple(w, bound, None) == want
+    assert detect_period_multiple(win, w, bound) == want
+
+
+@pytest.mark.parametrize("kind", ["window", "periodic", "fibersum", "lazy"])
+def test_detect_period_multiple_rejects_a_bound_below_one(kind):
+    fs = FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 2])])
+    c = {"window": rasterize(CHECKER, (-2, -2), (2, 2)), "periodic": CHECKER,
+         "fibersum": fs, "lazy": add_views([fs, CHECKER])}[kind]
+    for bound in (0, -1):
+        with pytest.raises(PreconditionError, match="below 1"):
+            detect_period_multiple(c, (1, 0), bound,
+                                   window=((-2, -2), (2, 2)))
 
 
 @pytest.mark.parametrize("kind", ["window", "periodic", "fibersum", "lazy"])

@@ -159,6 +159,16 @@ def test_bounds_reject_check_radius_below_one(radius):
         Bounds(check_radius=radius)
 
 
+@pytest.mark.parametrize("field", ["search", "period", "k_max", "patience",
+                                   "check_radius"])
+def test_bounds_reject_every_field_below_one(field):
+    for value in (0, -3):
+        with pytest.raises(PreconditionError,
+                           match=f"bound {field} must be at least 1"):
+            Bounds(**{field: value})
+    assert getattr(Bounds(**{field: 1}), field) == 1
+
+
 def test_evaluator_evidence_is_checked_at_radius_one():
     # a lazy source that psi does not annihilate is caught on the smallest
     # evidence window the bounds allow
@@ -383,11 +393,11 @@ def test_decompose_product_components_inherit_subspace_periodicity():
 
 
 def _k1_checker():
-    return k_periodic_decompose(CHECKER, 1, _tile_oracle())
+    return k_periodic_decompose(CHECKER, 1, _tile_family())
 
 
 def _k2_checker():
-    return k_periodic_decompose(CHECKER, 2, _tile_oracle())
+    return k_periodic_decompose(CHECKER, 2, _tile_family())
 
 
 def _k3_parity():
@@ -397,12 +407,7 @@ def _k3_parity():
     fams = [LaurentPoly(3, {(0, 0, 0): 1,
                             tuple(-int(i == j) for j in range(3)): 1})
             for i in range(3)]
-
-    def oracle(V):
-        return next(f for f in fams
-                    if support_in_subspace(f, V) == {(0, 0, 0)})
-
-    return k_periodic_decompose(c, 3, oracle)
+    return k_periodic_decompose(c, 3, fams)
 
 
 def _fiber_input():
@@ -934,28 +939,20 @@ def test_search_matches_full_product_reference(monkeypatch, seed):
 # ---------------------------------------------------------------------------
 # k_periodic_decompose
 
-def _tile_oracle():
-    t1 = LaurentPoly(2, {(0, 0): 1, (-1, 0): 1})
-    t2 = LaurentPoly(2, {(0, 0): 1, (0, -1): 1})
-
-    def oracle(V):
-        for cand in (t1, t2):
-            if support_in_subspace(cand, V) == {(0, 0)}:
-                return cand
-        raise AssertionError("no transversal family member")
-
-    return oracle
+def _tile_family():
+    return [LaurentPoly(2, {(0, 0): 1, (-1, 0): 1}),
+            LaurentPoly(2, {(0, 0): 1, (0, -1): 1})]
 
 
 def test_k1_behaves_like_plain_decomposition():
-    dec = k_periodic_decompose(CHECKER, 1, _tile_oracle())
+    dec = k_periodic_decompose(CHECKER, 1, _tile_family())
     assert dec.verify_on_window((-8, -8), (8, 8))["ok"]
     for comp in dec.components:
         assert len(comp.periods) == 1
 
 
 def test_k2_checkerboard_strongly_periodic_components():
-    dec = k_periodic_decompose(CHECKER, 2, _tile_oracle())
+    dec = k_periodic_decompose(CHECKER, 2, _tile_family())
     report = dec.verify_on_window((-10, -10), (10, 10))
     assert report["ok"]
     for comp in dec.components:
@@ -970,15 +967,8 @@ def test_k2_already_strongly_periodic_single_component_ok():
     # properties (sum and periods), not the shape, are the contract
     c = periodic_from_function(2, [(3, 0), (0, 2)],
                                lambda r: r[0] + 2 * r[1])
-
-    def oracle(V):
-        rows = period_lattice(c)
-        for row in rows:
-            if not V.contains(row):
-                return difference_poly(row)
-        raise AssertionError("subspace swallowed every period")
-
-    dec = k_periodic_decompose(c, 2, oracle)
+    family = [difference_poly(row) for row in period_lattice(c)]
+    dec = k_periodic_decompose(c, 2, family)
     assert dec.verify_on_window((-9, -9), (9, 9))["ok"]
     total = sum(len(comp.periods) > 0 for comp in dec.components)
     assert total == len(dec.components)
@@ -986,9 +976,33 @@ def test_k2_already_strongly_periodic_single_component_ok():
         assert rank_rational(comp.periods) == 2
 
 
+def test_k_periodic_rejects_a_bad_family_member_before_any_work():
+    # the family is checked at entry, naming the member, before the input
+    # is read
+    def unread(x):
+        raise AssertionError(f"read {x} before the family was checked")
+
+    c = FunctionView(2, unread)
+    good = _tile_family()[0]
+    for bad in ("X - 1", None, LaurentPoly(3, {(0, 0, 0): 1, (1, 0, 0): 1})):
+        with pytest.raises(PreconditionError,
+                           match="periodizer 1 is not a LaurentPoly of "
+                                 "dimension 2"):
+            k_periodic_decompose(c, 1, [good, bad])
+        with pytest.raises(PreconditionError, match="periodizer 0 is not"):
+            k_periodic_decompose(c, 1, iter([bad]))
+
+
+def test_k_periodic_member_without_the_origin():
+    off = LaurentPoly(2, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(PreconditionError,
+                       match="^periodizer without the origin in support$"):
+        k_periodic_decompose(CHECKER, 1, [off] + _tile_family())
+
+
 def test_k_out_of_range():
     with pytest.raises(PreconditionError):
-        k_periodic_decompose(CHECKER, 3, _tile_oracle())
+        k_periodic_decompose(CHECKER, 3, _tile_family())
 
 
 def test_merge_components_sharing_a_subspace():
@@ -1046,14 +1060,7 @@ def test_k3_three_dimensional_pipeline():
     fams = [LaurentPoly(3, {(0, 0, 0): 1, tuple(-int(i == j) for j in
                                                 range(3)): 1})
             for i in range(3)]
-
-    def oracle(V):
-        for f in fams:
-            if support_in_subspace(f, V) == {(0, 0, 0)}:
-                return f
-        raise AssertionError("no transversal periodizer")
-
-    dec = k_periodic_decompose(c, 3, oracle)
+    dec = k_periodic_decompose(c, 3, fams)
     assert dec.verify_on_window((-5, -5, -5), (5, 5, 5))["ok"]
     for comp in dec.components:
         assert rank_rational(comp.periods) == 3

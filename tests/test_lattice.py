@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perdec.errors import DimensionMismatch, LatticeError
-from perdec.lattice import (CosetSystem, SubspaceBasis, hnf_reduce, hnf_rows,
-                            hnf_with_coordinates, in_lattice,
+from perdec.lattice import (CosetSystem, SubspaceBasis, as_vector, hnf_reduce,
+                            hnf_rows, hnf_with_coordinates,
                             lattice_intersection, primitive, rank_rational,
                             span_meets_trivially, vadd, vscale, vsub)
 
-from helpers import _fraction_rref
+from helpers import _fraction_rref, in_lattice
 
 vectors = st.lists(st.integers(-9, 9), min_size=2, max_size=3).map(tuple)
 
@@ -32,6 +32,29 @@ def test_rank_rational_entries_rejected():
     # a Fraction is not truncated into the integer elimination
     with pytest.raises(LatticeError):
         rank_rational([(Fraction(1, 2), 0), (0, Fraction(1, 3))])
+
+
+def test_non_integer_entries_raise_instead_of_truncating():
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    for build in (lambda: hnf_rows([(half, 0), (0, three_halves)], 2),
+                  lambda: lattice_intersection([(half, 0), (0, 1)],
+                                               [(1, 0), (0, 1)], 2),
+                  lambda: as_vector([three_halves, 1]),
+                  lambda: CosetSystem(2, [(three_halves, 0), (0, 1)])):
+        with pytest.raises(LatticeError, match="non-integer entry"):
+            build()
+
+
+def test_integral_fractions_read_as_ints():
+    two = Fraction(4, 2)
+    assert hnf_rows([(two, 0), (0, 3)], 2) == hnf_rows([(2, 0), (0, 3)], 2) \
+        == ((2, 0), (0, 3))
+    assert as_vector([two, Fraction(-3)]) == (2, -3)
+    assert set(map(type, as_vector([two, 1]))) == {int}
+    assert lattice_intersection([(two, 0), (0, 1)], [(1, 0), (0, 3)], 2) \
+        == ((2, 0), (0, 3))
+    assert rank_rational([(two, 0), (1, 0)]) == 1
+    assert CosetSystem(2, [(two, 0), (0, 1)]).generators == ((2, 0), (0, 1))
 
 
 def test_primitive_examples():

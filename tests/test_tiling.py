@@ -12,8 +12,9 @@ from perdec.config import (PeriodicConfig, Verdict, WindowConfig, apply_poly,
 from perdec.errors import EmptyRegionError, PerdecError, PreconditionError
 from perdec.laurent import LaurentPoly
 from perdec.lattice import SubspaceBasis, primitive, rank_rational
+from perdec.decompose import select_periodizer
 from perdec.tiling import (Tile, cotiler_decompose, independent,
-                           select_periodizer, tile_polynomial, verify_cotiler)
+                           tile_polynomial, verify_cotiler)
 
 from helpers import (guard_periodic_reads, periodic_from_function,
                      random_hnf_basis, reference_verify_cotiler)

@@ -469,6 +469,33 @@ def test_result_files_keep_their_bytes(files, run):
         assert hashlib.sha256(fh.read()).hexdigest() == _RESULT_SHA256[run]
 
 
+# SHA-256 of the family files of `sparse split` on a window of two fibers
+# per direction; recorded while the split had a window algorithm of its own
+_SPLIT_WINDOW_SHA256 = {
+    "family_00.json":
+        "92c3fa2b29fb605305dcb995b5e45055306056ea30a790ecb4545a96e6b195d0",
+    "family_01.json":
+        "f7ab0029384e28b61d4dbcb5a7eeaac00b41ef87ddc79e7568274c6da6738481",
+}
+
+
+def test_sparse_split_window_families_keep_their_bytes(tmp_path):
+    fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
+                          make_fiber((0, -2), (1, 0), [-1]),
+                          make_fiber((0, 1), (0, 1), [1, 1, 0]),
+                          make_fiber((3, 0), (0, 1), [2])])
+    cfg = write(tmp_path / "w.json",
+                config_to_obj(rasterize(fibers, (-44, -44), (43, 43))))
+    phi = write(tmp_path / "phi.json", poly_to_obj(difference_poly((2, 0))))
+    psi = write(tmp_path / "psi.json", poly_to_obj(difference_poly((0, 3))))
+    out = str(tmp_path / "out")
+    assert main(["--out", out, "sparse", "split", cfg, phi, psi]) == 0
+    assert manifest(out)["outputs"] == sorted(_SPLIT_WINDOW_SHA256)
+    for name, digest in _SPLIT_WINDOW_SHA256.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
 def test_decompose_non_integral_component_exits_one(tmp_path, capsys):
     # a rational transfer component is refused, not truncated
     cfg = write(tmp_path / "one.json",

@@ -548,8 +548,8 @@ class PeriodicFiber:
     __slots__ = ("dim", "anchor", "direction", "vals", "_pivot")
 
     def __init__(self, anchor, direction, vals):
-        self.anchor = tuple(map(int, anchor))
-        self.direction = tuple(map(int, direction))
+        self.anchor = tuple(map(as_int, anchor))
+        self.direction = tuple(map(as_int, direction))
         self.dim = len(self.anchor)
         if len(self.direction) != self.dim:
             raise DimensionMismatch("fiber anchor/direction dimension mismatch")
@@ -559,7 +559,7 @@ class PeriodicFiber:
             raise LatticeError("fiber direction must be primitive and normalized")
         if hnf_reduce(self.anchor, (self.direction,)) != self.anchor:
             raise LatticeError("fiber anchor is not the canonical line point")
-        self.vals = tuple(map(int, vals))
+        self.vals = tuple(map(as_int, vals))
         if not any(self.vals):
             raise LatticeError("fiber values must not be all zero")
         if _minimal_period(self.vals) != len(self.vals):
@@ -616,9 +616,9 @@ def make_fiber(anchor, direction, vals):
     canonical point with the value table rotated to match, and the table is
     cut to its minimal period.
     """
-    anchor = tuple(int(x) for x in anchor)
-    direction = tuple(int(x) for x in direction)
-    vals = [int(v) for v in vals]
+    anchor = tuple(map(as_int, anchor))
+    direction = tuple(map(as_int, direction))
+    vals = list(map(as_int, vals))
     if is_zero_vector(direction):
         raise LatticeError("fiber direction is zero")
     if not vals:

@@ -22,12 +22,14 @@ IntVector = tuple  # d-tuple of ints
 
 
 def as_int(x) -> int:
-    """x as an int when it is integral; any other value raises LatticeError
-    naming it instead of being truncated."""
-    n = int(x)
-    if n != x:
-        raise LatticeError(f"non-integer entry {x}: lattices are integer")
-    return n
+    """x as an int when it is integral; any other value, a non-number
+    included, raises LatticeError naming it instead of being truncated."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise LatticeError(f"non-integer entry {x}: lattices are integer")
 
 
 def as_vector(coords) -> IntVector:
@@ -208,12 +210,10 @@ class SubspaceBasis:
 
     def __init__(self, dim, basis=()):
         self.dim = int(dim)
-        rows = [tuple(row) for row in basis]
+        rows = [tuple(map(as_int, row)) for row in basis]
         for row in rows:
             if len(row) != self.dim:
                 raise DimensionMismatch("basis vector of wrong dimension")
-            if not all(isinstance(x, int) for x in row):
-                raise LatticeError(f"basis vector is not integer: {row!r}")
         r = len(rows)
         self._normals = tuple(
             row[r:] for row in hnf_with_coordinates(

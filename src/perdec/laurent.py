@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, LatticeError
-from .lattice import (IntVector, SubspaceBasis, is_zero_vector,
-                      parallel, primitive, vadd, vsub)
+from .lattice import (IntVector, SubspaceBasis, as_int, as_vector,
+                      is_zero_vector, parallel, primitive, vadd, vsub)
 
 
 class LaurentPoly:
@@ -25,8 +25,8 @@ class LaurentPoly:
             raise LatticeError("polynomials need dimension >= 1")
         clean = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            coef = int(coef)
+            exp = tuple(map(as_int, exp))
+            coef = as_int(coef)
             if len(exp) != self.dim:
                 raise DimensionMismatch(
                     f"exponent {exp} has wrong length for dim {self.dim}")
@@ -49,7 +49,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exp, coef=1):
-        exp = tuple(int(e) for e in exp)
+        exp = tuple(exp)
         return cls(len(exp), {exp: coef})
 
     # -- inspection ----------------------------------------------------------
@@ -170,7 +170,7 @@ def poly_product(polys, dim=None):
 
 def difference_poly(v: IntVector) -> LaurentPoly:
     """X^v - 1; annihilates exactly the v-periodic functions."""
-    v = tuple(int(x) for x in v)
+    v = as_vector(v)
     if is_zero_vector(v):
         raise LatticeError("difference polynomial of the zero vector")
     return LaurentPoly(len(v), {v: 1, (0,) * len(v): -1})

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
-                           add_views, apply_poly, box_points,
-                           detect_period_multiple, is_annihilated,
-                           make_fiber, period_lattice, rasterize)
+from perdec.config import (FiberSum, LazyConfig, PeriodicConfig,
+                           PeriodicFiber, WindowConfig, add_views, apply_poly,
+                           box_points, detect_period_multiple,
+                           is_annihilated, make_fiber, period_lattice,
+                           rasterize)
 from perdec.errors import (DimensionMismatch, EmptyRegionError, LatticeError,
                            OutOfDomainError, PreconditionError)
 from perdec.laurent import LaurentPoly, difference_poly
@@ -592,6 +593,21 @@ def test_periodic_refuses_a_non_integral_basis():
     c = PeriodicConfig(2, [(Fraction(4, 2), 0), (0, 2)], [1, 2, 3, 4])
     assert c.basis == ((2, 0), (0, 2))
     assert c == PeriodicConfig(2, [(2, 0), (0, 2)], [1, 2, 3, 4])
+
+
+def test_fibers_refuse_non_integral_entries():
+    half = Fraction(1, 2)
+    for make in (lambda: make_fiber((0, 0), (1, 0), [half, 1]),
+                 lambda: make_fiber((half, 0), (1, 0), [1]),
+                 lambda: make_fiber((0, 0), (half, 0), [1]),
+                 lambda: PeriodicFiber((0, 0), (1, 0), [half, 1]),
+                 lambda: PeriodicFiber((0, half), (1, 0), [1])):
+        with pytest.raises(LatticeError, match="non-integer entry 1/2"):
+            make()
+    f = make_fiber((Fraction(0), Fraction(2)), (Fraction(1), 0),
+                   [Fraction(4, 2), 1])
+    assert f == make_fiber((0, 2), (1, 0), [2, 1])
+    assert all(type(x) is int for x in f.anchor + f.direction + f.vals)
 
 
 def test_periodic_refuses_non_integral_values():

@@ -107,6 +107,10 @@ def test_subspace_basis_takes_integer_vectors_only():
     with pytest.raises(LatticeError):
         SubspaceBasis(2, [("1/2", 1)])
     assert SubspaceBasis(2, [(2, 4)]).integer_rows() == ((1, 2),)
+    # an integral Fraction is an integer, as for every lattice entry
+    integral = SubspaceBasis(2, [(Fraction(2), 0)])
+    assert integral == SubspaceBasis(2, [(1, 0)])
+    assert integral.basis == ((2, 0),) and type(integral.basis[0][0]) is int
 
 
 def test_subspace_canonical_key_ignores_basis_choice():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,29 @@ def test_difference_poly_examples():
     assert difference_poly((2, -3)) == P(2, {(2, -3): 1, (0, 0): -1})
     with pytest.raises(LatticeError):
         difference_poly((0, 0))
+
+
+def test_non_integral_entries_raise_instead_of_truncating():
+    # an entry int() would change is refused, never truncated
+    half = Fraction(1, 2)
+    for make in (lambda: P(2, {(0, 0): half, (1, 0): 1}),
+                 lambda: P(2, {(half, 0): 1, (1, 0): 1}),
+                 lambda: LaurentPoly.monomial((0, half)),
+                 lambda: LaurentPoly.monomial((0, 1), half),
+                 lambda: difference_poly((half, 1)),
+                 lambda: P(2, {("1", 0): 1})):
+        with pytest.raises(LatticeError, match="non-integer entry"):
+            make()
+
+
+def test_integral_fractions_read_as_ints():
+    f = P(2, {(Fraction(4, 2), 0): Fraction(-6, 2), (0, 0): 1})
+    assert f == P(2, {(2, 0): -3, (0, 0): 1})
+    assert all(type(x) is int for exp, coef in f.terms() for x in exp + (coef,))
+    assert LaurentPoly.monomial((Fraction(1), 0), Fraction(3)) == \
+        P(2, {(1, 0): 3})
+    assert difference_poly((Fraction(2), Fraction(-1))) == \
+        difference_poly((2, -1))
 
 
 def test_difference_poly_annihilates_periodic():

@@ -10,7 +10,9 @@ sums, the limit of a translate sequence along a fiber-preserving step is
 the parallel sub-sum (the canonical converging subsequence); for window
 views, stabilization of translates, each one box read, is detected with
 explicit patience and length bounds, and exhaustion of either bound or of
-the window is reported as inconclusive.
+the window is reported as inconclusive.  A window decomposes for any number
+of factors: one factor's family is read from the whole box; with more, each
+is window evidence from such a limit on the check window.
 """
 
 from __future__ import annotations
@@ -307,41 +309,9 @@ def stabilized_translate_limit(c, step, window, k_max: int, patience: int
 
 def sparse_split2(c, phi: LaurentPoly, psi: LaurentPoly,
                   bounds: Bounds | None = None):
-    """Split a sparse phi*psi-annihilated view into two fiber families.
-
-    Returns (c1, c2) with phi*c1 = 0, psi*c2 = 0, c = c1 + c2, where c1 is
-    a finite sum of fibers along phi's direction and c2 along psi's.  A
-    fiber sum is grouped by direction (`sparse_decompose`).  A window is
-    split by translate limits along the detected periods of psi*c and
-    phi*c, and c = c1 + c2 is checked on the check window.
-    """
-    bounds = bounds or Bounds()
-    if isinstance(c, FiberSum):
-        return tuple(sparse_decompose(c, [phi, psi], bounds))
-    v, u = non_parallel_directions([phi, psi])
-    _require_annihilation(phi * psi, c, bounds,
-                          "phi*psi does not annihilate the input")
-
-    if isinstance(c, WindowConfig):
-        # phi*(psi*c) = 0 is the check above: psi*c eroded by supp(phi) is c
-        # eroded by supp(phi*psi) (a product's extreme exponents per axis
-        # are the sums of its factors'), and the convolutions agree there
-        ext1 = fiber_extract(apply_poly(psi, c), v, bounds.period)
-        p = lcm(*(f.period for f in ext1.fibers))
-        ext2 = fiber_extract(apply_poly(phi, c), u, bounds.period)
-        q = lcm(*(f.period for f in ext2.fibers))
-        lo, hi = bounds.check_window(c.dim)
-        w1 = stabilized_translate_limit(c, vscale(p, v), (lo, hi),
-                                        bounds.k_max, bounds.patience)
-        w2 = stabilized_translate_limit(c, vscale(q, u), (lo, hi),
-                                        bounds.k_max, bounds.patience)
-        c1 = fiber_extract(w1, v, bounds.period)
-        c2 = fiber_extract(w2, u, bounds.period)
-        if not _agree_on(add_views([c1, c2]), c, (lo, hi)):
-            raise VerificationError("split identity failed: c = c1 + c2")
-        return c1, c2
-
-    raise PreconditionError("split needs a fiber sum or a window view")
+    """The two-factor `sparse_decompose`: fiber sums (c1, c2) along phi's
+    and psi's directions with phi*c1 = 0, psi*c2 = 0 and c = c1 + c2."""
+    return tuple(sparse_decompose(c, [phi, psi], bounds))
 
 
 def _agree_on(a, b, window):
@@ -386,9 +356,14 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
     direction, applied to the sum's w-line farthest in that direction,
     reaches a line that no other term and line reach.
 
-    Any other view is checked against the multiplied-out product; one
-    factor then gives one family by extraction, which the factor must
-    annihilate exactly, and several need a fiber sum.
+    Any other view is checked against the multiplied-out product.  One
+    factor's family is extracted from the whole view.  With several,
+    psi_i = prod_{j != i} phi_j kills every family but family i and is
+    injective on it, so the lcm p_i of the periods of psi_i*c along v_i is
+    a period of family i, read from the translate limit along p_i*v_i on
+    the check window, which carries the transverse families out: window
+    evidence, which must sum to c there.  Each factor must annihilate its
+    family exactly.
     """
     bounds = bounds or Bounds()
     phis = list(phis)
@@ -409,15 +384,25 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
 
     _require_annihilation(poly_product(phis), c, bounds,
                           "the product does not annihilate the input")
-    if len(phis) > 1:
-        raise PreconditionError(
-            "multi-factor sparse decomposition needs a fiber-sum view; "
-            "extract fibers or rasterize first")
-    family = fiber_extract(c, dirs[0], bounds.period)
-    if not apply_poly(phis[0], family).is_zero():
+    window = bounds.check_window(c.dim)
+    families = []
+    for i, v in enumerate(dirs):
+        view = c
+        if len(phis) > 1:
+            psi_c = apply_poly(poly_product(phis[:i] + phis[i + 1:]), c)
+            p = lcm(*(f.period for f in
+                      fiber_extract(psi_c, v, bounds.period).fibers))
+            view = stabilized_translate_limit(c, vscale(p, v), window,
+                                              bounds.k_max, bounds.patience)
+        families.append(fiber_extract(view, v, bounds.period))
+    if not all(apply_poly(phi, fam).is_zero()
+               for phi, fam in zip(phis, families)):
         raise VerificationError(
             "the extracted family is not annihilated by its factor")
-    return [family]
+    if len(phis) > 1 and not _agree_on(add_views(families), c, window):
+        raise VerificationError(
+            "the families do not sum to the input on the check window")
+    return families
 
 
 def sparse_full(c, f: LaurentPoly, bounds: Bounds | None = None):

@@ -786,3 +786,20 @@ def random_fiber_family(rng: random.Random, dim, direction, max_fibers=6,
 DIRECTIONS_2D = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2)]
 DIRECTIONS_3D = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 2),
                  (0, 1, -1), (2, 1, 1)]
+
+# fiber sums along three directions with one annihilating difference factor
+# per direction; with the default bounds a window decomposes them from
+# 96x96 and 64^3 on
+THREE_DIRECTIONS_2D = FiberSum(2, [
+    make_fiber((0, 0), (1, 0), [3, 5, 1]), make_fiber((0, 2), (1, 0), [1]),
+    make_fiber((1, 0), (0, 1), [1, 2]),
+    make_fiber((0, 1), (1, 1), [1, 0, 2, -1])])
+THREE_FACTORS_2D = [difference_poly((3, 0)), difference_poly((0, 2)),
+                    difference_poly((4, 4))]
+THREE_DIRECTIONS_3D = FiberSum(3, [
+    make_fiber((0, 0, 0), (1, 0, 0), [1, 2]),
+    make_fiber((0, 0, 2), (1, 0, 0), [4]),
+    make_fiber((0, 1, -1), (0, 1, 0), [3]),
+    make_fiber((1, 0, 0), (0, 0, 1), [1, -1])])
+THREE_FACTORS_3D = [difference_poly((2, 0, 0)), difference_poly((0, 1, 0)),
+                    difference_poly((0, 0, 2))]

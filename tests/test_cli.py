@@ -10,9 +10,10 @@ from perdec.config import (FiberSum, PeriodicConfig, WindowConfig,
                            box_points, make_fiber, rasterize)
 from perdec.decompose import Bounds
 from perdec.serialize import config_from_obj, config_to_obj, dumps, poly_to_obj
-from perdec.laurent import LaurentPoly, difference_poly
+from perdec.laurent import LaurentPoly, difference_poly, poly_product
 
-from helpers import guard_periodic_reads, periodic_from_function
+from helpers import (THREE_DIRECTIONS_2D, THREE_FACTORS_2D,
+                     guard_periodic_reads, periodic_from_function)
 
 CHECKER = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
 
@@ -321,6 +322,36 @@ def test_sparse_decompose_checks_a_window_family(tmp_path, monkeypatch):
     assert run("out_shifted", "decompose", cfg, factor) == (1, {
         "identity: per-family annihilation": True,
         "identity: family sum = input": False})
+
+
+@pytest.mark.parametrize("n, code", [(100, 0), (60, 2)])
+def test_sparse_window_with_three_directions(tmp_path, n, code):
+    # each family is read from a translate limit on the check window; a
+    # window too small for the limits is inconclusive and names the number
+    # of translates it held
+    lo = -(n // 2)
+    cfg = write(tmp_path / "w.json", config_to_obj(rasterize(
+        THREE_DIRECTIONS_2D, (lo, lo), (lo + n - 1, lo + n - 1))))
+    factors = write(tmp_path / "factors.json",
+                    [poly_to_obj(phi) for phi in THREE_FACTORS_2D])
+    product = write(tmp_path / "f.json",
+                    poly_to_obj(poly_product(THREE_FACTORS_2D)))
+    box = Bounds().check_window(2)
+    for argv in (["decompose", cfg, factors], ["full", cfg, product]):
+        out = str(tmp_path / f"out_{argv[0]}")
+        assert main(["--out", out, "sparse", *argv]) == code
+        m = manifest(out)
+        if code:
+            assert m["error"]["type"] == "InconclusiveError"
+            assert m["error"]["bound"] > 0
+            continue
+        assert m["verdicts"]["identity: family sum = input"]
+        fams = [config_from_obj(json.load(open(os.path.join(out, name))))
+                for name in m["outputs"]]
+        assert {fam.fibers[0].direction: fam.values_on_box(*box)
+                for fam in fams} == {
+            d: THREE_DIRECTIONS_2D.parallel_part(d).values_on_box(*box)
+            for d in [(1, 0), (0, 1), (1, 1)]}
 
 
 def test_sparse_full_inconclusive_exit_code(files):

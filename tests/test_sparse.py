@@ -10,17 +10,20 @@ from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                            make_fiber, rasterize)
 from perdec.decompose import Bounds
 from perdec.errors import (DimensionMismatch, InconclusiveError,
-                           PreconditionError)
-from perdec.laurent import LaurentPoly, difference_poly
+                           PreconditionError, VerificationError)
+from perdec.laurent import (LaurentPoly, difference_poly,
+                            non_parallel_directions)
 from perdec.lattice import primitive, vscale
 from perdec.sparse import (check_sparseness, fiber_closed_form_constant,
                            fiber_extract, sparse_decompose, sparse_full,
                            sparse_split2, stabilized_translate_limit)
 
-from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, periodic_from_function,
-                     random_fiber_family, random_hnf_basis,
-                     reference_sparse_decompose, reference_sparseness,
-                     reference_translate_limit, window_from_function)
+from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, THREE_DIRECTIONS_2D,
+                     THREE_DIRECTIONS_3D, THREE_FACTORS_2D, THREE_FACTORS_3D,
+                     periodic_from_function, random_fiber_family,
+                     random_hnf_basis, reference_sparse_decompose,
+                     reference_sparseness, reference_translate_limit,
+                     window_from_function)
 
 BOUNDS = Bounds()
 
@@ -638,12 +641,86 @@ def test_decompose_rejects_transverse_stray_fiber():
                          BOUNDS)
 
 
-def test_decompose_window_needs_one_factor():
+def test_decompose_window_with_two_factors_needs_room_for_the_limits():
+    # one factor reads its family off the whole box; two read theirs from
+    # translate limits on the check window, which a 13x13 box cannot hold
+    phis = [difference_poly((2, 0)), difference_poly((0, 3))]
     w = rasterize(HORIZ, (-6, -6), (6, 6))
-    assert sparse_decompose(w, [difference_poly((2, 0))], BOUNDS) == [HORIZ]
-    with pytest.raises(PreconditionError, match="needs a fiber-sum view"):
-        sparse_decompose(w, [difference_poly((2, 0)),
-                             difference_poly((0, 3))], BOUNDS)
+    assert sparse_decompose(w, phis[:1], BOUNDS) == [HORIZ]
+    with pytest.raises(InconclusiveError) as err:
+        sparse_decompose(w, phis, BOUNDS)
+    assert err.value.bound == 0
+    w = rasterize(add_views([HORIZ, VERT]), (-40, -40), (39, 39))
+    assert sparse_decompose(w, phis, BOUNDS) == [HORIZ, VERT]
+
+
+def test_window_families_must_sum_to_the_input(monkeypatch):
+    # zero limits give families that their factors kill exactly, but that
+    # miss the input on the check window
+    phis = [difference_poly((2, 0)), difference_poly((0, 3))]
+    w = rasterize(add_views([HORIZ, VERT]), (-40, -40), (39, 39))
+    monkeypatch.setattr(sparse, "stabilized_translate_limit",
+                        lambda c, step, window, *bounds: WindowConfig(
+                            *window, [0] * box_size(*window)))
+    with pytest.raises(VerificationError, match="do not sum to the input"):
+        sparse_decompose(w, phis, BOUNDS)
+
+
+def _window_families_are_parallel_parts(c, phis, lo, hi, bounds=BOUNDS):
+    """Whether `sparse_decompose` returns on c rasterized to [lo, hi], after
+    checking that each family equals c's parallel part along its factor on
+    the check window; the only other outcome allowed is InconclusiveError.
+    """
+    try:
+        got = sparse_decompose(rasterize(c, lo, hi), phis, bounds)
+    except InconclusiveError:
+        return False
+    box = bounds.check_window(c.dim)
+    assert [fam.values_on_box(*box) for fam in got] == \
+        [c.parallel_part(d).values_on_box(*box)
+         for d in non_parallel_directions(phis)]
+    return True
+
+
+def _random_window_case(rng):
+    """A 2-d fiber sum along 2 to 4 directions, periods up to 4, its
+    difference factors and a random window holding the check window."""
+    dirs = rng.sample(DIRECTIONS_2D, rng.randint(2, 4))
+    fams = [random_fiber_family(rng, 2, d, max_fibers=2, max_period=4,
+                                anchor_range=3) for d in dirs]
+    phis = [difference_poly(vscale(lcm(*(f.period for f in fam.fibers)), d))
+            for fam, d in zip(fams, dirs)]
+    lo = tuple(rng.randint(-100, -16) for _ in range(2))
+    hi = tuple(rng.randint(16, 100) for _ in range(2))
+    return add_views(fams), phis, lo, hi
+
+
+# patience 4 lets about a third of the random windows hold the limits
+ORACLE_BOUNDS = Bounds(patience=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_window_families_are_the_parallel_parts(seed):
+    _window_families_are_parallel_parts(
+        *_random_window_case(random.Random(seed)), ORACLE_BOUNDS)
+
+
+def test_window_decompositions_that_succeed():
+    assert sum(_window_families_are_parallel_parts(
+        *_random_window_case(random.Random(seed)), ORACLE_BOUNDS)
+        for seed in range(60)) == 18
+
+
+@pytest.mark.parametrize("c, phis, n, fits", [
+    (THREE_DIRECTIONS_2D, THREE_FACTORS_2D, 100, True),
+    (THREE_DIRECTIONS_2D, THREE_FACTORS_2D, 60, False),
+    (THREE_DIRECTIONS_3D, THREE_FACTORS_3D, 80, True),
+    (THREE_DIRECTIONS_3D, THREE_FACTORS_3D, 24, False)])
+def test_three_directions_on_a_window(c, phis, n, fits):
+    lo = (-(n // 2),) * c.dim
+    assert _window_families_are_parallel_parts(
+        c, phis, lo, tuple(v + n - 1 for v in lo)) == fits
 
 
 # the grouping by direction against the inductive proof it replaces

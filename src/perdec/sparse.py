@@ -360,10 +360,10 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
     factor's family is extracted from the whole view.  With several,
     psi_i = prod_{j != i} phi_j kills every family but family i and is
     injective on it, so the lcm p_i of the periods of psi_i*c along v_i is
-    a period of family i, read from the translate limit along p_i*v_i on
-    the check window, which carries the transverse families out: window
-    evidence, which must sum to c there.  Each factor must annihilate its
-    family exactly.
+    a period of family i.  Family i is read from the translate limit along
+    p_i*v_i on the check window, which carries the other families out; it
+    is window evidence, and the families must sum to c there.  Each factor
+    must annihilate its family exactly.
     """
     bounds = bounds or Bounds()
     phis = list(phis)

@@ -80,7 +80,8 @@ def test_non_integral_entries_raise_instead_of_truncating():
 def test_integral_fractions_read_as_ints():
     f = P(2, {(Fraction(4, 2), 0): Fraction(-6, 2), (0, 0): 1})
     assert f == P(2, {(2, 0): -3, (0, 0): 1})
-    assert all(type(x) is int for exp, coef in f.terms() for x in exp + (coef,))
+    assert all(type(x) is int
+               for exp, coef in f.terms() for x in exp + (coef,))
     assert LaurentPoly.monomial((Fraction(1), 0), Fraction(3)) == \
         P(2, {(1, 0): 3})
     assert difference_poly((Fraction(2), Fraction(-1))) == \

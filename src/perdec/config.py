@@ -280,8 +280,8 @@ class WindowConfig:
     evidence_kind = "window evidence"  # names inexact verdicts in errors
 
     def __init__(self, lo, hi, values):
-        self.lo = tuple(int(x) for x in lo)
-        self.hi = tuple(int(x) for x in hi)
+        self.lo = tuple(map(as_int, lo))
+        self.hi = tuple(map(as_int, hi))
         self.dim = len(self.lo)
         if len(self.hi) != self.dim:
             raise DimensionMismatch("window corners of different dimension")

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import gcd, lcm
 from operator import add, mul
 
 from .config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
@@ -41,9 +42,9 @@ from .config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                      line_slice, line_values, period_lattice, sub_box)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
-from .laurent import (LaurentPoly, difference_poly, line_degree,
-                      line_direction, non_parallel_directions, poly_product,
-                      support_in_subspace)
+from .laurent import (LaurentPoly, cyclotomic_divisors, difference_poly,
+                      line_degree, line_direction, non_parallel_directions,
+                      poly_product, support_in_subspace)
 from .lattice import (CosetSystem, SubspaceBasis, hnf_with_coordinates,
                       is_zero_vector, parallel, primitive, rank_rational,
                       span_meets_trivially, vadd, vneg, vscale, vsub,
@@ -543,24 +544,17 @@ def reduce_annihilator(dp: DifferenceProduct, e, V: SubspaceBasis,
         if V.contains(v):
             raise PreconditionError(f"factor direction {v} lies in the subspace")
     _validate_product(vecs, e, bounds, PreconditionError)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(vecs)):
-            for jp in range(len(vecs)):
-                if j == jp:
-                    continue
-                if parallel(vecs[j], vecs[jp]):
-                    vecs = _merge_parallel(vecs, j, jp, e, bounds)
-                    changed = True
-                    break
-                if not span_meets_trivially(vecs[j], vecs[jp], V):
-                    vecs = _rewrite_span_collision(vecs, j, jp, e, V, bounds)
-                    changed = True
-                    break
-            if changed:
-                break
-    return DifferenceProduct(tuple(vecs))
+    while True:
+        pair = next(((j, jp) for j, jp in permutations(range(len(vecs)), 2)
+                     if parallel(vecs[j], vecs[jp])
+                     or not span_meets_trivially(vecs[j], vecs[jp], V)), None)
+        if pair is None:
+            return DifferenceProduct(tuple(vecs))
+        j, jp = pair
+        if parallel(vecs[j], vecs[jp]):
+            vecs = _merge_parallel(vecs, j, jp, e, bounds)
+        else:
+            vecs = _rewrite_span_collision(vecs, j, jp, e, V, bounds)
 
 
 def _merge_parallel(vecs, j, jp, e, bounds):
@@ -659,19 +653,16 @@ def annihilator_from_periodizer(g: LaurentPoly, c, V: SubspaceBasis,
 # ---------------------------------------------------------------------------
 # certificate search
 
-def _candidate_ok(avoid, z):
-    return avoid is None or not avoid.contains(z)
-
-
 def _test_product(vectors, parts):
     """Whether prod (X^v - 1) over `vectors` annihilates the sum of `parts`.
 
-    Each part is (w, G): G holds the fibers of a fiber sum along the
-    primitive direction w, or w is None and G is the whole input.  A None
-    part is tested against the full product.  A fiber part is tested
-    against the factors parallel to w alone, by this lemma: for
-    c = sum_w G_w, the product annihilates c exactly when, for every w,
-    prod_{v || w} (X^v - 1) annihilates G_w.
+    A part is (None, c), c tested whole against the full product, or
+    (w, D) for the fibers G_w of a fiber sum along the primitive direction
+    w, D the union of their `cyclotomic_divisors`.  For c = sum_w G_w the
+    product annihilates c exactly when, for every w, the factors s_i*w
+    parallel to w annihilate G_w, that is when every d in D divides some
+    |s_i| = gcd(v): G_w's canonical fibers lie on distinct lines, each
+    kept by those factors.
 
     * Finite fiber sums along distinct directions add to zero only if each
       is zero: a nonzero periodic fiber has infinitely many nonzero points
@@ -684,10 +675,12 @@ def _test_product(vectors, parts):
       parallel to w do, and a part with none of them survives.
     """
     for w, part in parts:
-        factors = [v for v in vectors if w is None or primitive(v) == w]
-        if not factors:
-            return False
-        product = poly_product([difference_poly(v) for v in factors])
+        if w is not None:
+            steps = [gcd(*v) for v in vectors if primitive(v) == w]
+            if not all(any(s % d == 0 for s in steps) for d in part):
+                return False
+            continue
+        product = poly_product([difference_poly(v) for v in vectors])
         try:
             if not is_annihilated(product, part).holds:
                 return False
@@ -712,9 +705,11 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
     with `_require_annihilation` before it uses it, and `sparse_decompose`
     checks a fiber sum family by family.
 
-    A fiber sum is split once into its parts along each fiber direction,
-    and a candidate is tested on each part with its factors parallel to
-    that direction (`_test_product`); any other view is tested whole.
+    A fiber sum is read once into one part per fiber direction w, the set
+    D_w of its fibers' `cyclotomic_divisors` (`_test_product`); any other
+    view is tested whole.  On a fiber sum phase 2 succeeds exactly when a
+    corner yields every fiber direction and bound >= max_w lcm(D_w), so
+    it is skipped otherwise, naming that least bound or that none helps.
 
     `avoid` filters out candidate vectors inside a subspace, for callers
     that need every factor transversal to it.
@@ -728,33 +723,39 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
         raise PreconditionError("f neither annihilates nor visibly periodizes c")
     support = f.support()
     if isinstance(c, FiberSum):
-        parts = [(w, c.parallel_part(w))
-                 for w in sorted({fib.direction for fib in c.fibers})]
+        divisors = {}
+        for fib in c.fibers:
+            divisors.setdefault(fib.direction, set()).update(
+                cyclotomic_divisors(fib.vals))
+        parts = sorted(divisors.items())
     else:
         parts = [(None, c)]
 
     # phase 1: raw support differences with their observed scales
-    for u in support:
-        cands = sorted({vsub(ui, u) for ui in support if ui != u})
-        cands = [z for z in cands if _candidate_ok(avoid, z)]
-        by_size = sorted(
-            range(len(cands)), key=lambda i: (sum(map(abs, cands[i])), cands[i]))
-        ordered = [cands[i] for i in by_size]
+    diffs = [[z for z in {vsub(x, u) for x in support if x != u}
+              if avoid is None or not avoid.contains(z)] for u in support]
+    for cands in diffs:
+        ordered = sorted(cands, key=lambda z: (sum(map(abs, z)), z))
         for size in range(1, len(ordered) + 1):
             for combo in combinations(ordered, size):
-                dirs = [primitive(z) for z in combo]
-                if len(set(dirs)) != size:
-                    continue
-                if _test_product(combo, parts):
-                    return DifferenceProduct(tuple(combo))
+                if len({primitive(z) for z in combo}) == size and \
+                        _test_product(combo, parts):
+                    return DifferenceProduct(combo)
 
     # phase 2: iterative deepening over scaled primitive directions
-    per_corner = []
-    for u in support:
-        prims = sorted({primitive(vsub(ui, u)) for ui in support if ui != u})
-        prims = [w for w in prims if _candidate_ok(avoid, w)]
-        if prims:
-            per_corner.append(prims)
+    per_corner = [sorted({primitive(z) for z in cands})
+                  for cands in diffs if cands]
+    exhausted = ("no difference-product certificate within multiplier "
+                 f"bound {bound}")
+    if isinstance(c, FiberSum):
+        if not any(divisors.keys() <= set(prims) for prims in per_corner):
+            raise InconclusiveError(
+                f"{exhausted}; no bound suffices: no corner of f yields "
+                "every fiber direction", bound)
+        least = max((lcm(*ds) for ds in divisors.values()), default=1)
+        if least > bound:
+            raise InconclusiveError(
+                f"{exhausted}; bound {least} would suffice", bound)
     max_size = max((len(p) for p in per_corner), default=0)
     for total in range(1, bound * max_size + 1):
         for prims in per_corner:
@@ -766,9 +767,7 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
                         vecs = tuple(vscale(k, w) for k, w in zip(ks, subset))
                         if _test_product(vecs, parts):
                             return DifferenceProduct(vecs)
-    raise InconclusiveError(
-        f"no difference-product certificate within multiplier bound {bound}",
-        bound)
+    raise InconclusiveError(exhausted, bound)
 
 
 def _compositions(total, size, bound):

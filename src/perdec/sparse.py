@@ -28,10 +28,11 @@ from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                      make_fiber, rasterize)
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
-from .errors import (InconclusiveError, PreconditionError, VerificationError)
+from .errors import (EmptyRegionError, InconclusiveError, PreconditionError,
+                     VerificationError)
 from .laurent import LaurentPoly, non_parallel_directions, poly_product
-from .lattice import (check_same_dim, hnf_reduce, is_zero_vector, primitive,
-                      vscale, vsub, zero_vector)
+from .lattice import (as_int, check_same_dim, hnf_reduce, is_zero_vector,
+                      primitive, vscale, vsub, zero_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +281,8 @@ def stabilized_translate_limit(c, step, window, k_max: int, patience: int
     number of translates it held as the bound.  The exact limit of a fiber
     sum is `FiberSum.parallel_part`.
     """
-    step = tuple(int(x) for x in step)
-    lo, hi = (tuple(int(x) for x in corner) for corner in window)
+    step = tuple(map(as_int, step))
+    lo, hi = (tuple(map(as_int, corner)) for corner in window)
     check_same_dim(step, lo, hi, zero_vector(c.dim))
     if is_zero_vector(step):
         raise PreconditionError("the zero vector is no translation direction")
@@ -363,7 +364,8 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
     a period of family i.  Family i is read from the translate limit along
     p_i*v_i on the check window, which carries the other families out; it
     is window evidence, and the families must sum to c there.  Each factor
-    must annihilate its family exactly.
+    must annihilate its family exactly.  A window that the product erodes
+    away holds no translates: inconclusive with bound 0.
     """
     bounds = bounds or Bounds()
     phis = list(phis)
@@ -382,8 +384,12 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
         return [fiber_extract(fam, d, bounds.period)
                 for fam, d in zip(families, dirs)]
 
-    _require_annihilation(poly_product(phis), c, bounds,
-                          "the product does not annihilate the input")
+    try:
+        _require_annihilation(poly_product(phis), c, bounds,
+                              "the product does not annihilate the input")
+    except EmptyRegionError as exc:
+        raise InconclusiveError(f"the product has no window evidence: {exc}",
+                                0) from exc
     window = bounds.check_window(c.dim)
     families = []
     for i, v in enumerate(dirs):

@@ -18,7 +18,7 @@ from .config import (FiberSum, PeriodicConfig, Verdict, WindowConfig,
 from .decompose import Bounds, Decomposition, k_periodic_decompose
 from .errors import DimensionMismatch, PreconditionError
 from .laurent import LaurentPoly
-from .lattice import rank_rational, vneg, zero_vector
+from .lattice import as_int, rank_rational, vneg, zero_vector
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class Tile:
         object.__setattr__(self, "dim", int(dim))
         seen = set()
         for cell in cells:
-            cell = tuple(int(x) for x in cell)
+            cell = tuple(map(as_int, cell))
             if len(cell) != self.dim:
                 raise PreconditionError("tile cell of wrong dimension")
             if cell in seen:

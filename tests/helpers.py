@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+import itertools
+from itertools import combinations
 from math import gcd, lcm
 
 from perdec import (FiberSum, LaurentPoly, PeriodicConfig, WindowConfig,
@@ -38,8 +40,8 @@ from perdec.config import (LazyConfig, PeriodicFiber, Verdict,
 from perdec.decompose import _require_annihilation
 from perdec.errors import (EmptyRegionError, OutOfDomainError,
                            PreconditionError, SchemaError, VerificationError)
-from perdec.laurent import (difference_poly, non_parallel_directions,
-                            poly_product)
+from perdec.laurent import (cyclotomic_divisors, difference_poly,
+                            non_parallel_directions, poly_product)
 from perdec.lattice import (fundamental_residues, hnf_reduce, hnf_rows,
                             is_zero_vector, lattice_determinant, primitive,
                             vadd, vscale, vsub)
@@ -416,6 +418,37 @@ def reference_test_product(vectors, c):
         return False
 
 
+def reference_search(c, f, bound):
+    """The certificate search written as a plain enumeration: phase 1 over
+    the non-parallel subsets of each corner's support differences, then
+    every multiplied subset of each corner's primitive directions by
+    multiplier sum, each candidate multiplied out and applied to c whole
+    (`reference_test_product`).  Returns the first vectors that annihilate
+    c, or None when every candidate within `bound` fails."""
+    support = f.support()
+    for u in support:
+        cands = sorted({vsub(x, u) for x in support if x != u},
+                       key=lambda z: (sum(map(abs, z)), z))
+        for size in range(1, len(cands) + 1):
+            for combo in combinations(cands, size):
+                if len({primitive(z) for z in combo}) == size and \
+                        reference_test_product(combo, c):
+                    return combo
+    corners = [sorted({primitive(vsub(x, u)) for x in support if x != u})
+               for u in support]
+    for total in range(1, bound * max(map(len, corners)) + 1):
+        for prims in corners:
+            for size in range(1, len(prims) + 1):
+                for subset in combinations(prims, size):
+                    for ks in itertools.product(range(1, bound + 1),
+                                                 repeat=size):
+                        vecs = tuple(vscale(k, w) for k, w in zip(ks, subset))
+                        if sum(ks) == total and \
+                                reference_test_product(vecs, c):
+                            return vecs
+    return None
+
+
 def reference_sparse_decompose(c: FiberSum, phis, bounds):
     """sparse_decompose of a fiber sum by induction on the factor count.
 
@@ -537,9 +570,11 @@ def reference_periodic_period_multiple(c: PeriodicConfig, w, bound):
 
 
 def fiber_parts(c: FiberSum):
-    """The certificate test's parts of a fiber sum: (w, fibers along w)
-    for each fiber direction w."""
-    return [(w, c.parallel_part(w))
+    """The certificate test's parts of a fiber sum: (w, D_w) for each fiber
+    direction w, D_w the union of the cyclotomic divisor sets of the
+    fibers along w."""
+    return [(w, set().union(*(cyclotomic_divisors(f.vals)
+                              for f in c.parallel_part(w).fibers)))
             for w in sorted({f.direction for f in c.fibers})]
 
 

@@ -354,6 +354,25 @@ def test_sparse_window_with_three_directions(tmp_path, n, code):
             for d in [(1, 0), (0, 1), (1, 1)]}
 
 
+def test_sparse_window_eroded_away_by_the_product(tmp_path):
+    # the product X^(6,0)-1 times X^(0,1)-1 erodes a 5x5 window away: the
+    # window holds no evidence, so the run is inconclusive with bound 0
+    cfg = write(tmp_path / "w.json", config_to_obj(rasterize(
+        FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 2, 0, 0, 0, 0])]),
+        (0, 0), (4, 4))))
+    phis = [difference_poly((6, 0)), difference_poly((0, 1))]
+    factors = write(tmp_path / "factors.json", [poly_to_obj(p) for p in phis])
+    phi, psi = (write(tmp_path / f"{name}.json", poly_to_obj(p))
+                for name, p in zip(("phi", "psi"), phis))
+    for argv in (["decompose", cfg, factors], ["split", cfg, phi, psi]):
+        out = str(tmp_path / f"out_{argv[0]}")
+        assert main(["--out", out, "sparse", *argv]) == 2
+        error = manifest(out)["error"]
+        assert error["type"] == "InconclusiveError"
+        assert error["bound"] == 0
+        assert "window too small" in error["message"]
+
+
 def test_sparse_full_inconclusive_exit_code(files):
     tmp, fx = files
     c = {"kind": "fibersum", "dim": 2, "fibers": [

@@ -610,6 +610,14 @@ def test_fibers_refuse_non_integral_entries():
     assert all(type(x) is int for x in f.anchor + f.direction + f.vals)
 
 
+def test_window_refuses_non_integral_corners():
+    with pytest.raises(LatticeError, match="non-integer entry 1/2"):
+        WindowConfig((Fraction(1, 2), 0), (1, 1), [3, 1, 2, 3])
+    w = WindowConfig((Fraction(2), 0), (3, Fraction(1)), [3, 1, 2, 3])
+    assert w.lo == (2, 0) and w.hi == (3, 1)
+    assert all(type(x) is int for x in w.lo + w.hi)
+
+
 def test_periodic_refuses_non_integral_values():
     # a value that int() would change is refused at its residue, never
     # truncated; integral Fractions and floats are stored as ints

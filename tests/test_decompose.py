@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,7 +13,7 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                            detect_period_multiple, is_annihilated, make_fiber,
                            period_lattice, rasterize)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
-                              _period_multiple, _require_annihilation,
+                              _compositions, _period_multiple, _require_annihilation,
                               _span_relation,
                               _test_product,
                               annihilator_from_periodizer,
@@ -22,8 +23,8 @@ from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               verify_transfer)
 from perdec.errors import (EmptyRegionError, InconclusiveError,
                            OutOfDomainError, PreconditionError)
-from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
-                            support_in_subspace)
+from perdec.laurent import (LaurentPoly, cyclotomic, difference_poly,
+                            poly_product, support_in_subspace)
 from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vadd,
                             vscale, vsub)
 
@@ -32,7 +33,8 @@ from helpers import (DIRECTIONS_2D, DIRECTIONS_3D, FunctionView,
                      assert_segments_match_points, fiber_parts,
                      pointwise_rasterize, random_fiber_family,
                      reference_combination_values,
-                     reference_source_values, reference_test_product,
+                     reference_search, reference_source_values,
+                     reference_test_product,
                      reference_transfer_value, reference_verify_on_window,
                      segment_points)
 
@@ -934,6 +936,101 @@ def test_search_matches_full_product_reference(monkeypatch, seed):
                         c, f, bound)
     assert fast == slow
     assert (fast[0] is None) == (seed % 4 == 3)
+
+
+def _along(coeffs, w):
+    """The line polynomial sum_j coeffs[j] X^{j w}."""
+    return LaurentPoly(len(w), {vscale(j, w): a
+                                for j, a in enumerate(coeffs) if a})
+
+
+def _random_search_case(rng):
+    """A small fiber sum and an annihilator of it that is a product of line
+    factors g_w(X^w), one per direction: g_w is Phi_n or t^n - 1, and every
+    table along w is h = (t^n - 1)/g_w times a random table, so g_w kills
+    it.  Tables may vanish, so some sums are zero."""
+    f, fibers = LaurentPoly.constant(2, 1), []
+    for i, w in enumerate(rng.sample(DIRECTIONS_2D, rng.randint(1, 2))):
+        if rng.random() < 0.6:
+            # a second factor has two terms, so f has at most 6
+            n = rng.choice((1, 2, 4) if i else (1, 2, 3, 4, 6))
+            g = _along(cyclotomic(n), w)
+            h = poly_product([_along(cyclotomic(d), (1,))
+                              for d in range(1, n) if n % d == 0], dim=1)
+        else:
+            n = rng.randint(1, 4)
+            g, h = difference_poly(vscale(n, w)), LaurentPoly.constant(1, 1)
+        f = f * g
+        for _ in range(rng.randint(0, 3)):
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            u = [0] * n
+            for (j,), a in h.terms():
+                for i, b in enumerate(v):
+                    u[(i + j) % n] += a * b
+            fibers.append(make_fiber((rng.randint(-5, 5), rng.randint(-5, 5)),
+                                     w, u))
+    return FiberSum(2, fibers), f
+
+
+def _search_or_bound(c, f, bound):
+    """The search's vectors, or the bound its exhaustion names."""
+    try:
+        return search_difference_annihilator(c, f, bound).vectors
+    except InconclusiveError as exc:
+        assert exc.bound == bound
+        least = re.search(r"bound (\d+) would suffice", str(exc))
+        return int(least[1]) if least else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 4))
+def test_search_matches_plain_enumeration(seed, bound):
+    c, f = _random_search_case(random.Random(seed))
+    found = _search_or_bound(c, f, bound)
+    expected = reference_search(c, f, bound)
+    if expected is not None:
+        assert found == tuple(sorted(expected))
+        return
+    # exhausted: corner 0 of f yields every fiber direction, so the search
+    # names a least bound; the search succeeds there and not below it
+    assert found > bound
+    vectors = search_difference_annihilator(c, f, found).vectors
+    assert reference_test_product(vectors, c)
+    if found - 1 <= 4:
+        assert reference_search(c, f, found - 1) is None
+
+
+def test_exhausted_search_stops_before_enumerating(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _compositions(*args)
+    monkeypatch.setattr("perdec.decompose._compositions", counted)
+    for seed in range(4):
+        c, f, bound = _exhausted_case(random.Random(seed))
+        with pytest.raises(InconclusiveError,
+                           match=r"bound 2; bound 3 would suffice$") as exc:
+            search_difference_annihilator(c, f, bound)
+        assert exc.value.bound == 2
+        assert not calls
+        # the named bound is enough, and phase 2 gets to enumerate
+        assert search_difference_annihilator(c, f, 3).vectors in \
+            {(vscale(3, w),) for w in DIRECTIONS_2D}
+        assert calls
+        calls.clear()
+
+
+def test_search_without_a_corner_for_every_direction_says_no_bound_helps():
+    c = FiberSum(2, [make_fiber((0, 0), (1, 0), [1, -1]),
+                     make_fiber((0, 0), (0, 1), [2, 1])])
+    f = difference_poly((2, 0)) * difference_poly((0, 2))
+    with pytest.raises(InconclusiveError,
+                       match="no bound suffices: no corner of f yields every "
+                             "fiber direction") as exc:
+        search_difference_annihilator(c, f, 32,
+                                      avoid=SubspaceBasis(2, [(0, 1)]))
+    assert exc.value.bound == 32
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -10,7 +11,7 @@ from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                            make_fiber, rasterize)
 from perdec.decompose import Bounds
 from perdec.errors import (DimensionMismatch, InconclusiveError,
-                           PreconditionError, VerificationError)
+                           LatticeError, PreconditionError, VerificationError)
 from perdec.laurent import (LaurentPoly, difference_poly,
                             non_parallel_directions)
 from perdec.lattice import primitive, vscale
@@ -394,6 +395,18 @@ def test_limit_drops_transverse_fiber():
 def test_limit_rejects_zero_step():
     with pytest.raises(PreconditionError):
         stabilized_translate_limit(HORIZ, (0, 0), ((-2, -2), (2, 2)), 8, 2)
+
+
+def test_limit_refuses_non_integral_steps_and_corners():
+    cb = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
+    half = Fraction(1, 2)
+    for step, window in (((half, 0), ((-4, -4), (4, 4))),
+                         ((2, 0), ((-4, half), (4, 4)))):
+        with pytest.raises(LatticeError, match="non-integer entry 1/2"):
+            stabilized_translate_limit(cb, step, window, 16, 3)
+    lim = stabilized_translate_limit(cb, (Fraction(2), 0),
+                                     ((-4, Fraction(-4)), (4, 4)), 16, 3)
+    assert lim == rasterize(cb, (-4, -4), (4, 4))
 
 
 def test_limit_cycling_fiber_is_inconclusive():

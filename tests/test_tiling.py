@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import add, mul
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from perdec.config import (PeriodicConfig, Verdict, WindowConfig, apply_poly,
                            period_lattice, rasterize)
-from perdec.errors import EmptyRegionError, PerdecError, PreconditionError
+from perdec.errors import (EmptyRegionError, LatticeError, PerdecError,
+                           PreconditionError)
 from perdec.laurent import LaurentPoly
 from perdec.lattice import SubspaceBasis, primitive, rank_rational
 from perdec.decompose import select_periodizer
@@ -294,3 +296,11 @@ def test_cotiler_decompose_rejects_non_cotiler():
     ones = PeriodicConfig.constant(2, 1)
     with pytest.raises(PreconditionError):
         cotiler_decompose([DOMINO_X, DOMINO_Y], ones)
+
+
+def test_tile_refuses_non_integral_cells():
+    with pytest.raises(LatticeError, match="non-integer entry 1/2"):
+        Tile(2, [(Fraction(1, 2), 0), (1, 0)])
+    tile = Tile(2, [(Fraction(2), 0), (1, 0)])
+    assert tile.cells == {(2, 0), (1, 0)}
+    assert all(type(x) is int for cell in tile.cells for x in cell)

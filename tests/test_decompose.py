@@ -958,7 +958,7 @@ def _random_search_case(rng):
             h = poly_product([_along(cyclotomic(d), (1,))
                               for d in range(1, n) if n % d == 0], dim=1)
         else:
-            n = rng.randint(1, 4)
+            n = rng.randint(1, 6)
             g, h = difference_poly(vscale(n, w)), LaurentPoly.constant(1, 1)
         f = f * g
         for _ in range(rng.randint(0, 3)):
@@ -1007,16 +1007,19 @@ def test_exhausted_search_stops_before_enumerating(monkeypatch):
         calls.append(args)
         return _compositions(*args)
     monkeypatch.setattr("perdec.decompose._compositions", counted)
-    for seed in range(4):
-        c, f, bound = _exhausted_case(random.Random(seed))
-        with pytest.raises(InconclusiveError,
-                           match=r"bound 2; bound 3 would suffice$") as exc:
+    cases = [_exhausted_case(random.Random(seed)) + (3,) for seed in range(4)]
+    # D = {1, 2, 3}: the least bound is their lcm 6, not their maximum
+    cases.append((_SIX, difference_poly((2, 2)) * difference_poly((3, 3)),
+                  4, 6))
+    for c, f, bound, least in cases:
+        with pytest.raises(InconclusiveError, match=rf"bound {bound}; bound "
+                                                    rf"{least} would suffice$"
+                           ) as exc:
             search_difference_annihilator(c, f, bound)
-        assert exc.value.bound == 2
+        assert exc.value.bound == bound
         assert not calls
         # the named bound is enough, and phase 2 gets to enumerate
-        assert search_difference_annihilator(c, f, 3).vectors in \
-            {(vscale(3, w),) for w in DIRECTIONS_2D}
+        assert len(search_difference_annihilator(c, f, least)) == 1
         assert calls
         calls.clear()
 

@@ -71,16 +71,12 @@ def zero_vector(dim):
 
 def primitive(v: IntVector) -> IntVector:
     """v divided by the gcd of its coordinates, first nonzero coordinate positive."""
-    if is_zero_vector(v):
+    g = gcd(*v)
+    if not g:
         raise LatticeError("the zero vector has no primitive form")
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    w = tuple(a // g for a in v)
-    for a in w:
-        if a:
-            return w if a > 0 else vneg(w)
-    raise AssertionError("unreachable")
+    if next(a for a in v if a) < 0:
+        g = -g
+    return tuple(a // g for a in v)
 
 
 def parallel(u, v) -> bool:

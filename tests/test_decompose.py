@@ -13,7 +13,8 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                            detect_period_multiple, is_annihilated, make_fiber,
                            period_lattice, rasterize)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
-                              _compositions, _period_multiple, _require_annihilation,
+                              _compositions, _period_multiple,
+                              _require_annihilation,
                               _span_relation,
                               _test_product,
                               annihilator_from_periodizer,
@@ -965,8 +966,8 @@ def _random_search_case(rng):
             v = [rng.randint(-2, 2) for _ in range(n)]
             u = [0] * n
             for (j,), a in h.terms():
-                for i, b in enumerate(v):
-                    u[(i + j) % n] += a * b
+                for k, b in enumerate(v):
+                    u[(j + k) % n] += a * b
             fibers.append(make_fiber((rng.randint(-5, 5), rng.randint(-5, 5)),
                                      w, u))
     return FiberSum(2, fibers), f

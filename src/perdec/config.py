@@ -13,8 +13,13 @@ Z^d: combinations of shifted views (`_Combination`) and transfer
 components.  Decomposition pipelines expose their components this way and
 callers rasterize.  A combination reads each view once per box: a view
 with one unshifted part on the box itself, any other on the box grown by
-its shifts, its parts summed from that grid by the row kernel
-`_convolve_rows`, the one box convolution.
+its shifts, its parts summed from that grid by `_convolve_rows`, the
+one box convolution, which also convolves windows.  It has two paths,
+chosen from its input alone: a table of exact ints with some coefficient
+|k| != 1 whose sums fit a signed slot of 2, 4 or 8 bytes
+(max|v| * sum|k| < 2^(8w - 1)) is packed into one big integer and summed
+by shifts; every other input (all |k| = 1, Fractions, wider values) is
+summed row by row.
 
 WindowConfig and PeriodicConfig keep one flat list of values in
 `box_points` order: the window over its box, the periodic configuration
@@ -38,6 +43,7 @@ without one.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, lcm
@@ -891,8 +897,8 @@ class LazyConfig:
 
 def rasterize(c, lo, hi):
     """Dense window of c over [lo, hi]; exact, errors outside c's domain."""
-    lo = tuple(int(v) for v in lo)
-    hi = tuple(int(v) for v in hi)
+    lo = tuple(map(as_int, lo))
+    hi = tuple(map(as_int, hi))
     if len(lo) != c.dim or len(hi) != c.dim:
         raise DimensionMismatch("box corners of wrong dimension")
     if not (c.contains(lo) and c.contains(hi)):
@@ -934,8 +940,14 @@ def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
     `values` holds c over a box with corner `lo` and flat `strides`, which
     must contain every u - e.  Values may be ints or Fractions.  A row
     starts as the first term's source row, so a translate only copies rows.
+    A table of exact ints convolved with some |k| != 1 is summed packed
+    instead when its slots fit (`_packed_rows`).
     """
     starts, offsets, n = row_sources(terms, lo, strides, out_lo, out_hi)
+    if n > 0 and offsets and any(k not in (1, -1) for _, k in starts):
+        slot = _slot_format(values, sum(abs(k) for _, k in starts))
+        if slot:
+            return _packed_rows(starts, offsets, n, values, *slot)
     (first, k0), rest = starts[0], starts[1:]
     out = []
     for off in offsets:
@@ -945,6 +957,49 @@ def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
         for start, k in rest:
             row = _add_scaled(row, k, values[start + off:start + off + n])
         out += row
+    return out
+
+
+def _slot_format(values, weight):
+    """(bytes, struct code) of the narrowest signed slot of 2, 4 or 8 bytes
+    that holds every sum of `values` weighted by at most `weight` in all,
+    or None for a table that is not all exact ints or needs wider slots."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    bound = max(max(values), -min(values)) * weight
+    for width, code in ((2, "h"), (4, "i"), (8, "q")):
+        if bound < 1 << 8 * width - 1:
+            return width, code
+    return None
+
+
+def _packed_rows(starts, offsets, n, values, width, code):
+    """`_convolve_rows` with the whole table packed into one integer, a
+    signed slot of `width` bytes per value (Kronecker substitution): each
+    term is one shift of it and one small multiple, all summed in C.
+
+    Slot i of x << width*8*(top - start) holds the value at i - top + start,
+    so slot top + off + j of the sum is the output at row offset off and
+    column j.  Slots hold two's complement through the sign-bit pattern:
+    XOR then subtract it to read a signed table, add then XOR it to write
+    one.  No slot carries, since |sum| < 2^(8*width - 1) (`_slot_format`).
+    """
+    bits = 8 * width
+    top = max(s for s, _ in starts)
+    size = len(values) + top - min(s for s, _ in starts)
+    sign = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    x = int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+    x = (x ^ sign) - sign
+    total = 0
+    for s, k in starts:
+        total += k * (x << bits * (top - s))
+    del x
+    table = ((total + sign) ^ sign).to_bytes(size * width, "little")
+    del total
+    row = struct.Struct(f"<{n}{code}")
+    out = []
+    for off in offsets:
+        out += row.unpack_from(table, (top + off) * width)
     return out
 
 
@@ -983,7 +1038,7 @@ def add_views(views, coeffs=None):
         raise PreconditionError("add_views needs at least one view")
     if coeffs is None:
         coeffs = [1] * len(views)
-    coeffs = [int(k) for k in coeffs]
+    coeffs = list(map(as_int, coeffs))
     if len(coeffs) != len(views):
         raise PreconditionError("one coefficient per view is required")
     dim = views[0].dim
@@ -1076,7 +1131,7 @@ def detect_period_multiple(c, direction, bound, window=None):
     """
     if bound < 1:
         raise PreconditionError(f"the period bound {bound} is below 1")
-    w = tuple(int(x) for x in direction)
+    w = tuple(map(as_int, direction))
     if len(w) != c.dim:
         raise DimensionMismatch("direction of wrong dimension")
     if is_zero_vector(w):

@@ -45,10 +45,10 @@ from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
 from .laurent import (LaurentPoly, cyclotomic_divisors, difference_poly,
                       line_degree, line_direction, non_parallel_directions,
                       poly_product, support_in_subspace)
-from .lattice import (CosetSystem, SubspaceBasis, hnf_with_coordinates,
-                      is_zero_vector, parallel, primitive, rank_rational,
-                      span_meets_trivially, vadd, vneg, vscale, vsub,
-                      zero_vector)
+from .lattice import (CosetSystem, SubspaceBasis, as_int,
+                      hnf_with_coordinates, is_zero_vector, parallel,
+                      primitive, rank_rational, span_meets_trivially, vadd,
+                      vneg, vscale, vsub, zero_vector)
 
 
 @dataclass(frozen=True)
@@ -495,7 +495,7 @@ class DifferenceProduct:
     vectors: tuple
 
     def __post_init__(self):
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
+        vecs = tuple(tuple(map(as_int, v)) for v in self.vectors)
         for v in vecs:
             if is_zero_vector(v):
                 raise PreconditionError("zero vector in a difference product")
@@ -712,11 +712,16 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
     it is skipped otherwise, naming that least bound or that none helps.
 
     `avoid` filters out candidate vectors inside a subspace, for callers
-    that need every factor transversal to it.
+    that need every factor transversal to it.  A window that f erodes away
+    holds no evidence: the search is inconclusive with bound 0.
     """
     if len(f.support()) < 2:
         raise PreconditionError("need an annihilator with at least two terms")
-    if not is_annihilated(f, c).holds and not isinstance(c, PeriodicConfig):
+    try:
+        annihilates = is_annihilated(f, c).holds
+    except EmptyRegionError as exc:
+        raise InconclusiveError(f"f has no window evidence: {exc}", 0) from exc
+    if not annihilates and not isinstance(c, PeriodicConfig):
         # only the support geometry of f seeds the search, so a periodizer
         # works too; strongly periodic views make every f a periodizer,
         # elsewhere that is not checkable and an annihilator is required

@@ -356,7 +356,8 @@ def test_sparse_window_with_three_directions(tmp_path, n, code):
 
 def test_sparse_window_eroded_away_by_the_product(tmp_path):
     # the product X^(6,0)-1 times X^(0,1)-1 erodes a 5x5 window away: the
-    # window holds no evidence, so the run is inconclusive with bound 0
+    # window holds no evidence, so the run is inconclusive with bound 0,
+    # also when `sparse full` is handed the product as its annihilator
     cfg = write(tmp_path / "w.json", config_to_obj(rasterize(
         FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 2, 0, 0, 0, 0])]),
         (0, 0), (4, 4))))
@@ -364,7 +365,9 @@ def test_sparse_window_eroded_away_by_the_product(tmp_path):
     factors = write(tmp_path / "factors.json", [poly_to_obj(p) for p in phis])
     phi, psi = (write(tmp_path / f"{name}.json", poly_to_obj(p))
                 for name, p in zip(("phi", "psi"), phis))
-    for argv in (["decompose", cfg, factors], ["split", cfg, phi, psi]):
+    product = write(tmp_path / "f.json", poly_to_obj(poly_product(phis)))
+    for argv in (["decompose", cfg, factors], ["split", cfg, phi, psi],
+                 ["full", cfg, product]):
         out = str(tmp_path / f"out_{argv[0]}")
         assert main(["--out", out, "sparse", *argv]) == 2
         error = manifest(out)["error"]

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perdec.config import (FiberSum, LazyConfig, PeriodicConfig,
-                           PeriodicFiber, WindowConfig, add_views, apply_poly,
-                           box_points, detect_period_multiple,
+                           PeriodicFiber, WindowConfig, _convolve_rows,
+                           _slot_format, add_views, apply_poly, box_points,
+                           box_size, box_strides, detect_period_multiple,
                            is_annihilated, make_fiber, period_lattice,
                            rasterize)
 from perdec.errors import (DimensionMismatch, EmptyRegionError, LatticeError,
@@ -385,6 +387,64 @@ def test_convolution_matches_naive_oracle_all_representations():
             assert out.value_at(x) == expected[x]
 
 
+# max|v| * sum|k| at the edges of the 2-, 4- and 8-byte slots of the packed
+# kernel and past them, each with divisors m to use as max|v|
+_SLOT_EDGES = {2**15 - 1: (1, 7, 31, 151), 2**15: (1, 2, 8, 64),
+               2**31: (1, 2, 1024), 2**63 - 1: (1, 7, 73, 127),
+               2**63 + 1: (1, 3, 19, 43)}
+
+
+@st.composite
+def _row_convolutions(draw):
+    """(terms, (lo, hi, values)): box sides 1-8 in dims 1-3 (so some erode
+    away), nonzero exponents with coefficients mixing +-1 and |k| >= 2,
+    and a term at 0 that puts max|v| * sum|k| on a slot edge, or values
+    in +-5 with no such term; a quarter of the tables are divided by 3
+    into Fractions."""
+    dim = draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+    hi = tuple(a + draw(st.sampled_from(range(8))) for a in lo)
+    exps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                         min_size=1, max_size=4, unique=True))
+    terms = [(e, draw(st.sampled_from((1, -1, 2, -3, 7)))) for e in exps]
+    edge = draw(st.sampled_from((None,) + tuple(_SLOT_EDGES)))
+    m = 5 if edge is None else draw(st.sampled_from(_SLOT_EDGES[edge]))
+    if edge is not None:
+        weight = edge // m - sum(abs(k) for _, k in terms)
+        terms.append(((0,) * dim, draw(st.sampled_from((weight, -weight)))))
+    n = box_size(lo, hi)
+    values = draw(st.lists(st.integers(-m, m), min_size=n, max_size=n))
+    values[draw(st.integers(0, n - 1))] = draw(st.sampled_from((m, -m)))
+    if draw(st.sampled_from((False, False, False, True))):
+        values = [Fraction(v, 3) for v in values]
+    return terms, (lo, hi, values)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_row_convolutions())
+def test_row_kernel_matches_naive_convolution(case):
+    # both paths of _convolve_rows (packed and row by row) against the
+    # nested-loop oracle, in every slot width, past the widest, on Fraction
+    # tables and on empty output boxes
+    terms, (lo, hi, values) = case
+    table = SimpleNamespace(dim=len(lo), lo=lo, hi=hi, value_at=dict(
+        zip(box_points(lo, hi), values)).__getitem__)
+    out_lo, out_hi, expected = naive_convolution(terms, table)
+    got = _convolve_rows(terms, values, lo, box_strides(lo, hi),
+                         out_lo, out_hi)
+    assert got == [expected[x] for x in box_points(out_lo, out_hi)]
+    assert set(map(type, got)) <= {type(values[0])}
+
+
+def test_slot_width_is_the_narrowest_that_holds_every_sum():
+    for bound, slot in ((2**15 - 1, (2, "h")), (2**15, (4, "i")),
+                        (2**31 - 1, (4, "i")), (2**31, (8, "q")),
+                        (2**63 - 1, (8, "q")), (2**63, None)):
+        assert _slot_format([-1, 0, 1], bound) == slot
+        assert _slot_format([bound], 1) == _slot_format([-bound], 1) == slot
+    assert _slot_format([Fraction(1, 2), 3], 2) is None
+
+
 def test_fiber_merge_preserves_evaluation():
     rng = random.Random(43)
     for _ in range(40):
@@ -616,6 +676,22 @@ def test_window_refuses_non_integral_corners():
     w = WindowConfig((Fraction(2), 0), (3, Fraction(1)), [3, 1, 2, 3])
     assert w.lo == (2, 0) and w.hi == (3, 1)
     assert all(type(x) is int for x in w.lo + w.hi)
+
+
+def test_generic_operations_refuse_non_integral_arguments():
+    # coefficients, corners and directions that int() would change are
+    # refused, never truncated; integral Fractions are taken as ints
+    checker = PeriodicConfig(2, [(2, 0), (0, 2)], [0, 1, 1, 0])
+    half = Fraction(1, 2)
+    for call in (lambda: add_views([checker], [half]),
+                 lambda: rasterize(checker, (half, 0), (1, 1)),
+                 lambda: rasterize(checker, (0, 0), (1, half)),
+                 lambda: detect_period_multiple(checker, (3 * half, 0), 4)):
+        with pytest.raises(LatticeError, match="non-integer entry"):
+            call()
+    assert add_views([checker], [Fraction(2)]).values == [0, 2, 2, 0]
+    assert rasterize(checker, (Fraction(1), 0), (1, 0)).values == [1]
+    assert detect_period_multiple(checker, (Fraction(1), 0), 4) == (2, True)
 
 
 def test_periodic_refuses_non_integral_values():

@@ -23,7 +23,7 @@ from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               search_difference_annihilator, solve_transfer,
                               verify_transfer)
 from perdec.errors import (EmptyRegionError, InconclusiveError,
-                           OutOfDomainError, PreconditionError)
+                           LatticeError, OutOfDomainError, PreconditionError)
 from perdec.laurent import (LaurentPoly, cyclotomic, difference_poly,
                             poly_product, support_in_subspace)
 from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vadd,
@@ -555,6 +555,14 @@ def test_decompose_product_precondition_failure():
 
 # ---------------------------------------------------------------------------
 # reduce_annihilator
+
+def test_difference_product_refuses_non_integral_vectors():
+    with pytest.raises(LatticeError, match="non-integer entry 1/2"):
+        DifferenceProduct(((Fraction(1, 2), 1),))
+    dp = DifferenceProduct(((Fraction(2), 1), (0, 1)))
+    assert dp.vectors == ((0, 1), (2, 1))
+    assert all(type(x) is int for v in dp.vectors for x in v)
+
 
 def test_reduce_parallel_pair_on_constant():
     red = reduce_annihilator(DifferenceProduct(((1, 0), (2, 0))),

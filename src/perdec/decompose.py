@@ -42,9 +42,9 @@ from .config import (FiberSum, LazyConfig, PeriodicConfig, WindowConfig,
                      line_slice, line_values, period_lattice, sub_box)
 from .errors import (EmptyRegionError, InconclusiveError, PerdecError,
                      PreconditionError, VerificationError)
-from .laurent import (LaurentPoly, cyclotomic_divisors, difference_poly,
-                      line_degree, line_direction, non_parallel_directions,
-                      poly_product, support_in_subspace)
+from .laurent import (LaurentPoly, difference_poly, line_degree,
+                      line_direction, non_parallel_directions, poly_product,
+                      support_in_subspace)
 from .lattice import (CosetSystem, SubspaceBasis, as_int,
                       hnf_with_coordinates, is_zero_vector, parallel,
                       primitive, rank_rational, span_meets_trivially, vadd,
@@ -73,8 +73,12 @@ class Bounds:
 
 def _require_annihilation(f, c, bounds, message, error=PreconditionError):
     """Check fc = 0: exactly where c holds all of fc, else on evidence (for
-    evaluator views, the check window); returns the verdict."""
-    verdict = c.annihilated_by(f, bounds.check_window(c.dim))
+    evaluator views, the check window); returns the verdict.  A window
+    that f erodes away holds no evidence: inconclusive with bound 0."""
+    try:
+        verdict = c.annihilated_by(f, bounds.check_window(c.dim))
+    except EmptyRegionError as exc:
+        raise InconclusiveError(f"no window evidence: {exc}", 0) from exc
     if not verdict.holds:
         raise error(message if verdict.exact
                     else f"{message} ({c.evidence_kind})")
@@ -657,12 +661,13 @@ def _test_product(vectors, parts):
     """Whether prod (X^v - 1) over `vectors` annihilates the sum of `parts`.
 
     A part is (None, c), c tested whole against the full product, or
-    (w, D) for the fibers G_w of a fiber sum along the primitive direction
-    w, D the union of their `cyclotomic_divisors`.  For c = sum_w G_w the
-    product annihilates c exactly when, for every w, the factors s_i*w
-    parallel to w annihilate G_w, that is when every d in D divides some
-    |s_i| = gcd(v): G_w's canonical fibers lie on distinct lines, each
-    kept by those factors.
+    (w, p) for the fibers G_w of a fiber sum along the primitive direction
+    w, p the lcm of their periods.  The vectors must hold at most one
+    factor per direction, as every candidate of the search does.  For
+    c = sum_w G_w the product annihilates c exactly when, for every w, it
+    holds a factor s*w with p | s: X^{sw} - 1 kills a periodic fiber
+    exactly when its period divides s, and G_w's canonical fibers lie on
+    distinct lines.
 
     * Finite fiber sums along distinct directions add to zero only if each
       is zero: a nonzero periodic fiber has infinitely many nonzero points
@@ -671,13 +676,13 @@ def _test_product(vectors, parts):
       product kills c exactly when it kills each G_w.
     * A factor X^u - 1 with u not parallel to w kills no nonzero finite
       w-fiber sum: translation by u leaves no finite set of w-lines
-      invariant.  So the product kills G_w exactly when its factors
-      parallel to w do, and a part with none of them survives.
+      invariant.  So the product kills G_w exactly when its factor
+      parallel to w does, and a part with none survives.
     """
     for w, part in parts:
         if w is not None:
-            steps = [gcd(*v) for v in vectors if primitive(v) == w]
-            if not all(any(s % d == 0 for s in steps) for d in part):
+            if not any(gcd(*v) % part == 0 for v in vectors
+                       if primitive(v) == w):
                 return False
             continue
         product = poly_product([difference_poly(v) for v in vectors])
@@ -705,11 +710,11 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
     with `_require_annihilation` before it uses it, and `sparse_decompose`
     checks a fiber sum family by family.
 
-    A fiber sum is read once into one part per fiber direction w, the set
-    D_w of its fibers' `cyclotomic_divisors` (`_test_product`); any other
+    A fiber sum is read once into one part per fiber direction w, the lcm
+    p_w of the periods of its fibers along w (`_test_product`); any other
     view is tested whole.  On a fiber sum phase 2 succeeds exactly when a
-    corner yields every fiber direction and bound >= max_w lcm(D_w), so
-    it is skipped otherwise, naming that least bound or that none helps.
+    corner yields every fiber direction and bound >= max_w p_w, so it is
+    skipped otherwise, naming that least bound or that none helps.
 
     `avoid` filters out candidate vectors inside a subspace, for callers
     that need every factor transversal to it.  A window that f erodes away
@@ -728,11 +733,11 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
         raise PreconditionError("f neither annihilates nor visibly periodizes c")
     support = f.support()
     if isinstance(c, FiberSum):
-        divisors = {}
+        periods = {}
         for fib in c.fibers:
-            divisors.setdefault(fib.direction, set()).update(
-                cyclotomic_divisors(fib.vals))
-        parts = sorted(divisors.items())
+            periods[fib.direction] = lcm(periods.get(fib.direction, 1),
+                                         fib.period)
+        parts = sorted(periods.items())
     else:
         parts = [(None, c)]
 
@@ -753,11 +758,11 @@ def search_difference_annihilator(c, f: LaurentPoly, bound: int,
     exhausted = ("no difference-product certificate within multiplier "
                  f"bound {bound}")
     if isinstance(c, FiberSum):
-        if not any(divisors.keys() <= set(prims) for prims in per_corner):
+        if not any(periods.keys() <= set(prims) for prims in per_corner):
             raise InconclusiveError(
                 f"{exhausted}; no bound suffices: no corner of f yields "
                 "every fiber direction", bound)
-        least = max((lcm(*ds) for ds in divisors.values()), default=1)
+        least = max(periods.values(), default=1)
         if least > bound:
             raise InconclusiveError(
                 f"{exhausted}; bound {least} would suffice", bound)

@@ -8,7 +8,6 @@ are Python ints, so products of many factors never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DimensionMismatch, LatticeError
 from .lattice import (IntVector, SubspaceBasis, as_int, as_vector,
@@ -175,39 +174,6 @@ def difference_poly(v: IntVector) -> LaurentPoly:
     if is_zero_vector(v):
         raise LatticeError("difference polynomial of the zero vector")
     return LaurentPoly(len(v), {v: 1, (0,) * len(v): -1})
-
-
-def _divmod_monic(a, b):
-    """(q, r) with a = q*b + r, deg r < deg b, for a monic b; coefficient
-    lists, lowest degree first."""
-    r, n = list(a), len(b) - 1
-    q = [0] * max(len(r) - n, 0)
-    for i in reversed(range(len(q))):
-        q[i] = k = r[i + n]
-        for j, bj in enumerate(b):
-            r[i + j] -= k * bj
-    return q, r[:n]
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(d):
-    """Phi_d, lowest degree first: t^d - 1 divided exactly by every Phi_e
-    with e a proper divisor of d."""
-    phi = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            phi = _divmod_monic(phi, cyclotomic(e))[0]
-    return tuple(phi)
-
-
-def cyclotomic_divisors(vals):
-    """D(u) = [d | p : Phi_d does not divide u(t) = sum u_j t^j] of a table
-    of length p.  As t^p - 1 is squarefree, prod (t^{s_i} - 1) kills the
-    p-periodic sequence u exactly when every d in D(u) divides some s_i, so
-    lcm(D(u)) is its least period.  u is first folded modulo t^d - 1."""
-    p = len(vals)
-    return [d for d in range(1, p + 1) if p % d == 0 and any(_divmod_monic(
-        [sum(vals[j::d]) for j in range(d)], cyclotomic(d))[1])]
 
 
 @dataclass(frozen=True)

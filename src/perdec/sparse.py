@@ -28,8 +28,7 @@ from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
                      make_fiber, rasterize)
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
-from .errors import (EmptyRegionError, InconclusiveError, PreconditionError,
-                     VerificationError)
+from .errors import InconclusiveError, PreconditionError, VerificationError
 from .laurent import LaurentPoly, non_parallel_directions, poly_product
 from .lattice import (as_int, check_same_dim, hnf_reduce, is_zero_vector,
                       primitive, vscale, vsub, zero_vector)
@@ -384,12 +383,8 @@ def sparse_decompose(c, phis, bounds: Bounds | None = None):
         return [fiber_extract(fam, d, bounds.period)
                 for fam, d in zip(families, dirs)]
 
-    try:
-        _require_annihilation(poly_product(phis), c, bounds,
-                              "the product does not annihilate the input")
-    except EmptyRegionError as exc:
-        raise InconclusiveError(f"the product has no window evidence: {exc}",
-                                0) from exc
+    _require_annihilation(poly_product(phis), c, bounds,
+                          "the product does not annihilate the input")
     window = bounds.check_window(c.dim)
     families = []
     for i, v in enumerate(dirs):

@@ -40,8 +40,8 @@ from perdec.config import (LazyConfig, PeriodicFiber, Verdict,
 from perdec.decompose import _require_annihilation
 from perdec.errors import (EmptyRegionError, OutOfDomainError,
                            PreconditionError, SchemaError, VerificationError)
-from perdec.laurent import (cyclotomic_divisors, difference_poly,
-                            non_parallel_directions, poly_product)
+from perdec.laurent import (difference_poly, non_parallel_directions,
+                            poly_product)
 from perdec.lattice import (fundamental_residues, hnf_reduce, hnf_rows,
                             is_zero_vector, lattice_determinant, primitive,
                             vadd, vscale, vsub)
@@ -570,11 +570,9 @@ def reference_periodic_period_multiple(c: PeriodicConfig, w, bound):
 
 
 def fiber_parts(c: FiberSum):
-    """The certificate test's parts of a fiber sum: (w, D_w) for each fiber
-    direction w, D_w the union of the cyclotomic divisor sets of the
-    fibers along w."""
-    return [(w, set().union(*(cyclotomic_divisors(f.vals)
-                              for f in c.parallel_part(w).fibers)))
+    """The certificate test's parts of a fiber sum: (w, p_w) for each fiber
+    direction w, p_w the lcm of the periods of the fibers along w."""
+    return [(w, lcm(*(f.period for f in c.parallel_part(w).fibers)))
             for w in sorted({f.direction for f in c.fibers})]
 
 

@@ -76,6 +76,17 @@ def test_poly_line_dir_absent(files):
     assert manifest(out)["results"]["line"] == "absent"
 
 
+def test_poly_line_dir_of_a_line_polynomial(files):
+    tmp, fx = files
+    line = write(tmp / "line.json", poly_to_obj(difference_poly((2, 4))))
+    out = str(tmp / "out_line")
+    assert main(["--out", out, "poly", "line-dir", line]) == 0
+    expected = {"direction": [1, 2], "anchor": [0, 0]}
+    assert manifest(out)["results"]["line"] == expected
+    with open(os.path.join(out, "line-dir.json")) as fh:
+        assert json.load(fh) == expected
+
+
 def test_act_tile_polynomial_gives_constant(files):
     tmp, fx = files
     xm2 = write(tmp / "xm2.json", config_to_obj(
@@ -357,7 +368,8 @@ def test_sparse_window_with_three_directions(tmp_path, n, code):
 def test_sparse_window_eroded_away_by_the_product(tmp_path):
     # the product X^(6,0)-1 times X^(0,1)-1 erodes a 5x5 window away: the
     # window holds no evidence, so the run is inconclusive with bound 0,
-    # also when `sparse full` is handed the product as its annihilator
+    # also when `sparse full` or `decompose` is handed the product as its
+    # annihilator
     cfg = write(tmp_path / "w.json", config_to_obj(rasterize(
         FiberSum(2, [make_fiber((0, 0), (1, 0), [1, 2, 0, 0, 0, 0])]),
         (0, 0), (4, 4))))
@@ -366,10 +378,13 @@ def test_sparse_window_eroded_away_by_the_product(tmp_path):
     phi, psi = (write(tmp_path / f"{name}.json", poly_to_obj(p))
                 for name, p in zip(("phi", "psi"), phis))
     product = write(tmp_path / "f.json", poly_to_obj(poly_product(phis)))
-    for argv in (["decompose", cfg, factors], ["split", cfg, phi, psi],
-                 ["full", cfg, product]):
-        out = str(tmp_path / f"out_{argv[0]}")
-        assert main(["--out", out, "sparse", *argv]) == 2
+    for i, argv in enumerate((["sparse", "decompose", cfg, factors],
+                              ["sparse", "split", cfg, phi, psi],
+                              ["sparse", "full", cfg, product],
+                              ["decompose", cfg, "--factors", factors],
+                              ["decompose", cfg, "--annihilator", product])):
+        out = str(tmp_path / f"out_{i}")
+        assert main(["--out", out, *argv]) == 2
         error = manifest(out)["error"]
         assert error["type"] == "InconclusiveError"
         assert error["bound"] == 0

@@ -14,6 +14,7 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                            period_lattice, rasterize)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               _compositions, _period_multiple,
+                              _period_outside,
                               _require_annihilation,
                               _span_relation,
                               _test_product,
@@ -24,8 +25,8 @@ from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
                               verify_transfer)
 from perdec.errors import (EmptyRegionError, InconclusiveError,
                            LatticeError, OutOfDomainError, PreconditionError)
-from perdec.laurent import (LaurentPoly, cyclotomic, difference_poly,
-                            poly_product, support_in_subspace)
+from perdec.laurent import (LaurentPoly, difference_poly, poly_product,
+                            support_in_subspace)
 from perdec.lattice import (SubspaceBasis, primitive, rank_rational, vadd,
                             vscale, vsub)
 
@@ -789,9 +790,10 @@ def _random_certificate_case(rng, dim):
     Fibers come along up to three directions, each given to make_fiber as
     a signed or non-primitive multiple; some lines carry a fiber and its
     negative, which cancel, and some carry a period-6 table.  The vectors
-    mix the lcm period of each direction (scaled by a signed multiplier),
-    the 2w, 3w pair, random multiples and vectors along other directions,
-    so the product both does and does not annihilate.
+    hold at most one factor per direction, as every candidate of the
+    search does: the lcm period of a fiber direction (scaled by a signed
+    multiplier), a random multiple of it, or a vector along a direction
+    with no factor yet, so the product both does and does not annihilate.
     """
     directions = DIRECTIONS_2D if dim == 2 else DIRECTIONS_3D
     fibers = []
@@ -817,12 +819,11 @@ def _random_certificate_case(rng, dim):
         choice = rng.random()
         if choice < 0.5:
             vectors.append(vscale(rng.choice((1, -1, 2)) * periods.get(w, 1), w))
-        elif choice < 0.65:
-            vectors += [vscale(2, w), vscale(-3, w)]
         elif choice < 0.85:
-            vectors.append(vscale(rng.choice((-4, -2, -1, 1, 3, 5)), w))
-    for _ in range(rng.randint(0 if vectors else 1, 2)):
-        vectors.append(vscale(rng.choice((1, -1, 2)), rng.choice(directions)))
+            vectors.append(vscale(rng.choice((-4, -3, -2, -1, 1, 2, 3, 5)), w))
+    free = [w for w in directions if w not in {primitive(v) for v in vectors}]
+    for w in rng.sample(free, rng.randint(0 if vectors else 1, 2)):
+        vectors.append(vscale(rng.choice((1, -1, 2)), w))
     rng.shuffle(vectors)
     return c, vectors[:5]
 
@@ -856,13 +857,14 @@ _SIX3 = FiberSum(3, [make_fiber((1, 0, 0), (1, -1, 2),
     (_line_and_cancelled_line(), [(3, 0)], True),
     (_line_and_cancelled_line(), [(3, 0), (-1, -1)], True),
     (_line_and_cancelled_line(), [(2, 0)], False),
-    # period 6 = lcm(2, 3): killed by the pair and by 6w, not by one of 2w, 3w
-    (_SIX, [(2, 2), (3, 3)], True),
-    (_SIX, [(-2, -2), (3, 3)], True),
+    # period 6 = lcm(2, 3): killed by 6w and 12w, not by 2w or 3w, beside
+    # transverse factors or not
+    (_SIX, [(12, 12), (0, 1)], True),
+    (_SIX, [(1, 0), (-6, -6), (0, 1)], True),
     (_SIX, [(-6, -6)], True),
     (_SIX, [(2, 2)], False),
     (_SIX, [(3, 3), (1, 0), (0, 1)], False),
-    (_SIX3, [(2, -2, 4), (-3, 3, -6)], True),
+    (_SIX3, [(-12, 12, -24), (1, 0, 0)], True),
     (_SIX3, [(2, -2, 4), (1, 0, 0)], False),
     # negative and non-primitive multiples of a fiber direction
     (FiberSum(2, [make_fiber((0, 1), (1, -1), [1, 4])]), [(-4, 4)], True),
@@ -953,6 +955,11 @@ def _along(coeffs, w):
                                 for j, a in enumerate(coeffs) if a})
 
 
+# Phi_n, lowest degree first, for the n that _random_search_case draws
+_CYCLOTOMIC = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1],
+               6: [1, -1, 1]}
+
+
 def _random_search_case(rng):
     """A small fiber sum and an annihilator of it that is a product of line
     factors g_w(X^w), one per direction: g_w is Phi_n or t^n - 1, and every
@@ -963,8 +970,8 @@ def _random_search_case(rng):
         if rng.random() < 0.6:
             # a second factor has two terms, so f has at most 6
             n = rng.choice((1, 2, 4) if i else (1, 2, 3, 4, 6))
-            g = _along(cyclotomic(n), w)
-            h = poly_product([_along(cyclotomic(d), (1,))
+            g = _along(_CYCLOTOMIC[n], w)
+            h = poly_product([_along(_CYCLOTOMIC[d], (1,))
                               for d in range(1, n) if n % d == 0], dim=1)
         else:
             n = rng.randint(1, 6)
@@ -1009,6 +1016,27 @@ def test_search_matches_plain_enumeration(seed, bound):
         assert reference_search(c, f, found - 1) is None
 
 
+def test_search_tests_one_factor_per_direction(monkeypatch):
+    # _test_product decides a fiber part by one factor per direction, so
+    # the search must never hand it two parallel factors
+    sizes = []
+
+    def spy(vectors, parts):
+        assert len({primitive(v) for v in vectors}) == len(vectors), vectors
+        sizes.append(len(vectors))
+        return _test_product(vectors, parts)
+    monkeypatch.setattr("perdec.decompose._test_product", spy)
+    for seed in range(40):
+        rng = random.Random(seed)
+        for c, f, bound in (_random_search_case(rng) + (seed % 4 + 1,),
+                            _sparse_full_case(rng)):
+            try:
+                search_difference_annihilator(c, f, bound)
+            except InconclusiveError:
+                pass
+    assert max(sizes) >= 3
+
+
 def test_exhausted_search_stops_before_enumerating(monkeypatch):
     calls = []
 
@@ -1017,7 +1045,7 @@ def test_exhausted_search_stops_before_enumerating(monkeypatch):
         return _compositions(*args)
     monkeypatch.setattr("perdec.decompose._compositions", counted)
     cases = [_exhausted_case(random.Random(seed)) + (3,) for seed in range(4)]
-    # D = {1, 2, 3}: the least bound is their lcm 6, not their maximum
+    # _SIX has period 6: the least bound is 6, though f steps by 2 and 3
     cases.append((_SIX, difference_poly((2, 2)) * difference_poly((3, 3)),
                   4, 6))
     for c, f, bound, least in cases:
@@ -1083,6 +1111,29 @@ def test_k2_already_strongly_periodic_single_component_ok():
     assert total == len(dec.components)
     for comp in dec.components:
         assert rank_rational(comp.periods) == 2
+
+
+def test_k2_level_with_two_components(monkeypatch):
+    # the first level leaves two components, so the second level picks a
+    # period outside the subspace for each of them
+    calls = []
+
+    def counted(comp, V):
+        calls.append(comp)
+        return _period_outside(comp, V)
+    monkeypatch.setattr("perdec.decompose._period_outside", counted)
+    c = PeriodicConfig(2, [(2, 0), (0, 2)], [-2, 0, -1, -1])
+    family = [LaurentPoly(2, {(0, 0): 1, (1, 0): -1}),
+              LaurentPoly(2, {(0, 0): 1, (0, 1): 1, (2, 1): 1})]
+    dec = k_periodic_decompose(c, 2, family)
+    assert len(calls) == 2
+    assert dec.verify_on_window((-6, -6), (6, 6))["ok"]
+    assert [comp.periods for comp in dec.components] == [
+        ((0, 2), (1, 0)), ((0, 2), (1, 1))]
+    for comp in dec.components:
+        window = rasterize(comp.view, (-6, -6), (6, 6))
+        for p in comp.periods:
+            assert is_annihilated(difference_poly(p), window).holds
 
 
 def test_k_periodic_rejects_a_bad_family_member_before_any_work():
@@ -1434,7 +1485,8 @@ def _window_sweep_outcomes():
                     report = dec.verify_on_window(lo, hi)
                     boxes = [rasterize(comp.view, lo, hi)
                              for comp in dec.components]
-                except (OutOfDomainError, EmptyRegionError) as exc:
+                except (OutOfDomainError, EmptyRegionError,
+                        InconclusiveError) as exc:
                     outcomes[family, R, r] = type(exc).__name__
                     continue
                 assert report["ok"]

@@ -1,15 +1,13 @@
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perdec.config import is_annihilated
 from perdec.errors import DimensionMismatch, LatticeError
-from perdec.laurent import (LaurentPoly, cyclotomic, cyclotomic_divisors,
-                            difference_poly, line_direction, poly_product,
-                            support_in_subspace)
+from perdec.laurent import (LaurentPoly, difference_poly, line_direction,
+                            poly_product, support_in_subspace)
 from perdec.lattice import SubspaceBasis, primitive
 
 from helpers import periodic_from_function, random_hnf_basis
@@ -165,48 +163,3 @@ def test_repr_roundtrippable_enough():
     f = P(2, {(1, 0): 2, (0, 0): -1})
     assert "X1" in repr(f)
     assert repr(LaurentPoly.zero(2)) == "0"
-
-
-def _one_variable(coeffs):
-    return LaurentPoly(1, {(j,): a for j, a in enumerate(coeffs)})
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_cyclotomic_polynomials_multiply_to_t_n_minus_1():
-    for n in range(1, 61):
-        assert poly_product(_one_variable(cyclotomic(d))
-                            for d in _divisors(n)) == difference_poly((n,))
-
-
-def test_cyclotomic_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-    for d in range(1, 61):
-        expected = sympy.Poly(sympy.cyclotomic_poly(d, t), t).all_coeffs()
-        assert list(cyclotomic(d)) == expected[::-1]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12))
-def test_cyclotomic_divisors_match_sympy(vals):
-    sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-    u = sum(a * t ** j for j, a in enumerate(vals))
-    assert cyclotomic_divisors(vals) == [
-        d for d in _divisors(len(vals))
-        if sympy.rem(u, sympy.cyclotomic_poly(d, t), t) != 0]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12))
-def test_cyclotomic_divisors_give_the_least_annihilating_shift(vals):
-    # X^s - 1 kills the periodic table exactly when every d in D(u)
-    # divides s, so the least such s is the lcm of D(u)
-    n = len(vals)
-    killed = [s for s in range(1, n + 1)
-              if all(vals[(j + s) % n] == vals[j] for j in range(n))]
-    divisors = cyclotomic_divisors(vals)
-    assert min(killed) == lcm(*divisors)

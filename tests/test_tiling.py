@@ -8,8 +8,8 @@ from operator import add, mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perdec.config import (PeriodicConfig, Verdict, WindowConfig, apply_poly,
-                           period_lattice, rasterize)
+from perdec.config import (FiberSum, PeriodicConfig, Verdict, WindowConfig,
+                           apply_poly, make_fiber, period_lattice, rasterize)
 from perdec.errors import (EmptyRegionError, LatticeError, PerdecError,
                            PreconditionError)
 from perdec.laurent import LaurentPoly
@@ -73,6 +73,23 @@ def test_verify_cotiler_window_evidence():
 def test_verify_cotiler_rejects_nonbinary():
     with pytest.raises(PreconditionError):
         verify_cotiler(DOMINO_X, PeriodicConfig.constant(2, 2))
+
+
+def test_verify_cotiler_on_fiber_sums():
+    # a fiber sum is decided exactly: in one dimension a single fiber can
+    # cover Z, in two no finite set of lines covers Z^2
+    evens = FiberSum(1, [make_fiber((0,), (1,), [1, 0])])
+    verdict = verify_cotiler(Tile(1, [(0,), (1,)]), evens)
+    assert verdict.holds and verdict.exact
+    verdict = verify_cotiler(Tile(1, [(0,), (2,)]), evens)
+    assert not verdict.holds and verdict.exact
+    lines = FiberSum(2, [make_fiber((0, 0), (1, 0), [1]),
+                         make_fiber((0, 1), (1, 0), [1])])
+    verdict = verify_cotiler(DOMINO_Y, lines)
+    assert not verdict.holds and verdict.exact
+    with pytest.raises(PreconditionError, match="must be 0/1"):
+        verify_cotiler(Tile(1, [(0,), (1,)]),
+                       FiberSum(1, [make_fiber((0,), (1,), [2, 0])]))
 
 
 def _cotiling_case(rng, dim):

@@ -141,6 +141,8 @@ def _parse_window(spec, dim):
             hi.append(int(b))
         except ValueError as exc:
             raise PerdecError(f"bad range {part!r}") from exc
+        if lo[-1] > hi[-1]:
+            raise PerdecError(f"empty range {part!r}; expected lo <= hi")
     return tuple(lo), tuple(hi)
 
 
@@ -269,11 +271,12 @@ def _cmd_sparse(ctx):
     if args.subcommand == "fibers":
         if not args.direction:
             raise PerdecError("sparse fibers needs --direction")
+        window = ctx.window(c.dim)
         out = fiber_extract(c, _parse_direction(args.direction, c.dim),
                             bounds.period)
         ctx.write_config("fibers.json", out)
         consistent = out == c if isinstance(c, FiberSum) \
-            else _agree_on(out, c, ctx.window(c.dim))
+            else _agree_on(out, c, window)
         ctx.verdicts["extraction_consistent"] = consistent
         return
 

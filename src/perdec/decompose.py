@@ -19,11 +19,13 @@ Decomposition components are exposed as lazy views (LazyConfig subclasses)
 plus rasterization; in general their values need not form a configuration.
 Components are evaluated a box at a time: a transfer component walks its
 recurrence lines through the box and a residual sums the boxes of its parts;
-a point read of a transfer component is a one-point segment.  A transfer
-component keeps the last box it computed, and verification reads every lazy
-component on one shared grid box, so each is evaluated once per job.  All
-searches take caller-supplied bounds and report exhaustion as inconclusive
-rather than fabricating verdicts.
+a point read of a transfer component is a one-point segment.  Where psi
+kills the source exactly (by an exact check, or in a decomposition whose
+product check was exact), both are periodic along psi's line period u and
+lines u apart are computed once.  A transfer component keeps its last box,
+and verification reads every lazy component on one shared grid box, so each
+is evaluated once per job.  All searches take caller-supplied bounds and
+report exhaustion as inconclusive rather than fabricating verdicts.
 """
 
 from __future__ import annotations
@@ -108,6 +110,25 @@ def _exact_div(s, a):
 # ---------------------------------------------------------------------------
 # transfer solver
 
+def _line_period(psi, bound):
+    """A period of all that psi kills, or None: N*s*w for the least N <= bound
+    with q | t^N - 1, psi = k X^a q(X^{s w}), s the gcd of the offsets and k
+    the content.  By Gauss such a q has lead +-1, so t^N mod q is integral."""
+    desc, offsets = line_degree(psi)
+    w, s = desc.direction, gcd(*offsets)
+    q = [psi.coefficient(vadd(desc.anchor, vscale(t * s, w)))
+         for t in range(offsets[-1] // s + 1)]
+    if abs(q[-1]) != gcd(*q):
+        return None
+    q = [a // q[-1] for a in q]
+    r = one = [1] + [0] * (len(q) - 2)
+    for n in range(1, bound + 1):
+        r = [a - r[-1] * b for a, b in zip([0] + r[:-1], q)]
+        if r == one:
+            return vscale(n * s, w)
+    return None
+
+
 class _TransferEvaluator(LazyConfig):
     """A transfer summand: the solution c of phi*c = source, psi*c = 0 as
     a lazy view, per-line memoized evaluation of the coset recurrence.
@@ -117,18 +138,19 @@ class _TransferEvaluator(LazyConfig):
     coset generators, the recurrence step w, the width n of the zero band
     and the monomial shift that starts supp(phi) at the origin.
 
-    Every value is computed once.  A line is keyed by its point at
-    recurrence coordinate 0 and the sweep direction; its list holds the n
-    band zeros followed by the values swept so far, nearest the band first,
-    so each step reads its predecessors by index and moves one step of w.
+    Every value is computed once.  A line is keyed by its base, its point at
+    recurrence coordinate 0, and the sweep direction; its list holds the n
+    band zeros and then the swept values, nearest the band first.  When psi
+    kills the source exactly, both are periodic along psi's line period u,
+    `period` (`_line_period`); u keeps the recurrence coordinate, so lines
+    u apart share source and band and `_key` reduces bases modulo u, near
+    the origin.  Windows and evidence-only sources keep one key per line.
 
-    Components are evaluated a box at a time by `values_on_box`: it walks
-    the lines of direction w through the box, finds the recurrence
-    coordinate of every line start, extends every line that falls short and
-    copies each line's values into the box.  `values_on_segments` answers
-    other lines the same way: it finds the recurrence line of every point
-    asked for and extends each line once, to its farthest point.  A single
-    point is a one-point segment.  Both extend lines through
+    `values_on_box` walks the lines of direction w through the box, finds
+    the recurrence coordinate of every line start, extends every line key
+    to the farthest position any of its lines needs and copies the values
+    into the box.  `values_on_segments` does the same for the points of
+    other lines; a point is a one-point segment.  Both extend lines through
     `_source_values`: any source is read once on the bounding box of the
     new source points when that box lies in its domain and holds at most 4
     times as many points, else segment by segment.  The recurrence
@@ -144,14 +166,15 @@ class _TransferEvaluator(LazyConfig):
     """
 
     __slots__ = ("phi", "psi", "source", "gauge", "w", "n", "cosets",
-                 "lines", "sweeps", "box")
+                 "lines", "sweeps", "box", "period", "pivot")
 
-    def __init__(self, phi, psi, source, line, generators):
+    def __init__(self, phi, psi, source, line, generators, period):
         (desc, offsets), dim = line, phi.dim
         w, shift, n = desc.direction, desc.anchor, offsets[-1]
         self.dim, self.phi, self.psi, self.source = dim, phi, psi, source
-        self.w, self.n = w, n
+        self.w, self.n, self.period = w, n, period
         self.cosets = CosetSystem(dim, generators)
+        self.pivot = next(i for i, a in enumerate(generators[1]) if a)
         self.gauge = {"generators": [list(g) for g in self.cosets.generators],
                       "step": list(w), "band_width": n,
                       "anchor_shift": list(shift)}
@@ -204,6 +227,13 @@ class _TransferEvaluator(LazyConfig):
             out[line_slice(box_offset(lo, strides, x), strides[i], n)] = \
                 self.a1_line(x, e, n)
         return out
+
+    def _key(self, base):
+        """The key of the line at `base`: with a period u, base moved by a
+        multiple of u to base_i in [0, u_i), i = `pivot`, w2's first axis."""
+        u, i = self.period, self.pivot
+        k = base[i] // u[i] if u else 0
+        return tuple([b - k * a for b, a in zip(base, u)]) if k else base
 
     def _segment(self, base, up, last):
         """What line (base, up) lacks through list position `last`.
@@ -272,11 +302,10 @@ class _TransferEvaluator(LazyConfig):
                     continue
                 # the line base q + k*step - a*w, sweeping up or down
                 up = a >= n
-                key = tuple([c + k * s - a * v
-                             for c, s, v in zip(q, step, w)]), up
+                key = self._key(tuple([c + k * s - a * v
+                                       for c, s, v in zip(q, step, w)])), up
                 pos = a if up else n - 1 - a
-                if need.get(key, -1) < pos:
-                    need[key] = pos
+                need[key] = max(pos, need.get(key, pos))
                 read.append((key, pos))
             reads.append(read)
         self._extend_lines(need)
@@ -306,12 +335,11 @@ class _TransferEvaluator(LazyConfig):
         for slo, shi in box_line_slabs(lo, hi, w):
             for x, a in zip(box_points(slo, shi), self.a1_on_box(slo, shi)):
                 e = a + box_line_range(lo, hi, x, w)[1]
-                base = vsub(x, vscale(a, w))
+                base = self._key(vsub(x, vscale(a, w)))
                 runs.append((box_offset(lo, strides, x), base, a, e))
-                if e >= n:
-                    need[base, True] = e
-                if a < 0:
-                    need[base, False] = n - 1 - a
+                for key, pos in ((base, True), e), ((base, False), n - 1 - a):
+                    if pos >= n:
+                        need[key] = max(pos, need.get(key, pos))
         self._extend_lines(need)
         out = [0] * box_size(lo, hi)
         for start, base, a, e in runs:
@@ -357,11 +385,12 @@ def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
             "the span of the two directions meets the subspace nontrivially")
     if cprime.dim != phi.dim:
         raise PreconditionError("source of wrong dimension")
-    _require_annihilation(psi, cprime, bounds,
-                          "psi does not annihilate the source")
+    check = _require_annihilation(psi, cprime, bounds,
+                                  "psi does not annihilate the source")
     _require_v_periodic(cprime, V, bounds, "source")
-    return _TransferEvaluator(phi, psi, cprime, line,
-                              (w1, w2) + V.integer_rows())
+    return _TransferEvaluator(
+        phi, psi, cprime, line, (w1, w2) + V.integer_rows(),
+        _line_period(psi, bounds.period) if check.exact else None)
 
 
 def verify_transfer(view: _TransferEvaluator, lo, hi):
@@ -467,21 +496,29 @@ def decompose_product(phis, c, V: SubspaceBasis, bounds: Bounds | None = None
     if not phis:
         raise PreconditionError("need at least one line polynomial")
     _validate_line_family(phis, V)
-    _require_annihilation(poly_product(phis), c, bounds,
-                          "the product does not annihilate the input")
+    check = _require_annihilation(poly_product(phis), c, bounds,
+                                  "the product does not annihilate the input")
     _require_v_periodic(c, V, bounds, "input")
-    return Decomposition(source=c,
-                         components=_decompose_rec(phis, c, V, bounds))
+    return Decomposition(
+        source=c, components=_decompose_rec(phis, c, V, bounds, check.exact))
 
 
-def _decompose_rec(phis, c, V, bounds):
+def _decompose_rec(phis, c, V, bounds, exact):
+    """The components of c, which the product of phis kills, exactly when
+    `exact`.  Then psi kills each transfer source exactly, as computed, so
+    its view keys lines modulo psi's line period: the base component by the
+    product check; a lifted T as phi*T = source everywhere and psi*T, killed
+    by phi and 0 on the band shifted by psi's anchor, is 0 by uniqueness of
+    the zero-band solution; a residual r as last*r telescopes to 0."""
     if len(phis) == 1:
         return [Component(view=c, line_poly=phis[0], subspace=V)]
     last = phis[-1]
     rest = apply_poly(last, c)
     lifted = []
-    for comp in _decompose_rec(phis[:-1], rest, V, bounds):
+    for comp in _decompose_rec(phis[:-1], rest, V, bounds, exact):
         view = solve_transfer(last, comp.line_poly, comp.view, V, bounds)
+        if exact:  # however the source's own check went
+            view.period = _line_period(comp.line_poly, bounds.period)
         lifted.append(Component(view=view, line_poly=comp.line_poly,
                                 subspace=V, gauge=view.gauge))
     residual = add_views([c] + [l.view for l in lifted],

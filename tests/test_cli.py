@@ -279,7 +279,7 @@ def test_sparse_fibers_checks_a_window_extraction_on_the_cut(
 
 def test_sparse_fibers_checks_a_periodic_extraction_on_the_window(tmp_path):
     # a periodic input has no box to cut to: the --window itself is read,
-    # and an empty one records false
+    # and an empty one is an error that records no verdict
     cfg = write(tmp_path / "p.json",
                 config_to_obj(PeriodicConfig(1, [(3,)], [1, 0, 2])))
 
@@ -287,10 +287,37 @@ def test_sparse_fibers_checks_a_periodic_extraction_on_the_window(tmp_path):
         out = str(tmp_path / label)
         code = main(["--out", out, *flags, "sparse", "fibers", cfg,
                      "--direction", "1"])
-        return code, manifest(out)["verdicts"]["extraction_consistent"]
+        return code, manifest(out)["verdicts"].get("extraction_consistent")
 
     assert run("out") == (0, True)
-    assert run("out_empty", "--window=3..1") == (1, False)
+    assert run("out_empty", "--window=3..1") == (1, None)
+
+
+@pytest.mark.parametrize("window, empty", [("3..2,0..1", "3..2"),
+                                           ("-1..1,5..-5", "5..-5")])
+@pytest.mark.parametrize("command", ["decompose", "tiling", "fibers"])
+def test_an_empty_window_range_is_refused_before_any_work(files, monkeypatch,
+                                                          command, window,
+                                                          empty):
+    # a range with lo > hi checks nothing: the run exits 1 naming it, before
+    # any decomposition or extraction, and its manifest holds the error and
+    # no verdict
+    tmp, fx = files
+    argv = {"decompose": ["decompose", fx["cb"], "--factors", fx["factors"]],
+            "tiling": ["tiling", "decompose", fx["tiles"], fx["cb"]],
+            "fibers": ["sparse", "fibers", fx["cb"], "--direction", "1,0"],
+            }[command]
+
+    def never(*args):
+        raise AssertionError("work done for an empty window")
+    for name in ("decompose_product", "cotiler_decompose", "fiber_extract"):
+        monkeypatch.setattr(cli, name, never)
+    out = str(tmp / "out")
+    assert main(["--out", out, f"--window={window}", *argv]) == 1
+    m = manifest(out)
+    assert m["verdicts"] == {} and m["outputs"] == []
+    assert m["error"]["type"] == "PerdecError"
+    assert f"empty range {empty!r}" in m["error"]["message"]
 
 
 def test_sparse_decompose_checks_a_window_family(tmp_path, monkeypatch):

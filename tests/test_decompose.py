@@ -13,7 +13,7 @@ from perdec.config import (FiberSum, LazyConfig, PeriodicConfig, Verdict,
                            detect_period_multiple, is_annihilated, make_fiber,
                            period_lattice, rasterize)
 from perdec.decompose import (Bounds, DifferenceProduct, _TransferEvaluator,
-                              _compositions, _period_multiple,
+                              _compositions, _line_period, _period_multiple,
                               _period_outside,
                               _require_annihilation,
                               _span_relation,
@@ -1369,7 +1369,7 @@ def _torus_family_input(family):
     # the inner transfer components and residual sums are lazy sources;
     # they are read by box too wherever the box wastes little
     (((3, -2), (5, -3), (2, 7)), True),
-    # factors like the benchmark's: the periodic input is read by box too
+    # factors like the benchmark's: the convolved input is read by box too
     (((1, 0), (2, -2), (2, 1)), True)])
 def test_transfer_source_box_reads_stay_within_four_times(monkeypatch,
                                                           family, box_read):
@@ -1396,7 +1396,11 @@ def test_transfer_source_box_reads_stay_within_four_times(monkeypatch,
     c = _torus_family_input(family)
     phis = [difference_poly(v) for v in family]
     lo, hi = (-20, -20), (19, 19)
-    dec = decompose_product(phis, c, TRIVIAL2)
+    # a lazy view of the torus passes the product check only as evidence,
+    # so no transfer view keys its lines modulo a period and every line
+    # through the boxes reads its own source points
+    dec = decompose_product(phis, FunctionView(2, c.value_at), TRIVIAL2)
+    assert [comp.view.period for comp in dec.components[:-1]] == [None] * 2
     assert dec.verify_on_window(lo, hi)["ok"]
     boxes = [rasterize(comp.view, lo, hi) for comp in dec.components]
     monkeypatch.undo()
@@ -1420,9 +1424,10 @@ def _segment_source_values(self, segments):
     return self.source.values_on_segments([seg[2:] for seg in segments])
 
 
-# the recurrence values the guard families compute under the read rule;
-# point reads compute 141,330, 24,493 and 7,910
-RULE_WORK = dict(zip(GUARD_FAMILIES, (141330, 49724, 10645)))
+# the recurrence values the guard families compute under the read rule,
+# lines keyed modulo psi's period; with one key per line the rule computed
+# 141,330, 49,724 and 10,645, and point reads 141,330, 24,493 and 7,910
+RULE_WORK = dict(zip(GUARD_FAMILIES, (1441, 891, 260)))
 
 
 @pytest.mark.parametrize("family", GUARD_FAMILIES)
@@ -1537,6 +1542,100 @@ def test_transfer_point_read_after_box_read_extends_no_line():
     assert work and any(box)
     assert [view.value_at(x) for x in box_points(lo, hi)] == box
     assert sum(map(len, view.lines.values())) == work
+
+
+def _line_poly(coefs, v, anchor=(0, 0)):
+    """sum_j coefs[j] X^(anchor + j*v)."""
+    return LaurentPoly(2, {vadd(anchor, vscale(j, v)): k
+                           for j, k in enumerate(coefs) if k})
+
+
+@pytest.mark.parametrize("psi, bound, period", [
+    (_line_poly([-1, 1], (4, 2)), 64, (4, 2)),  # X^u - 1
+    (_line_poly([-2, 2], (4, 2)), 64, (4, 2)),  # content removed
+    (_line_poly([-1, 1], (1, -3), (-5, 7)), 64, (1, -3)),  # anchor removed
+    (_line_poly([1, 1], (1, 2)), 64, (2, 4)),  # 1 + X^v
+    (_line_poly([1, 1, 1], (3, 0)), 64, (9, 0)),  # 1 + X^v + X^2v
+    (_line_poly([1, -1, 1], (2, 1)), 64, (12, 6)),  # Phi_6(X^v)
+    (_line_poly([1, -1, 1], (2, 1)), 6, (12, 6)),
+    (_line_poly([2, 1], (0, 1)), 64, None),  # 2 + X^v
+    (_line_poly([1, 2], (0, 1)), 64, None),  # 1 + 2X^v
+    (_line_poly([1, -1, 1], (2, 1)), 5, None),  # N = 6 above the bound
+    (_line_poly([-1, 0, 0, 1], (1, 1)), 1, (3, 3)),  # the bound is on N
+])
+def test_line_period(psi, bound, period):
+    assert _line_period(psi, bound) == period
+
+
+# the kinds of random factors q(X^v): (coefficients of q and of r, N) with
+# q*r divisible by t^N - 1; (t - 1)(t + 2) has the extreme coefficient -2,
+# so its transfers divide into Fractions, and no period
+FACTOR_KINDS = {"difference": ([-1, 1], [1], 1),
+                "three-term": ([1, 1, 1], [-1, 1], 3),
+                "phi6": ([1, -1, 1], [-1, -1, 0, 1, 1], 6),
+                "non-unit": ([-2, 1, 1], [1], 1)}
+
+
+def _torus_product_input(sides, factors, rng):
+    """A periodic input with one summand per factor (kind, v): r(X^v)
+    applied to a random table on the torus spanned by N*v and the side of
+    `sides` on an axis apart from v, so that q(X^v) kills the summand and
+    the product of the factors kills their sum exactly."""
+    parts = []
+    for kind, v in factors:
+        _, r, n = FACTOR_KINDS[kind]
+        side = (sides[0], 0) if v[1] else (0, sides[1])
+        g = periodic_from_function(2, [vscale(n, v), side],
+                                   lambda x: rng.randint(-3, 3))
+        parts.append(apply_poly(_line_poly(r, v), g))
+    return add_views(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_period_keyed_decompositions_match_per_line_keys(data):
+    # every component of an exactly checked decomposition, whose transfer
+    # views key their lines modulo psi's period, equals the same component
+    # of an evidence-only decomposition of the same source, pointwise and
+    # by the one-point recurrence; a window cut from the source keeps one
+    # key per line and agrees wherever it is determined.  Boxes are compared
+    # as value lists: rasterize refuses the non-integral Fractions that
+    # transfers through (t - 1)(t + 2) produce
+    sides = data.draw(st.tuples(st.integers(2, 12), st.integers(2, 12)))
+    count = data.draw(st.integers(2, 3))
+    dirs = data.draw(st.lists(st.sampled_from(DIRECTIONS_2D), min_size=count,
+                              max_size=count, unique=True))
+    factors = [(data.draw(st.sampled_from(sorted(FACTOR_KINDS))),
+                vscale(data.draw(st.integers(1, 2)), d)) for d in dirs]
+    c = _torus_product_input(sides, factors,
+                             random.Random(data.draw(st.integers(0, 999))))
+    phis = [_line_poly(FACTOR_KINDS[kind][0], v) for kind, v in factors]
+    dec = decompose_product(phis, c, TRIVIAL2)
+    ref = decompose_product(phis, FunctionView(2, c.value_at), TRIVIAL2)
+    # only (t - 1)(t + 2) divides no t^N - 1
+    assert [comp.view.period is None for comp in dec.components[:-1]] == \
+        [kind == "non-unit" for kind, _ in factors[:-1]]
+    assert all(comp.view.period is None for comp in ref.components[:-1])
+    corner = data.draw(st.tuples(st.integers(-10, 6), st.integers(-10, 6)))
+    lo, hi = corner, vadd(corner, data.draw(st.tuples(st.integers(2, 6),
+                                                      st.integers(2, 6))))
+    points = list(box_points(lo, hi))
+    got = [comp.view.values_on_box(lo, hi) for comp in dec.components]
+    assert got == [[comp.view.value_at(x) for x in points]
+                   for comp in ref.components]
+    assert got[:-1] == [[reference_transfer_value(comp.view, x)
+                         for x in points] for comp in ref.components[:-1]]
+    assert got == [[comp.view.value_at(x) for x in points]
+                   for comp in decompose_product(phis, c, TRIVIAL2).components]
+
+    window = rasterize(c, (-12, -12), (11, 11))
+    try:
+        wdec = decompose_product(phis, window, TRIVIAL2)
+        wgot = [comp.view.values_on_box(lo, hi) for comp in wdec.components]
+    except (OutOfDomainError, EmptyRegionError, InconclusiveError):
+        return  # not determined by the window
+    assert all(comp.view.period is None for comp in wdec.components[:-1])
+    assert wgot == got
 
 
 @pytest.mark.parametrize("case", [0, 3, 7])

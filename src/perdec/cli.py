@@ -4,8 +4,9 @@ Every run reads JSON inputs, writes JSON results plus exactly one
 manifest.json into the output directory, and exits 0 when all recorded
 verifications passed, 2 when a bounded search was exhausted, and 1 on any
 other failure, naming the error (with the bound that ended a search) in
-its manifest.  Identical inputs and parameters produce byte-identical
-result files; the manifest additionally records the wall time.
+its manifest; only a run that cannot create that directory exits 1 with
+none.  Identical inputs and parameters produce byte-identical result
+files; the manifest additionally records the wall time.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .serialize import (config_from_obj, config_to_obj, dumps, load_json,
                         poly_from_obj, poly_to_obj, tile_from_obj)
 from .sparse import (_agree_on, check_sparseness, fiber_closed_form_constant,
                      fiber_extract, sparse_decompose, sparse_full,
-                     sparse_split2, split_identities)
+                     sparse_split2)
 from .tiling import cotiler_decompose, independent, verify_cotiler
 
 
@@ -262,10 +263,11 @@ def _write_decomposition(ctx, dec, lo, hi):
 
 
 def _cmd_sparse(ctx):
-    args = ctx.args
+    """`sparse split C PHI PSI` is `sparse decompose C [PHI, PSI]` read from
+    two files: one path, the same family files and identities."""
+    args, bounds = ctx.args, ctx.bounds
     polys = _positional(f"sparse {args.subcommand}", args.polys,
                         _SPARSE_FILES[args.subcommand])
-    bounds = ctx.bounds
     c = ctx.load_config(args.config)
 
     if args.subcommand == "fibers":
@@ -281,48 +283,30 @@ def _cmd_sparse(ctx):
         return
 
     if args.subcommand == "split":
-        phi = ctx.load_poly(polys[0])
-        psi = ctx.load_poly(polys[1])
-        c1, c2 = sparse_split2(c, phi, psi, bounds)
-        _sparse_report(ctx, c, [c1, c2],
-                       ["phi*c1 = 0", "psi*c1 = psi*c", "psi*c2 = 0",
-                        "phi*c2 = phi*c", "c = c1 + c2"],
-                       lambda: split_identities(c, phi, psi, c1, c2, bounds))
-        return
-
-    if args.subcommand == "decompose":
-        phis = ctx.load_poly_list(polys[0])
-        fams = sparse_decompose(c, phis, bounds)
-        _sparse_report(ctx, c, fams,
-                       ["per-family annihilation", "family sum = input"])
-        return
-
-    # "full", the last choice argparse allows
-    f = ctx.load_poly(polys[0])
-    fams = sparse_full(c, f, bounds)
-    _sparse_report(ctx, c, fams,
-                   ["certificate annihilates", "per-family annihilation",
-                    "family sum = input"])
+        fams = sparse_split2(c, *map(ctx.load_poly, polys), bounds)
+    elif args.subcommand == "decompose":
+        fams = sparse_decompose(c, ctx.load_poly_list(polys[0]), bounds)
+    else:  # "full", the last choice argparse allows
+        fams = sparse_full(c, ctx.load_poly(polys[0]), bounds)
+    _sparse_report(ctx, c, fams, args.subcommand == "full")
 
 
-def _sparse_report(ctx, source, families, identities, on_window=None):
-    """Record the families, their detected periods and the identity log.
-    On fiber sums per-family annihilation and the family sum are checked
-    exactly and imply the other split identities (psi*c1 = psi*c - psi*c2);
-    elsewhere `on_window`, where given, evaluates them (name -> verdict),
-    else the family sum is evaluated on the check window cut to the input's
-    box, and per-family annihilation was checked exactly."""
+def _sparse_report(ctx, source, families, certified):
+    """Record the families, their detected periods and the identities:
+    per-family annihilation, checked exactly, and the family sum, exact on
+    fiber sums, else evaluated on the check window cut to the input's box;
+    first, where `certified`, that the certificate annihilates the input."""
     for i, fam in enumerate(families):
         ctx.write_config(f"family_{i:02d}.json", fam)
         ctx.results[f"family_{i:02d}_periods"] = \
             [{"anchor": list(f.anchor), "dir": list(f.direction),
               "period": f.period} for f in fam.fibers]
-    verdicts = dict.fromkeys(identities, True)
+    verdicts = dict.fromkeys(
+        ["certificate annihilates"] * certified
+        + ["per-family annihilation", "family sum = input"], True)
     if isinstance(source, FiberSum):
         ctx.results["sparseness_constant"] = \
             max(fiber_closed_form_constant(source), 1)
-    elif on_window is not None:
-        verdicts = on_window()
     elif families:
         verdicts["family sum = input"] = _agree_on(
             add_views(families), source, ctx.bounds.check_window(source.dim))
@@ -466,7 +450,12 @@ def main(argv=None):
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    ctx = RunContext(args)
+    try:
+        ctx = RunContext(args)
+    except OSError as exc:  # so no manifest can be written there
+        print(f"perdec: error: cannot create output directory {args.out}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 1
     error = None
     try:
         ctx.bounds = Bounds(**ctx.given_bounds)

@@ -168,13 +168,14 @@ class _TransferEvaluator(LazyConfig):
     __slots__ = ("phi", "psi", "source", "gauge", "w", "n", "cosets",
                  "lines", "sweeps", "box", "period", "pivot")
 
-    def __init__(self, phi, psi, source, line, generators, period):
-        (desc, offsets), dim = line, phi.dim
+    def __init__(self, phi, psi, source, V, period):
+        (desc, offsets), dim = line_degree(phi), phi.dim
         w, shift, n = desc.direction, desc.anchor, offsets[-1]
         self.dim, self.phi, self.psi, self.source = dim, phi, psi, source
         self.w, self.n, self.period = w, n, period
-        self.cosets = CosetSystem(dim, generators)
-        self.pivot = next(i for i, a in enumerate(generators[1]) if a)
+        w2 = line_direction(psi).direction
+        self.cosets = CosetSystem(dim, (w, w2) + V.integer_rows())
+        self.pivot = next(i for i, a in enumerate(w2) if a)
         self.gauge = {"generators": [list(g) for g in self.cosets.generators],
                       "step": list(w), "band_width": n,
                       "anchor_shift": list(shift)}
@@ -389,7 +390,7 @@ def solve_transfer(phi: LaurentPoly, psi: LaurentPoly, cprime,
                                   "psi does not annihilate the source")
     _require_v_periodic(cprime, V, bounds, "source")
     return _TransferEvaluator(
-        phi, psi, cprime, line, (w1, w2) + V.integer_rows(),
+        phi, psi, cprime, V,
         _line_period(psi, bounds.period) if check.exact else None)
 
 
@@ -506,20 +507,25 @@ def decompose_product(phis, c, V: SubspaceBasis, bounds: Bounds | None = None
 def _decompose_rec(phis, c, V, bounds, exact):
     """The components of c, which the product of phis kills, exactly when
     `exact`.  Then psi kills each transfer source exactly, as computed, so
-    its view keys lines modulo psi's line period: the base component by the
-    product check; a lifted T as phi*T = source everywhere and psi*T, killed
-    by phi and 0 on the band shifted by psi's anchor, is 0 by uniqueness of
-    the zero-band solution; a residual r as last*r telescopes to 0."""
+    its view is built directly, without `solve_transfer`'s checks, and keys
+    lines modulo psi's line period: the base component by the product
+    check; a lifted T as phi*T = source everywhere and psi*T, killed by phi
+    and 0 on the band shifted by psi's anchor, is 0 by uniqueness of the
+    zero-band solution; a residual r as last*r telescopes to 0.  The
+    directions and c's V-periodicity were checked by `decompose_product`."""
     if len(phis) == 1:
         return [Component(view=c, line_poly=phis[0], subspace=V)]
     last = phis[-1]
     rest = apply_poly(last, c)
     lifted = []
     for comp in _decompose_rec(phis[:-1], rest, V, bounds, exact):
-        view = solve_transfer(last, comp.line_poly, comp.view, V, bounds)
-        if exact:  # however the source's own check went
-            view.period = _line_period(comp.line_poly, bounds.period)
-        lifted.append(Component(view=view, line_poly=comp.line_poly,
+        psi = comp.line_poly
+        if exact:  # solve_transfer's checks hold by construction
+            view = _TransferEvaluator(last, psi, comp.view, V,
+                                      _line_period(psi, bounds.period))
+        else:
+            view = solve_transfer(last, psi, comp.view, V, bounds)
+        lifted.append(Component(view=view, line_poly=psi,
                                 subspace=V, gauge=view.gauge))
     residual = add_views([c] + [l.view for l in lifted],
                          [1] + [-1] * len(lifted))

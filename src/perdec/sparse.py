@@ -305,7 +305,7 @@ def stabilized_translate_limit(c, step, window, k_max: int, patience: int
 
 
 # ---------------------------------------------------------------------------
-# two-factor split
+# full decomposition
 
 def sparse_split2(c, phi: LaurentPoly, psi: LaurentPoly,
                   bounds: Bounds | None = None):
@@ -322,24 +322,6 @@ def _agree_on(a, b, window):
     return window is not None and box_size(*window) > 0 and \
         a.values_on_box(*window) == b.values_on_box(*window)
 
-
-def split_identities(c, phi, psi, c1, c2, bounds: Bounds | None = None):
-    """The verdict of each identity of a split (c1, c2) of a window c:
-    exact on the fiber sums c1 and c2 alone, else on the check window cut
-    to the box of the right side, c's or its erosion by the factor."""
-    window = (bounds or Bounds()).check_window(c.dim)
-    return {
-        "phi*c1 = 0": apply_poly(phi, c1).is_zero(),
-        "psi*c1 = psi*c": _agree_on(apply_poly(psi, c1), apply_poly(psi, c),
-                                    window),
-        "psi*c2 = 0": apply_poly(psi, c2).is_zero(),
-        "phi*c2 = phi*c": _agree_on(apply_poly(phi, c2), apply_poly(phi, c),
-                                    window),
-        "c = c1 + c2": _agree_on(add_views([c1, c2]), c, window)}
-
-
-# ---------------------------------------------------------------------------
-# full decomposition
 
 def sparse_decompose(c, phis, bounds: Bounds | None = None):
     """Decompose a sparse annihilated view into per-direction fiber sums.

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -215,8 +217,9 @@ def test_sparse_commands(files, tmp_path):
 
 
 def test_sparse_split_evaluates_window_identities(tmp_path, monkeypatch):
-    # on a window input every identity of the split is evaluated: a split
-    # result with one fiber value changed fails them and exits 1
+    # on a window input `sparse split` records the identities of `sparse
+    # decompose`, the family sum evaluated on the check window: a split
+    # result with one fiber value changed fails it and exits 1
     fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
                           make_fiber((0, 1), (0, 1), [1, 1, 0])])
     cfg = write(tmp_path / "w.json",
@@ -233,8 +236,7 @@ def test_sparse_split_evaluates_window_identities(tmp_path, monkeypatch):
                       if name.startswith("identity: ")}
 
     assert run("out_split") == (0, dict.fromkeys(
-        ["phi*c1 = 0", "psi*c1 = psi*c", "psi*c2 = 0", "phi*c2 = phi*c",
-         "c = c1 + c2"], True))
+        ["per-family annihilation", "family sum = input"], True))
     split = cli.sparse_split2
 
     def mutated_split(*args):
@@ -246,9 +248,36 @@ def test_sparse_split_evaluates_window_identities(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "sparse_split2", mutated_split)
     code, verdicts = run("out_mutated")
     assert code == 1
-    assert verdicts == {"phi*c1 = 0": True, "psi*c1 = psi*c": False,
-                        "psi*c2 = 0": True, "phi*c2 = phi*c": True,
-                        "c = c1 + c2": False}
+    assert verdicts == {"per-family annihilation": True,
+                        "family sum = input": False}
+
+
+@pytest.mark.parametrize("kind", ["fibersum", "window"])
+def test_sparse_split_is_the_two_factor_sparse_decompose(tmp_path, kind):
+    # `sparse split C PHI PSI` and `sparse decompose C [PHI, PSI]` write the
+    # same family files and record the same verdicts and results
+    fibers = FiberSum(2, [make_fiber((0, 0), (1, 0), [3, 5]),
+                          make_fiber((0, 1), (0, 1), [1, 1, 0])])
+    c = fibers if kind == "fibersum" else \
+        rasterize(fibers, (-24, -24), (24, 24))
+    cfg = write(tmp_path / "c.json", config_to_obj(c))
+    phis = [difference_poly((2, 0)), difference_poly((0, 3))]
+    phi, psi = (write(tmp_path / f"{name}.json", poly_to_obj(p))
+                for name, p in zip(("phi", "psi"), phis))
+    both = write(tmp_path / "both.json", [poly_to_obj(p) for p in phis])
+    runs = {}
+    for sub, files in (("split", [phi, psi]), ("decompose", [both])):
+        out = str(tmp_path / sub)
+        assert main(["--out", out, "--kmax", "8", "--patience", "2",
+                     "sparse", sub, cfg, *files]) == 0
+        m = manifest(out)
+        written = {}
+        for name in m["outputs"]:
+            with open(os.path.join(out, name), "rb") as fh:
+                written[name] = fh.read()
+        runs[sub] = written, m["verdicts"], m["results"]
+    assert sorted(runs["split"][0]) == ["family_00.json", "family_01.json"]
+    assert runs["split"] == runs["decompose"]
 
 
 def test_sparse_fibers_checks_a_window_extraction_on_the_cut(
@@ -729,6 +758,26 @@ def test_failed_runs_leave_a_manifest_naming_the_error(tmp_path):
         m = manifest(out)
         assert m["outputs"] == [] and m["verdicts"] == {}
         assert m["error"] == dict(zip(("type", "message", "bound"), error))
+
+
+def test_out_naming_an_existing_file_exits_one(tmp_path):
+    # no directory, so no manifest, can be made where --out names a file:
+    # `python -m perdec.cli` exits 1 with one error line and no traceback
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    f = write(tmp_path / "f.json", poly_to_obj(difference_poly((1, 0))))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "perdec.cli", "--out", str(taken), "poly",
+         "add", f, f], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"perdec: error: cannot create output directory {taken}: ")
+    assert proc.stderr.count("\n") == 1
+    assert taken.read_text() == "kept"
 
 
 def test_a_success_and_a_failure_record_the_same_command(tmp_path):

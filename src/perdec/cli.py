@@ -259,6 +259,8 @@ def _write_decomposition(ctx, dec, lo, hi):
         if comp.periods:
             ctx.results[f"component_{i:02d}_periods"] = \
                 [list(p) for p in comp.periods]
+            ctx.results[f"component_{i:02d}_periods_exact"] = \
+                comp.exact_periods
     ctx.results["window"] = {"lo": list(lo), "hi": list(hi)}
 
 
@@ -460,14 +462,25 @@ def main(argv=None):
     try:
         ctx.bounds = Bounds(**ctx.given_bounds)
         args.handler(ctx)
-    except PerdecError as exc:
+    except (PerdecError, OSError) as exc:  # an OSError is from a write
         inconclusive = isinstance(exc, InconclusiveError)
-        print(f"perdec: {'inconclusive' if inconclusive else 'error'}: {exc}",
-              file=sys.stderr)
+        _report_error(exc, args.out,
+                      "inconclusive" if inconclusive else "error")
         error = {"type": type(exc).__name__, "message": str(exc),
                  "bound": getattr(exc, "bound", None)}
-    code = ctx.finish(_command(args), error)
+    try:
+        code = ctx.finish(_command(args), error)
+    except OSError as exc:
+        _report_error(exc, args.out, "error")
+        return 1
     return code if error is None else 2 if inconclusive else 1
+
+
+def _report_error(exc, out, label):
+    """Print a failed run's error; an OSError names the unwritten output."""
+    if isinstance(exc, OSError):
+        exc = f"cannot write {exc.filename or out}: {exc.strerror or exc}"
+    print(f"perdec: {label}: {exc}", file=sys.stderr)
 
 
 def _command(args):

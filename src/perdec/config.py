@@ -13,13 +13,14 @@ Z^d: combinations of shifted views (`_Combination`) and transfer
 components.  Decomposition pipelines expose their components this way and
 callers rasterize.  A combination reads each view once per box: a view
 with one unshifted part on the box itself, any other on the box grown by
-its shifts, its parts summed from that grid by `_convolve_rows`, the
-one box convolution, which also convolves windows.  It has two paths,
-chosen from its input alone: a table of exact ints with some coefficient
-|k| != 1 whose sums fit a signed slot of 2, 4 or 8 bytes
-(max|v| * sum|k| < 2^(8w - 1)) is packed into one big integer and summed
-by shifts; every other input (all |k| = 1, Fractions, wider values) is
-summed row by row.
+its shifts, its parts summed from that grid by `_convolve_rows`, the one
+box convolution, which also convolves windows, reads sub-boxes (`sub_box`,
+one term) and counts sparseness cubes (a summed-area table by its 2^d
+corners).  It has two paths, chosen from its input alone: a table of
+exact ints with some coefficient |k| != 1 whose sums fit a signed slot of
+2, 4 or 8 bytes (max|v| * sum|k| < 2^(8w - 1)) is packed into one big
+integer and summed by shifts; every other input (all |k| = 1, Fractions,
+wider values) is summed row by row.
 
 WindowConfig and PeriodicConfig keep one flat list of values in
 `box_points` order: the window over its box, the periodic configuration
@@ -81,6 +82,12 @@ def box_strides(lo, hi):
         strides.append(acc)
         acc *= b - a + 1
     return tuple(reversed(strides))
+
+
+def box_point(lo, hi, i):
+    """The point at flat position i of the box [lo, hi]."""
+    return tuple(a + i // s % (b - a + 1)
+                 for a, b, s in zip(lo, hi, box_strides(lo, hi)))
 
 
 def box_offset(lo, strides, x):
@@ -202,14 +209,8 @@ def grow_box(lo, hi, exps):
 def sub_box(values, lo, strides, sub_lo, sub_hi):
     """A new list of the values over [sub_lo, sub_hi], one slice per row,
     from a flat table over a box with corner lo and strides holding it."""
-    if not box_size(sub_lo, sub_hi):
-        return []
-    n = sub_hi[-1] - sub_lo[-1] + 1
-    out = []
-    for h in box_points(sub_lo[:-1], sub_hi[:-1]):
-        i = box_offset(lo, strides, h + (sub_lo[-1],))
-        out += values[i:i + n]
-    return out
+    return _convolve_rows([(zero_vector(len(lo)), 1)], values, lo, strides,
+                          sub_lo, sub_hi)
 
 
 def erode_box(lo, hi, support):
@@ -242,8 +243,7 @@ def _int_table(values, lo, hi, kind):
     if ints != values:
         i, v = next((i, v) for i, (v, n) in enumerate(zip(values, ints))
                     if v != n)
-        x = tuple(a + i // s % (b - a + 1)
-                  for a, b, s in zip(lo, hi, box_strides(lo, hi)))
+        x = box_point(lo, hi, i)
         raise PreconditionError(
             f"non-integer value {v} at {x}: a {kind} holds integers")
     return ints
@@ -359,12 +359,9 @@ class WindowConfig:
         """Plain text dump; rows are the first coordinate (2-d only)."""
         if self.dim != 2:
             raise PreconditionError("grid dump is only defined for dim 2")
-        lines = []
-        for x0 in range(self.lo[0], self.hi[0] + 1):
-            row = [str(self.value_at((x0, x1)))
-                   for x1 in range(self.lo[1], self.hi[1] + 1)]
-            lines.append(" ".join(row))
-        return "\n".join(lines)
+        n = self.strides[0]
+        return "\n".join(" ".join(map(str, self.values[i:i + n]))
+                         for i in range(0, len(self.values), n))
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +940,10 @@ def _convolve_rows(terms, values, lo, strides, out_lo, out_hi):
     A table of exact ints convolved with some |k| != 1 is summed packed
     instead when its slots fit (`_packed_rows`).
     """
+    if len(terms) > 1024:  # reading a chain of maps nests a C call per link
+        head, tail = (_convolve_rows(part, values, lo, strides, out_lo, out_hi)
+                      for part in (terms[:1024], terms[1024:]))
+        return list(map(add, head, tail))
     starts, offsets, n = row_sources(terms, lo, strides, out_lo, out_hi)
     if n > 0 and offsets and any(k not in (1, -1) for _, k in starts):
         slot = _slot_format(values, sum(abs(k) for _, k in starts))
@@ -1004,11 +1005,12 @@ def _packed_rows(starts, offsets, n, values, width, code):
 
 
 def _add_scaled(row, k, part):
-    """row + k * part, elementwise."""
+    """row + k * part, elementwise; an iterator for k = 1 or -1, so that a
+    chain of them builds its row as a list once."""
     if k == 1:
-        return list(map(add, row, part))
+        return map(add, row, part)
     if k == -1:
-        return list(map(sub, row, part))
+        return map(sub, row, part)
     return [x + k * v for x, v in zip(row, part)]
 
 
@@ -1108,7 +1110,7 @@ class _Combination(LazyConfig):
                 glo, ghi = grow_box(lo, hi, [e for e, _ in terms])
                 k, part = 1, _convolve_rows(terms, v.values_on_box(glo, ghi),
                                             glo, box_strides(glo, ghi), lo, hi)
-            total = _add_scaled(total, k, part)
+            total = list(_add_scaled(total, k, part))
         return total
 
     def values_on_segments(self, segments):
@@ -1116,7 +1118,7 @@ class _Combination(LazyConfig):
         for v, k, e in self.parts:
             reads = segments if e is None else \
                 [(vsub(q, e), step, count) for q, step, count in segments]
-            totals = [_add_scaled(total, k, part) for total, part
+            totals = [list(_add_scaled(total, k, part)) for total, part
                       in zip(totals, v.values_on_segments(reads))]
         return totals
 

@@ -657,13 +657,12 @@ def _validate_product(vectors, e, bounds, error):
 # periodizer <-> annihilator conversions
 
 def annihilator_from_periodizer(g: LaurentPoly, c, V: SubspaceBasis,
-                                n_bound: int, bounds: Bounds | None = None
-                                ) -> LaurentPoly:
+                                bounds: Bounds | None = None) -> LaurentPoly:
     """Upgrade a periodizer to an annihilator with the same V-transversality.
 
     g*c must be strongly periodic and representable; a period w of g*c
-    outside V is read off its full period lattice, and n <= n_bound is
-    chosen so that supp((X^{n w} - 1) * g) meets V exactly at the origin.
+    outside V is read off its full period lattice, and n <= bounds.search
+    is chosen so that supp((X^{n w} - 1) * g) meets V exactly at the origin.
     For each support point of g at most one n is excluded.
     """
     bounds = bounds or Bounds()
@@ -686,7 +685,7 @@ def annihilator_from_periodizer(g: LaurentPoly, c, V: SubspaceBasis,
     w = next((row for row in rows if not V.contains(row)), None)
     if w is None:
         raise PreconditionError("no period of g*c outside the subspace")
-    for n in range(1, n_bound + 1):
+    for n in range(1, bounds.search + 1):
         f = difference_poly(vscale(n, w)) * g
         if support_in_subspace(f, V) == {origin}:
             _require_annihilation(f, c, bounds,
@@ -694,7 +693,8 @@ def annihilator_from_periodizer(g: LaurentPoly, c, V: SubspaceBasis,
                                   VerificationError)
             return f
     raise InconclusiveError(
-        f"no admissible multiplier <= {n_bound} clears the subspace", n_bound)
+        f"no admissible multiplier <= {bounds.search} clears the subspace",
+        bounds.search)
 
 
 # ---------------------------------------------------------------------------
@@ -930,8 +930,7 @@ def k_periodic_decompose(c, k: int, periodizers, bounds: Bounds | None = None
         for i, comp in enumerate(comps):
             Vi = comp.subspace
             f = select_periodizer(periodizers, Vi)
-            fstar = annihilator_from_periodizer(f, c, Vi, bounds.search,
-                                                bounds)
+            fstar = annihilator_from_periodizer(f, c, Vi, bounds)
             dp = search_difference_annihilator(c, fstar, bounds.search,
                                                avoid=Vi)
             extra = tuple(_period_outside(other, Vi)

@@ -18,14 +18,14 @@ is window evidence from such a limit on the check window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm
-from operator import add, mul, sub
+from operator import add
 
-from .config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
-                     apply_poly, box_intersect, box_line_range,
-                     box_line_slabs, box_points, box_size, box_strides,
-                     make_fiber, rasterize)
+from .config import (FiberSum, PeriodicConfig, WindowConfig, _convolve_rows,
+                     add_views, apply_poly, box_intersect, box_line_range,
+                     box_line_slabs, box_point, box_points, box_size,
+                     box_strides, make_fiber, rasterize)
 from .decompose import (Bounds, _require_annihilation,
                         search_difference_annihilator)
 from .errors import InconclusiveError, PreconditionError, VerificationError
@@ -67,9 +67,8 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
     origin for fiber sums, the canonical residues [0, diag - 1] for periodic
     inputs (complete per size), and for windows the translates whose cubes
     fit inside the box.  Failure is a result, not an error.  Counts are
-    exact, read from a summed-area table of the support (`_cube_counter`)
-    over a box that holds every cube the scan places, one row of translates
-    along the last axis per read.
+    exact, read from a summed-area table of the support (`_summed_area`)
+    over a box that holds every cube the scan places.
     """
     if a < 1 or m_max < 1:
         raise PreconditionError("sparseness check needs a >= 1 and m_max >= 1")
@@ -81,9 +80,10 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
         reach = min(8, max((max(map(abs, f.anchor)) + f.period
                             for f in c.fibers), default=0))
         r = reach + 2 * m_max
+        area = _summed_area(rasterize(c, (-r,) * d, (r,) * d))
         checked, violation = _cube_scan(
-            a, m_max, _cube_counter(rasterize(c, (-r,) * d, (r,) * d)),
-            lambda m: ((-reach - m,) * d, (reach + m,) * d), stop=False)
+            a, m_max, lambda m: (area, (-reach - m,) * d, (reach + m,) * d),
+            stop=False)
         ok = violation is None
         return SparsenessReport(
             constant=a, ok=ok, exact=ok and a >= fiber_closed_form_constant(c),
@@ -96,15 +96,14 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
         residues = c.residue_box
         built = {}
 
-        def table(m):  # doubles, so an early violation skips m_max's box
+        def cubes(m):  # doubles, so an early violation skips m_max's box
             r = min(m_max, 1 << (m - 1).bit_length())
             if r not in built:
-                built[r] = _cube_counter(rasterize(
+                built[r] = _summed_area(rasterize(
                     c, (-r,) * d, tuple(b + r for b in residues[1])))
-            return built[r](m)
+            return (built[r], *residues)
 
-        checked, violation = _cube_scan(a, m_max, table, lambda m: residues,
-                                        stop=True)
+        checked, violation = _cube_scan(a, m_max, cubes, stop=True)
         return SparsenessReport(constant=a, ok=violation is None,
                                 exact=violation is not None, checked=checked,
                                 violation=violation)
@@ -112,63 +111,53 @@ def check_sparseness(c, a: int, m_max: int) -> SparsenessReport:
     if isinstance(c, WindowConfig):
         # only cubes that fit inside the window are placed
         fit = min(m_max, *((hi - lo) // 2 for lo, hi in zip(c.lo, c.hi)))
+        area = _summed_area(c)
         checked, violation = _cube_scan(
-            a, fit, _cube_counter(c),
-            lambda m: (tuple(v + m for v in c.lo), tuple(v - m for v in c.hi)),
-            stop=True)
+            a, fit, lambda m: (area, tuple(v + m for v in c.lo),
+                               tuple(v - m for v in c.hi)), stop=True)
         return SparsenessReport(constant=a, ok=violation is None, exact=False,
                                 checked=checked, violation=violation)
 
     raise PreconditionError("sparseness of an evaluator view is undecidable")
 
 
-def _cube_scan(a, m_max, table, translates, stop):
+def _cube_scan(a, m_max, cubes, stop):
     """(checked, violation): per size m <= m_max, the largest count over the
-    translate box `translates(m)` = (lo, hi), and the first (m, t) over a*m
-    in box order; with `stop` the scan ends there and that count closes
-    `checked`.  `table(m)` reads the counts one row along the last axis at
-    a time.
+    translate box [lo, hi] of `cubes(m)` = (table, lo, hi), and the first
+    (m, t) over a*m in box order; with `stop` the scan ends there and that
+    count closes `checked`.  The counts of the cubes C_m + t are the
+    summed-area `table` convolved by its 2^d corners: e in {-m, m + 1}^d
+    with sign (-1)^(number of m + 1 entries), one `_convolve_rows` call.
     """
     checked, violation = [], None
     for m in range(1, m_max + 1):
-        rows = table(m)
-        lo, hi = translates(m)
-        first, n = lo[-1], hi[-1] - lo[-1] + 1
-        best = 0
-        for head in box_points(lo[:-1], hi[:-1]):
-            counts = rows(head + (first,), n)
-            top = max(counts)
-            if top > best:
-                best = top
-            if top > a * m and violation is None:
-                i = next(i for i, k in enumerate(counts) if k > a * m)
-                violation = (m, head + (first + i,))
-                if stop:
-                    return tuple(checked + [(m, counts[i])]), violation
+        table, lo, hi = cubes(m)
+        corners = [(e, (-1) ** e.count(m + 1))
+                   for e in product((-m, m + 1), repeat=len(lo))]
+        counts = _convolve_rows(corners, *table, lo, hi)
+        best = max(counts)
+        if best > a * m and violation is None:
+            i = next(i for i, k in enumerate(counts) if k > a * m)
+            violation = (m, box_point(lo, hi, i))
+            if stop:
+                return tuple(checked + [(m, counts[i])]), violation
         checked.append((m, best))
     return tuple(checked), violation
 
 
-def _cube_counter(w: WindowConfig):
-    """cubes(m) -> rows(t, n): support counts of w in the cubes C_m + t,
-    C_m + t + e, ..., n translates along the last axis e; every cube must
-    lie inside w's box.
-
-    An inclusive prefix sum of the support indicator, padded with one
-    leading zero layer per axis, answers each count from the cube's 2^d
-    corners: one base index for t plus signed offsets fixed per size m.
-    The last axis has stride 1, so a row of n counts is one slice of n
-    table entries per corner, added or subtracted elementwise.
-    """
-    shape = [b - a + 2 for a, b in zip(w.lo, w.hi)]
-    strides = box_strides([0] * w.dim, [n - 1 for n in shape])
-    n = shape[-1] - 1
+def _summed_area(w: WindowConfig):
+    """(table, lo, strides): the summed-area table of the support of w over
+    [w.lo - 1, w.hi] in flat layout; its entry at x counts the support
+    points y <= x, so the leading layer of each axis is zero."""
+    lo = tuple(a - 1 for a in w.lo)
+    strides = box_strides(lo, w.hi)
+    n = w.hi[-1] - w.lo[-1] + 1
     table = []  # rows along the last axis, each led by its zero
     for i in range(0, len(w.values), n):
         table += accumulate(map(bool, w.values[i:i + n]), initial=0)
     for axis in reversed(range(w.dim - 1)):
         inner = strides[axis]
-        block = (shape[axis] - 1) * inner
+        block = (w.hi[axis] - lo[axis]) * inner
         summed = []
         for base in range(0, len(table), block):
             row = [0] * inner
@@ -177,28 +166,7 @@ def _cube_counter(w: WindowConfig):
                 row = list(map(add, row, table[j:j + inner]))
                 summed += row
         table = summed
-
-    def cubes(m):
-        # the upper corner t + m, then per axis optionally the lower t - m - 1
-        plus = [sum((m + 1 - lo) * s for lo, s in zip(w.lo, strides))]
-        minus = []
-        for s in strides:
-            step = (2 * m + 1) * s
-            plus, minus = (plus + [o - step for o in minus],
-                           minus + [o - step for o in plus])
-        upper, plus = plus[0], plus[1:]
-
-        def rows(t, n):
-            b = sum(map(mul, t, strides))
-            counts = table[b + upper:b + upper + n]
-            for o in plus:
-                counts = map(add, counts, table[b + o:b + o + n])
-            for o in minus:
-                counts = map(sub, counts, table[b + o:b + o + n])
-            return list(counts)
-        return rows
-
-    return cubes
+    return table, lo, strides
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,10 @@ def test_decompose_k_periodizers(files):
                  "--k", "2", "--periodizers", fx["tilepoly"], t2]) == 0
     m = manifest(out)
     assert m["verdicts"]["sum_matches"]
-    assert any(key.endswith("_periods") for key in m["results"])
+    # the periods of a periodic table are exact, and the label says so
+    periods = [key for key in m["results"] if key.endswith("_periods")]
+    assert periods
+    assert all(m["results"][key + "_exact"] is True for key in periods)
 
 
 def test_sparse_commands(files, tmp_path):
@@ -482,6 +485,21 @@ def test_tiling_commands(files):
     m = manifest(out)
     assert m["verdicts"]["cotiler_00"] and m["verdicts"]["cotiler_01"]
 
+    # a window co-tiler is evidence on the window eroded by each tile's
+    # polynomial, of the negated cells; a periodic one is exact, no region
+    win = write(tmp / "cb_window.json",
+                config_to_obj(rasterize(CHECKER, (-3, -3), (3, 3))))
+    for cfg, exact, regions in (
+            (win, False, [[[-3, -3], [2, 3]], [[-3, -3], [3, 2]]]),
+            (fx["cb"], True, [None, None])):
+        out = str(tmp / f"out_ver_{exact}")
+        assert main(["--out", out, "tiling", "verify", fx["tiles"], cfg]) == 0
+        with open(os.path.join(out, "report.json")) as fh:
+            assert json.load(fh) == {
+                f"tile_{i:02d}": {"holds": True, "exact": exact,
+                                  "region": region}
+                for i, region in enumerate(regions)}
+
     out = str(tmp / "out_td")
     assert main(["--out", out, "--window=-8..8,-8..8", "tiling", "decompose",
                  fx["tiles"], fx["cb"]]) == 0
@@ -778,6 +796,22 @@ def test_out_naming_an_existing_file_exits_one(tmp_path):
         f"perdec: error: cannot create output directory {taken}: ")
     assert proc.stderr.count("\n") == 1
     assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("taken", ["result.json", "manifest.json"])
+def test_unwritable_output_exits_one(files, capsys, taken):
+    # an output name held by a directory: one error line naming it, exit 1,
+    # and the manifest, where it can still be written, holds the error
+    tmp, fx = files
+    out = tmp / "out_taken"
+    (out / taken).mkdir(parents=True)
+    assert main(["--out", str(out), "poly", "add", fx["f"], fx["f"]]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"perdec: error: cannot write {out / taken}: ")
+    assert sorted(os.listdir(out)) == ["manifest.json", "result.json"]
+    if taken == "result.json":
+        m = manifest(out)
+        assert m["outputs"] == [] and m["error"]["type"] == "IsADirectoryError"
 
 
 def test_a_success_and_a_failure_record_the_same_command(tmp_path):

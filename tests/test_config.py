@@ -436,6 +436,14 @@ def test_row_kernel_matches_naive_convolution(case):
     assert set(map(type, got)) <= {type(values[0])}
 
 
+def test_row_kernel_takes_a_long_sum_of_unit_terms():
+    # unit terms are summed by a chain of maps; reading one nests a C call
+    # per link, so a chain this long would overflow the stack uncut
+    terms = [((0,), 1), ((1,), -1)] * 100_000
+    assert _convolve_rows(terms, [5, 2, 7], (0,), (1,), (1,), (2,)) == [
+        -300_000, 500_000]
+
+
 def test_slot_width_is_the_narrowest_that_holds_every_sum():
     for bound, slot in ((2**15 - 1, (2, "h")), (2**15, (4, "i")),
                         (2**31 - 1, (4, "i")), (2**31, (8, "q")),

@@ -690,7 +690,7 @@ def test_annihilator_from_periodizer_skips_cancelled_origin():
     # rejected by the exact support check; n = 2 is the first admissible.
     g = LaurentPoly(2, {(0, 0): 1, (-1, 0): 1})
     V = SubspaceBasis(2, [(0, 1)])
-    f = annihilator_from_periodizer(g, CHECKER, V, 8)
+    f = annihilator_from_periodizer(g, CHECKER, V, Bounds(search=8))
     assert f == difference_poly((2, 0)) * g
     assert is_annihilated(f, CHECKER).holds
     assert support_in_subspace(f, V) == {(0, 0)}
@@ -699,14 +699,14 @@ def test_annihilator_from_periodizer_skips_cancelled_origin():
 def test_annihilator_from_periodizer_with_annihilator_input():
     V = SubspaceBasis(2, [(0, 1)])
     g = difference_poly((2, 0))  # already annihilates the checkerboard
-    f = annihilator_from_periodizer(g, CHECKER, V, 8)
+    f = annihilator_from_periodizer(g, CHECKER, V, Bounds(search=8))
     assert is_annihilated(f, CHECKER).holds
     assert support_in_subspace(f, V) == {(0, 0)}
 
 
 def test_annihilator_from_periodizer_trivial_subspace():
     g = LaurentPoly(2, {(0, 0): 1, (-1, 0): 1})
-    f = annihilator_from_periodizer(g, CHECKER, TRIVIAL2, 8)
+    f = annihilator_from_periodizer(g, CHECKER, TRIVIAL2, Bounds(search=8))
     assert is_annihilated(f, CHECKER).holds
 
 
@@ -714,11 +714,13 @@ def test_annihilator_from_periodizer_preconditions():
     V = SubspaceBasis(2, [(0, 1)])
     with pytest.raises(PreconditionError):
         # support meets V beyond the origin; can never clear
-        annihilator_from_periodizer(difference_poly((0, 1)), CHECKER, V, 8)
+        annihilator_from_periodizer(difference_poly((0, 1)), CHECKER, V,
+                                    Bounds(search=8))
     with pytest.raises(PreconditionError):
         annihilator_from_periodizer(
             LaurentPoly(2, {(0, 0): 1, (-1, 0): 1}), CHECKER,
-            SubspaceBasis(2, [(1, 0), (0, 1)]), 8)  # V not proper
+            SubspaceBasis(2, [(1, 0), (0, 1)]),  # V not proper
+            Bounds(search=8))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perdec import sparse
-from perdec.config import (FiberSum, PeriodicConfig, WindowConfig, add_views,
+from perdec.config import (FiberSum, PeriodicConfig, WindowConfig,
+                           _convolve_rows as convolve_rows, add_views,
                            box_points, box_size, is_annihilated,
                            make_fiber, rasterize)
 from perdec.decompose import Bounds
@@ -255,20 +257,28 @@ def test_row_reads_match_reference_reports(seed, case):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 3))
 def test_cube_rows_match_point_counts(seed, dim):
-    # every count of a row, not only the maxima that reports keep
+    # every count of a random translate box for every size up to m, not
+    # only the maxima that reports keep: each size's counts are the result
+    # of one row convolution of the summed-area table
     rng = random.Random(seed)
     lo = tuple(rng.randint(-3, 0) for _ in range(dim))
     hi = tuple(v + rng.randint(2, 9 - 2 * dim) for v in lo)
     w = _window(lo, hi, rng, rng.random())
     m = rng.randint(1, min(b - a for a, b in zip(lo, hi)) // 2)
-    head = tuple(rng.randint(a + m, b - m) for a, b in zip(lo[:-1], hi[:-1]))
-    start = rng.randint(lo[-1] + m, hi[-1] - m)
-    n = rng.randint(1, hi[-1] - m - start + 1)
-    want = [sum(1 for x in box_points(tuple(v - m for v in t),
-                                      tuple(v + m for v in t))
-                if w.value_at(x)) for t in
-            (head + (start + i,) for i in range(n))]
-    assert sparse._cube_counter(w)(m)(head + (start,), n) == want
+    tlo = tuple(rng.randint(a + m, b - m) for a, b in zip(lo, hi))
+    thi = tuple(rng.randint(a, b - m) for a, b in zip(tlo, hi))
+    area, seen = sparse._summed_area(w), []
+
+    def recorded(*args):
+        seen.append(convolve_rows(*args))
+        return seen[-1]
+
+    with mock.patch.object(sparse, "_convolve_rows", recorded):
+        sparse._cube_scan(1, m, lambda k: (area, tlo, thi), stop=False)
+    assert seen == [[sum(1 for x in box_points(tuple(v - k for v in t),
+                                               tuple(v + k for v in t))
+                         if w.value_at(x)) for t in box_points(tlo, thi)]
+                    for k in range(1, m + 1)]
 
 
 def _points_window(lo, hi, points):
